@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -112,17 +112,39 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
   const double path_count = static_cast<double>(result.per_path.size());
   // Mass is merged per 10 ms slot index, not per raw double delay: equal
   // delays reached through different arithmetic (e.g. from paths solved
-  // via the canonical cache vs directly) must land in one bin.
-  std::map<std::int64_t, double> delay_mass;
+  // via the canonical cache vs directly) must land in one bin.  Delays
+  // are bounded by the reporting interval, so the bins form a short
+  // dense range: accumulate into a flat array over [lowest, highest],
+  // adding in path order exactly as an ordered map would, and emit the
+  // touched bins ascending.
+  const auto bin_of = [](double delay_ms) {
+    return static_cast<std::int64_t>(
+        std::llround(delay_ms / phy::kSlotMilliseconds));
+  };
+  std::int64_t lowest = std::numeric_limits<std::int64_t>::max();
+  std::int64_t highest = std::numeric_limits<std::int64_t>::min();
+  for (const PathMeasures& m : result.per_path)
+    for (double delay_ms : m.delays_ms) {
+      lowest = std::min(lowest, bin_of(delay_ms));
+      highest = std::max(highest, bin_of(delay_ms));
+    }
+  const std::size_t bins =
+      lowest > highest ? 0 : static_cast<std::size_t>(highest - lowest) + 1;
+  std::vector<double> delay_mass(bins, 0.0);
+  std::vector<char> touched(bins, 0);
+  std::size_t touched_bins = 0;
   for (std::size_t p = 0; p < result.per_path.size(); ++p) {
     const PathMeasures& m = result.per_path[p];
     result.mean_delay_ms += m.expected_delay_ms / path_count;
     result.network_utilization += m.utilization;
     result.network_utilization_delivered += m.utilization_delivered;
-    for (std::size_t i = 0; i < m.delays_ms.size(); ++i)
-      delay_mass[static_cast<std::int64_t>(
-          std::llround(m.delays_ms[i] / phy::kSlotMilliseconds))] +=
-          m.delay_distribution[i] / path_count;
+    for (std::size_t i = 0; i < m.delays_ms.size(); ++i) {
+      const auto bin =
+          static_cast<std::size_t>(bin_of(m.delays_ms[i]) - lowest);
+      delay_mass[bin] += m.delay_distribution[i] / path_count;
+      touched_bins += touched[bin] == 0;
+      touched[bin] = 1;
+    }
     if (m.expected_delay_ms >
         result.per_path[result.bottleneck_by_delay].expected_delay_ms)
       result.bottleneck_by_delay = p;
@@ -142,10 +164,13 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
           std::max(result.diagnostics.max_mass_residual, d.mass_residual);
     }
   }
-  result.overall_delay_distribution.reserve(delay_mass.size());
-  for (const auto& [slot, probability] : delay_mass)
-    result.overall_delay_distribution.push_back(
-        {static_cast<double>(slot) * phy::kSlotMilliseconds, probability});
+  result.overall_delay_distribution.reserve(touched_bins);
+  for (std::size_t bin = 0; bin < bins; ++bin)
+    if (touched[bin] != 0)
+      result.overall_delay_distribution.push_back(
+          {static_cast<double>(lowest + static_cast<std::int64_t>(bin)) *
+               phy::kSlotMilliseconds,
+           delay_mass[bin]});
   return result;
 }
 

@@ -17,6 +17,8 @@ namespace whart::hart {
 
 namespace {
 constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
+constexpr std::uint32_t kNoOpportunity =
+    std::numeric_limits<std::uint32_t>::max();
 }
 
 PathModelConfig PathModelConfig::from_schedule(
@@ -55,6 +57,24 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
   expects(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
           "each transmission opportunity has its own dedicated slot");
 
+  // Firing table: in-frame slot -> opportunity, then the opportunities in
+  // slot order.  A hop slot and a retry slot never coincide (checked
+  // above), so each slot names at most one hop.
+  const std::uint32_t frame = config_.superframe.uplink_slots;
+  std::vector<std::size_t> hop_of_slot(frame, kUnreachable);
+  for (std::size_t h = 0; h < config_.hop_slots.size(); ++h)
+    hop_of_slot[config_.hop_slots[h] - 1] = h;
+  for (std::size_t h = 0; h < config_.retry_slots.size(); ++h)
+    if (config_.retry_slots[h] != 0)
+      hop_of_slot[config_.retry_slots[h] - 1] = h;
+  opportunity_of_slot_.assign(frame, kNoOpportunity);
+  for (std::uint32_t slot = 1; slot <= frame; ++slot) {
+    if (hop_of_slot[slot - 1] == kUnreachable) continue;
+    opportunity_of_slot_[slot - 1] =
+        static_cast<std::uint32_t>(opportunities_.size());
+    opportunities_.push_back({slot, hop_of_slot[slot - 1]});
+  }
+
   // Reachability sweep over the layered state space: state (t, h) exists
   // for t < ttl when the chain can occupy it.
   const std::uint32_t ttl = config_.effective_ttl();
@@ -80,14 +100,10 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
 
 std::optional<std::size_t> PathModel::hop_in_slot(
     std::uint32_t global_slot) const noexcept {
-  const net::SlotNumber in_frame =
-      ((global_slot - 1) % config_.superframe.uplink_slots) + 1;
-  for (std::size_t h = 0; h < config_.hop_slots.size(); ++h)
-    if (config_.hop_slots[h] == in_frame) return h;
-  for (std::size_t h = 0; h < config_.retry_slots.size(); ++h)
-    if (config_.retry_slots[h] != 0 && config_.retry_slots[h] == in_frame)
-      return h;
-  return std::nullopt;
+  const std::uint32_t opportunity =
+      opportunity_of_slot_[(global_slot - 1) % config_.superframe.uplink_slots];
+  if (opportunity == kNoOpportunity) return std::nullopt;
+  return opportunities_[opportunity].hop;
 }
 
 PathTransientResult PathModel::analyze(
@@ -229,7 +245,7 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
 #endif
 }
 
-std::vector<linalg::CsrMatrix> PathModel::slot_matrices(
+std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
     const LinkProbabilityProvider& links) const {
   expects(links.hop_count() >= config_.hop_count(),
           "provider covers every hop");
@@ -238,18 +254,16 @@ std::vector<linalg::CsrMatrix> PathModel::slot_matrices(
   const std::size_t goal = hops;
   const std::size_t discard = hops + 1;
   std::vector<linalg::CsrMatrix> matrices;
-  matrices.reserve(config_.superframe.cycle_slots());
+  matrices.reserve(opportunities_.size());
   // Success probabilities are frozen from the first cycle; with a
   // cycle-stationary provider every later cycle sees the same values.
-  for (std::uint32_t slot = 1; slot <= config_.superframe.uplink_slots;
-       ++slot) {
-    const std::optional<std::size_t> firing = hop_in_slot(slot);
+  for (const Opportunity& o : opportunities_) {
     std::vector<linalg::Triplet> entries;
     entries.reserve(dim + 1);
     for (std::size_t h = 0; h < hops; ++h) {
-      if (firing == h) {
+      if (o.hop == h) {
         const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(slot));
+            h, config_.superframe.absolute_slot_of_uplink(o.slot));
         const std::size_t target = h + 1 == hops ? goal : h + 1;
         if (ps > 0.0) entries.push_back({h, target, ps});
         if (ps < 1.0) entries.push_back({h, h, 1.0 - ps});
@@ -261,6 +275,22 @@ std::vector<linalg::CsrMatrix> PathModel::slot_matrices(
     entries.push_back({discard, discard, 1.0});
     matrices.emplace_back(dim, dim, std::move(entries));
   }
+  return matrices;
+}
+
+std::vector<linalg::CsrMatrix> PathModel::slot_matrices(
+    const LinkProbabilityProvider& links) const {
+  std::vector<linalg::CsrMatrix> factors = opportunity_matrices(links);
+  const std::size_t dim = config_.hop_count() + 2;
+  std::vector<linalg::CsrMatrix> matrices;
+  matrices.reserve(config_.superframe.cycle_slots());
+  for (std::uint32_t slot = 1; slot <= config_.superframe.uplink_slots;
+       ++slot) {
+    const std::uint32_t opportunity = opportunity_of_slot_[slot - 1];
+    matrices.push_back(opportunity == kNoOpportunity
+                           ? linalg::CsrMatrix::identity(dim)
+                           : std::move(factors[opportunity]));
+  }
   for (std::uint32_t s = 0; s < config_.superframe.downlink_slots; ++s)
     matrices.push_back(linalg::CsrMatrix::identity(dim));
   return matrices;
@@ -268,16 +298,18 @@ std::vector<linalg::CsrMatrix> PathModel::slot_matrices(
 
 PathTransientResult PathModel::analyze_superframe(
     const LinkProbabilityProvider& links, double inject) const {
-  // Fresh (slow-path) build: assemble the slot matrices and collapse the
-  // cycle through SuperframeKernel, then run the shared numeric core
-  // with a throwaway workspace.  The skeleton refill path feeds the same
-  // core with refilled structures, so the two agree bitwise.
-  const std::vector<linalg::CsrMatrix> slots = slot_matrices(links);
-  markov::SuperframeKernel kernel(slots);
+  // Fresh (slow-path) build: collapse the full Fup + Fdown slot chain,
+  // identity slots included, through SuperframeKernel — the independent
+  // reference for the skeleton's opportunity-only chain — then run the
+  // shared numeric core over the opportunity factors with a throwaway
+  // workspace.  The skeleton refill path feeds the same core with
+  // refilled structures, so the two agree bitwise.
+  const std::vector<linalg::CsrMatrix> factors = opportunity_matrices(links);
+  markov::SuperframeKernel kernel(slot_matrices(links));
   if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
   SolveWorkspace workspace;
   PathTransientResult result;
-  analyze_superframe_into(links, slots, kernel.cycle_product(), workspace,
+  analyze_superframe_into(links, factors, kernel.cycle_product(), workspace,
                           result);
   return result;
 }
@@ -305,12 +337,14 @@ void ensure_zeroed(linalg::Vector& v, std::size_t size) {
 
 void PathModel::analyze_superframe_into(
     const LinkProbabilityProvider& links,
-    const std::vector<linalg::CsrMatrix>& slots,
+    std::span<const linalg::CsrMatrix> factors,
     const linalg::CsrMatrix& product, SolveWorkspace& ws,
     PathTransientResult& result) const {
   WHART_SPAN("path_solve");
   expects(links.hop_count() >= config_.hop_count(),
           "provider covers every hop");
+  expects(factors.size() == opportunities_.size(),
+          "one chain factor per transmission opportunity");
 #ifndef WHART_OBS_DISABLED
   const bool timed = common::obs::metrics_enabled();
   const auto solve_start = timed ? std::chrono::steady_clock::now()
@@ -324,16 +358,8 @@ void PathModel::analyze_superframe_into(
   const std::uint32_t interval = config_.reporting_interval;
   const std::uint32_t horizon = config_.horizon();
 
-  // Transmission opportunities of one cycle, in slot order.
-  ws.firings.clear();
-  for (std::uint32_t slot = 1; slot <= frame; ++slot)
-    if (const auto h = hop_in_slot(slot); h.has_value())
-      ws.firings.push_back(
-          {slot, *h,
-           links.up_probability(
-               *h, config_.superframe.absolute_slot_of_uplink(slot))});
-
-  // One-cycle accounting matrices from a dense prefix/suffix sweep.
+  // One-cycle accounting matrices from a dense prefix/suffix sweep over
+  // the transmission opportunities (identity slots leave both unchanged).
   //
   //   attempts(x, h): expected transmissions of hop h during a full cycle
   //     entered in state x — the prefix column of state h summed over the
@@ -350,16 +376,15 @@ void PathModel::analyze_superframe_into(
   for (std::size_t i = 0; i < dim; ++i) ws.prefix(i, i) = 1.0;
   ensure_zeroed(ws.prefix_next, dim, dim);
   ensure_zeroed(ws.attempts, dim, hops);
-  ws.prefix_columns.resize(ws.firings.size() * dim);
-  for (std::size_t i = 0; i < ws.firings.size(); ++i) {
-    const SolveWorkspace::Firing& f = ws.firings[i];
+  ws.prefix_columns.resize(opportunities_.size() * dim);
+  for (std::size_t i = 0; i < opportunities_.size(); ++i) {
+    const std::size_t hop = opportunities_[i].hop;
     double* column = ws.prefix_columns.data() + i * dim;
     for (std::size_t r = 0; r < dim; ++r) {
-      column[r] = ws.prefix(r, f.hop);
-      ws.attempts(r, f.hop) += column[r];
+      column[r] = ws.prefix(r, hop);
+      ws.attempts(r, hop) += column[r];
     }
-    linalg::left_multiply_batch_into(ws.prefix, slots[f.slot - 1],
-                                     ws.prefix_next);
+    linalg::left_multiply_batch_into(ws.prefix, factors[i], ws.prefix_next);
     std::swap(ws.prefix, ws.prefix_next);
   }
 
@@ -367,9 +392,9 @@ void PathModel::analyze_superframe_into(
   ensure_zeroed(ws.suffix, dim, dim);
   for (std::size_t i = 0; i < dim; ++i) ws.suffix(i, i) = 1.0;
   ensure_zeroed(ws.suffix_next, dim, dim);
-  for (std::size_t i = ws.firings.size(); i-- > 0;) {
-    const SolveWorkspace::Firing& f = ws.firings[i];
-    const linalg::CsrMatrix& step = slots[f.slot - 1];
+  for (std::size_t i = opportunities_.size(); i-- > 0;) {
+    const std::size_t hop = opportunities_[i].hop;
+    const linalg::CsrMatrix& step = factors[i];
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t c = 0; c < dim; ++c) ws.suffix_next(r, c) = 0.0;
     for (std::size_t r = 0; r < dim; ++r)
@@ -381,7 +406,7 @@ void PathModel::analyze_superframe_into(
     const double* column = ws.prefix_columns.data() + i * dim;
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t c = 0; c < dim; ++c)
-        ws.delivered_kernel(r, c) += column[r] * ws.suffix(f.hop, c);
+        ws.delivered_kernel(r, c) += column[r] * ws.suffix(hop, c);
   }
 
   result.cycle_probabilities.assign(interval, 0.0);
@@ -423,31 +448,29 @@ void PathModel::analyze_superframe_into(
             r, [&](std::size_t c, double v) { ws.p_next[c] += xr * v; });
       }
       std::swap(ws.p, ws.p_next);
-    } else {
-      // The cycle the TTL cuts through runs per-slot so the discard lands
-      // on the exact slot; cycles past the TTL fall straight through.
-      for (std::uint32_t s = 1; s <= frame; ++s) {
-        const std::uint32_t slot = cycle * frame + s;
+    } else if (cycle * frame < ttl) {
+      // The cycle the TTL cuts through fires its opportunities one by one
+      // so the discard lands on the exact slot; cycles past the TTL fall
+      // straight through.
+      for (const Opportunity& o : opportunities_) {
+        const std::uint32_t slot = cycle * frame + o.slot;
         if (slot > ttl) break;
-        if (const auto firing = hop_in_slot(slot); firing.has_value()) {
-          const std::size_t h = *firing;
-          const double ps = links.up_probability(
-              h, config_.superframe.absolute_slot_of_uplink(slot));
-          result.expected_transmissions += ws.p[h];
-          result.expected_transmissions_per_hop[h] += ws.p[h];
-          const double moved = ws.p[h] * ps;
-          ws.p[h] -= moved;
-          if (h + 1 == hops)
-            ws.p[goal] += moved;
-          else
-            ws.p[h + 1] += moved;
-        }
-        if (slot == ttl) {
-          for (std::size_t h = 0; h < hops; ++h) {
-            result.discard_probability += ws.p[h];
-            ws.p[h] = 0.0;
-          }
-        }
+        const std::size_t h = o.hop;
+        const double ps = links.up_probability(
+            h, config_.superframe.absolute_slot_of_uplink(slot));
+        result.expected_transmissions += ws.p[h];
+        result.expected_transmissions_per_hop[h] += ws.p[h];
+        const double moved = ws.p[h] * ps;
+        ws.p[h] -= moved;
+        if (h + 1 == hops)
+          ws.p[goal] += moved;
+        else
+          ws.p[h + 1] += moved;
+      }
+      // TTL expired: every in-flight message is discarded.
+      for (std::size_t h = 0; h < hops; ++h) {
+        result.discard_probability += ws.p[h];
+        ws.p[h] = 0.0;
       }
     }
     result.cycle_probabilities[cycle] = ws.p[goal] - goal_mass_seen;
@@ -471,16 +494,16 @@ void PathModel::analyze_superframe_into(
     ws.b[goal] = 1.0;
     ensure_zeroed(ws.u, dim);
     const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-    for (std::uint32_t slot = ttl; slot > ttl_cycle * frame; --slot) {
-      if (const auto firing = hop_in_slot(slot); firing.has_value()) {
-        const std::size_t h = *firing;
-        const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(slot));
-        const std::size_t target = h + 1 == hops ? goal : h + 1;
-        const double b_before = ps * ws.b[target] + (1.0 - ps) * ws.b[h];
-        ws.u[h] = ps * ws.u[target] + (1.0 - ps) * ws.u[h] + b_before;
-        ws.b[h] = b_before;
-      }
+    for (std::size_t i = opportunities_.size(); i-- > 0;) {
+      const std::uint32_t slot = ttl_cycle * frame + opportunities_[i].slot;
+      if (slot > ttl) continue;
+      const std::size_t h = opportunities_[i].hop;
+      const double ps = links.up_probability(
+          h, config_.superframe.absolute_slot_of_uplink(slot));
+      const std::size_t target = h + 1 == hops ? goal : h + 1;
+      const double b_before = ps * ws.b[target] + (1.0 - ps) * ws.b[h];
+      ws.u[h] = ps * ws.u[target] + (1.0 - ps) * ws.u[h] + b_before;
+      ws.b[h] = b_before;
     }
     ensure_zeroed(ws.u_next, dim);
     ensure_zeroed(ws.b_next, dim);
@@ -531,7 +554,7 @@ void PathModel::analyze_superframe_into(
 }
 
 void PathModel::analyze_superframe_batch_into(
-    const std::vector<markov::CsrPattern>& slot_patterns,
+    const std::vector<markov::CsrPattern>& factor_patterns,
     const markov::CsrPattern& product_pattern, BatchSolveWorkspace& ws,
     std::span<PathTransientResult* const> results) const {
   // Common batch widths run the fixed-width instantiation (flat-unrolled
@@ -539,19 +562,19 @@ void PathModel::analyze_superframe_batch_into(
   // arithmetic either way — the dispatch only changes code generation.
   switch (results.size()) {
     case 4:
-      analyze_superframe_batch_lanes<4>(slot_patterns, product_pattern, ws,
+      analyze_superframe_batch_lanes<4>(factor_patterns, product_pattern, ws,
                                         results);
       break;
     case 8:
-      analyze_superframe_batch_lanes<8>(slot_patterns, product_pattern, ws,
+      analyze_superframe_batch_lanes<8>(factor_patterns, product_pattern, ws,
                                         results);
       break;
     case 16:
-      analyze_superframe_batch_lanes<16>(slot_patterns, product_pattern, ws,
+      analyze_superframe_batch_lanes<16>(factor_patterns, product_pattern, ws,
                                          results);
       break;
     default:
-      analyze_superframe_batch_lanes<0>(slot_patterns, product_pattern, ws,
+      analyze_superframe_batch_lanes<0>(factor_patterns, product_pattern, ws,
                                         results);
       break;
   }
@@ -559,15 +582,18 @@ void PathModel::analyze_superframe_batch_into(
 
 template <std::size_t kLanes>
 void PathModel::analyze_superframe_batch_lanes(
-    const std::vector<markov::CsrPattern>& slot_patterns,
+    const std::vector<markov::CsrPattern>& factor_patterns,
     const markov::CsrPattern& product_pattern, BatchSolveWorkspace& ws,
     std::span<PathTransientResult* const> results) const {
   WHART_SPAN("path_solve_batch");
   namespace simd = linalg::simd;
   const std::size_t lanes = kLanes == 0 ? results.size() : kLanes;
   expects(lanes >= 1, "at least one lane");
-  expects(ws.ps.size() == ws.firings.size() * lanes,
-          "one success probability per firing per lane");
+  expects(factor_patterns.size() == opportunities_.size() &&
+              ws.factor_values.size() == opportunities_.size(),
+          "one chain factor per transmission opportunity");
+  expects(ws.ps.size() == opportunities_.size() * lanes,
+          "one success probability per opportunity per lane");
   expects(ws.product_values.size() == product_pattern.nonzeros() * lanes,
           "product values refilled for this lane count");
 #ifndef WHART_OBS_DISABLED
@@ -583,15 +609,6 @@ void PathModel::analyze_superframe_batch_lanes(
   const std::uint32_t interval = config_.reporting_interval;
   const std::uint32_t horizon = config_.horizon();
 
-  // ps lanes of the firing scheduled in global uplink slot `slot` (the
-  // firings list spans one frame; cycle-stationary lanes repeat it).
-  const auto firing_lanes = [&](std::uint32_t slot) -> const double* {
-    const std::uint32_t in_frame = ((slot - 1) % frame) + 1;
-    for (std::size_t i = 0; i < ws.firings.size(); ++i)
-      if (ws.firings[i].slot == in_frame) return ws.ps.data() + i * lanes;
-    return nullptr;
-  };
-
   // One-cycle accounting structures from the dense prefix/suffix sweep of
   // analyze_superframe_into, each entry widened to a lane array; the
   // per-lane accumulation order matches the scalar sweep entry for entry.
@@ -600,20 +617,20 @@ void PathModel::analyze_superframe_batch_lanes(
     simd::fill(ws.prefix.data() + (i * dim + i) * lanes, 1.0, lanes);
   ws.prefix_next.assign(dim * dim * lanes, 0.0);
   ws.attempts.assign(dim * hops * lanes, 0.0);
-  ws.prefix_columns.resize(ws.firings.size() * dim * lanes);
-  for (std::size_t i = 0; i < ws.firings.size(); ++i) {
-    const BatchSolveWorkspace::Firing& f = ws.firings[i];
+  ws.prefix_columns.resize(opportunities_.size() * dim * lanes);
+  for (std::size_t i = 0; i < opportunities_.size(); ++i) {
+    const std::size_t hop = opportunities_[i].hop;
     double* column = ws.prefix_columns.data() + i * dim * lanes;
     for (std::size_t r = 0; r < dim; ++r) {
       simd::copy(column + r * lanes,
-                 ws.prefix.data() + (r * dim + f.hop) * lanes, lanes);
-      simd::add(ws.attempts.data() + (r * hops + f.hop) * lanes,
+                 ws.prefix.data() + (r * dim + hop) * lanes, lanes);
+      simd::add(ws.attempts.data() + (r * hops + hop) * lanes,
                 column + r * lanes, lanes);
     }
-    // prefix <- prefix * M_slot: the arithmetic of left_multiply_batch_into
-    // (accumulation ascending over the slot matrix's rows), lane-wide.
-    const markov::CsrPattern& step = slot_patterns[f.slot - 1];
-    const std::vector<double>& step_values = ws.slot_values[f.slot - 1];
+    // prefix <- prefix * M_i: the arithmetic of left_multiply_batch_into
+    // (accumulation ascending over the factor's rows), lane-wide.
+    const markov::CsrPattern& step = factor_patterns[i];
+    const std::vector<double>& step_values = ws.factor_values[i];
     simd::fill(ws.prefix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t k = 0; k < dim; ++k)
       for (std::size_t idx = step.row_start[k]; idx < step.row_start[k + 1];
@@ -633,10 +650,10 @@ void PathModel::analyze_superframe_batch_lanes(
   for (std::size_t i = 0; i < dim; ++i)
     simd::fill(ws.suffix.data() + (i * dim + i) * lanes, 1.0, lanes);
   ws.suffix_next.assign(dim * dim * lanes, 0.0);
-  for (std::size_t i = ws.firings.size(); i-- > 0;) {
-    const BatchSolveWorkspace::Firing& f = ws.firings[i];
-    const markov::CsrPattern& step = slot_patterns[f.slot - 1];
-    const std::vector<double>& step_values = ws.slot_values[f.slot - 1];
+  for (std::size_t i = opportunities_.size(); i-- > 0;) {
+    const std::size_t hop = opportunities_[i].hop;
+    const markov::CsrPattern& step = factor_patterns[i];
+    const std::vector<double>& step_values = ws.factor_values[i];
     simd::fill(ws.suffix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t idx = step.row_start[r]; idx < step.row_start[r + 1];
@@ -653,7 +670,7 @@ void PathModel::analyze_superframe_batch_lanes(
       for (std::size_t c = 0; c < dim; ++c)
         simd::mul_add(ws.delivered_kernel.data() + (r * dim + c) * lanes,
                       column + r * lanes,
-                      ws.suffix.data() + (f.hop * dim + c) * lanes, lanes);
+                      ws.suffix.data() + (hop * dim + c) * lanes, lanes);
   }
 
   for (PathTransientResult* result : results) {
@@ -707,32 +724,29 @@ void PathModel::analyze_superframe_batch_lanes(
               ws.p.data() + r * lanes,
               ws.product_values.data() + idx * lanes, lanes);
       std::swap(ws.p, ws.p_next);
-    } else {
-      // The cycle the TTL cuts through runs per-slot so the discard lands
-      // on the exact slot; cycles past the TTL fall straight through.
-      for (std::uint32_t s = 1; s <= frame; ++s) {
-        const std::uint32_t slot = cycle * frame + s;
-        if (slot > ttl) break;
-        if (const double* ps_lanes = firing_lanes(slot); ps_lanes != nullptr) {
-          const std::size_t h = hop_in_slot(slot).value();
-          const std::size_t target = h + 1 == hops ? goal : h + 1;
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const double ph = ws.p[h * lanes + l];
-            results[l]->expected_transmissions += ph;
-            results[l]->expected_transmissions_per_hop[h] += ph;
-            const double moved = ph * ps_lanes[l];
-            ws.p[h * lanes + l] -= moved;
-            ws.p[target * lanes + l] += moved;
-          }
-        }
-        if (slot == ttl) {
-          for (std::size_t h = 0; h < hops; ++h)
-            for (std::size_t l = 0; l < lanes; ++l) {
-              results[l]->discard_probability += ws.p[h * lanes + l];
-              ws.p[h * lanes + l] = 0.0;
-            }
+    } else if (cycle * frame < ttl) {
+      // The cycle the TTL cuts through fires its opportunities one by one
+      // so the discard lands on the exact slot; cycles past the TTL fall
+      // straight through.
+      for (std::size_t i = 0; i < opportunities_.size(); ++i) {
+        if (cycle * frame + opportunities_[i].slot > ttl) break;
+        const double* ps_lanes = ws.ps.data() + i * lanes;
+        const std::size_t h = opportunities_[i].hop;
+        const std::size_t target = h + 1 == hops ? goal : h + 1;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const double ph = ws.p[h * lanes + l];
+          results[l]->expected_transmissions += ph;
+          results[l]->expected_transmissions_per_hop[h] += ph;
+          const double moved = ph * ps_lanes[l];
+          ws.p[h * lanes + l] -= moved;
+          ws.p[target * lanes + l] += moved;
         }
       }
+      for (std::size_t h = 0; h < hops; ++h)
+        for (std::size_t l = 0; l < lanes; ++l) {
+          results[l]->discard_probability += ws.p[h * lanes + l];
+          ws.p[h * lanes + l] = 0.0;
+        }
     }
     for (std::size_t l = 0; l < lanes; ++l) {
       results[l]->cycle_probabilities[cycle] =
@@ -757,18 +771,18 @@ void PathModel::analyze_superframe_batch_lanes(
     simd::fill(ws.b.data() + goal * lanes, 1.0, lanes);
     ws.u.assign(dim * lanes, 0.0);
     const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-    for (std::uint32_t slot = ttl; slot > ttl_cycle * frame; --slot) {
-      if (const double* ps_lanes = firing_lanes(slot); ps_lanes != nullptr) {
-        const std::size_t h = hop_in_slot(slot).value();
-        const std::size_t target = h + 1 == hops ? goal : h + 1;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double ps = ps_lanes[l];
-          const double b_before = ps * ws.b[target * lanes + l] +
-                                  (1.0 - ps) * ws.b[h * lanes + l];
-          ws.u[h * lanes + l] = ps * ws.u[target * lanes + l] +
-                                (1.0 - ps) * ws.u[h * lanes + l] + b_before;
-          ws.b[h * lanes + l] = b_before;
-        }
+    for (std::size_t i = opportunities_.size(); i-- > 0;) {
+      if (ttl_cycle * frame + opportunities_[i].slot > ttl) continue;
+      const double* ps_lanes = ws.ps.data() + i * lanes;
+      const std::size_t h = opportunities_[i].hop;
+      const std::size_t target = h + 1 == hops ? goal : h + 1;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const double ps = ps_lanes[l];
+        const double b_before = ps * ws.b[target * lanes + l] +
+                                (1.0 - ps) * ws.b[h * lanes + l];
+        ws.u[h * lanes + l] = ps * ws.u[target * lanes + l] +
+                              (1.0 - ps) * ws.u[h * lanes + l] + b_before;
+        ws.b[h * lanes + l] = b_before;
       }
     }
     ws.u_next.assign(dim * lanes, 0.0);
@@ -944,15 +958,17 @@ PathModelConfig mark_skeleton_build(PathModelConfig config) {
   return config;
 }
 
-/// Generic-probability slot patterns: any ps strictly inside (0, 1)
+/// Generic-probability factor patterns: any ps strictly inside (0, 1)
 /// yields the full two-entries-per-firing-row sparsity.
-std::vector<markov::CsrPattern> capture_slot_patterns(const PathModel& model) {
+std::vector<markov::CsrPattern> capture_factor_patterns(
+    const PathModel& model) {
   const SteadyStateLinks generic(
       std::vector<double>(model.config().hop_count(), 0.5));
-  const std::vector<linalg::CsrMatrix> slots = model.slot_matrices(generic);
+  const std::vector<linalg::CsrMatrix> factors =
+      model.opportunity_matrices(generic);
   std::vector<markov::CsrPattern> patterns;
-  patterns.reserve(slots.size());
-  for (const linalg::CsrMatrix& m : slots)
+  patterns.reserve(factors.size());
+  for (const linalg::CsrMatrix& m : factors)
     patterns.push_back(markov::CsrPattern::of(m));
   return patterns;
 }
@@ -961,22 +977,22 @@ std::vector<markov::CsrPattern> capture_slot_patterns(const PathModel& model) {
 
 PathModelSkeleton::PathModelSkeleton(PathModelConfig config)
     : model_(mark_skeleton_build(std::move(config))),
-      slot_patterns_(capture_slot_patterns(model_)),
-      chain_(slot_patterns_) {
-  // Provenance: for every firing uplink slot, locate the values indices
-  // of the two mutable entries of row `hop` — (hop, hop) carries 1 - ps
-  // and (hop, target) carries ps; target (hop + 1 or Goal) is always a
-  // higher column, so both are found by a scan of the sorted row.
+      factor_patterns_(capture_factor_patterns(model_)),
+      chain_(factor_patterns_) {
+  // Provenance: for every transmission opportunity, locate the values
+  // indices of the two mutable entries of row `hop` in its factor —
+  // (hop, hop) carries 1 - ps and (hop, target) carries ps; target
+  // (hop + 1 or Goal) is always a higher column, so both are found by a
+  // scan of the sorted row.
   const std::size_t hops = model_.config().hop_count();
-  for (std::uint32_t slot = 1; slot <= model_.config().superframe.uplink_slots;
-       ++slot) {
-    const std::optional<std::size_t> firing = model_.hop_in_slot(slot);
-    if (!firing.has_value()) continue;
-    const std::size_t h = *firing;
+  const std::span<const PathModel::Opportunity> opportunities =
+      model_.opportunities();
+  for (std::size_t i = 0; i < opportunities.size(); ++i) {
+    const std::size_t h = opportunities[i].hop;
     const std::size_t target = h + 1 == hops ? hops : h + 1;
-    const markov::CsrPattern& pattern = slot_patterns_[slot - 1];
+    const markov::CsrPattern& pattern = factor_patterns_[i];
     SlotProvenance prov;
-    prov.slot = slot;
+    prov.slot = opportunities[i].slot;
     prov.hop = h;
     bool found_failure = false;
     bool found_success = false;
@@ -998,7 +1014,7 @@ PathModelSkeleton::PathModelSkeleton(PathModelConfig config)
   // batch refill then walks a flat op list instead of re-deriving the
   // Gustavson bookkeeping on every batch.
   batch_refill_ =
-      std::make_unique<const markov::BatchRefill>(chain_, slot_patterns_);
+      std::make_unique<const markov::BatchRefill>(chain_, factor_patterns_);
   WHART_COUNT("hart.skeleton.builds");
   WHART_OBSERVE(
       "hart.stage.skeleton_build.ns",
@@ -1009,10 +1025,10 @@ PathModelSkeleton::PathModelSkeleton(PathModelConfig config)
 }
 
 void PathModelSkeleton::prime(SolveWorkspace& ws) const {
-  ws.slots.clear();
-  ws.slots.reserve(slot_patterns_.size());
-  for (const markov::CsrPattern& pattern : slot_patterns_)
-    ws.slots.push_back(linalg::CsrMatrix::from_parts(
+  ws.factors.clear();
+  ws.factors.reserve(factor_patterns_.size());
+  for (const markov::CsrPattern& pattern : factor_patterns_)
+    ws.factors.push_back(linalg::CsrMatrix::from_parts(
         pattern.rows, pattern.cols, pattern.row_start, pattern.col_index,
         std::vector<double>(pattern.nonzeros(), 1.0)));
   const markov::CsrPattern& product = chain_.pattern();
@@ -1069,17 +1085,17 @@ void PathModelSkeleton::analyze_into(const LinkProbabilityProvider& links,
     if (!ws.primed || !(ws.primed_config == model_.config())) prime(ws);
     {
       WHART_TIMER("hart.stage.refill.ns");
-      for (const SlotProvenance& prov : provenance_) {
-        const double ps = provider.up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        const std::span<double> values = ws.slots[prov.slot - 1].values();
-        values[prov.failure_index] = 1.0 - ps;
-        values[prov.success_index] = ps;
+      for (std::size_t i = 0; i < provenance_.size(); ++i) {
+        const SlotProvenance& prov = provenance_[i];
+        prov.write(provider.up_probability(
+                       prov.hop, superframe.absolute_slot_of_uplink(prov.slot)),
+                   ws.factors[i].values());
       }
-      chain_.refill(ws.slots, ws.chain_arena, ws.product.values());
+      chain_.refill(ws.factors, ws.chain_arena, ws.product.values());
     }
     WHART_COUNT("hart.skeleton.refills");
-    model_.analyze_superframe_into(provider, ws.slots, ws.product, ws, result);
+    model_.analyze_superframe_into(provider, ws.factors, ws.product, ws,
+                                   result);
     return;
   }
   if (options.kernel == TransientKernel::kSuperframeProduct)
@@ -1123,29 +1139,27 @@ bool PathModelSkeleton::analyze_incremental_into(
     if (!product.seeded()) {
       // Cold start: write every firing value and seed the partial-value
       // cache with one full replay.
-      for (const SlotProvenance& prov : provenance_) {
-        const double ps = links.up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        const std::span<double> values = ws.slots[prov.slot - 1].values();
-        values[prov.failure_index] = 1.0 - ps;
-        values[prov.success_index] = ps;
+      for (std::size_t i = 0; i < provenance_.size(); ++i) {
+        const SlotProvenance& prov = provenance_[i];
+        prov.write(links.up_probability(
+                       prov.hop, superframe.absolute_slot_of_uplink(prov.slot)),
+                   ws.factors[i].values());
       }
-      product.refill(ws.slots);
+      product.refill(ws.factors);
       WHART_COUNT("hart.whatif.seeds");
     } else {
-      for (const SlotProvenance& prov : provenance_) {
+      for (std::size_t i = 0; i < provenance_.size(); ++i) {
+        const SlotProvenance& prov = provenance_[i];
         bool changed = false;
         for (std::size_t hop : changed_hops) changed |= prov.hop == hop;
         if (!changed) continue;
-        const double ps = links.up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        const std::span<double> values = ws.slots[prov.slot - 1].values();
-        values[prov.failure_index] = 1.0 - ps;
-        values[prov.success_index] = ps;
-        product.update(prov.slot - 1, prov.failure_index);
-        product.update(prov.slot - 1, prov.success_index);
+        prov.write(links.up_probability(
+                       prov.hop, superframe.absolute_slot_of_uplink(prov.slot)),
+                   ws.factors[i].values());
+        product.update(i, prov.failure_index);
+        product.update(i, prov.success_index);
       }
-      product.propagate(ws.slots);
+      product.propagate(ws.factors);
       WHART_COUNT("hart.whatif.incremental_solves");
     }
     const std::span<const double> values = product.values();
@@ -1158,15 +1172,15 @@ bool PathModelSkeleton::analyze_incremental_into(
         out[k] += options.inject_stale_product_row;
     }
   }
-  model_.analyze_superframe_into(links, ws.slots, ws.product, ws, result);
+  model_.analyze_superframe_into(links, ws.factors, ws.product, ws, result);
   return true;
 }
 
 void PathModelSkeleton::prime_batch(BatchSolveWorkspace& ws,
                                     std::size_t lanes) const {
-  ws.slot_values.resize(slot_patterns_.size());
-  for (std::size_t s = 0; s < slot_patterns_.size(); ++s)
-    ws.slot_values[s].assign(slot_patterns_[s].nonzeros() * lanes, 1.0);
+  ws.factor_values.resize(factor_patterns_.size());
+  for (std::size_t i = 0; i < factor_patterns_.size(); ++i)
+    ws.factor_values[i].assign(factor_patterns_[i].nonzeros() * lanes, 1.0);
   ws.product_values.assign(chain_.pattern().nonzeros() * lanes, 0.0);
   ws.primed = true;
   ws.primed_lanes = lanes;
@@ -1233,25 +1247,22 @@ void PathModelSkeleton::analyze_batch_into(
   WHART_COUNT_N("hart.batch.lanes_filled", lanes);
   {
     WHART_TIMER("hart.stage.batch_refill.ns");
-    // One SoA refill prices every lane: gather each firing's per-lane
-    // success probabilities into the slot value lanes, then replay the
-    // cycle-product chain once for all lanes.  provenance_ is in slot
-    // order, so ws.firings matches the scalar core's firing order.
-    ws.firings.clear();
+    // One SoA refill prices every lane: gather each opportunity's
+    // per-lane success probabilities into its factor's value lanes, then
+    // replay the cycle-product chain once for all lanes.
     ws.ps.resize(provenance_.size() * lanes);
     for (std::size_t fi = 0; fi < provenance_.size(); ++fi) {
       const SlotProvenance& prov = provenance_[fi];
-      ws.firings.push_back({prov.slot, prov.hop});
-      std::vector<double>& slot_values = ws.slot_values[prov.slot - 1];
+      std::vector<double>& factor_values = ws.factor_values[fi];
       for (std::size_t l = 0; l < lanes; ++l) {
         const double ps =
             ws.ps_scan[ws.batched_index[l] * provenance_.size() + fi];
         ws.ps[fi * lanes + l] = ps;
-        slot_values[prov.failure_index * lanes + l] = 1.0 - ps;
-        slot_values[prov.success_index * lanes + l] = ps;
+        factor_values[prov.failure_index * lanes + l] = 1.0 - ps;
+        factor_values[prov.success_index * lanes + l] = ps;
       }
     }
-    batch_refill_->refill(ws.slot_values, lanes, ws.chain_arena,
+    batch_refill_->refill(ws.factor_values, lanes, ws.chain_arena,
                           std::span<double>(ws.product_values));
   }
   if (options.inject_lane_swap) {
@@ -1263,7 +1274,7 @@ void PathModelSkeleton::analyze_batch_into(
   }
   ws.result_ptrs.clear();
   for (std::size_t i : ws.batched_index) ws.result_ptrs.push_back(&results[i]);
-  model_.analyze_superframe_batch_into(slot_patterns_, chain_.pattern(), ws,
+  model_.analyze_superframe_batch_into(factor_patterns_, chain_.pattern(), ws,
                                        ws.result_ptrs);
 }
 

@@ -233,10 +233,11 @@ struct PathTransientResult {
 /// workspace makes PathModelSkeleton::analyze_into allocation-free.
 /// One workspace per thread; pool with common::WorkspacePool.
 struct SolveWorkspace {
-  // Numeric-phase matrices, primed from the skeleton's patterns: the
-  // per-slot matrices and the cycle product whose `values` arrays are
-  // refilled in place before each solve.
-  std::vector<linalg::CsrMatrix> slots;
+  // Numeric-phase matrices, primed from the skeleton's patterns: one
+  // chain factor per transmission opportunity (PathModel::opportunities
+  // order) and the cycle product, whose `values` arrays are refilled in
+  // place before each solve.
+  std::vector<linalg::CsrMatrix> factors;
   linalg::CsrMatrix product;
   markov::ChainRefillArena chain_arena;
   bool primed = false;
@@ -247,13 +248,7 @@ struct SolveWorkspace {
   std::vector<double> mass;
 
   // Superframe kernel scratch.
-  struct Firing {
-    std::uint32_t slot = 0;  ///< 1-based uplink position within the frame
-    std::size_t hop = 0;
-    double ps = 0.0;
-  };
-  std::vector<Firing> firings;
-  std::vector<double> prefix_columns;  ///< firings x dim, flattened
+  std::vector<double> prefix_columns;  ///< opportunities x dim, flattened
   linalg::Matrix prefix;
   linalg::Matrix prefix_next;
   linalg::Matrix suffix;
@@ -281,29 +276,24 @@ struct SolveWorkspace {
 /// solve of a (shape, lane count) and warm batched solves allocate
 /// nothing.  One workspace per thread; pool with common::WorkspacePool.
 struct BatchSolveWorkspace {
-  /// SoA slot values primed from the skeleton's patterns (per slot:
-  /// nonzeros x lanes; constant entries hold 1.0, firing entries are
-  /// refilled per batch) and the SoA cycle-product values they collapse
-  /// into through markov::BatchRefill.
-  std::vector<std::vector<double>> slot_values;
+  /// SoA factor values primed from the skeleton's patterns (one per
+  /// transmission opportunity: nonzeros x lanes; constant entries hold
+  /// 1.0, firing entries are refilled per batch) and the SoA
+  /// cycle-product values they collapse into through markov::BatchRefill.
+  std::vector<std::vector<double>> factor_values;
   std::vector<double> product_values;
   markov::BatchLaneArena chain_arena;
   bool primed = false;
   std::size_t primed_lanes = 0;
   PathModelConfig primed_config;  ///< shape the structures were built for
 
-  /// Transmission opportunities of one cycle, in slot order, with their
-  /// per-lane success probabilities (firings x lanes).
-  struct Firing {
-    std::uint32_t slot = 0;  ///< 1-based uplink position within the frame
-    std::size_t hop = 0;
-  };
-  std::vector<Firing> firings;
+  /// Per-lane success probabilities of every transmission opportunity
+  /// (opportunities x lanes, PathModel::opportunities order).
   std::vector<double> ps;
 
   // Lane-widened superframe solve scratch (dims as in SolveWorkspace,
   // each times lanes).
-  std::vector<double> prefix_columns;  ///< firings x dim x lanes
+  std::vector<double> prefix_columns;  ///< opportunities x dim x lanes
   std::vector<double> prefix;          ///< dim x dim x lanes
   std::vector<double> prefix_next;
   std::vector<double> suffix;
@@ -372,6 +362,14 @@ class PathModel {
   [[nodiscard]] std::vector<linalg::CsrMatrix> slot_matrices(
       const LinkProbabilityProvider& links) const;
 
+  /// The non-identity members of slot_matrices(), one per transmission
+  /// opportunity in opportunities() order — the chain factors of the
+  /// skeleton path.  Their product equals the full cycle product
+  /// bitwise: in Gustavson's pass an identity factor contributes exactly
+  /// one product av * 1.0 == av to each output entry.
+  [[nodiscard]] std::vector<linalg::CsrMatrix> opportunity_matrices(
+      const LinkProbabilityProvider& links) const;
+
   /// The cycle_slots() per-slot transition matrices of one cycle over
   /// the channel-enlarged chain (DESIGN.md §14): states
   /// off[h]..off[h]+k_h-1 are "waiting at hop h in channel state s"
@@ -406,9 +404,23 @@ class PathModel {
     return num_states_;
   }
 
-  /// Which hop (if any) fires in global uplink slot s (1-based).
+  /// Which hop (if any) fires in global uplink slot s (1-based): a
+  /// lookup in the firing table.
   [[nodiscard]] std::optional<std::size_t> hop_in_slot(
       std::uint32_t global_slot) const noexcept;
+
+  /// One transmission opportunity of a frame: the uplink slot carrying a
+  /// hop's dedicated or retry transmission.
+  struct Opportunity {
+    net::SlotNumber slot = 0;  ///< 1-based uplink slot within the frame
+    std::size_t hop = 0;
+  };
+
+  /// Every transmission opportunity of one frame (hop slots and nonzero
+  /// retry slots), in slot order — the firing table's ordered list.
+  [[nodiscard]] std::span<const Opportunity> opportunities() const noexcept {
+    return opportunities_;
+  }
 
  private:
   friend class PathModelSkeleton;
@@ -435,20 +447,23 @@ class PathModel {
   void analyze_per_slot_into(const LinkProbabilityProvider& links,
                              SolveWorkspace& workspace,
                              PathTransientResult& result) const;
+  /// The superframe core reads `factors` in opportunities() order (the
+  /// identity slots of a cycle do nothing to its prefix/suffix sweeps)
+  /// and `product` is the collapsed cycle.
   void analyze_superframe_into(const LinkProbabilityProvider& links,
-                               const std::vector<linalg::CsrMatrix>& slots,
+                               std::span<const linalg::CsrMatrix> factors,
                                const linalg::CsrMatrix& product,
                                SolveWorkspace& workspace,
                                PathTransientResult& result) const;
 
   /// SoA batch core (DESIGN.md §13): the superframe solve with every
   /// numeric buffer widened by a lane dimension.  The workspace's
-  /// firings/ps and product_values must already be filled for
+  /// factor_values, ps and product_values must already be filled for
   /// results.size() lanes; per-lane arithmetic order matches
   /// analyze_superframe_into, so each lane agrees with its scalar solve
   /// to rounding (1e-12 in the lane-equivalence battery).
   void analyze_superframe_batch_into(
-      const std::vector<markov::CsrPattern>& slot_patterns,
+      const std::vector<markov::CsrPattern>& factor_patterns,
       const markov::CsrPattern& product_pattern, BatchSolveWorkspace& workspace,
       std::span<PathTransientResult* const> results) const;
   /// Lane-count-specialized body of analyze_superframe_batch_into:
@@ -458,7 +473,7 @@ class PathModel {
   /// unroll flat.  Arithmetic is identical in every instantiation.
   template <std::size_t kLanes>
   void analyze_superframe_batch_lanes(
-      const std::vector<markov::CsrPattern>& slot_patterns,
+      const std::vector<markov::CsrPattern>& factor_patterns,
       const markov::CsrPattern& product_pattern, BatchSolveWorkspace& workspace,
       std::span<PathTransientResult* const> results) const;
 
@@ -468,13 +483,21 @@ class PathModel {
   std::vector<std::vector<std::size_t>> state_index_;
   std::size_t num_transient_ = 0;
   std::size_t num_states_ = 0;
+  /// Firing table, built once: the ordered opportunities and, per
+  /// in-frame uplink slot s, opportunity_of_slot_[s - 1] = its index in
+  /// opportunities_ (UINT32_MAX when s is idle).
+  std::vector<Opportunity> opportunities_;
+  std::vector<std::uint32_t> opportunity_of_slot_;
 };
 
 /// Symbolic phase of the path solve (DESIGN.md §12): Algorithm 1 run
 /// once per (schedule, hop count, Is, TTL) shape.  The skeleton owns the
-/// state enumeration (its PathModel), the per-slot CSR sparsity patterns
-/// with a provenance map from each firing slot's two live nonzeros to
-/// their values indices, and the symbolic cycle-product chain.
+/// state enumeration (its PathModel), one CSR sparsity pattern per
+/// transmission opportunity with a provenance map from each pattern's
+/// two live nonzeros to their values indices, and the symbolic
+/// cycle-product chain over those patterns alone — the identity slots of
+/// a cycle are left out, so symbolic and numeric cost track
+/// transmissions, not frame length.
 /// `analyze_into` is the numeric phase: it refills only the `values`
 /// arrays from a link provider into a SolveWorkspace and solves through
 /// the same numeric cores as PathModel::analyze — no re-enumeration, no
@@ -507,7 +530,7 @@ class PathModelSkeleton {
   /// rows reachable from the firing entries of `changed_hops` — bitwise
   /// equal to a full refill (markov::IncrementalProduct).  Contract:
   /// `workspace` and `product` are dedicated to this skeleton and to
-  /// incremental solves; between calls, the slot values of hops *not* in
+  /// incremental solves; between calls, the factor values of hops *not* in
   /// `changed_hops` must still hold the probabilities of the previous
   /// call (the caller re-solves to revert a perturbation, passing the
   /// same hops).  An unseeded product is seeded by a full replay
@@ -540,43 +563,51 @@ class PathModelSkeleton {
                           BatchSolveWorkspace& workspace,
                           std::span<PathTransientResult> results) const;
 
-  /// Where a firing slot's two mutable values live in its slot matrix.
+  /// Where an opportunity's two mutable values live in its chain factor
+  /// (provenance()[i] describes factor i).
   struct SlotProvenance {
     std::uint32_t slot = 0;  ///< 1-based uplink slot within the frame
     std::size_t hop = 0;
     std::size_t failure_index = 0;  ///< values index of the (h, h) entry
     std::size_t success_index = 0;  ///< values index of (h, target)
+
+    /// Write success probability `ps` into its factor's `values`.
+    void write(double ps, std::span<double> values) const noexcept {
+      values[failure_index] = 1.0 - ps;
+      values[success_index] = ps;
+    }
   };
 
-  /// Per-slot sparsity patterns (Fup + Fdown entries) of one cycle.
-  [[nodiscard]] const std::vector<markov::CsrPattern>& slot_patterns()
+  /// Chain-factor sparsity patterns, one per transmission opportunity in
+  /// model().opportunities() order.
+  [[nodiscard]] const std::vector<markov::CsrPattern>& factor_patterns()
       const noexcept {
-    return slot_patterns_;
+    return factor_patterns_;
   }
 
-  /// Symbolic cycle-product chain over the slot patterns.
+  /// Symbolic cycle-product chain over the factor patterns.
   [[nodiscard]] const markov::ChainProductSkeleton& chain() const noexcept {
     return chain_;
   }
 
-  /// Firing-slot provenance in slot order (which values indices each
-  /// transmission opportunity's failure/success probabilities occupy).
+  /// Factor provenance in opportunity (slot) order: which values indices
+  /// each transmission opportunity's failure/success probabilities occupy.
   [[nodiscard]] std::span<const SlotProvenance> provenance() const noexcept {
     return provenance_;
   }
 
  private:
-  /// Materialize workspace slot/product structures from the patterns.
+  /// Materialize workspace factor/product structures from the patterns.
   void prime(SolveWorkspace& workspace) const;
 
-  /// Materialize the SoA slot/product value arrays for `lanes` lanes.
+  /// Materialize the SoA factor/product value arrays for `lanes` lanes.
   void prime_batch(BatchSolveWorkspace& workspace, std::size_t lanes) const;
 
   PathModel model_;
-  std::vector<markov::CsrPattern> slot_patterns_;
+  std::vector<markov::CsrPattern> factor_patterns_;
   markov::ChainProductSkeleton chain_;
   std::vector<SlotProvenance> provenance_;
-  /// Compiled SoA replay plan over chain_/slot_patterns_ (DESIGN.md
+  /// Compiled SoA replay plan over chain_/factor_patterns_ (DESIGN.md
   /// §13), built once here with the rest of the symbolic phase.  Borrows
   /// the two members above, which also keeps the skeleton non-copyable
   /// by value — it is always shared by pointer.

@@ -244,16 +244,19 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
   const std::size_t goal = hops;
   const std::uint32_t frame = config.superframe.uplink_slots;
   const std::uint32_t ttl = config.effective_ttl();
-  const std::vector<markov::CsrPattern>& patterns = skeleton.slot_patterns();
+  const std::vector<markov::CsrPattern>& patterns = skeleton.factor_patterns();
 
-  // SoA slot values over the skeleton's patterns: constant entries hold
-  // 1.0, every transmission opportunity (retry slots included) gets its
-  // per-lane failure/success probabilities.
-  std::vector<std::vector<double>> slot_values(patterns.size());
-  for (std::size_t s = 0; s < patterns.size(); ++s)
-    slot_values[s].assign(patterns[s].nonzeros() * lanes, 1.0);
-  for (const auto& prov : skeleton.provenance()) {
-    std::vector<double>& values = slot_values[prov.slot - 1];
+  // SoA factor values over the skeleton's patterns (one factor per
+  // transmission opportunity, retry slots included): constant entries
+  // hold 1.0, firing entries get their per-lane failure/success
+  // probabilities.
+  const std::span<const PathModelSkeleton::SlotProvenance> provenance =
+      skeleton.provenance();
+  std::vector<std::vector<double>> factor_values(patterns.size());
+  for (std::size_t i = 0; i < provenance.size(); ++i) {
+    const PathModelSkeleton::SlotProvenance& prov = provenance[i];
+    std::vector<double>& values = factor_values[i];
+    values.assign(patterns[i].nonzeros() * lanes, 1.0);
     for (std::size_t l = 0; l < lanes; ++l) {
       const double ps = links[l]->up_probability(
           prov.hop, config.superframe.absolute_slot_of_uplink(prov.slot));
@@ -264,20 +267,23 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
 
   // The adjoint firing list mirrors the scalar sweep: dedicated hop
   // slots only (hop_in_slot above ignores retry slots, so retries shape
-  // the products but accrue no adjoint of their own).
+  // the products but accrue no adjoint of their own), each with the
+  // chain factor of its opportunity.
   struct Firing {
     std::uint32_t slot = 0;
     std::size_t hop = 0;
+    std::size_t factor = 0;
   };
   std::vector<Firing> firings;
   std::vector<double> ps;  // firings x lanes
-  for (std::uint32_t slot = 1; slot <= frame; ++slot)
-    if (const auto h = hop_in_slot(config, slot); h.has_value()) {
-      firings.push_back({slot, *h});
-      for (std::size_t l = 0; l < lanes; ++l)
-        ps.push_back(links[l]->up_probability(
-            *h, config.superframe.absolute_slot_of_uplink(slot)));
-    }
+  for (std::size_t i = 0; i < provenance.size(); ++i) {
+    const PathModelSkeleton::SlotProvenance& prov = provenance[i];
+    if (config.hop_slots[prov.hop] != prov.slot) continue;  // retry slot
+    firings.push_back({prov.slot, prov.hop, i});
+    for (std::size_t l = 0; l < lanes; ++l)
+      ps.push_back(links[l]->up_probability(
+          prov.hop, config.superframe.absolute_slot_of_uplink(prov.slot)));
+  }
   // Lane ps of the adjoint firing scheduled in global uplink slot `slot`
   // (nullptr when that slot carries none).
   const auto firing_lanes = [&](std::uint32_t slot) -> const double* {
@@ -302,8 +308,8 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
     for (std::size_t r = 0; r < dim; ++r)
       simd::copy(column + r * lanes,
                  prefix.data() + (r * dim + f.hop) * lanes, lanes);
-    const markov::CsrPattern& step = patterns[f.slot - 1];
-    const std::vector<double>& step_values = slot_values[f.slot - 1];
+    const markov::CsrPattern& step = patterns[f.factor];
+    const std::vector<double>& step_values = factor_values[f.factor];
     simd::fill(prefix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t k = 0; k < dim; ++k)
       for (std::size_t idx = step.row_start[k]; idx < step.row_start[k + 1];
@@ -336,8 +342,8 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
               column[r * lanes + l] *
               (suffix[(target * dim + c) * lanes + l] -
                suffix[(f.hop * dim + c) * lanes + l]);
-    const markov::CsrPattern& step = patterns[f.slot - 1];
-    const std::vector<double>& step_values = slot_values[f.slot - 1];
+    const markov::CsrPattern& step = patterns[f.factor];
+    const std::vector<double>& step_values = factor_values[f.factor];
     simd::fill(suffix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t idx = step.row_start[r]; idx < step.row_start[r + 1];
@@ -356,7 +362,7 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
   std::vector<double> product_values(product.nonzeros() * lanes);
   markov::BatchLaneArena arena;
   markov::BatchRefill(skeleton.chain(), patterns)
-      .refill(slot_values, lanes, arena,
+      .refill(factor_values, lanes, arena,
               std::span<double>(product_values));
 
   // Delivery vectors backward from the TTL cycle.

@@ -43,7 +43,7 @@ WhatIfEngine::WhatIfEngine(const net::Network& network,
       slot = std::make_shared<const PathModelSkeleton>(state.config);
     state.skeleton = slot;
     state.product = std::make_unique<markov::IncrementalProduct>(
-        state.skeleton->chain(), state.skeleton->slot_patterns());
+        state.skeleton->chain(), state.skeleton->factor_patterns());
     for (net::LinkId link : state.hop_links) {
       std::vector<std::size_t>& users = paths_of_link_[link];
       if (users.empty() || users.back() != p) users.push_back(p);
@@ -82,20 +82,19 @@ void WhatIfEngine::revert_path(PathState& state) {
   // SteadyStateLinks is slot-independent, so the written values are the
   // very doubles the baseline provider produced and the targeted replay
   // returns every partial row to its bitwise-baseline value.
-  for (const PathModelSkeleton::SlotProvenance& prov :
-       state.skeleton->provenance()) {
+  const std::span<const PathModelSkeleton::SlotProvenance> provenance =
+      state.skeleton->provenance();
+  for (std::size_t i = 0; i < provenance.size(); ++i) {
+    const PathModelSkeleton::SlotProvenance& prov = provenance[i];
     bool changed = false;
     for (std::size_t hop : state.changed_hops) changed |= prov.hop == hop;
     if (!changed) continue;
-    const double ps = state.availability[prov.hop];
-    const std::span<double> values =
-        state.workspace.slots[prov.slot - 1].values();
-    values[prov.failure_index] = 1.0 - ps;
-    values[prov.success_index] = ps;
-    state.product->update(prov.slot - 1, prov.failure_index);
-    state.product->update(prov.slot - 1, prov.success_index);
+    prov.write(state.availability[prov.hop],
+               state.workspace.factors[i].values());
+    state.product->update(i, prov.failure_index);
+    state.product->update(i, prov.success_index);
   }
-  state.product->propagate(state.workspace.slots);
+  state.product->propagate(state.workspace.factors);
 }
 
 void WhatIfEngine::resolve_path(std::size_t p, net::LinkId link,

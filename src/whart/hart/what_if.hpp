@@ -5,7 +5,7 @@
 // the symbolic skeleton, a warm workspace, the baseline PathMeasures and
 // an IncrementalProduct holding the cycle product's partial values; a
 // what-if on one link re-solves only the paths whose schedules contain
-// that link (through the skeleton's firing-slot provenance map and
+// that link (through the skeleton's opportunity provenance map and
 // targeted Gustavson row replay) and returns every other path's cached
 // measures untouched.
 #pragma once
@@ -142,7 +142,7 @@ class WhatIfEngine {
   std::vector<net::LinkId> links_;
   std::unordered_map<net::LinkId, std::vector<std::size_t>> paths_of_link_;
   /// Fresh-fallback scratch, kept apart from the per-path incremental
-  /// workspaces (whose slot values must persist between queries).
+  /// workspaces (whose factor values must persist between queries).
   SolveWorkspace fallback_workspace_;
   PathTransientResult scratch_transient_;
   PathMeasures scratch_measures_;

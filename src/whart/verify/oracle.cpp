@@ -413,7 +413,7 @@ OracleReport cross_validate(const Scenario& input_scenario,
         hart::PathAnalysisOptions fresh_options;
         fresh_options.kernel = kernel;
         markov::IncrementalProduct product(skeleton.chain(),
-                                           skeleton.slot_patterns());
+                                           skeleton.factor_patterns());
         hart::SolveWorkspace workspace;
         hart::PathTransientResult incremental;
         const bool seeded = skeleton.analyze_incremental_into(

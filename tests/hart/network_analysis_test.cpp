@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <map>
+
 #include "whart/common/contracts.hpp"
+#include "whart/net/plant_generator.hpp"
 #include "whart/net/typical_network.hpp"
+#include "whart/phy/frame.hpp"
 
 namespace whart::hart {
 namespace {
@@ -157,6 +163,52 @@ TEST(NetworkAnalysis, DiagnosticsAccountForEveryPath) {
   EXPECT_EQ(cached.diagnostics.dtmc_solves + cached.diagnostics.cache_hits,
             t.paths.size());
   EXPECT_GT(cached.diagnostics.cache_hits, 0u);  // 10 paths, 3 shapes
+}
+
+TEST(NetworkAnalysis, AggregateMatchesAnOrderedMapReferenceBitwise) {
+  // Gamma accumulates in a flat array over the slot bins; an ordered map
+  // keyed by slot bin, filled in the same path order, must give the very
+  // same bins, doubles and (ascending) order.
+  net::PlantProfile profile;
+  profile.device_count = 200;
+  profile.seed = 2;
+  const net::GeneratedPlant plant = net::generate_plant(profile);
+  AnalysisOptions options;
+  options.kernel = TransientKernel::kSuperframeProduct;
+  const NetworkMeasures m = analyze_network(
+      plant.network, plant.paths, plant.schedule, plant.superframe, 4, options);
+
+  const double path_count = static_cast<double>(m.per_path.size());
+  std::map<std::int64_t, double> reference;
+  for (const PathMeasures& path : m.per_path)
+    for (std::size_t i = 0; i < path.delays_ms.size(); ++i)
+      reference[static_cast<std::int64_t>(
+          std::llround(path.delays_ms[i] / phy::kSlotMilliseconds))] +=
+          path.delay_distribution[i] / path_count;
+  ASSERT_EQ(m.overall_delay_distribution.size(), reference.size());
+  std::size_t k = 0;
+  for (const auto& [slot, probability] : reference) {
+    EXPECT_EQ(m.overall_delay_distribution[k].delay_ms,
+              static_cast<double>(slot) * phy::kSlotMilliseconds);
+    EXPECT_EQ(m.overall_delay_distribution[k].probability, probability);
+    ++k;
+  }
+}
+
+TEST(NetworkAnalysis, AggregateKeepsTouchedZeroMassBins) {
+  // A bin some path reaches with zero mass still appears in Gamma.
+  PathMeasures a;
+  a.delays_ms = {30.0, 90.0};
+  a.delay_distribution = {1.0, 0.0};
+  PathMeasures b;
+  b.delays_ms = {50.0};
+  b.delay_distribution = {1.0};
+  const NetworkMeasures m = aggregate_measures({a, b});
+  ASSERT_EQ(m.overall_delay_distribution.size(), 3u);
+  EXPECT_EQ(m.overall_delay_distribution[0].delay_ms, 30.0);
+  EXPECT_EQ(m.overall_delay_distribution[1].delay_ms, 50.0);
+  EXPECT_EQ(m.overall_delay_distribution[2].delay_ms, 90.0);
+  EXPECT_EQ(m.overall_delay_distribution[2].probability, 0.0);
 }
 
 TEST(NetworkAnalysis, AggregateRejectsEmptyInput) {

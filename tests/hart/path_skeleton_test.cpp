@@ -7,12 +7,16 @@
 #include "whart/hart/path_model.hpp"
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_cache.hpp"
+#include "whart/markov/superframe_kernel.hpp"
+#include "whart/net/plant_generator.hpp"
 #include "whart/net/superframe.hpp"
 #include "whart/verify/scenario.hpp"
 
@@ -159,6 +163,146 @@ TEST(PathSkeleton, ValueFingerprintExtendsSkeletonFingerprint) {
   EXPECT_EQ(low.substr(0, shape.size()), shape);
   EXPECT_EQ(high.substr(0, shape.size()), shape);
   EXPECT_NE(low, high);  // availabilities live in the value part
+}
+
+/// Transmission opportunities of a config: its hops plus its nonzero
+/// retry slots.
+std::size_t opportunity_count(const PathModelConfig& config) {
+  std::size_t count = config.hop_count();
+  for (const net::SlotNumber s : config.retry_slots) count += s != 0;
+  return count;
+}
+
+void expect_one_factor_per_opportunity(const PathModelConfig& config) {
+  const PathModelSkeleton skeleton(config);
+  const std::size_t expected = opportunity_count(config);
+  EXPECT_EQ(skeleton.chain().factor_count(), expected);
+  EXPECT_EQ(skeleton.factor_patterns().size(), expected);
+  ASSERT_EQ(skeleton.provenance().size(), expected);
+  ASSERT_EQ(skeleton.model().opportunities().size(), expected);
+  for (std::size_t i = 0; i < expected; ++i) {
+    const PathModel::Opportunity& o = skeleton.model().opportunities()[i];
+    EXPECT_EQ(skeleton.provenance()[i].slot, o.slot);
+    EXPECT_EQ(skeleton.provenance()[i].hop, o.hop);
+    EXPECT_EQ(skeleton.model().hop_in_slot(o.slot), o.hop);
+    if (i > 0) {
+      EXPECT_LT(skeleton.model().opportunities()[i - 1].slot, o.slot);
+    }
+  }
+}
+
+TEST(PathSkeleton, ChainHasOneFactorPerTransmissionOpportunity) {
+  // The identity slots of a cycle are not chain factors: the skeleton's
+  // cost tracks transmissions, not Fup + Fdown.
+  PathModelConfig config;
+  config.hop_slots = {2, 5, 7};
+  config.superframe = net::SuperframeConfig::symmetric(9);
+  config.reporting_interval = 4;
+  expect_one_factor_per_opportunity(config);
+
+  config.retry_slots = {4, 0, 9};  // two retries, one hop without
+  expect_one_factor_per_opportunity(config);
+
+  // The 200-device plant's frame: 780 slots per cycle, 3 factors.
+  config = PathModelConfig{};
+  config.hop_slots = {17, 203, 388};
+  config.superframe = net::SuperframeConfig::symmetric(390);
+  config.reporting_interval = 4;
+  expect_one_factor_per_opportunity(config);
+}
+
+TEST(PathSkeleton, GeneratedPlantChainsTrackHopsNotFrameLength) {
+  net::PlantProfile profile;
+  profile.device_count = 200;
+  profile.seed = 2;
+  const net::GeneratedPlant plant = net::generate_plant(profile);
+  ASSERT_GT(plant.superframe.cycle_slots(), 100u);
+  for (std::size_t p = 0; p < plant.paths.size(); ++p) {
+    SCOPED_TRACE("path " + std::to_string(p));
+    const PathModelConfig config =
+        PathModelConfig::from_schedule(plant.schedule, p, plant.superframe, 4);
+    const PathModelSkeleton skeleton(config);
+    EXPECT_EQ(skeleton.chain().factor_count(), config.hop_count());
+  }
+}
+
+/// Refill vs fresh on one explicit shape, plus the product itself: the
+/// skeleton's opportunity-only chain against SuperframeKernel's full
+/// Fup + Fdown chain, entry for entry.
+void expect_explicit_case(const PathModelConfig& config,
+                          const std::vector<double>& availabilities) {
+  expect_refill_matches_fresh(config, availabilities);
+  const PathModel model(config);
+  const PathModelSkeleton skeleton(config);
+  const SteadyStateLinks links{availabilities};
+  PathAnalysisOptions options;
+  options.kernel = TransientKernel::kSuperframeProduct;
+  SolveWorkspace workspace;
+  PathTransientResult refilled;
+  skeleton.analyze_into(links, options, workspace, refilled);
+  const markov::SuperframeKernel kernel(model.slot_matrices(links));
+  ASSERT_EQ(kernel.period(), config.superframe.cycle_slots());
+  const linalg::CsrMatrix& full = kernel.cycle_product();
+  ASSERT_EQ(workspace.product.nonzeros(), full.nonzeros());
+  for (std::size_t r = 0; r < full.rows(); ++r) {
+    std::vector<std::pair<std::size_t, double>> expected;
+    std::vector<std::pair<std::size_t, double>> actual;
+    full.for_each_in_row(
+        r, [&](std::size_t c, double v) { expected.emplace_back(c, v); });
+    workspace.product.for_each_in_row(
+        r, [&](std::size_t c, double v) { actual.emplace_back(c, v); });
+    EXPECT_EQ(actual, expected) << "row " << r;
+  }
+}
+
+TEST(PathSkeleton, OpportunityChainRefillMatchesFullChainOnExplicitShapes) {
+  PathModelConfig config;
+  {
+    SCOPED_TRACE("out-of-order hops");
+    config.hop_slots = {6, 2, 4};
+    config.superframe = net::SuperframeConfig::symmetric(7);
+    config.reporting_interval = 3;
+    expect_explicit_case(config, {0.81, 0.67, 0.93});
+  }
+  {
+    SCOPED_TRACE("retry slots");
+    config = PathModelConfig{};
+    config.hop_slots = {1, 4, 6};
+    config.retry_slots = {3, 0, 8};
+    config.superframe = net::SuperframeConfig::symmetric(8);
+    config.reporting_interval = 3;
+    expect_explicit_case(config, {0.6, 0.75, 0.9});
+  }
+  {
+    SCOPED_TRACE("TTL cuts a cycle between opportunities");
+    config = PathModelConfig{};
+    config.hop_slots = {2, 5, 7};
+    config.retry_slots = {0, 6, 0};
+    config.superframe = net::SuperframeConfig::symmetric(9);
+    config.reporting_interval = 4;
+    config.ttl = 2 * 9 + 5;  // the third cycle ends after slot 5
+    expect_explicit_case(config, {0.7, 0.8, 0.65});
+    config.ttl = 2 * 9;  // exactly at a cycle boundary
+    expect_explicit_case(config, {0.7, 0.8, 0.65});
+    config.ttl = 1;  // before any opportunity fires
+    expect_explicit_case(config, {0.7, 0.8, 0.65});
+  }
+  {
+    SCOPED_TRACE("Fup = 1");
+    config = PathModelConfig{};
+    config.hop_slots = {1};
+    config.superframe = net::SuperframeConfig::symmetric(1);
+    config.reporting_interval = 5;
+    expect_explicit_case(config, {0.55});
+  }
+  {
+    SCOPED_TRACE("Fdown = 0");
+    config = PathModelConfig{};
+    config.hop_slots = {2, 3, 5};
+    config.superframe = net::SuperframeConfig{6, 0};
+    config.reporting_interval = 3;
+    expect_explicit_case(config, {0.9, 0.72, 0.84});
+  }
 }
 
 TEST(PathSkeleton, StaleInjectionBreaksBitwiseEquality) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "whart/common/contracts.hpp"
+#include "whart/common/obs.hpp"
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/schedule_optimizer.hpp"
 #include "whart/hart/sensitivity.hpp"
@@ -244,6 +245,47 @@ TEST(WhatIfEngine, GeneratedPlantWhatIfsMatchFreshReSolves) {
     for (std::size_t p = 0; p < plant.paths.size(); ++p)
       expect_rel(result.per_path[p].reachability,
                  fresh.per_path[p].reachability, 1e-12);
+  }
+}
+
+TEST(WhatIfEngine, PlantQueriesReplayRowsPerTransmissionNotPerSlot) {
+  // The incremental chain has one factor per transmission opportunity,
+  // so a propagate re-accumulates at most opportunities x (hops + 2)
+  // partial rows — never a multiple of the plant's 780-slot cycle.  Each
+  // re-solved path propagates twice per query: the what-if and its
+  // revert.
+  common::obs::set_metrics_enabled(true);
+  const auto rows_replayed = [] {
+    const auto counters =
+        common::obs::Registry::instance().snapshot().counters;
+    const auto it = counters.find("markov.incremental.rows_replayed");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  net::PlantProfile profile;
+  profile.device_count = 200;
+  profile.seed = 2;
+  const net::GeneratedPlant plant = net::generate_plant(profile);
+  WhatIfEngine engine(plant.network, plant.paths, plant.schedule,
+                      plant.superframe, 4);
+  std::vector<std::uint64_t> rows_per_propagate(plant.paths.size());
+  for (std::size_t p = 0; p < plant.paths.size(); ++p) {
+    const PathModel model(
+        PathModelConfig::from_schedule(plant.schedule, p, plant.superframe, 4));
+    rows_per_propagate[p] =
+        model.opportunities().size() * (model.config().hop_count() + 2);
+  }
+  const std::vector<net::LinkId>& links = engine.links();
+  for (std::size_t i = 0; i < links.size(); i += 5) {
+    const std::uint64_t before = rows_replayed();
+    (void)engine.what_if_delta(links[i], 0.75);
+    std::uint64_t bound = 0;
+    for (const std::size_t p : engine.affected_paths(links[i]))
+      bound += 2 * rows_per_propagate[p];
+    const std::uint64_t replayed = rows_replayed() - before;
+    EXPECT_LE(replayed, bound) << "link index " << i;
+    if (bound > 0) {
+      EXPECT_GT(replayed, 0u) << "link index " << i;
+    }
   }
 }
 

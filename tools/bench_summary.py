@@ -13,9 +13,14 @@ across JSON blobs:
     tools/bench_summary.py --output summary.md  # ... or to a file
     tools/bench_summary.py --dir path/to/repo   # baselines elsewhere
 
-For suites run with repetitions, only the `_mean` aggregate is reported
-(suffix stripped), matching how check_bench_regression.py reads them.
-User counters are listed inline per row.
+Times are wall-clock (`real_time`): for a benchmark that fans work out
+to a thread pool, `cpu_time` counts only the main thread and would
+understate the cost.  Each suite's header names the CPU count and the
+google-benchmark library build type it was recorded with, and rows run
+with google-benchmark threads > 1 are marked.  For suites run with
+repetitions, only the `_mean` aggregate is reported (suffix stripped),
+matching how check_bench_regression.py reads them.  User counters are
+listed inline per row.
 
 Stdlib only; no third-party packages.
 """
@@ -50,8 +55,12 @@ _NON_COUNTER_KEYS = frozenset(
 )
 
 
+#: Nanoseconds per google-benchmark `time_unit`.
+_NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def format_time(ns: float) -> str:
-    """Render a nanosecond cpu time with a human unit."""
+    """Render a nanosecond wall-clock time with a human unit."""
     if ns < 1e3:
         return f"{ns:.1f} ns"
     if ns < 1e6:
@@ -75,7 +84,7 @@ def load_rows(path: str) -> list[dict]:
     rows: dict[str, dict] = {}
     for bench in doc.get("benchmarks", []):
         name = bench.get("name", "")
-        if bench.get("cpu_time") is None:
+        if bench.get("real_time") is None:
             continue
         if bench.get("run_type") == "aggregate":
             if bench.get("aggregate_name") == "mean" and name.endswith("_mean"):
@@ -92,7 +101,9 @@ def load_rows(path: str) -> list[dict]:
         out.append(
             {
                 "name": name,
-                "cpu_time": float(bench["cpu_time"]),
+                "real_time": float(bench["real_time"])
+                * _NS_PER_UNIT[bench.get("time_unit", "ns")],
+                "threads": int(bench.get("threads", 1)),
                 "counters": counters,
             }
         )
@@ -105,7 +116,11 @@ def context_line(path: str) -> str:
     date = str(context.get("date", "?")).split("T")[0]
     cpus = context.get("num_cpus", "?")
     mhz = context.get("mhz_per_cpu", "?")
-    return f"recorded {date} on {cpus} cpu(s) @ {mhz} MHz"
+    build = context.get("library_build_type", "?")
+    return (
+        f"recorded {date} on num_cpus={cpus} @ {mhz} MHz, "
+        f"library_build_type={build}"
+    )
 
 
 def render(directory: str) -> str:
@@ -115,7 +130,9 @@ def render(directory: str) -> str:
     lines = [
         "# Benchmark baseline summary",
         "",
-        "Committed google-benchmark baselines, one section per suite.",
+        "Committed google-benchmark baselines, one section per suite;",
+        "times are wall-clock (`real_time`), and rows marked `threaded`",
+        "ran with google-benchmark threads > 1.",
         "Regenerate any suite with its `bench_*` binary and",
         "`--benchmark_format=json --benchmark_out=BENCH_<suite>.json`;",
         "the bench-regression CI job gates fresh runs against these",
@@ -129,16 +146,19 @@ def render(directory: str) -> str:
         lines.append("")
         lines.append(f"`{os.path.basename(path)}` — {context_line(path)}")
         lines.append("")
-        lines.append("| benchmark | cpu time | counters |")
-        lines.append("| --- | ---: | --- |")
+        lines.append("| benchmark | real time | threads | counters |")
+        lines.append("| --- | ---: | --- | --- |")
         for row in rows:
             counters = ", ".join(
                 f"{key}={format_counter(value)}"
                 for key, value in sorted(row["counters"].items())
             )
+            threads = (
+                f"threaded ({row['threads']})" if row["threads"] > 1 else "1"
+            )
             lines.append(
-                f"| `{row['name']}` | {format_time(row['cpu_time'])} "
-                f"| {counters} |"
+                f"| `{row['name']}` | {format_time(row['real_time'])} "
+                f"| {threads} | {counters} |"
             )
         lines.append("")
     return "\n".join(lines)
