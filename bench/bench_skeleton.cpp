@@ -14,6 +14,10 @@
 //                         every heap byte — the `steady_state_bytes`
 //                         user counter must be 0 (gated in CI via
 //                         --require-counter-max)
+//   BM_SkeletonBuildBytes one symbolic phase on a plant-sized frame
+//                         (Fup = 390, 4 hops) at Is = 4 and 64, with the
+//                         same meter: `build_bytes` must not grow with
+//                         Is (gated in CI at a bound independent of Is)
 //
 // All runs are single-threaded: the point is the per-solve cost, not the
 // fan-out.
@@ -101,7 +105,7 @@ hart::PathModelConfig path_config(std::uint32_t hops, std::uint32_t fup,
   return config;
 }
 
-// One symbolic phase: Algorithm 1 plus the sparsity-pattern capture.
+// One symbolic phase: the firing table plus the sparsity-pattern capture.
 // Doubles as the CI calibration benchmark.
 void BM_SkeletonBuild(benchmark::State& state) {
   const auto hops = static_cast<std::uint32_t>(state.range(0));
@@ -112,6 +116,24 @@ void BM_SkeletonBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SkeletonBuild)->Arg(4);
+
+// Heap bytes of one symbolic phase on the 200-device plant's frame size.
+// The skeleton holds a firing table and one pattern per transmission
+// opportunity, nothing sized by the horizon Is * Fup, so the last
+// iteration's byte count is the same at every Is.
+void BM_SkeletonBuildBytes(benchmark::State& state) {
+  const hart::PathModelConfig config =
+      path_config(4, 390, static_cast<std::uint32_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+    const hart::PathModelSkeleton skeleton(config);
+    bytes = g_alloc_bytes.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(skeleton.config().hop_count());
+  }
+  state.counters["build_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SkeletonBuildBytes)->Arg(4)->Arg(64);
 
 // The headline workload: a grid of availabilities on one schedule
 // shape.  Args are (grid points, reuse): reuse 0 rebuilds the model at

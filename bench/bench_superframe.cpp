@@ -18,6 +18,7 @@
 #include "whart/markov/transient.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/typical_network.hpp"
+#include "whart/verify/full_chain.hpp"
 
 namespace {
 
@@ -101,14 +102,18 @@ void BM_GeneratedPlantSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratedPlantSolve)->Args({64, 0})->Args({64, 1});
 
-// Product build cost in isolation: what the kernel amortizes.
+// Product build cost in isolation: what the kernel amortizes.  Builds
+// the full Fup + Fdown chain (identity slots included), the verify/
+// reference, so this calibration stays independent of the production
+// opportunity collapse.
 void BM_KernelBuild(benchmark::State& state) {
   const auto hops = static_cast<std::uint32_t>(state.range(0));
   const hart::PathModel model(path_config(hops, 20, 4));
   const hart::SteadyStateLinks links(
       hops, link::LinkModel::from_availability(0.83));
   for (auto _ : state) {
-    markov::SuperframeKernel kernel(model.slot_matrices(links));
+    markov::SuperframeKernel kernel(
+        verify::full_chain_slot_matrices(model, links));
     benchmark::DoNotOptimize(kernel.cycle_product().nonzeros());
   }
 }
@@ -120,7 +125,8 @@ void BM_BatchedTransient(benchmark::State& state) {
   const hart::PathModel model(path_config(4, 20, 4));
   const hart::SteadyStateLinks links(
       4, link::LinkModel::from_availability(0.83));
-  const markov::SuperframeKernel kernel(model.slot_matrices(links));
+  const markov::SuperframeKernel kernel(
+      verify::full_chain_slot_matrices(model, links));
   const auto rows = static_cast<std::size_t>(state.range(0));
   const std::size_t dim = kernel.dimension();
   linalg::Matrix initials(rows, dim);

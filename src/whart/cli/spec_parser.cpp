@@ -1,7 +1,9 @@
 #include "whart/cli/spec_parser.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 #include "whart/net/routing.hpp"
@@ -140,6 +142,14 @@ ParsedSpec parse_spec(std::istream& in) {
   if (!superframe_given)
     spec.superframe =
         net::SuperframeConfig::symmetric(net::required_uplink_slots(spec.paths));
+  // Model time counts uplink slots in 32 bits, so the horizon Is * Fup
+  // must fit.  Checked once both are final: `interval` and `superframe`
+  // come in either order, and Fup may be fitted above.
+  const std::uint64_t horizon =
+      std::uint64_t{spec.reporting_interval} * spec.superframe.uplink_slots;
+  if (horizon > std::numeric_limits<std::uint32_t>::max())
+    throw parse_error("horizon Is * Fup = " + std::to_string(horizon) +
+                      " uplink slots does not fit in 32 bits");
   return spec;
 }
 

@@ -16,7 +16,6 @@
 namespace whart::hart {
 
 namespace {
-constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 constexpr std::uint32_t kNoOpportunity =
     std::numeric_limits<std::uint32_t>::max();
 }
@@ -39,6 +38,10 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
   expects(!config_.hop_slots.empty(), "path has at least one hop");
   expects(config_.superframe.uplink_slots > 0, "Fup > 0");
   expects(config_.reporting_interval >= 1, "Is >= 1");
+  expects(static_cast<std::uint64_t>(config_.reporting_interval) *
+                  config_.superframe.uplink_slots <=
+              std::numeric_limits<std::uint32_t>::max(),
+          "horizon Is * Fup fits in 32 bits");
   expects(config_.effective_ttl() >= 1, "ttl >= 1");
   for (net::SlotNumber s : config_.hop_slots)
     expects(s >= 1 && s <= config_.superframe.uplink_slots,
@@ -57,45 +60,53 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
   expects(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
           "each transmission opportunity has its own dedicated slot");
 
-  // Firing table: in-frame slot -> opportunity, then the opportunities in
-  // slot order.  A hop slot and a retry slot never coincide (checked
-  // above), so each slot names at most one hop.
+  // Firing table: mark each in-frame slot with the hop it carries, then
+  // renumber the marked slots as opportunities in slot order.  A hop slot
+  // and a retry slot never coincide (checked above), so each slot names
+  // at most one hop.
   const std::uint32_t frame = config_.superframe.uplink_slots;
-  std::vector<std::size_t> hop_of_slot(frame, kUnreachable);
-  for (std::size_t h = 0; h < config_.hop_slots.size(); ++h)
-    hop_of_slot[config_.hop_slots[h] - 1] = h;
+  const std::size_t hops = config_.hop_count();
+  opportunity_of_slot_.assign(frame, kNoOpportunity);
+  for (std::size_t h = 0; h < hops; ++h)
+    opportunity_of_slot_[config_.hop_slots[h] - 1] =
+        static_cast<std::uint32_t>(h);
   for (std::size_t h = 0; h < config_.retry_slots.size(); ++h)
     if (config_.retry_slots[h] != 0)
-      hop_of_slot[config_.retry_slots[h] - 1] = h;
-  opportunity_of_slot_.assign(frame, kNoOpportunity);
+      opportunity_of_slot_[config_.retry_slots[h] - 1] =
+          static_cast<std::uint32_t>(h);
+  opportunities_.reserve(sorted.size());
   for (std::uint32_t slot = 1; slot <= frame; ++slot) {
-    if (hop_of_slot[slot - 1] == kUnreachable) continue;
-    opportunity_of_slot_[slot - 1] =
-        static_cast<std::uint32_t>(opportunities_.size());
-    opportunities_.push_back({slot, hop_of_slot[slot - 1]});
+    std::uint32_t& entry = opportunity_of_slot_[slot - 1];
+    if (entry == kNoOpportunity) continue;
+    opportunities_.push_back({slot, entry});
+    entry = static_cast<std::uint32_t>(opportunities_.size() - 1);
   }
 
-  // Reachability sweep over the layered state space: state (t, h) exists
-  // for t < ttl when the chain can occupy it.
+  // First reachable layer of each hop, in closed form.  A message reaches
+  // hop h + 1 on hop h's first firing at a global slot s >= first[h] + 1
+  // (the transition out of layer s - 1), and the state (s, h + 1) exists
+  // only while s < ttl.  Hop h fires in its dedicated and retry slots of
+  // every cycle, so s is the earliest of those slots' next occurrences.
   const std::uint32_t ttl = config_.effective_ttl();
-  const std::size_t hops = config_.hop_count();
-  state_index_.assign(ttl, std::vector<std::size_t>(hops, kUnreachable));
-  std::vector<std::vector<bool>> reachable(ttl,
-                                           std::vector<bool>(hops, false));
-  reachable[0][0] = true;
-  for (std::uint32_t t = 0; t + 1 < ttl; ++t) {
-    const std::uint32_t slot = t + 1;
-    const std::optional<std::size_t> firing = hop_in_slot(slot);
-    for (std::size_t h = 0; h < hops; ++h) {
-      if (!reachable[t][h]) continue;
-      reachable[t + 1][h] = true;  // failed or idle slot
-      if (firing == h && h + 1 < hops) reachable[t + 1][h + 1] = true;
-    }
+  const auto next_occurrence = [frame](net::SlotNumber in_frame,
+                                       std::uint64_t earliest) {
+    const std::uint64_t cycles =
+        earliest > in_frame ? (earliest - in_frame + frame - 1) / frame : 0;
+    return in_frame + cycles * frame;
+  };
+  first_layer_.reserve(hops);
+  first_layer_.push_back(0);
+  while (first_layer_.size() < hops) {
+    const std::size_t h = first_layer_.size() - 1;
+    const std::uint64_t earliest = std::uint64_t{first_layer_.back()} + 1;
+    std::uint64_t fires = next_occurrence(config_.hop_slots[h], earliest);
+    if (!config_.retry_slots.empty() && config_.retry_slots[h] != 0)
+      fires = std::min(fires,
+                       next_occurrence(config_.retry_slots[h], earliest));
+    if (fires >= ttl) break;
+    first_layer_.push_back(static_cast<std::uint32_t>(fires));
   }
-  for (std::uint32_t t = 0; t < ttl; ++t)
-    for (std::size_t h = 0; h < hops; ++h)
-      if (reachable[t][h]) state_index_[t][h] = num_transient_++;
-  num_states_ = num_transient_ + config_.reporting_interval + 1;
+  for (std::uint32_t first : first_layer_) transient_count_ += ttl - first;
 }
 
 std::optional<std::size_t> PathModel::hop_in_slot(
@@ -223,8 +234,8 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
     record_trajectory();
   }
 
-  result.diagnostics.dtmc_states = num_states_;
-  result.diagnostics.transient_states = num_transient_;
+  result.diagnostics.dtmc_states = state_count();
+  result.diagnostics.transient_states = transient_count_;
   result.diagnostics.absorbing_states = config_.reporting_interval + 1;
   result.diagnostics.forward_steps = horizon;
   const double goal_mass =
@@ -233,8 +244,8 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
   result.diagnostics.mass_residual =
       std::abs(1.0 - goal_mass - result.discard_probability);
   WHART_COUNT("hart.path_solve.count");
-  WHART_OBSERVE("hart.path_solve.states", num_states_);
-  WHART_EVENT(kSolveDone, "hart.path_solve", num_states_, 0);
+  WHART_OBSERVE("hart.path_solve.states", state_count());
+  WHART_EVENT(kSolveDone, "hart.path_solve", state_count(), 0);
 #ifndef WHART_OBS_DISABLED
   if (timed) {
     const auto elapsed = std::chrono::steady_clock::now() - solve_start;
@@ -278,34 +289,14 @@ std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
   return matrices;
 }
 
-std::vector<linalg::CsrMatrix> PathModel::slot_matrices(
-    const LinkProbabilityProvider& links) const {
-  std::vector<linalg::CsrMatrix> factors = opportunity_matrices(links);
-  const std::size_t dim = config_.hop_count() + 2;
-  std::vector<linalg::CsrMatrix> matrices;
-  matrices.reserve(config_.superframe.cycle_slots());
-  for (std::uint32_t slot = 1; slot <= config_.superframe.uplink_slots;
-       ++slot) {
-    const std::uint32_t opportunity = opportunity_of_slot_[slot - 1];
-    matrices.push_back(opportunity == kNoOpportunity
-                           ? linalg::CsrMatrix::identity(dim)
-                           : std::move(factors[opportunity]));
-  }
-  for (std::uint32_t s = 0; s < config_.superframe.downlink_slots; ++s)
-    matrices.push_back(linalg::CsrMatrix::identity(dim));
-  return matrices;
-}
-
 PathTransientResult PathModel::analyze_superframe(
     const LinkProbabilityProvider& links, double inject) const {
-  // Fresh (slow-path) build: collapse the full Fup + Fdown slot chain,
-  // identity slots included, through SuperframeKernel — the independent
-  // reference for the skeleton's opportunity-only chain — then run the
-  // shared numeric core over the opportunity factors with a throwaway
-  // workspace.  The skeleton refill path feeds the same core with
-  // refilled structures, so the two agree bitwise.
+  // Fresh build: collapse the opportunity chain through SuperframeKernel,
+  // then run the shared numeric core over the same factors with a
+  // throwaway workspace.  The skeleton refill path feeds the same core
+  // with refilled structures, so the two agree bitwise.
   const std::vector<linalg::CsrMatrix> factors = opportunity_matrices(links);
-  markov::SuperframeKernel kernel(slot_matrices(links));
+  markov::SuperframeKernel kernel(factors);
   if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
   SolveWorkspace workspace;
   PathTransientResult result;
@@ -850,21 +841,31 @@ markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
           "provider covers every hop");
   const std::size_t hops = config_.hop_count();
   const std::uint32_t ttl = config_.effective_ttl();
-  const std::size_t discard = num_states_ - 1;
+  const std::size_t num_states = state_count();
+  const std::size_t discard = num_states - 1;
   const auto goal_index = [&](std::uint32_t cycle_0based) {
-    return num_transient_ + cycle_0based;
+    return transient_count_ + cycle_0based;
+  };
+  // Hops present in layer t: the prefix whose first layer is <= t.
+  const auto layer_width = [&](std::uint32_t t, std::size_t width) {
+    while (width < first_layer_.size() && first_layer_[width] <= t) ++width;
+    return width;
   };
 
   std::vector<linalg::Triplet> transitions;
-  std::vector<std::string> names(num_states_);
+  std::vector<std::string> names(num_states);
 
-  // Transient states and their outgoing transitions.
+  // Transient states and their outgoing transitions, t-major: state
+  // (t, h) is number layer_start + h.
+  std::size_t layer_start = 0;
+  std::size_t width = layer_width(0, 0);
   for (std::uint32_t t = 0; t < ttl; ++t) {
     const std::uint32_t slot = t + 1;
     const std::optional<std::size_t> firing = hop_in_slot(slot);
-    for (std::size_t h = 0; h < hops; ++h) {
-      const std::size_t from = state_index_[t][h];
-      if (from == kUnreachable) continue;
+    const std::size_t next_start = layer_start + width;
+    const std::size_t next_width = t + 1 < ttl ? layer_width(t + 1, width) : 0;
+    for (std::size_t h = 0; h < width; ++h) {
+      const std::size_t from = layer_start + h;
 
       // Paper-style descriptor: nodes 1..h+1 hold a copy aged t+1.
       std::string name = "(";
@@ -877,9 +878,8 @@ markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
 
       const auto continuation = [&](std::size_t next_h) -> std::size_t {
         if (t + 1 >= ttl) return discard;  // TTL hits zero next step
-        const std::size_t idx = state_index_[t + 1][next_h];
-        ensures(idx != kUnreachable, "successor state was enumerated");
-        return idx;
+        ensures(next_h < next_width, "successor state was enumerated");
+        return next_start + next_h;
       };
 
       if (firing == h) {
@@ -897,7 +897,11 @@ markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
         transitions.push_back({from, continuation(h), 1.0});
       }
     }
+    layer_start = next_start;
+    width = next_width;
   }
+  ensures(layer_start == transient_count_,
+          "unrolled layers match the closed-form state count");
 
   // Absorbing states.
   for (std::uint32_t i = 0; i < config_.reporting_interval; ++i) {
@@ -907,7 +911,7 @@ markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
   transitions.push_back({discard, discard, 1.0});
   names[discard] = "Discard";
 
-  return markov::Dtmc(num_states_, std::move(transitions), std::move(names));
+  return markov::Dtmc(num_states, std::move(transitions), std::move(names));
 }
 
 std::string PathModel::goal_state_name(std::uint32_t cycle) const {

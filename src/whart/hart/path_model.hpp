@@ -328,11 +328,16 @@ struct BatchSolveWorkspace {
   std::vector<PathTransientResult> scratch_results;
 };
 
-/// The unrolled path DTMC.
+/// The path DTMC of one schedule shape, held as its firing table plus
+/// each hop's first reachable time layer: under i.i.d. attempts every
+/// solve needs only the firing table, and to_dtmc unrolls the (t, h)
+/// states on demand.
 class PathModel {
  public:
   /// Validates the config: at least one hop, slots within the frame, no
-  /// two hops sharing a slot, horizon > 0.
+  /// two hops sharing a slot, horizon > 0 and Is * Fup within 32 bits.
+  /// Allocates only the firing table (O(Fup + hops)), never anything
+  /// sized by the TTL or by Is.
   explicit PathModel(PathModelConfig config);
 
   [[nodiscard]] const PathModelConfig& config() const noexcept {
@@ -352,21 +357,17 @@ class PathModel {
       const LinkProbabilityProvider& links,
       const PathAnalysisOptions& options) const;
 
-  /// The Fup + Fdown per-slot transition matrices of one superframe
-  /// cycle over the compact message chain: states 0..n-1 are "waiting at
-  /// hop h", followed by Goal and Discard.  An uplink slot carrying a
-  /// transmission moves hop mass forward with that slot's success
-  /// probability (frozen from the first cycle); idle uplink slots and
-  /// all downlink slots are identities.  Valid input to
-  /// markov::SuperframeKernel whenever `links` is cycle-stationary.
-  [[nodiscard]] std::vector<linalg::CsrMatrix> slot_matrices(
-      const LinkProbabilityProvider& links) const;
-
-  /// The non-identity members of slot_matrices(), one per transmission
-  /// opportunity in opportunities() order — the chain factors of the
-  /// skeleton path.  Their product equals the full cycle product
-  /// bitwise: in Gustavson's pass an identity factor contributes exactly
-  /// one product av * 1.0 == av to each output entry.
+  /// One transition matrix per transmission opportunity, in
+  /// opportunities() order, over the compact message chain: states
+  /// 0..n-1 are "waiting at hop h", followed by Goal and Discard.  Each
+  /// moves its hop's mass forward with that slot's success probability
+  /// (frozen from the first cycle).  Every other slot of a cycle is the
+  /// identity, so these are the whole cycle chain: their product equals
+  /// the Fup + Fdown slot product (verify::full_chain_slot_matrices)
+  /// bitwise, because in Gustavson's pass an identity factor contributes
+  /// exactly one product av * 1.0 == av to each output entry.  Valid
+  /// input to markov::SuperframeKernel whenever `links` is
+  /// cycle-stationary.
   [[nodiscard]] std::vector<linalg::CsrMatrix> opportunity_matrices(
       const LinkProbabilityProvider& links) const;
 
@@ -388,9 +389,11 @@ class PathModel {
 
   /// Materialize the underlying DTMC (the output of the paper's
   /// Algorithm 1) with transition probabilities frozen from `links`.
-  /// State names follow the paper: "(3,3,-)", goal states "R7", "R14",
-  /// ..., and "Discard".  The unrolled chain is time-homogeneous because
-  /// every transient state belongs to exactly one time layer.
+  /// Transient states (t, h) are numbered t-major, hops ascending within
+  /// a layer.  State names follow the paper: "(3,3,-)", goal states
+  /// "R7", "R14", ..., and "Discard".  The unrolled chain is
+  /// time-homogeneous because every transient state belongs to exactly
+  /// one time layer.
   [[nodiscard]] markov::Dtmc to_dtmc(const LinkProbabilityProvider& links) const;
 
   /// Index of the initial state in the materialized DTMC (always 0).
@@ -399,9 +402,10 @@ class PathModel {
   /// Name of goal state for cycle i (1-based): "R<a0 + (i-1) Fup>".
   [[nodiscard]] std::string goal_state_name(std::uint32_t cycle) const;
 
-  /// Number of states the materialized DTMC will have.
+  /// Number of states the materialized DTMC will have: the transient
+  /// (t, h) states plus Is goal states and Discard.
   [[nodiscard]] std::size_t state_count() const noexcept {
-    return num_states_;
+    return transient_count_ + config_.reporting_interval + 1;
   }
 
   /// Which hop (if any) fires in global uplink slot s (1-based): a
@@ -478,21 +482,22 @@ class PathModel {
       std::span<PathTransientResult* const> results) const;
 
   PathModelConfig config_;
-  /// state_index_[t][h] for t = 0..ttl-1: dense index of transient state
-  /// (t, h), or SIZE_MAX when unreachable.
-  std::vector<std::vector<std::size_t>> state_index_;
-  std::size_t num_transient_ = 0;
-  std::size_t num_states_ = 0;
   /// Firing table, built once: the ordered opportunities and, per
   /// in-frame uplink slot s, opportunity_of_slot_[s - 1] = its index in
   /// opportunities_ (UINT32_MAX when s is idle).
   std::vector<Opportunity> opportunities_;
   std::vector<std::uint32_t> opportunity_of_slot_;
+  /// first_layer_[h]: the first time layer t at which state (t, h) is
+  /// reachable; (t, h) exists exactly for first_layer_[h] <= t < ttl.
+  /// Strictly increasing, and hops the TTL cuts off are left out, so
+  /// layer t holds the hop prefix {h : first_layer_[h] <= t}.
+  std::vector<std::uint32_t> first_layer_;
+  std::size_t transient_count_ = 0;  ///< sum over h of ttl - first_layer_[h]
 };
 
-/// Symbolic phase of the path solve (DESIGN.md §12): Algorithm 1 run
-/// once per (schedule, hop count, Is, TTL) shape.  The skeleton owns the
-/// state enumeration (its PathModel), one CSR sparsity pattern per
+/// Symbolic phase of the path solve (DESIGN.md §12): run once per
+/// (schedule, hop count, Is, TTL) shape.  The skeleton owns the firing
+/// table (its PathModel), one CSR sparsity pattern per
 /// transmission opportunity with a provenance map from each pattern's
 /// two live nonzeros to their values indices, and the symbolic
 /// cycle-product chain over those patterns alone — the identity slots of
@@ -500,7 +505,7 @@ class PathModel {
 /// transmissions, not frame length.
 /// `analyze_into` is the numeric phase: it refills only the `values`
 /// arrays from a link provider into a SolveWorkspace and solves through
-/// the same numeric cores as PathModel::analyze — no re-enumeration, no
+/// the same numeric cores as PathModel::analyze — no symbolic rebuild, no
 /// allocation once the workspace is warm, results bitwise equal to a
 /// fresh build.
 class PathModelSkeleton {

@@ -78,7 +78,8 @@ ChannelLayout make_layout(const PathModelConfig& config,
 }
 
 /// Success probability of an attempt on hop `h` in channel state `s`
-/// (uplink slot `slot`, frozen from the first cycle like slot_matrices).
+/// (uplink slot `slot`, frozen from the first cycle like
+/// PathModel::opportunity_matrices).
 double success_probability(const ChannelLayout& layout,
                            const LinkProbabilityProvider& links,
                            const PathModelConfig& config, std::size_t h,

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/parallel.hpp"
@@ -19,27 +21,64 @@ namespace whart::hart {
 
 namespace {
 
-std::optional<std::size_t> hop_in_slot(const PathModelConfig& config,
-                                       std::uint32_t global_slot) {
-  const net::SlotNumber in_frame =
-      ((global_slot - 1) % config.superframe.uplink_slots) + 1;
-  for (std::size_t h = 0; h < config.hop_slots.size(); ++h)
-    if (config.hop_slots[h] == in_frame) return h;
-  return std::nullopt;
-}
-
+/// Per-slot adjoint: each attempt of hop h in slot s contributes
+/// mass * (beta_success - beta_failure) to dR/dps_h, with beta the
+/// eventual-delivery probabilities right after slot s.
 std::vector<double> sensitivity_per_slot(const PathModel& model,
-                                         const LinkProbabilityProvider& links);
+                                         const LinkProbabilityProvider& links) {
+  const PathModelConfig& config = model.config();
+  const std::size_t hops = config.hop_count();
+  const std::uint32_t ttl = config.effective_ttl();
+
+  // Backward pass: beta[t * hops + h] = P(delivery | at (t, h)); layer
+  // ttl is the expired one (delivery 0).
+  std::vector<double> beta((static_cast<std::size_t>(ttl) + 1) * hops, 0.0);
+  const auto beta_at = [&](std::uint32_t t, std::size_t h) -> double& {
+    return beta[static_cast<std::size_t>(t) * hops + h];
+  };
+  const auto success_beta = [&](std::uint32_t t, std::size_t h) {
+    return h + 1 == hops ? 1.0 : beta_at(t, h + 1);
+  };
+  for (std::uint32_t t = ttl; t-- > 0;) {
+    for (std::size_t h = 0; h < hops; ++h) beta_at(t, h) = beta_at(t + 1, h);
+    if (const auto firing = model.hop_in_slot(t + 1); firing.has_value()) {
+      const std::size_t h = *firing;
+      const double ps = links.up_probability(
+          h, config.superframe.absolute_slot_of_uplink(t + 1));
+      beta_at(t, h) =
+          ps * success_beta(t + 1, h) + (1.0 - ps) * beta_at(t + 1, h);
+    }
+  }
+
+  // Forward pass accumulating the adjoint.
+  std::vector<double> sensitivity(hops, 0.0);
+  std::vector<double> mass(hops, 0.0);
+  mass[0] = 1.0;
+  for (std::uint32_t slot = 1; slot <= ttl; ++slot) {
+    const std::optional<std::size_t> firing = model.hop_in_slot(slot);
+    if (!firing.has_value() || mass[*firing] == 0.0) continue;
+    const std::size_t h = *firing;
+    const double ps = links.up_probability(
+        h, config.superframe.absolute_slot_of_uplink(slot));
+    sensitivity[h] += mass[h] * (success_beta(slot, h) - beta_at(slot, h));
+    const double moved = mass[h] * ps;
+    mass[h] -= moved;
+    if (h + 1 < hops) mass[h + 1] += moved;
+    // Delivered mass leaves the transient system.
+  }
+  return sensitivity;
+}
 
 /// Collapsed adjoint over the compact message chain: the per-slot sum
 /// mass * (beta_success - beta_failure) for hop h over one full cycle is
 /// the bilinear form p G_h b with
-///   G_h = sum over slots j firing hop h of
+///   G_h = sum over opportunities j firing hop h of
 ///         (column h of Prefix_{j-1}) ((e_target - e_h)^T Suffix_{j+1}),
 /// p the cycle-entry distribution and b the eventual-delivery vector at
-/// the cycle's end.  Full pre-TTL cycles then cost one form each (p and b
-/// advance through the cycle product); only the cycle the TTL cuts runs
-/// per-slot.
+/// the cycle's end (Prefix/Suffix are products of opportunity factors;
+/// the identity slots between them change neither).  Full pre-TTL cycles
+/// then cost one form each (p and b advance through the cycle product);
+/// only the cycle the TTL cuts runs opportunity by opportunity.
 std::vector<double> sensitivity_superframe(
     const PathModel& model, const LinkProbabilityProvider& links) {
   const PathModelConfig& config = model.config();
@@ -48,74 +87,62 @@ std::vector<double> sensitivity_superframe(
   const std::size_t goal = hops;
   const std::uint32_t frame = config.superframe.uplink_slots;
   const std::uint32_t ttl = config.effective_ttl();
-
-  const std::vector<linalg::CsrMatrix> slots = model.slot_matrices(links);
-  struct Firing {
-    std::uint32_t slot;
-    std::size_t hop;
-    double ps;
+  const std::span<const PathModel::Opportunity> opportunities =
+      model.opportunities();
+  const std::size_t count = opportunities.size();
+  const auto target_of = [&](std::size_t h) {
+    return h + 1 == hops ? goal : h + 1;
   };
-  std::vector<Firing> firings;
-  firings.reserve(hops);
-  for (std::uint32_t slot = 1; slot <= frame; ++slot)
-    if (const auto h = hop_in_slot(config, slot); h.has_value())
-      firings.push_back(
-          {slot, *h,
-           links.up_probability(
-               *h, config.superframe.absolute_slot_of_uplink(slot))});
+
+  std::vector<linalg::CsrMatrix> factors = model.opportunity_matrices(links);
+  std::vector<double> ps(count);
+  for (std::size_t i = 0; i < count; ++i)
+    ps[i] = links.up_probability(
+        opportunities[i].hop,
+        config.superframe.absolute_slot_of_uplink(opportunities[i].slot));
 
   linalg::Matrix prefix = linalg::Matrix::identity(dim);
-  std::vector<linalg::Vector> prefix_columns;
-  prefix_columns.reserve(firings.size());
-  for (const Firing& f : firings) {
-    linalg::Vector column(dim);
-    for (std::size_t r = 0; r < dim; ++r) column[r] = prefix(r, f.hop);
-    prefix_columns.push_back(std::move(column));
-    prefix = linalg::left_multiply_batch(prefix, slots[f.slot - 1]);
+  std::vector<double> prefix_columns(count * dim);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t r = 0; r < dim; ++r)
+      prefix_columns[i * dim + r] = prefix(r, opportunities[i].hop);
+    prefix = linalg::left_multiply_batch(prefix, factors[i]);
   }
 
   std::vector<linalg::Matrix> adjoint(hops, linalg::Matrix(dim, dim));
   linalg::Matrix suffix = linalg::Matrix::identity(dim);
-  for (std::size_t i = firings.size(); i-- > 0;) {
-    const Firing& f = firings[i];
-    // Here suffix == Suffix_{slot+1}: beta right after this slot fires.
-    const std::size_t target = f.hop + 1 == hops ? goal : f.hop + 1;
+  for (std::size_t i = count; i-- > 0;) {
+    // Here suffix == Suffix_{j+1}: beta right after opportunity j fires.
+    const std::size_t h = opportunities[i].hop;
+    const std::size_t target = target_of(h);
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t c = 0; c < dim; ++c)
-        adjoint[f.hop](r, c) += prefix_columns[i][r] *
-                                (suffix(target, c) - suffix(f.hop, c));
-    const linalg::CsrMatrix& step = slots[f.slot - 1];
+        adjoint[h](r, c) += prefix_columns[i * dim + r] *
+                            (suffix(target, c) - suffix(h, c));
     linalg::Matrix next(dim, dim);
     for (std::size_t r = 0; r < dim; ++r)
-      step.for_each_in_row(r, [&](std::size_t k, double v) {
+      factors[i].for_each_in_row(r, [&](std::size_t k, double v) {
         for (std::size_t c = 0; c < dim; ++c) next(r, c) += v * suffix(k, c);
       });
     suffix = std::move(next);
   }
-  const linalg::CsrMatrix product = [&] {
-    linalg::SparseProductArena arena;
-    linalg::CsrMatrix acc = slots.front();
-    for (std::size_t i = 1; i < slots.size(); ++i)
-      acc = linalg::multiply(acc, slots[i], arena);
-    return acc;
-  }();
+  const markov::SuperframeKernel kernel(std::move(factors));
+  const linalg::CsrMatrix& product = kernel.cycle_product();
 
   // Delivery vectors at the end of each full pre-TTL cycle, backward
-  // from the TTL cycle (whose interior runs per-slot from e_goal — the
-  // transient mass alive at the TTL slot is lost, delivery 0).
+  // from the TTL cycle (whose opportunities fold in one by one from
+  // e_goal — the transient mass alive at the TTL slot is lost, delivery
+  // 0).  beta_after[i * dim ..] is b right after opportunity i fires in
+  // the TTL cycle.
   const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
   linalg::Vector b(dim);
   b[goal] = 1.0;
-  std::vector<linalg::Vector> beta_in_ttl_cycle;  // per slot, newest first
-  for (std::uint32_t slot = ttl; slot > ttl_cycle * frame; --slot) {
-    beta_in_ttl_cycle.push_back(b);
-    if (const auto firing = hop_in_slot(config, slot); firing.has_value()) {
-      const std::size_t h = *firing;
-      const double ps = links.up_probability(
-          h, config.superframe.absolute_slot_of_uplink(slot));
-      const std::size_t target = h + 1 == hops ? goal : h + 1;
-      b[h] = ps * b[target] + (1.0 - ps) * b[h];
-    }
+  std::vector<double> beta_after(count * dim);
+  for (std::size_t i = count; i-- > 0;) {
+    if (ttl_cycle * frame + opportunities[i].slot > ttl) continue;
+    for (std::size_t r = 0; r < dim; ++r) beta_after[i * dim + r] = b[r];
+    const std::size_t h = opportunities[i].hop;
+    b[h] = ps[i] * b[target_of(h)] + (1.0 - ps[i]) * b[h];
   }
   std::vector<linalg::Vector> cycle_end_delivery(ttl_cycle);
   if (ttl_cycle > 0) {
@@ -146,81 +173,16 @@ std::vector<double> sensitivity_superframe(
     }
     p = product.left_multiply(p);
   }
-  // The cycle the TTL cuts, per-slot (beta vectors recorded above are in
-  // reverse slot order: entry k corresponds to slot ttl - k, i.e. beta
-  // right after that slot fires).
-  for (std::uint32_t slot = ttl_cycle * frame + 1; slot <= ttl; ++slot) {
-    if (const auto firing = hop_in_slot(config, slot); firing.has_value()) {
-      const std::size_t h = *firing;
-      const double ps = links.up_probability(
-          h, config.superframe.absolute_slot_of_uplink(slot));
-      const std::size_t target = h + 1 == hops ? goal : h + 1;
-      const linalg::Vector& beta_after = beta_in_ttl_cycle[ttl - slot];
-      sensitivity[h] += p[h] * (beta_after[target] - beta_after[h]);
-      const double moved = p[h] * ps;
-      p[h] -= moved;
-      if (h + 1 == hops)
-        p[goal] += moved;
-      else
-        p[h + 1] += moved;
-    }
-  }
-  return sensitivity;
-}
-
-std::vector<double> sensitivity_per_slot(const PathModel& model,
-                                         const LinkProbabilityProvider& links) {
-  const PathModelConfig& config = model.config();
-  expects(links.hop_count() >= config.hop_count(),
-          "provider covers every hop");
-  const std::size_t hops = config.hop_count();
-  const std::uint32_t ttl = config.effective_ttl();
-
-  // Backward pass: beta[t][h] = P(delivery | at (t, h)).
-  std::vector<std::vector<double>> beta(ttl + 1,
-                                        std::vector<double>(hops, 0.0));
-  for (std::uint32_t t = ttl; t-- > 0;) {
-    const std::uint32_t slot = t + 1;
-    const std::optional<std::size_t> firing = hop_in_slot(config, slot);
-    for (std::size_t h = 0; h < hops; ++h) {
-      const double continue_beta = slot == ttl ? 0.0 : beta[t + 1][h];
-      if (firing == h) {
-        const double ps = links.up_probability(
-            h, config.superframe.absolute_slot_of_uplink(slot));
-        const double success_beta =
-            h + 1 == hops ? 1.0
-                          : (slot == ttl ? 0.0 : beta[t + 1][h + 1]);
-        beta[t][h] = ps * success_beta + (1.0 - ps) * continue_beta;
-      } else {
-        beta[t][h] = continue_beta;
-      }
-    }
-  }
-
-  // Forward pass accumulating the adjoint: each attempt of hop h at slot
-  // s contributes mass * (beta_success - beta_failure) to dR/dps_h.
-  std::vector<double> sensitivity(hops, 0.0);
-  std::vector<double> mass(hops, 0.0);
-  mass[0] = 1.0;
-  for (std::uint32_t slot = 1; slot <= ttl; ++slot) {
-    const std::optional<std::size_t> firing = hop_in_slot(config, slot);
-    if (firing.has_value()) {
-      const std::size_t h = *firing;
-      if (mass[h] > 0.0) {
-        const double ps = links.up_probability(
-            h, config.superframe.absolute_slot_of_uplink(slot));
-        const double success_beta =
-            h + 1 == hops ? 1.0
-                          : (slot == ttl ? 0.0 : beta[slot][h + 1]);
-        const double failure_beta = slot == ttl ? 0.0 : beta[slot][h];
-        sensitivity[h] += mass[h] * (success_beta - failure_beta);
-        const double moved = mass[h] * ps;
-        mass[h] -= moved;
-        if (h + 1 < hops) mass[h + 1] += moved;
-        // Delivered mass leaves the transient system.
-      }
-    }
-    if (slot == ttl) break;
+  // The cycle the TTL cuts, opportunity by opportunity.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (ttl_cycle * frame + opportunities[i].slot > ttl) break;
+    const std::size_t h = opportunities[i].hop;
+    const std::size_t target = target_of(h);
+    const double* after = beta_after.data() + i * dim;
+    sensitivity[h] += p[h] * (after[target] - after[h]);
+    const double moved = p[h] * ps[i];
+    p[h] -= moved;
+    p[target] += moved;
   }
   return sensitivity;
 }
@@ -245,71 +207,44 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
   const std::uint32_t frame = config.superframe.uplink_slots;
   const std::uint32_t ttl = config.effective_ttl();
   const std::vector<markov::CsrPattern>& patterns = skeleton.factor_patterns();
+  const std::span<const PathModelSkeleton::SlotProvenance> provenance =
+      skeleton.provenance();
+  const std::size_t count = provenance.size();
+  const auto target_of = [&](std::size_t h) {
+    return h + 1 == hops ? goal : h + 1;
+  };
 
   // SoA factor values over the skeleton's patterns (one factor per
   // transmission opportunity, retry slots included): constant entries
   // hold 1.0, firing entries get their per-lane failure/success
-  // probabilities.
-  const std::span<const PathModelSkeleton::SlotProvenance> provenance =
-      skeleton.provenance();
-  std::vector<std::vector<double>> factor_values(patterns.size());
-  for (std::size_t i = 0; i < provenance.size(); ++i) {
+  // probabilities, which ps (opportunities x lanes) also keeps.
+  std::vector<std::vector<double>> factor_values(count);
+  std::vector<double> ps(count * lanes);
+  for (std::size_t i = 0; i < count; ++i) {
     const PathModelSkeleton::SlotProvenance& prov = provenance[i];
-    std::vector<double>& values = factor_values[i];
-    values.assign(patterns[i].nonzeros() * lanes, 1.0);
+    factor_values[i].assign(patterns[i].nonzeros() * lanes, 1.0);
     for (std::size_t l = 0; l < lanes; ++l) {
-      const double ps = links[l]->up_probability(
+      ps[i * lanes + l] = links[l]->up_probability(
           prov.hop, config.superframe.absolute_slot_of_uplink(prov.slot));
-      values[prov.failure_index * lanes + l] = 1.0 - ps;
-      values[prov.success_index * lanes + l] = ps;
+      factor_values[i][prov.failure_index * lanes + l] =
+          1.0 - ps[i * lanes + l];
+      factor_values[i][prov.success_index * lanes + l] = ps[i * lanes + l];
     }
   }
 
-  // The adjoint firing list mirrors the scalar sweep: dedicated hop
-  // slots only (hop_in_slot above ignores retry slots, so retries shape
-  // the products but accrue no adjoint of their own), each with the
-  // chain factor of its opportunity.
-  struct Firing {
-    std::uint32_t slot = 0;
-    std::size_t hop = 0;
-    std::size_t factor = 0;
-  };
-  std::vector<Firing> firings;
-  std::vector<double> ps;  // firings x lanes
-  for (std::size_t i = 0; i < provenance.size(); ++i) {
-    const PathModelSkeleton::SlotProvenance& prov = provenance[i];
-    if (config.hop_slots[prov.hop] != prov.slot) continue;  // retry slot
-    firings.push_back({prov.slot, prov.hop, i});
-    for (std::size_t l = 0; l < lanes; ++l)
-      ps.push_back(links[l]->up_probability(
-          prov.hop, config.superframe.absolute_slot_of_uplink(prov.slot)));
-  }
-  // Lane ps of the adjoint firing scheduled in global uplink slot `slot`
-  // (nullptr when that slot carries none).
-  const auto firing_lanes = [&](std::uint32_t slot) -> const double* {
-    const std::uint32_t in_frame = ((slot - 1) % frame) + 1;
-    for (std::size_t i = 0; i < firings.size(); ++i)
-      if (firings[i].slot == in_frame) return ps.data() + i * lanes;
-    return nullptr;
-  };
-  const auto firing_hop = [&](std::uint32_t slot) {
-    return hop_in_slot(config, slot);
-  };
-
-  // Prefix sweep: record each firing's entry column, then advance.
+  // Prefix sweep: record each opportunity's entry column, then advance.
   std::vector<double> prefix(dim * dim * lanes, 0.0);
   for (std::size_t i = 0; i < dim; ++i)
     simd::fill(prefix.data() + (i * dim + i) * lanes, 1.0, lanes);
   std::vector<double> prefix_next(dim * dim * lanes, 0.0);
-  std::vector<double> prefix_columns(firings.size() * dim * lanes);
-  for (std::size_t i = 0; i < firings.size(); ++i) {
-    const Firing& f = firings[i];
+  std::vector<double> prefix_columns(count * dim * lanes);
+  for (std::size_t i = 0; i < count; ++i) {
     double* column = prefix_columns.data() + i * dim * lanes;
     for (std::size_t r = 0; r < dim; ++r)
       simd::copy(column + r * lanes,
-                 prefix.data() + (r * dim + f.hop) * lanes, lanes);
-    const markov::CsrPattern& step = patterns[f.factor];
-    const std::vector<double>& step_values = factor_values[f.factor];
+                 prefix.data() + (r * dim + provenance[i].hop) * lanes, lanes);
+    const markov::CsrPattern& step = patterns[i];
+    const std::vector<double>& step_values = factor_values[i];
     simd::fill(prefix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t k = 0; k < dim; ++k)
       for (std::size_t idx = step.row_start[k]; idx < step.row_start[k + 1];
@@ -330,20 +265,20 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
   for (std::size_t i = 0; i < dim; ++i)
     simd::fill(suffix.data() + (i * dim + i) * lanes, 1.0, lanes);
   std::vector<double> suffix_next(dim * dim * lanes, 0.0);
-  for (std::size_t i = firings.size(); i-- > 0;) {
-    const Firing& f = firings[i];
-    const std::size_t target = f.hop + 1 == hops ? goal : f.hop + 1;
+  for (std::size_t i = count; i-- > 0;) {
+    const std::size_t h = provenance[i].hop;
+    const std::size_t target = target_of(h);
     const double* column = prefix_columns.data() + i * dim * lanes;
-    std::vector<double>& acc = adjoint[f.hop];
+    std::vector<double>& acc = adjoint[h];
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t c = 0; c < dim; ++c)
         for (std::size_t l = 0; l < lanes; ++l)
           acc[(r * dim + c) * lanes + l] +=
               column[r * lanes + l] *
               (suffix[(target * dim + c) * lanes + l] -
-               suffix[(f.hop * dim + c) * lanes + l]);
-    const markov::CsrPattern& step = patterns[f.factor];
-    const std::vector<double>& step_values = factor_values[f.factor];
+               suffix[(h * dim + c) * lanes + l]);
+    const markov::CsrPattern& step = patterns[i];
+    const std::vector<double>& step_values = factor_values[i];
     simd::fill(suffix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t idx = step.row_start[r]; idx < step.row_start[r + 1];
@@ -365,20 +300,21 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
       .refill(factor_values, lanes, arena,
               std::span<double>(product_values));
 
-  // Delivery vectors backward from the TTL cycle.
+  // Delivery vectors backward from the TTL cycle; beta_after holds b
+  // right after each opportunity of the TTL cycle fires.
   const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
   std::vector<double> b(dim * lanes, 0.0);
   simd::fill(b.data() + goal * lanes, 1.0, lanes);
-  std::vector<std::vector<double>> beta_in_ttl_cycle;  // newest first
-  for (std::uint32_t slot = ttl; slot > ttl_cycle * frame; --slot) {
-    beta_in_ttl_cycle.push_back(b);
-    if (const double* ps_lanes = firing_lanes(slot); ps_lanes != nullptr) {
-      const std::size_t h = firing_hop(slot).value();
-      const std::size_t target = h + 1 == hops ? goal : h + 1;
-      for (std::size_t l = 0; l < lanes; ++l)
-        b[h * lanes + l] = ps_lanes[l] * b[target * lanes + l] +
-                           (1.0 - ps_lanes[l]) * b[h * lanes + l];
-    }
+  std::vector<double> beta_after(count * dim * lanes);
+  for (std::size_t i = count; i-- > 0;) {
+    if (ttl_cycle * frame + provenance[i].slot > ttl) continue;
+    simd::copy(beta_after.data() + i * dim * lanes, b.data(), dim * lanes);
+    const std::size_t h = provenance[i].hop;
+    const std::size_t target = target_of(h);
+    const double* ps_lanes = ps.data() + i * lanes;
+    for (std::size_t l = 0; l < lanes; ++l)
+      b[h * lanes + l] = ps_lanes[l] * b[target * lanes + l] +
+                         (1.0 - ps_lanes[l]) * b[h * lanes + l];
   }
   std::vector<std::vector<double>> cycle_end_delivery(ttl_cycle);
   if (ttl_cycle > 0) {
@@ -427,20 +363,19 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
                       product_values.data() + idx * lanes, lanes);
     std::swap(p, p_next);
   }
-  // The cycle the TTL cuts, per-slot.
-  for (std::uint32_t slot = ttl_cycle * frame + 1; slot <= ttl; ++slot) {
-    if (const double* ps_lanes = firing_lanes(slot); ps_lanes != nullptr) {
-      const std::size_t h = firing_hop(slot).value();
-      const std::size_t target = h + 1 == hops ? goal : h + 1;
-      const std::vector<double>& beta_after = beta_in_ttl_cycle[ttl - slot];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        sensitivity[l][h] += p[h * lanes + l] *
-                             (beta_after[target * lanes + l] -
-                              beta_after[h * lanes + l]);
-        const double moved = p[h * lanes + l] * ps_lanes[l];
-        p[h * lanes + l] -= moved;
-        p[target * lanes + l] += moved;
-      }
+  // The cycle the TTL cuts, opportunity by opportunity.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (ttl_cycle * frame + provenance[i].slot > ttl) break;
+    const std::size_t h = provenance[i].hop;
+    const std::size_t target = target_of(h);
+    const double* after = beta_after.data() + i * dim * lanes;
+    const double* ps_lanes = ps.data() + i * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      sensitivity[l][h] += p[h * lanes + l] * (after[target * lanes + l] -
+                                               after[h * lanes + l]);
+      const double moved = p[h * lanes + l] * ps_lanes[l];
+      p[h * lanes + l] -= moved;
+      p[target * lanes + l] += moved;
     }
   }
   return sensitivity;

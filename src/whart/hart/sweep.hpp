@@ -6,10 +6,10 @@
 // superframe-product kernel is the default everywhere; kPerSlot remains
 // reachable through the `kernel` parameter (measures agree to ~1e-12).
 // Each sweep also defaults to skeleton reuse: the symbolic phase of the
-// solve (state enumeration + sparsity patterns, DESIGN.md §12) runs once
-// per schedule shape and every grid point performs only a numeric refill
+// solve (firing table + sparsity patterns, DESIGN.md §12) runs once per
+// schedule shape and every grid point performs only a numeric refill
 // into a pooled SolveWorkspace — bitwise-identical to per-point fresh
-// solves, just without the per-point allocation and re-enumeration.
+// solves, just without the per-point allocation and symbolic rebuild.
 //
 // `batch_lanes > 1` additionally groups same-shape grid points —
 // contiguous or not — into SoA batches of at most that many lanes and

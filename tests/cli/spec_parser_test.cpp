@@ -1,5 +1,7 @@
 #include "whart/cli/spec_parser.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace whart::cli {
@@ -122,6 +124,24 @@ TEST(SpecParser, RejectsBadInput) {
   EXPECT_THROW(parse_spec_string("node a\nlink a G weird 1\n"), parse_error);
   EXPECT_THROW(parse_spec_string("schedule sideways\nnode a\n"), parse_error);
   EXPECT_THROW(parse_spec_string("interval 2.5\nnode a\n"), parse_error);
+}
+
+TEST(SpecParser, HorizonThatWraps32BitsIsRefusedInEitherOrder) {
+  // 100000 x 100000 uplink slots would wrap to 1,410,065,408.
+  const std::string devices = "node a\nlink a G avail .9\n";
+  const std::string superframe = "superframe 100000 100000\n";
+  const std::string interval = "interval 100000\n";
+  EXPECT_THROW(parse_spec_string(superframe + interval + devices),
+               parse_error);
+  EXPECT_THROW(parse_spec_string(interval + superframe + devices),
+               parse_error);
+  // 65536 x 65536 = 2^32 is one past the limit; 65535 x 65536 fits.
+  EXPECT_THROW(
+      parse_spec_string("superframe 65536 1\ninterval 65536\n" + devices),
+      parse_error);
+  const ParsedSpec fits =
+      parse_spec_string("superframe 65536 1\ninterval 65535\n" + devices);
+  EXPECT_EQ(fits.reporting_interval, 65535u);
 }
 
 TEST(SpecParser, PathWithUnknownNodeFails) {

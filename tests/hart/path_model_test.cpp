@@ -1,11 +1,17 @@
 #include "whart/hart/path_model.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
 #include "whart/markov/transient.hpp"
+#include "whart/numeric/rng.hpp"
 
 namespace whart::hart {
 namespace {
@@ -40,6 +46,9 @@ TEST(PathModel, InvalidConfigsThrow) {
   EXPECT_THROW(PathModel{config}, precondition_error);
   config = example_config(0);
   EXPECT_THROW(PathModel{config}, precondition_error);
+  config = example_config(100000);
+  config.superframe = net::SuperframeConfig::symmetric(100000);
+  EXPECT_THROW(PathModel{config}, precondition_error);  // Is * Fup wraps
 }
 
 TEST(PathModel, SingleCycleGoalProbabilityIsProductOfAvailabilities) {
@@ -125,6 +134,110 @@ TEST(PathModel, StateCountGrowsLinearlyInReportingInterval) {
   EXPECT_LT(s1, s2);
   EXPECT_LT(s2, s4);
   EXPECT_LE(s4, 4 * 7 * 3 + 4 + 1);
+}
+
+/// Reference enumeration of the layered state space: a TTL x hops
+/// reachability sweep, where state (t, h) exists when the chain can
+/// occupy it before the TTL.
+std::size_t enumerated_state_count(const PathModelConfig& config) {
+  const std::uint32_t frame = config.superframe.uplink_slots;
+  const std::uint32_t ttl = config.effective_ttl();
+  const std::size_t hops = config.hop_count();
+  const auto hop_in_slot =
+      [&](std::uint32_t slot) -> std::optional<std::size_t> {
+    const std::uint32_t in_frame = (slot - 1) % frame + 1;
+    for (std::size_t h = 0; h < hops; ++h)
+      if (config.hop_slots[h] == in_frame) return h;
+    for (std::size_t h = 0; h < config.retry_slots.size(); ++h)
+      if (config.retry_slots[h] == in_frame) return h;
+    return std::nullopt;
+  };
+  std::vector<std::vector<bool>> reachable(ttl,
+                                           std::vector<bool>(hops, false));
+  reachable[0][0] = true;
+  for (std::uint32_t t = 0; t + 1 < ttl; ++t) {
+    const std::optional<std::size_t> firing = hop_in_slot(t + 1);
+    for (std::size_t h = 0; h < hops; ++h) {
+      if (!reachable[t][h]) continue;
+      reachable[t + 1][h] = true;
+      if (firing == h && h + 1 < hops) reachable[t + 1][h + 1] = true;
+    }
+  }
+  std::size_t transient = 0;
+  for (const std::vector<bool>& layer : reachable)
+    transient += static_cast<std::size_t>(
+        std::count(layer.begin(), layer.end(), true));
+  return transient + config.reporting_interval + 1;
+}
+
+void expect_state_count_matches_enumeration(const PathModelConfig& config) {
+  const PathModel model(config);
+  const std::size_t expected = enumerated_state_count(config);
+  EXPECT_EQ(model.state_count(), expected);
+  const SteadyStateLinks links(config.hop_count(),
+                               link::LinkModel::from_availability(0.8));
+  EXPECT_EQ(model.to_dtmc(links).num_states(), expected);
+}
+
+TEST(PathModel, ClosedFormStateCountMatchesLayerEnumeration) {
+  PathModelConfig config;
+  {
+    SCOPED_TRACE("retry slots and out-of-order hops");
+    config.hop_slots = {6, 2, 4};
+    config.retry_slots = {3, 0, 7};
+    config.superframe = net::SuperframeConfig::symmetric(8);
+    config.reporting_interval = 3;
+    expect_state_count_matches_enumeration(config);
+  }
+  {
+    SCOPED_TRACE("TTL cuts mid-cycle and on a cycle boundary");
+    config = PathModelConfig{};
+    config.hop_slots = {2, 5, 7};
+    config.retry_slots = {0, 6, 0};
+    config.superframe = net::SuperframeConfig::symmetric(9);
+    config.reporting_interval = 4;
+    for (const std::uint32_t ttl : {2u * 9u + 5u, 2u * 9u, 6u, 1u}) {
+      SCOPED_TRACE("ttl " + std::to_string(ttl));
+      config.ttl = ttl;
+      expect_state_count_matches_enumeration(config);
+    }
+  }
+  {
+    SCOPED_TRACE("Fup = 1");
+    config = PathModelConfig{};
+    config.hop_slots = {1};
+    config.superframe = net::SuperframeConfig::symmetric(1);
+    config.reporting_interval = 5;
+    expect_state_count_matches_enumeration(config);
+  }
+
+  // Seeded random shapes: distinct slots drawn from a shuffled frame,
+  // optional retries, Is up to 5 and any TTL up to past the horizon.
+  numeric::Xoshiro256 rng(18);
+  for (int trial = 0; trial < 2000; ++trial) {
+    config = PathModelConfig{};
+    const auto frame = static_cast<std::uint32_t>(1 + rng.below(10));
+    std::vector<net::SlotNumber> slots(frame);
+    std::iota(slots.begin(), slots.end(), 1u);
+    for (std::size_t i = slots.size(); i > 1; --i)
+      std::swap(slots[i - 1], slots[rng.below(i)]);
+    const std::size_t hops = 1 + rng.below(std::min<std::uint32_t>(frame, 5));
+    config.hop_slots.assign(slots.begin(), slots.begin() + hops);
+    if (rng.below(2) == 1) {
+      std::size_t next = hops;
+      for (std::size_t h = 0; h < hops; ++h)
+        config.retry_slots.push_back(
+            next < frame && rng.below(2) == 1 ? slots[next++] : 0);
+    }
+    config.superframe = net::SuperframeConfig::symmetric(frame);
+    config.reporting_interval = static_cast<std::uint32_t>(1 + rng.below(5));
+    if (rng.below(2) == 1)
+      config.ttl = static_cast<std::uint32_t>(
+          1 + rng.below(config.horizon() + 2));
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_EQ(PathModel(config).state_count(),
+              enumerated_state_count(config));
+  }
 }
 
 TEST(PathModel, TtlShorterThanHorizonDiscardsEarly) {

@@ -18,6 +18,7 @@
 #include "whart/markov/superframe_kernel.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/superframe.hpp"
+#include "whart/verify/full_chain.hpp"
 #include "whart/verify/scenario.hpp"
 
 namespace whart::hart {
@@ -40,11 +41,41 @@ void expect_identical(const PathTransientResult& fresh,
             fresh.expected_transmissions_delivered);
 }
 
+// Entry-for-entry equality of two cycle products (same sparsity, same
+// bits).
+void expect_same_product(const linalg::CsrMatrix& actual,
+                         const linalg::CsrMatrix& expected) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.nonzeros(), expected.nonzeros());
+  for (std::size_t r = 0; r < expected.rows(); ++r) {
+    std::vector<std::pair<std::size_t, double>> want;
+    std::vector<std::pair<std::size_t, double>> got;
+    expected.for_each_in_row(
+        r, [&](std::size_t c, double v) { want.emplace_back(c, v); });
+    actual.for_each_in_row(
+        r, [&](std::size_t c, double v) { got.emplace_back(c, v); });
+    EXPECT_EQ(got, want) << "row " << r;
+  }
+}
+
+// The fresh superframe solve collapses the opportunity factors; the
+// verify/ full chain (identity slots included) must give the same cycle
+// product bitwise.
+void expect_opportunity_collapse_matches_full_chain(
+    const PathModel& model, const LinkProbabilityProvider& links) {
+  const markov::SuperframeKernel full(
+      verify::full_chain_slot_matrices(model, links));
+  ASSERT_EQ(full.period(), model.config().superframe.cycle_slots());
+  const markov::SuperframeKernel collapsed(model.opportunity_matrices(links));
+  expect_same_product(collapsed.cycle_product(), full.cycle_product());
+}
+
 void expect_refill_matches_fresh(const PathModelConfig& config,
                                  const std::vector<double>& availabilities) {
   const PathModel model(config);
   const PathModelSkeleton skeleton(config);
   const SteadyStateLinks links{availabilities};
+  expect_opportunity_collapse_matches_full_chain(model, links);
   SolveWorkspace workspace;
   PathTransientResult refilled;
   for (const TransientKernel kernel :
@@ -240,19 +271,10 @@ void expect_explicit_case(const PathModelConfig& config,
   SolveWorkspace workspace;
   PathTransientResult refilled;
   skeleton.analyze_into(links, options, workspace, refilled);
-  const markov::SuperframeKernel kernel(model.slot_matrices(links));
+  const markov::SuperframeKernel kernel(
+      verify::full_chain_slot_matrices(model, links));
   ASSERT_EQ(kernel.period(), config.superframe.cycle_slots());
-  const linalg::CsrMatrix& full = kernel.cycle_product();
-  ASSERT_EQ(workspace.product.nonzeros(), full.nonzeros());
-  for (std::size_t r = 0; r < full.rows(); ++r) {
-    std::vector<std::pair<std::size_t, double>> expected;
-    std::vector<std::pair<std::size_t, double>> actual;
-    full.for_each_in_row(
-        r, [&](std::size_t c, double v) { expected.emplace_back(c, v); });
-    workspace.product.for_each_in_row(
-        r, [&](std::size_t c, double v) { actual.emplace_back(c, v); });
-    EXPECT_EQ(actual, expected) << "row " << r;
-  }
+  expect_same_product(workspace.product, kernel.cycle_product());
 }
 
 TEST(PathSkeleton, OpportunityChainRefillMatchesFullChainOnExplicitShapes) {

@@ -1,6 +1,9 @@
 #include "whart/hart/sensitivity.hpp"
 
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,18 +33,29 @@ double reachability_at(const PathModel& model,
                          result.cycle_probabilities.end(), 0.0);
 }
 
-TEST(Sensitivity, MatchesFiniteDifferences) {
-  const PathModel model(example_config(4));
-  const std::vector<double> base{0.9, 0.75, 0.85};
-  std::vector<link::LinkModel> links;
+/// Every adjoint sweep — per-slot, scalar superframe and the SoA batch
+/// (two lanes, so the batch core really runs) — against central
+/// differences of the forward solve.
+void expect_matches_finite_differences(const PathModelConfig& config,
+                                       const std::vector<double>& base) {
+  const PathModel model(config);
+  const PathModelSkeleton skeleton(config);
+  std::vector<link::LinkModel> models;
   for (double pi : base)
-    links.push_back(link::LinkModel::from_availability(pi));
-  const auto adjoint =
-      reachability_sensitivity(model, SteadyStateLinks(links));
-  ASSERT_EQ(adjoint.size(), 3u);
+    models.push_back(link::LinkModel::from_availability(pi));
+  const SteadyStateLinks links(models);
+  const std::vector<const LinkProbabilityProvider*> lanes{&links, &links};
+  const std::vector<std::pair<std::string, std::vector<double>>> sweeps{
+      {"per-slot",
+       reachability_sensitivity(model, links, TransientKernel::kPerSlot)},
+      {"superframe", reachability_sensitivity(
+                         model, links, TransientKernel::kSuperframeProduct)},
+      {"batch", reachability_sensitivity_batch(
+                    skeleton, lanes, TransientKernel::kSuperframeProduct)
+                    .front()}};
 
   const double eps = 1e-7;
-  for (std::size_t h = 0; h < 3; ++h) {
+  for (std::size_t h = 0; h < base.size(); ++h) {
     std::vector<double> up = base;
     std::vector<double> down = base;
     up[h] += eps;
@@ -49,8 +63,24 @@ TEST(Sensitivity, MatchesFiniteDifferences) {
     const double fd = (reachability_at(model, up) -
                        reachability_at(model, down)) /
                       (2.0 * eps);
-    EXPECT_NEAR(adjoint[h], fd, 1e-6) << "hop " << h;
+    for (const auto& [name, adjoint] : sweeps) {
+      ASSERT_EQ(adjoint.size(), base.size()) << name;
+      EXPECT_NEAR(adjoint[h], fd, 1e-6) << name << " hop " << h;
+    }
   }
+}
+
+TEST(Sensitivity, MatchesFiniteDifferences) {
+  expect_matches_finite_differences(example_config(4), {0.9, 0.75, 0.85});
+
+  // Retry slots: a hop's dedicated and retry attempts all move with its
+  // success probability, so every sweep must count both.
+  PathModelConfig retry;
+  retry.hop_slots = {2, 5, 7};
+  retry.retry_slots = {3, 0, 9};
+  retry.superframe = net::SuperframeConfig::symmetric(10);
+  retry.reporting_interval = 3;
+  expect_matches_finite_differences(retry, {0.7, 0.8, 0.6});
 }
 
 TEST(Sensitivity, WorstLinkHasTheLargestGradient) {

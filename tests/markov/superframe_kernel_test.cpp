@@ -16,6 +16,7 @@
 #include "whart/hart/path_model.hpp"
 #include "whart/linalg/matrix.hpp"
 #include "whart/markov/transient.hpp"
+#include "whart/verify/full_chain.hpp"
 #include "whart/verify/scenario.hpp"
 
 namespace whart::markov {
@@ -144,7 +145,8 @@ TEST(SuperframeKernel, EquivalentWithRetrySlots) {
 
 // --- raw markov::SuperframeKernel behaviour -----------------------------
 
-/// The per-slot matrices of a small 2-hop model, via the production path.
+/// The per-slot matrices of a small 2-hop model: the verify/ full chain
+/// over the production opportunity factors.
 std::vector<linalg::CsrMatrix> small_slot_matrices() {
   hart::PathModelConfig config;
   config.hop_slots = {1, 2};
@@ -152,7 +154,7 @@ std::vector<linalg::CsrMatrix> small_slot_matrices() {
   config.reporting_interval = 2;
   const hart::PathModel model(config);
   const hart::SteadyStateLinks links{std::vector<double>{0.8, 0.6}};
-  return model.slot_matrices(links);
+  return verify::full_chain_slot_matrices(model, links);
 }
 
 TEST(SuperframeKernel, ProductIsRowStochastic) {
