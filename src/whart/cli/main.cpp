@@ -23,9 +23,12 @@
 //                        the channel-enlarged DTMC, --simulate draws
 //                        from the same chains (kChannel regime) and
 //                        --sweep evaluates its grid under the overlay
-//   --kernel <name>      transient solver: per-slot (default) or
-//                        superframe (superframe-product collapse; same
-//                        results to rounding, faster for long intervals)
+//   --kernel <name>      force one transient solver on every path:
+//                        per-slot or superframe (superframe-product
+//                        collapse).  Unset, each path gets the faster
+//                        one for its kind: superframe for i.i.d. links,
+//                        per-slot under --channel.  Same results to
+//                        rounding either way
 //   --reuse-skeleton     share the symbolic solve phase between paths of
 //                        identical schedule shape and across sweep grid
 //                        points (default; bitwise-identical results)
@@ -95,8 +98,7 @@ struct Options {
   std::string metrics_path;
   std::string trace_path;
   std::string obs_dir;
-  whart::hart::TransientKernel kernel =
-      whart::hart::TransientKernel::kPerSlot;
+  std::optional<whart::hart::TransientKernel> kernel;  // unset = per kind
   bool reuse_skeleton = true;
   std::size_t batch_lanes = 1;
   std::string what_if_spec;  // "link=<id>:<pfl>", empty = off
@@ -224,7 +226,7 @@ void print_what_if(const whart::cli::ParsedSpec& spec,
   const double availability = prc / (prc + pfl);
 
   whart::hart::WhatIfOptions what_if_options;
-  what_if_options.kernel = options.kernel;
+  if (options.kernel.has_value()) what_if_options.kernel = *options.kernel;
   whart::hart::WhatIfEngine engine(spec.network, spec.paths, schedule,
                                    spec.superframe, spec.reporting_interval,
                                    what_if_options);
@@ -402,7 +404,9 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
         whart::hart::PathModelConfig::from_schedule(
             schedule, worst, spec.superframe, spec.reporting_interval);
     const whart::hart::SweepSeries series = whart::hart::sweep_availability(
-        config, whart::hart::linspace(0.65, 0.99, 18), 0, options.kernel,
+        config, whart::hart::linspace(0.65, 0.99, 18), 0,
+        options.kernel.value_or(
+            whart::hart::default_kernel(channel.has_value())),
         options.reuse_skeleton, options.batch_lanes,
         channel.has_value() ? &*channel : nullptr);
     std::ofstream file(options.sweep_path);

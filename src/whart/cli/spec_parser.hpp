@@ -16,13 +16,20 @@
 //                                   # without a path directive are routed
 //                                   # by shortest path automatically
 //
-// The gateway is always called "G" and need not be declared.
+// The gateway is always called "G" and need not be declared.  Numbers
+// follow std::stod's rules.  Mistakes that would break the model are
+// refused with the line they occur on: a node declared twice, a second
+// link between two nodes, a link from a node to itself, a link value out
+// of its range, and a `path` that does not run from a field device to G
+// without revisiting a node, that lacks a link for some hop, or that
+// repeats another path's source.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "whart/net/path.hpp"
@@ -47,12 +54,13 @@ struct ParsedSpec {
   net::SchedulingPolicy policy = net::SchedulingPolicy::kShortestPathsFirst;
 };
 
-/// Parse a spec from a stream; applies the documented defaults (paths via
-/// shortest-path routing when none are given; superframe fitted to the
-/// paths when not specified).
+/// Parse a spec from a stream: reads it to the end and parses the text
+/// with parse_spec_string.
 ParsedSpec parse_spec(std::istream& in);
 
-/// Parse from a string.
-ParsedSpec parse_spec_string(const std::string& text);
+/// Parse spec text in one pass over its lines; applies the documented
+/// defaults (paths via shortest-path routing when none are given;
+/// superframe fitted to the paths when not specified).
+ParsedSpec parse_spec_string(std::string_view text);
 
 }  // namespace whart::cli

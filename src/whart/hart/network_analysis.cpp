@@ -31,6 +31,10 @@ NetworkMeasures analyze_network(const net::Network& network,
       options.cache != nullptr ? options.cache
                                : (options.use_cache ? &local_cache : nullptr);
 
+  // Every path of a call is of one kind, i.i.d. or channel-enlarged.
+  const TransientKernel kernel =
+      options.kernel.value_or(default_kernel(options.channel.has_value()));
+
   std::vector<PathModelConfig> configs(paths.size());
   for (std::size_t p = 0; p < paths.size(); ++p)
     configs[p] = PathModelConfig::from_schedule(schedule, p, superframe,
@@ -47,7 +51,7 @@ NetworkMeasures analyze_network(const net::Network& network,
       !options.channel.has_value()) {
     for (std::size_t p = 0; p < paths.size(); ++p) {
       shape_keys[p] =
-          PathAnalysisCache::skeleton_fingerprint(configs[p], options.kernel);
+          PathAnalysisCache::skeleton_fingerprint(configs[p], kernel);
       auto& slot = skeletons[shape_keys[p]];
       if (slot == nullptr)
         slot = std::make_shared<const PathModelSkeleton>(configs[p]);
@@ -75,16 +79,16 @@ NetworkMeasures analyze_network(const net::Network& network,
           const PathModel model(config);
           const ChannelLinks links(std::move(channels));
           PathAnalysisOptions path_options;
-          path_options.kernel = options.kernel;
+          path_options.kernel = kernel;
           per_path[p] = compute_path_measures(model, links, path_options);
         } else if (cache != nullptr) {
-          per_path[p] = cache->measures(config, availability, options.kernel,
+          per_path[p] = cache->measures(config, availability, kernel,
                                         options.reuse_skeleton);
         } else if (options.reuse_skeleton) {
           const PathModelSkeleton& skeleton = *skeletons.at(shape_keys[p]);
           const SteadyStateLinks links(std::move(availability));
           PathAnalysisOptions path_options;
-          path_options.kernel = options.kernel;
+          path_options.kernel = kernel;
           auto workspace = workspaces.acquire();
           skeleton.analyze_into(links, path_options, *workspace,
                                 workspace->scratch_result);
@@ -96,7 +100,7 @@ NetworkMeasures analyze_network(const net::Network& network,
           const PathModel model(config);
           const SteadyStateLinks links(std::move(availability));
           PathAnalysisOptions path_options;
-          path_options.kernel = options.kernel;
+          path_options.kernel = kernel;
           per_path[p] = compute_path_measures(model, links, path_options);
         }
       },

@@ -35,11 +35,16 @@ struct AnalysisOptions {
   /// the call.
   PathAnalysisCache* cache = nullptr;
 
-  /// Transient solver for the per-path solves.  Steady-state links (the
-  /// only regime this entry point uses) satisfy the superframe-product
-  /// kernel's cycle-stationarity precondition, so the choice is purely a
-  /// speed/rounding trade-off; measures agree to ~1e-12.
-  TransientKernel kernel = TransientKernel::kPerSlot;
+  /// Transient solver for the per-path solves.  Unset (the default)
+  /// picks per path kind, default_kernel() (DESIGN.md §11): the
+  /// superframe product for i.i.d. steady-state paths, whose cycle
+  /// product runs over the transmission opportunities only, and the
+  /// per-slot core for channel-enlarged paths (see `channel`), whose
+  /// enlarged cycle product still mixes every slot and is the slower of
+  /// the two there.  A value forces that kernel on every path (the
+  /// differential oracle's and the goldens' seam).  The kernels agree on
+  /// every measure to ~1e-12.
+  std::optional<TransientKernel> kernel;
 
   /// Share the symbolic solve phase between paths of identical schedule
   /// shape (DESIGN.md §12): paths with equal skeleton fingerprints run
@@ -58,6 +63,14 @@ struct AnalysisOptions {
   /// channel reproduces the plain analysis to rounding.
   std::optional<link::ChannelModel> channel;
 };
+
+/// The kernel analyze_network runs when AnalysisOptions::kernel is
+/// unset: the superframe product on i.i.d. paths, the per-slot core on
+/// channel-enlarged ones.
+constexpr TransientKernel default_kernel(bool channel_enlarged) noexcept {
+  return channel_enlarged ? TransientKernel::kPerSlot
+                          : TransientKernel::kSuperframeProduct;
+}
 
 /// One point of the network-wide delay distribution.
 struct DelayProbability {

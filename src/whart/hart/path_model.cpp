@@ -42,6 +42,13 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
                   config_.superframe.uplink_slots <=
               std::numeric_limits<std::uint32_t>::max(),
           "horizon Is * Fup fits in 32 bits");
+  // cycle_slots() and cycle_milliseconds() are 32-bit; the ms bound
+  // implies the slot bound.
+  expects((std::uint64_t{config_.superframe.uplink_slots} +
+           config_.superframe.downlink_slots) *
+                  phy::kSlotMilliseconds <=
+              std::numeric_limits<std::uint32_t>::max(),
+          "cycle (Fup + Fdown) * 10 ms fits in 32 bits");
   expects(config_.effective_ttl() >= 1, "ttl >= 1");
   for (net::SlotNumber s : config_.hop_slots)
     expects(s >= 1 && s <= config_.superframe.uplink_slots,

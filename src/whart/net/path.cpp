@@ -21,9 +21,12 @@ std::vector<LinkId> Path::resolve_links(const Network& net) const {
   for (std::size_t h = 0; h < hop_count(); ++h) {
     const auto [from, to] = hop(h);
     const auto id = net.link_between(from, to);
-    expects(id.has_value(), "every hop has a link in the network",
-            "missing link " + net.node_name(from) + " -- " +
-                net.node_name(to));
+    // The message is built only on failure: this runs once per hop of
+    // every analysed path.
+    if (!id.has_value())
+      expects(false, "every hop has a link in the network",
+              "missing link " + net.node_name(from) + " -- " +
+                  net.node_name(to));
     result.push_back(*id);
   }
   return result;

@@ -7,23 +7,27 @@
 namespace whart::net {
 
 Network::Network(std::string gateway_name) {
+  node_by_name_.emplace(gateway_name, kGateway);
   node_names_.push_back(std::move(gateway_name));
 }
 
 NodeId Network::add_node(std::string name) {
   expects(!name.empty(), "node name is non-empty");
-  expects(!find_node(name).has_value(), "node name is unique");
+  const NodeId id{static_cast<std::uint32_t>(node_names_.size())};
+  expects(node_by_name_.try_emplace(name, id).second, "node name is unique");
   node_names_.push_back(std::move(name));
-  return NodeId{static_cast<std::uint32_t>(node_names_.size() - 1)};
+  return id;
 }
 
 LinkId Network::add_link(NodeId a, NodeId b, link::LinkModel model) {
   check_node(a);
   check_node(b);
   expects(a != b, "link endpoints differ");
-  expects(!link_between(a, b).has_value(), "nodes not already linked");
+  const LinkId id{static_cast<std::uint32_t>(links_.size())};
+  expects(link_by_pair_.try_emplace(pair_key(a, b), id).second,
+          "nodes not already linked");
   links_.push_back(Link{a, b, model});
-  return LinkId{static_cast<std::uint32_t>(links_.size() - 1)};
+  return id;
 }
 
 const std::string& Network::node_name(NodeId node) const {
@@ -32,10 +36,9 @@ const std::string& Network::node_name(NodeId node) const {
 }
 
 std::optional<NodeId> Network::find_node(std::string_view name) const {
-  for (std::size_t i = 0; i < node_names_.size(); ++i)
-    if (node_names_[i] == name)
-      return NodeId{static_cast<std::uint32_t>(i)};
-  return std::nullopt;
+  const auto it = node_by_name_.find(name);
+  if (it == node_by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 const Link& Network::link(LinkId id) const {
@@ -44,10 +47,9 @@ const Link& Network::link(LinkId id) const {
 }
 
 std::optional<LinkId> Network::link_between(NodeId a, NodeId b) const {
-  for (std::size_t i = 0; i < links_.size(); ++i)
-    if (links_[i].connects(a, b))
-      return LinkId{static_cast<std::uint32_t>(i)};
-  return std::nullopt;
+  const auto it = link_by_pair_.find(pair_key(a, b));
+  if (it == link_by_pair_.end()) return std::nullopt;
+  return it->second;
 }
 
 void Network::set_link_model(LinkId id, link::LinkModel model) {
@@ -79,6 +81,11 @@ std::vector<LinkId> Network::links() const {
 
 void Network::check_node(NodeId node) const {
   expects(node.value < node_names_.size(), "node id in range");
+}
+
+std::uint64_t Network::pair_key(NodeId a, NodeId b) noexcept {
+  const auto [low, high] = std::minmax(a.value, b.value);
+  return (std::uint64_t{low} << 32) | high;
 }
 
 }  // namespace whart::net

@@ -3,9 +3,12 @@
 // (the paper explicitly supports inhomogeneous links).
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "whart/link/link_model.hpp"
@@ -26,6 +29,9 @@ struct Link {
 };
 
 /// A WirelessHART mesh: the gateway (node 0) plus field devices and links.
+/// Name and endpoint lookups go through hash indexes, so find_node,
+/// link_between and the uniqueness checks of add_node/add_link take
+/// constant time.
 class Network {
  public:
   /// Creates a network containing only the gateway, named `gateway_name`.
@@ -50,7 +56,7 @@ class Network {
 
   [[nodiscard]] const Link& link(LinkId id) const;
 
-  /// The link between two nodes, if any.
+  /// The link between two nodes, in either orientation, if any.
   [[nodiscard]] std::optional<LinkId> link_between(NodeId a, NodeId b) const;
 
   /// Replace the model on one link (e.g. after a fresh SNR measurement).
@@ -68,8 +74,23 @@ class Network {
  private:
   void check_node(NodeId node) const;
 
+  /// Orientation-free key of the node pair {a, b}.
+  static std::uint64_t pair_key(NodeId a, NodeId b) noexcept;
+
+  /// Hashes std::string and std::string_view alike, so find_node looks
+  /// names up without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> node_names_;
   std::vector<Link> links_;
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>>
+      node_by_name_;
+  std::unordered_map<std::uint64_t, LinkId> link_by_pair_;
 };
 
 }  // namespace whart::net

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
 
 #include "whart/common/contracts.hpp"
+#include "whart/link/channel_model.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/typical_network.hpp"
 #include "whart/phy/frame.hpp"
@@ -213,6 +215,93 @@ TEST(NetworkAnalysis, AggregateKeepsTouchedZeroMassBins) {
 
 TEST(NetworkAnalysis, AggregateRejectsEmptyInput) {
   EXPECT_THROW(aggregate_measures({}), precondition_error);
+}
+
+/// Analyse the typical network (eta_a, Is = 4) under `options` and
+/// require every path to report `kernel` as the solver that ran.
+void expect_every_path_solved_by(const AnalysisOptions& options,
+                                 TransientKernel kernel) {
+  const net::TypicalNetwork t = net::make_typical_network(
+      link::LinkModel::from_availability(0.83));
+  const NetworkMeasures m =
+      analyze_network(t.network, t.paths, t.eta_a, t.superframe,
+                      net::kTypicalReportingInterval, options);
+  ASSERT_EQ(m.per_path.size(), t.paths.size());
+  for (const PathMeasures& path : m.per_path) {
+    ASSERT_TRUE(path.diagnostics.has_value());
+    EXPECT_EQ(path.diagnostics->kernel, kernel);
+  }
+}
+
+AnalysisOptions bursty_options() {
+  AnalysisOptions options;
+  options.channel =
+      link::ChannelModel::gilbert_elliott(0.005, 0.0125, 0.0, 1.0);
+  return options;
+}
+
+TEST(NetworkAnalysis, DefaultKernelIsPickedPerPathKind) {
+  // i.i.d. steady-state paths take the superframe product, channel-
+  // enlarged paths the per-slot core — with and without the cache.
+  AnalysisOptions iid;
+  expect_every_path_solved_by(iid, TransientKernel::kSuperframeProduct);
+  iid.use_cache = false;
+  expect_every_path_solved_by(iid, TransientKernel::kSuperframeProduct);
+  iid.reuse_skeleton = false;
+  expect_every_path_solved_by(iid, TransientKernel::kSuperframeProduct);
+  expect_every_path_solved_by(bursty_options(), TransientKernel::kPerSlot);
+}
+
+TEST(NetworkAnalysis, ExplicitKernelIsHonouredOnBothPathKinds) {
+  for (const TransientKernel kernel :
+       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
+    AnalysisOptions iid;
+    iid.kernel = kernel;
+    expect_every_path_solved_by(iid, kernel);
+    AnalysisOptions bursty = bursty_options();
+    bursty.kernel = kernel;
+    expect_every_path_solved_by(bursty, kernel);
+  }
+}
+
+TEST(NetworkAnalysis, DefaultKernelMatchesPerSlotOnGeneratedPlants) {
+  // The default answer on 200-device plants stays within 1e-12
+  // (relative) of the forced per-slot solve, on every measure a user
+  // reads.
+  const auto close = [](double a, double b) {
+    return std::abs(a - b) <=
+           1e-12 * std::max({std::abs(a), std::abs(b), 1.0});
+  };
+  for (const std::uint64_t seed : {3u, 5u}) {
+    net::PlantProfile profile;
+    profile.device_count = 200;
+    profile.seed = seed;
+    const net::GeneratedPlant plant = net::generate_plant(profile);
+    AnalysisOptions per_slot;
+    per_slot.kernel = TransientKernel::kPerSlot;
+    const NetworkMeasures reference =
+        analyze_network(plant.network, plant.paths, plant.schedule,
+                        plant.superframe, 4, per_slot);
+    const NetworkMeasures m = analyze_network(
+        plant.network, plant.paths, plant.schedule, plant.superframe, 4);
+    ASSERT_EQ(m.per_path.size(), reference.per_path.size());
+    EXPECT_TRUE(close(m.mean_delay_ms, reference.mean_delay_ms));
+    EXPECT_TRUE(close(m.network_utilization, reference.network_utilization));
+    EXPECT_TRUE(close(m.network_utilization_delivered,
+                      reference.network_utilization_delivered));
+    for (std::size_t p = 0; p < m.per_path.size(); ++p) {
+      const PathMeasures& got = m.per_path[p];
+      const PathMeasures& want = reference.per_path[p];
+      ASSERT_EQ(got.diagnostics->kernel, TransientKernel::kSuperframeProduct);
+      EXPECT_TRUE(close(got.reachability, want.reachability)) << p;
+      EXPECT_TRUE(close(got.expected_delay_ms, want.expected_delay_ms)) << p;
+      EXPECT_TRUE(close(got.delay_jitter_ms, want.delay_jitter_ms)) << p;
+      EXPECT_TRUE(close(got.utilization, want.utilization)) << p;
+      EXPECT_TRUE(
+          close(got.utilization_delivered, want.utilization_delivered))
+          << p;
+    }
+  }
 }
 
 }  // namespace

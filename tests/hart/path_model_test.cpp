@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -49,6 +50,18 @@ TEST(PathModel, InvalidConfigsThrow) {
   config = example_config(100000);
   config.superframe = net::SuperframeConfig::symmetric(100000);
   EXPECT_THROW(PathModel{config}, precondition_error);  // Is * Fup wraps
+}
+
+TEST(PathModel, CycleThatWraps32BitsIsRefused) {
+  // 429,496,729 slots of 10 ms is the longest cycle whose length in ms
+  // fits in 32 bits.
+  PathModelConfig config = example_config(1);
+  config.superframe.downlink_slots = 429496729 - 7;
+  EXPECT_NO_THROW(PathModel{config});
+  config.superframe.downlink_slots += 1;
+  EXPECT_THROW(PathModel{config}, precondition_error);
+  config.superframe.downlink_slots = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_THROW(PathModel{config}, precondition_error);  // Fup + Fdown wraps
 }
 
 TEST(PathModel, SingleCycleGoalProbabilityIsProductOfAvailabilities) {
