@@ -1,20 +1,20 @@
 // SoA batch-solve benchmarks (google-benchmark): the lane-parallel
-// refill of DESIGN.md §13 against per-point scalar refills.
+// refill of DESIGN.md §13 against one-point passes of the same code.
 //
 //   BM_SkeletonBuild          one symbolic phase — the calibration
 //                             benchmark of the CI gate (machine-speed
 //                             normalization only, same shape as
 //                             bench_skeleton's)
 //   BM_BatchAvailabilitySweep a 64-point availability sweep with the
-//                             lane count as the LAST argument (1 =
-//                             scalar refill per point, 8 = SoA batches
-//                             of eight lanes); skeleton reuse is on in
-//                             both, so the ratio isolates the batch
-//                             core.  tools/check_bench_regression.py
+//                             lane count as the LAST argument (1 = one
+//                             point per pass, 8 = batches of eight
+//                             lanes); skeleton reuse is on in both, so
+//                             the ratio isolates the lane amortisation.
+//                             tools/check_bench_regression.py
 //                             pairs .../1 against .../16 and asserts the
 //                             >= 4x speedup recorded in BENCH_simd.json
 //   BM_LaneEquivalence        solves a batch and re-solves every lane
-//                             scalar, counting lanes that diverge
+//                             alone, counting lanes that diverge
 //                             beyond 1e-12 relative into the
 //                             `lane_mismatches` user counter — pinned
 //                             at 0 in CI via --require-counter-max
@@ -31,7 +31,6 @@
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_model.hpp"
 #include "whart/hart/sweep.hpp"
-#include "whart/linalg/simd.hpp"
 
 namespace {
 
@@ -61,8 +60,8 @@ BENCHMARK(BM_SkeletonBuild)->Arg(4);
 
 // The headline workload: the Section VI availability grid on one
 // schedule shape, skeleton reuse on.  Args are (grid points, lanes):
-// lanes 1 refills every point scalar, lanes 8 walks the shared patterns
-// once per eight points.  Values agree to rounding (the batch arm of
+// lanes 1 refills every point in its own pass, lanes 8 walks the shared
+// patterns once per eight points.  Values agree to rounding (the batch arm of
 // the differential oracle and the lane-equivalence battery enforce it);
 // only the time differs.
 void BM_BatchAvailabilitySweep(benchmark::State& state) {
@@ -78,16 +77,14 @@ void BM_BatchAvailabilitySweep(benchmark::State& state) {
             .points.back()
             .measures.reachability);
   }
-  state.counters["simd_width"] =
-      static_cast<double>(linalg::simd::kWidth);
 }
 BENCHMARK(BM_BatchAvailabilitySweep)
     ->Args({64, 1})
     ->Args({64, 8})
     ->Args({64, 16});
 
-// The solve cores in isolation (no sweep scaffolding): per-point cost
-// of a warm scalar refill vs one lane of a warm batched solve.
+// The solve core in isolation (no sweep scaffolding): per-point cost of
+// a warm one-point solve vs one lane of a warm batched solve.
 void BM_ScalarSolve(benchmark::State& state) {
   const hart::PathModelConfig config = path_config(4, 20, 4);
   const hart::PathModelSkeleton skeleton(config);
@@ -122,8 +119,7 @@ void BM_BatchSolve(benchmark::State& state) {
     providers.push_back(&provider);
   hart::PathAnalysisOptions options;
   options.kernel = hart::TransientKernel::kSuperframeProduct;
-  options.batch_lanes = lanes;
-  hart::BatchSolveWorkspace workspace;
+  hart::SolveWorkspace workspace;
   std::vector<hart::PathTransientResult> results(lanes);
   skeleton.analyze_batch_into(providers, options, workspace, results);
   for (auto _ : state) {
@@ -136,7 +132,7 @@ void BM_BatchSolve(benchmark::State& state) {
 BENCHMARK(BM_BatchSolve)->Arg(8)->Arg(16);
 
 // Correctness-as-a-counter: solve one batch, re-solve every lane
-// through the scalar refill, and count lanes whose availability-sweep
+// through a one-point solve, and count lanes whose availability-sweep
 // measures drift beyond 1e-12 relative.  CI pins `lane_mismatches` at
 // zero, so a lane-indexing regression fails the bench job even if no
 // unit test happens to cover the offending shape.
@@ -158,8 +154,7 @@ void BM_LaneEquivalence(benchmark::State& state) {
 
   hart::PathAnalysisOptions options;
   options.kernel = hart::TransientKernel::kSuperframeProduct;
-  options.batch_lanes = kLanes;
-  hart::BatchSolveWorkspace workspace;
+  hart::SolveWorkspace workspace;
   std::vector<hart::PathTransientResult> batched(kLanes);
   hart::SolveWorkspace scalar_workspace;
   hart::PathTransientResult scalar;

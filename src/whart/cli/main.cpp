@@ -7,8 +7,12 @@
 //   whart_cli --typical   [options]          # the paper's Fig. 12 network
 //   cat spec | whart_cli - [options]
 //
+// Numeric flag values are whole-token numbers (a bad one prints usage
+// naming the flag and exits 2).
+//
 // Options:
-//   --interval <Is>      override the reporting interval
+//   --interval <Is>      override the reporting interval (Is >= 1, and
+//                        Is * Fup must fit in 32 bits)
 //   --simulate <N>       Monte-Carlo cross-check over N intervals
 //   --energy             per-node energy / battery-life report
 //   --stability <R>      assess every path against a target reachability
@@ -34,12 +38,11 @@
 //                        points (default; bitwise-identical results)
 //   --no-reuse-skeleton  rebuild every solve from scratch (the
 //                        differential oracle's baseline path)
-//   --batch-lanes <n>    SoA batch width of the --sweep grid: same-shape
-//                        sweep points refill and solve n lanes at a time
-//                        through the vectorized batch core (DESIGN.md
-//                        §13; 1 = scalar refills, requires
-//                        --reuse-skeleton; sweep values agree with
-//                        scalar to rounding)
+//   --batch-lanes <n>    lane count of the --sweep grid: same-shape sweep
+//                        points refill and solve n lanes per pass of the
+//                        superframe core (DESIGN.md §13; n >= 1, default
+//                        1 = one point per pass; requires
+//                        --reuse-skeleton; the values do not depend on n)
 //   --what-if link=<id>:<pfl>
 //                        incremental what-if (DESIGN.md §15): re-evaluate
 //                        the network with link <id>'s per-slot failure
@@ -60,12 +63,15 @@
 //                        sampler, then writes metrics.json, trace.json,
 //                        events.jsonl, metrics.prom and timeseries.csv
 //                        into <dir> (created if missing)
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "whart/cli/spec_parser.hpp"
 #include "whart/common/obs.hpp"
@@ -86,6 +92,13 @@ namespace {
 
 using whart::report::Table;
 
+/// A --what-if query: link <id> moves to per-slot failure probability
+/// <pfl>.
+struct WhatIfQuery {
+  std::uint32_t link = 0;
+  double pfl = 0.0;
+};
+
 struct Options {
   std::uint64_t simulate_intervals = 0;
   std::uint32_t interval_override = 0;
@@ -101,14 +114,15 @@ struct Options {
   std::optional<whart::hart::TransientKernel> kernel;  // unset = per kind
   bool reuse_skeleton = true;
   std::size_t batch_lanes = 1;
-  std::string what_if_spec;  // "link=<id>:<pfl>", empty = off
+  std::optional<WhatIfQuery> what_if;
   // Whether the flags --channel silently bypasses were passed explicitly
   // (the combination earns a warning and a `cli.ignored_flags` count).
   bool batch_lanes_set = false;
   bool reuse_flag_set = false;
 };
 
-int usage() {
+int usage(const std::string& complaint = "") {
+  if (!complaint.empty()) std::cerr << "whart_cli: " << complaint << "\n";
   std::cerr << "usage: whart_cli <spec-file>|-|--typical "
                "[--interval <Is>] [--simulate <intervals>] [--energy] "
                "[--stability <targetR>] [--csv <file>] [--sweep <file>] "
@@ -120,6 +134,26 @@ int usage() {
                "[--metrics[=<file>]] [--trace[=<file>]] "
                "[--obs-dir=<dir>]\n";
   return 2;
+}
+
+/// A whole-token number: std::from_chars must read all of `text` — no
+/// sign on an unsigned type, no trailing characters, no overflow.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return !text.empty() && error == std::errc() && stop == end;
+}
+
+/// "link=<id>:<pfl>", or nullopt when malformed.
+std::optional<WhatIfQuery> parse_what_if(std::string_view text) {
+  const std::size_t colon = text.find(':');
+  WhatIfQuery query;
+  if (text.rfind("link=", 0) != 0 || colon == std::string_view::npos ||
+      !parse_number(text.substr(5, colon - 5), query.link) ||
+      !parse_number(text.substr(colon + 1), query.pfl))
+    return std::nullopt;
+  return query;
 }
 
 void print_energy(const whart::cli::ParsedSpec& spec,
@@ -202,16 +236,8 @@ void write_csv(const whart::cli::ParsedSpec& spec,
 void print_what_if(const whart::cli::ParsedSpec& spec,
                    const whart::net::Schedule& schedule,
                    const Options& options) {
-  const std::string& raw = options.what_if_spec;
-  const char* expected = "--what-if expects link=<id>:<pfl>";
-  if (raw.rfind("link=", 0) != 0)
-    throw std::runtime_error(std::string(expected) + ", got '" + raw + "'");
-  const std::size_t colon = raw.find(':', 5);
-  if (colon == std::string::npos || colon == 5)
-    throw std::runtime_error(std::string(expected) + ", got '" + raw + "'");
-  const whart::net::LinkId link{
-      static_cast<std::uint32_t>(std::stoul(raw.substr(5, colon - 5)))};
-  const double pfl = std::stod(raw.substr(colon + 1));
+  const whart::net::LinkId link{options.what_if->link};
+  const double pfl = options.what_if->pfl;
   if (link.value >= spec.network.link_count())
     throw std::runtime_error("--what-if: unknown link id " +
                              std::to_string(link.value));
@@ -296,7 +322,7 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
     }
     if (ignored > 0) WHART_COUNT_N("cli.ignored_flags", ignored);
   }
-  if (channel.has_value() && !options.what_if_spec.empty())
+  if (channel.has_value() && options.what_if.has_value())
     throw std::runtime_error(
         "--what-if is not available together with --channel (the "
         "incremental engine caches slot-independent cycle products)");
@@ -417,8 +443,7 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
               << spec.paths[worst].to_string(spec.network) << " to "
               << options.sweep_path << "\n";
   }
-  if (!options.what_if_spec.empty())
-    print_what_if(spec, schedule, options);
+  if (options.what_if.has_value()) print_what_if(spec, schedule, options);
 }
 
 /// Write the --metrics / --trace dumps after the analysis has run.
@@ -458,26 +483,35 @@ int main(int argc, char** argv) {
 
   std::string source = argv[1];
   Options options;
+  const auto bad_value = [](const std::string& flag, const char* value) {
+    return usage("invalid value '" + std::string(value) + "' for " + flag);
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--simulate" && i + 1 < argc)
-      options.simulate_intervals = std::stoull(argv[++i]);
-    else if (arg == "--interval" && i + 1 < argc)
-      options.interval_override =
-          static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    else if (arg == "--energy")
+    if (arg == "--simulate" && i + 1 < argc) {
+      if (!parse_number(argv[++i], options.simulate_intervals))
+        return bad_value(arg, argv[i]);
+    } else if (arg == "--interval" && i + 1 < argc) {
+      if (!parse_number(argv[++i], options.interval_override) ||
+          options.interval_override == 0)
+        return bad_value(arg, argv[i]);
+    } else if (arg == "--energy") {
       options.energy = true;
-    else if (arg == "--stability" && i + 1 < argc)
-      options.stability_target = std::stod(argv[++i]);
-    else if (arg == "--csv" && i + 1 < argc)
+    } else if (arg == "--stability" && i + 1 < argc) {
+      if (!parse_number(argv[++i], options.stability_target) ||
+          !(options.stability_target >= 0.0 &&
+            options.stability_target <= 1.0))
+        return bad_value(arg, argv[i]);
+    } else if (arg == "--csv" && i + 1 < argc) {
       options.csv_path = argv[++i];
-    else if (arg == "--sweep" && i + 1 < argc)
+    } else if (arg == "--sweep" && i + 1 < argc) {
       options.sweep_path = argv[++i];
-    else if (arg == "--shards" && i + 1 < argc)
-      options.shards = std::stoull(argv[++i]);
-    else if (arg == "--channel" && i + 1 < argc)
+    } else if (arg == "--shards" && i + 1 < argc) {
+      if (!parse_number(argv[++i], options.shards))
+        return bad_value(arg, argv[i]);
+    } else if (arg == "--channel" && i + 1 < argc) {
       options.channel_spec = argv[++i];
-    else if (arg == "--kernel" && i + 1 < argc) {
+    } else if (arg == "--kernel" && i + 1 < argc) {
       const std::string name = argv[++i];
       if (name == "per-slot")
         options.kernel = whart::hart::TransientKernel::kPerSlot;
@@ -485,30 +519,33 @@ int main(int argc, char** argv) {
         options.kernel = whart::hart::TransientKernel::kSuperframeProduct;
       else
         return usage();
-    }
-    else if (arg == "--reuse-skeleton") {
+    } else if (arg == "--reuse-skeleton") {
       options.reuse_skeleton = true;
       options.reuse_flag_set = true;
     } else if (arg == "--no-reuse-skeleton") {
       options.reuse_skeleton = false;
       options.reuse_flag_set = true;
     } else if (arg == "--batch-lanes" && i + 1 < argc) {
-      options.batch_lanes = std::stoull(argv[++i]);
+      if (!parse_number(argv[++i], options.batch_lanes) ||
+          options.batch_lanes == 0)
+        return bad_value(arg, argv[i]);
       options.batch_lanes_set = true;
-    } else if (arg == "--what-if" && i + 1 < argc)
-      options.what_if_spec = argv[++i];
-    else if (arg == "--metrics")
+    } else if (arg == "--what-if" && i + 1 < argc) {
+      options.what_if = parse_what_if(argv[++i]);
+      if (!options.what_if.has_value()) return bad_value(arg, argv[i]);
+    } else if (arg == "--metrics") {
       options.metrics_path = "whart_metrics.json";
-    else if (arg.rfind("--metrics=", 0) == 0)
+    } else if (arg.rfind("--metrics=", 0) == 0) {
       options.metrics_path = arg.substr(10);
-    else if (arg == "--trace")
+    } else if (arg == "--trace") {
       options.trace_path = "whart_trace.json";
-    else if (arg.rfind("--trace=", 0) == 0)
+    } else if (arg.rfind("--trace=", 0) == 0) {
       options.trace_path = arg.substr(8);
-    else if (arg.rfind("--obs-dir=", 0) == 0)
+    } else if (arg.rfind("--obs-dir=", 0) == 0) {
       options.obs_dir = arg.substr(10);
-    else
+    } else {
       return usage();
+    }
   }
   if (!options.trace_path.empty()) {
     whart::common::obs::set_trace_enabled(true);
@@ -541,8 +578,10 @@ int main(int argc, char** argv) {
       }
       spec = whart::cli::parse_spec(file);
     }
-    if (options.interval_override > 0)
+    if (options.interval_override > 0) {
       spec.reporting_interval = options.interval_override;
+      whart::cli::check_horizon(spec);
+    }
     print_analysis(spec, options);
     if (obs_session) obs_session->finish();
     write_observability(options);

@@ -271,15 +271,18 @@ ParsedSpec parse_spec_string(std::string_view text) {
   if (!superframe_given)
     spec.superframe =
         net::SuperframeConfig::symmetric(net::required_uplink_slots(spec.paths));
-  // Model time counts uplink slots in 32 bits, so the horizon Is * Fup
-  // must fit.  Checked once both are final: `interval` and `superframe`
-  // come in either order, and Fup may be fitted above.
+  // Checked once Is and Fup are final: `interval` and `superframe` come
+  // in either order, and Fup may be fitted above.
+  check_horizon(spec);
+  return spec;
+}
+
+void check_horizon(const ParsedSpec& spec) {
   const std::uint64_t horizon =
       std::uint64_t{spec.reporting_interval} * spec.superframe.uplink_slots;
   if (horizon > kMaxU32)
     throw parse_error("horizon Is * Fup = " + std::to_string(horizon) +
                       " uplink slots does not fit in 32 bits");
-  return spec;
 }
 
 }  // namespace whart::cli

@@ -63,4 +63,10 @@ ParsedSpec parse_spec(std::istream& in);
 /// superframe fitted to the paths when not specified).
 ParsedSpec parse_spec_string(std::string_view text);
 
+/// Model time counts uplink slots in 32 bits, so the horizon Is * Fup
+/// must fit: throws parse_error when it does not.  parse_spec applies it
+/// once Is and Fup are final; a caller that overrides either afterwards
+/// applies it again.
+void check_horizon(const ParsedSpec& spec);
+
 }  // namespace whart::cli

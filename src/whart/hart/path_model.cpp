@@ -9,7 +9,6 @@
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
-#include "whart/linalg/matrix.hpp"
 #include "whart/linalg/simd.hpp"
 #include "whart/markov/superframe_kernel.hpp"
 
@@ -299,50 +298,67 @@ std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
 PathTransientResult PathModel::analyze_superframe(
     const LinkProbabilityProvider& links, double inject) const {
   // Fresh build: collapse the opportunity chain through SuperframeKernel,
-  // then run the shared numeric core over the same factors with a
-  // throwaway workspace.  The skeleton refill path feeds the same core
-  // with refilled structures, so the two agree bitwise.
-  const std::vector<linalg::CsrMatrix> factors = opportunity_matrices(links);
-  markov::SuperframeKernel kernel(factors);
+  // then hand its factors and product to the superframe core at one lane
+  // with a throwaway workspace.  Skeleton refills feed the same core, so
+  // the two agree bitwise.
+  markov::SuperframeKernel kernel(opportunity_matrices(links));
   if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
+  const auto operand = [](const linalg::CsrMatrix& m) {
+    return LaneCsr{m.row_start().data(), m.col_index().data(),
+                   m.values().data()};
+  };
   SolveWorkspace workspace;
+  for (std::size_t i = 0; i < opportunities_.size(); ++i) {
+    const Opportunity& o = opportunities_[i];
+    workspace.factor_operands.push_back(operand(kernel.slot_matrix(i)));
+    workspace.ps.push_back(links.up_probability(
+        o.hop, config_.superframe.absolute_slot_of_uplink(o.slot)));
+  }
   PathTransientResult result;
-  analyze_superframe_into(links, factors, kernel.cycle_product(), workspace,
-                          result);
+  PathTransientResult* const lane = &result;
+  analyze_superframe_batch_into(workspace.factor_operands,
+                                operand(kernel.cycle_product()), workspace,
+                                {&lane, 1});
   return result;
 }
 
-namespace {
-
-void ensure_zeroed(linalg::Matrix& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) {
-    m = linalg::Matrix(rows, cols);
-    return;
+void PathModel::analyze_superframe_batch_into(
+    std::span<const LaneCsr> factors, const LaneCsr& product,
+    SolveWorkspace& ws, std::span<PathTransientResult* const> results) const {
+  // Common batch widths run the fixed-width instantiation (flat-unrolled
+  // lane loops); anything else takes the runtime-width one.  Same
+  // arithmetic either way — the dispatch only changes code generation.
+  switch (results.size()) {
+    case 1:
+      analyze_superframe_batch_lanes<1>(factors, product, ws, results);
+      break;
+    case 4:
+      analyze_superframe_batch_lanes<4>(factors, product, ws, results);
+      break;
+    case 8:
+      analyze_superframe_batch_lanes<8>(factors, product, ws, results);
+      break;
+    case 16:
+      analyze_superframe_batch_lanes<16>(factors, product, ws, results);
+      break;
+    default:
+      analyze_superframe_batch_lanes<0>(factors, product, ws, results);
+      break;
   }
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c) m(r, c) = 0.0;
 }
 
-void ensure_zeroed(linalg::Vector& v, std::size_t size) {
-  if (v.size() != size) {
-    v = linalg::Vector(size);
-    return;
-  }
-  for (std::size_t i = 0; i < size; ++i) v[i] = 0.0;
-}
-
-}  // namespace
-
-void PathModel::analyze_superframe_into(
-    const LinkProbabilityProvider& links,
-    std::span<const linalg::CsrMatrix> factors,
-    const linalg::CsrMatrix& product, SolveWorkspace& ws,
-    PathTransientResult& result) const {
+template <std::size_t kLanes>
+void PathModel::analyze_superframe_batch_lanes(
+    std::span<const LaneCsr> factors, const LaneCsr& product,
+    SolveWorkspace& ws, std::span<PathTransientResult* const> results) const {
   WHART_SPAN("path_solve");
-  expects(links.hop_count() >= config_.hop_count(),
-          "provider covers every hop");
+  namespace simd = linalg::simd;
+  const std::size_t lanes = kLanes == 0 ? results.size() : kLanes;
+  expects(lanes >= 1, "at least one lane");
   expects(factors.size() == opportunities_.size(),
           "one chain factor per transmission opportunity");
+  expects(ws.ps.size() == opportunities_.size() * lanes,
+          "one success probability per opportunity per lane");
 #ifndef WHART_OBS_DISABLED
   const bool timed = common::obs::metrics_enabled();
   const auto solve_start = timed ? std::chrono::steady_clock::now()
@@ -357,7 +373,8 @@ void PathModel::analyze_superframe_into(
   const std::uint32_t horizon = config_.horizon();
 
   // One-cycle accounting matrices from a dense prefix/suffix sweep over
-  // the transmission opportunities (identity slots leave both unchanged).
+  // the transmission opportunities (identity slots leave both unchanged),
+  // each entry widened to a lane array.
   //
   //   attempts(x, h): expected transmissions of hop h during a full cycle
   //     entered in state x — the prefix column of state h summed over the
@@ -370,246 +387,6 @@ void PathModel::analyze_superframe_into(
   //     K = sum over firing slots j of
   //         (column x_j of Prefix_{j-1}) (row x_j of Suffix_j),
   //     Prefix_{j-1} = M_1..M_{j-1} and Suffix_j = M_j..M_F.
-  ensure_zeroed(ws.prefix, dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) ws.prefix(i, i) = 1.0;
-  ensure_zeroed(ws.prefix_next, dim, dim);
-  ensure_zeroed(ws.attempts, dim, hops);
-  ws.prefix_columns.resize(opportunities_.size() * dim);
-  for (std::size_t i = 0; i < opportunities_.size(); ++i) {
-    const std::size_t hop = opportunities_[i].hop;
-    double* column = ws.prefix_columns.data() + i * dim;
-    for (std::size_t r = 0; r < dim; ++r) {
-      column[r] = ws.prefix(r, hop);
-      ws.attempts(r, hop) += column[r];
-    }
-    linalg::left_multiply_batch_into(ws.prefix, factors[i], ws.prefix_next);
-    std::swap(ws.prefix, ws.prefix_next);
-  }
-
-  ensure_zeroed(ws.delivered_kernel, dim, dim);
-  ensure_zeroed(ws.suffix, dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) ws.suffix(i, i) = 1.0;
-  ensure_zeroed(ws.suffix_next, dim, dim);
-  for (std::size_t i = opportunities_.size(); i-- > 0;) {
-    const std::size_t hop = opportunities_[i].hop;
-    const linalg::CsrMatrix& step = factors[i];
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c) ws.suffix_next(r, c) = 0.0;
-    for (std::size_t r = 0; r < dim; ++r)
-      step.for_each_in_row(r, [&](std::size_t k, double v) {
-        for (std::size_t c = 0; c < dim; ++c)
-          ws.suffix_next(r, c) += v * ws.suffix(k, c);
-      });
-    std::swap(ws.suffix, ws.suffix_next);
-    const double* column = ws.prefix_columns.data() + i * dim;
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c)
-        ws.delivered_kernel(r, c) += column[r] * ws.suffix(hop, c);
-  }
-
-  result.cycle_probabilities.assign(interval, 0.0);
-  result.expected_transmissions_per_hop.assign(hops, 0.0);
-  result.discard_probability = 0.0;
-  result.expected_transmissions = 0.0;
-  result.expected_transmissions_delivered = 0.0;
-  result.trajectory_stride = frame;
-  result.diagnostics = SolverDiagnostics{};
-  result.goal_trajectory.resize(interval + 1);
-  std::size_t trajectory_entry = 0;
-  const auto record_trajectory = [&] {
-    result.goal_trajectory[trajectory_entry++].assign(
-        result.cycle_probabilities.begin(), result.cycle_probabilities.end());
-  };
-  record_trajectory();
-
-  ensure_zeroed(ws.p, dim);
-  ws.p[0] = 1.0;
-  ensure_zeroed(ws.p_next, dim);
-  double goal_mass_seen = 0.0;
-  for (std::uint32_t cycle = 0; cycle < interval; ++cycle) {
-    if (static_cast<std::uint64_t>(cycle + 1) * frame <= ttl) {
-      // Full pre-TTL cycle: attempts via the accounting matrix, then one
-      // product advance in place of `frame` per-slot steps.
-      for (std::size_t h = 0; h < hops; ++h) {
-        double a = 0.0;
-        for (std::size_t x = 0; x < dim; ++x) a += ws.p[x] * ws.attempts(x, h);
-        result.expected_transmissions_per_hop[h] += a;
-        result.expected_transmissions += a;
-      }
-      // p <- p^T * product, the arithmetic of CsrMatrix::left_multiply
-      // replayed into the ping-pong buffer.
-      for (std::size_t i = 0; i < dim; ++i) ws.p_next[i] = 0.0;
-      for (std::size_t r = 0; r < dim; ++r) {
-        const double xr = ws.p[r];
-        if (xr == 0.0) continue;
-        product.for_each_in_row(
-            r, [&](std::size_t c, double v) { ws.p_next[c] += xr * v; });
-      }
-      std::swap(ws.p, ws.p_next);
-    } else if (cycle * frame < ttl) {
-      // The cycle the TTL cuts through fires its opportunities one by one
-      // so the discard lands on the exact slot; cycles past the TTL fall
-      // straight through.
-      for (const Opportunity& o : opportunities_) {
-        const std::uint32_t slot = cycle * frame + o.slot;
-        if (slot > ttl) break;
-        const std::size_t h = o.hop;
-        const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(slot));
-        result.expected_transmissions += ws.p[h];
-        result.expected_transmissions_per_hop[h] += ws.p[h];
-        const double moved = ws.p[h] * ps;
-        ws.p[h] -= moved;
-        if (h + 1 == hops)
-          ws.p[goal] += moved;
-        else
-          ws.p[h + 1] += moved;
-      }
-      // TTL expired: every in-flight message is discarded.
-      for (std::size_t h = 0; h < hops; ++h) {
-        result.discard_probability += ws.p[h];
-        ws.p[h] = 0.0;
-      }
-    }
-    result.cycle_probabilities[cycle] = ws.p[goal] - goal_mass_seen;
-    goal_mass_seen = ws.p[goal];
-    record_trajectory();
-  }
-  // When the TTL coincides with a product-advanced cycle boundary the
-  // expired mass never passed a per-slot discard; sweep it now.
-  for (std::size_t h = 0; h < hops; ++h) {
-    result.discard_probability += ws.p[h];
-    ws.p[h] = 0.0;
-  }
-
-  // Delivered-attempt accounting, folded backward cycle-by-cycle.  b
-  // starts as the goal indicator at the TTL slot (transient mass there is
-  // lost, so its delivery probability is already 0); the TTL cycle runs
-  // per-slot, every earlier cycle collapses through K and the product.
-  {
-    WHART_TIMER("hart.stage.tail_solve.ns");
-    ensure_zeroed(ws.b, dim);
-    ws.b[goal] = 1.0;
-    ensure_zeroed(ws.u, dim);
-    const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-    for (std::size_t i = opportunities_.size(); i-- > 0;) {
-      const std::uint32_t slot = ttl_cycle * frame + opportunities_[i].slot;
-      if (slot > ttl) continue;
-      const std::size_t h = opportunities_[i].hop;
-      const double ps = links.up_probability(
-          h, config_.superframe.absolute_slot_of_uplink(slot));
-      const std::size_t target = h + 1 == hops ? goal : h + 1;
-      const double b_before = ps * ws.b[target] + (1.0 - ps) * ws.b[h];
-      ws.u[h] = ps * ws.u[target] + (1.0 - ps) * ws.u[h] + b_before;
-      ws.b[h] = b_before;
-    }
-    ensure_zeroed(ws.u_next, dim);
-    ensure_zeroed(ws.b_next, dim);
-    for (std::uint32_t cycle = ttl_cycle; cycle-- > 0;) {
-      for (std::size_t i = 0; i < dim; ++i) {
-        ws.u_next[i] = 0.0;
-        ws.b_next[i] = 0.0;
-      }
-      for (std::size_t r = 0; r < dim; ++r) {
-        double acc = 0.0;
-        for (std::size_t c = 0; c < dim; ++c)
-          acc += ws.delivered_kernel(r, c) * ws.b[c];
-        ws.u_next[r] = acc;
-      }
-      for (std::size_t r = 0; r < dim; ++r)
-        product.for_each_in_row(r, [&](std::size_t c, double v) {
-          ws.u_next[r] += v * ws.u[c];
-          ws.b_next[r] += v * ws.b[c];
-        });
-      std::swap(ws.u, ws.u_next);
-      std::swap(ws.b, ws.b_next);
-    }
-    result.expected_transmissions_delivered = ws.u[0];
-  }
-
-  result.diagnostics.dtmc_states = dim;
-  result.diagnostics.transient_states = hops;
-  result.diagnostics.absorbing_states = 2;
-  result.diagnostics.forward_steps = horizon;
-  result.diagnostics.kernel = TransientKernel::kSuperframeProduct;
-  const double goal_mass =
-      std::accumulate(result.cycle_probabilities.begin(),
-                      result.cycle_probabilities.end(), 0.0);
-  result.diagnostics.mass_residual =
-      std::abs(1.0 - goal_mass - result.discard_probability);
-  WHART_COUNT("hart.path_solve.count");
-  WHART_COUNT("hart.path_solve.superframe");
-  WHART_OBSERVE("hart.path_solve.states", dim);
-  WHART_EVENT(kSolveDone, "hart.path_solve", dim, 0);
-#ifndef WHART_OBS_DISABLED
-  if (timed) {
-    const auto elapsed = std::chrono::steady_clock::now() - solve_start;
-    result.diagnostics.solve_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    WHART_OBSERVE("hart.path_solve.ns", result.diagnostics.solve_ns);
-  }
-#endif
-}
-
-void PathModel::analyze_superframe_batch_into(
-    const std::vector<markov::CsrPattern>& factor_patterns,
-    const markov::CsrPattern& product_pattern, BatchSolveWorkspace& ws,
-    std::span<PathTransientResult* const> results) const {
-  // Common batch widths run the fixed-width instantiation (flat-unrolled
-  // lane loops); anything else takes the runtime-width fallback.  Same
-  // arithmetic either way — the dispatch only changes code generation.
-  switch (results.size()) {
-    case 4:
-      analyze_superframe_batch_lanes<4>(factor_patterns, product_pattern, ws,
-                                        results);
-      break;
-    case 8:
-      analyze_superframe_batch_lanes<8>(factor_patterns, product_pattern, ws,
-                                        results);
-      break;
-    case 16:
-      analyze_superframe_batch_lanes<16>(factor_patterns, product_pattern, ws,
-                                         results);
-      break;
-    default:
-      analyze_superframe_batch_lanes<0>(factor_patterns, product_pattern, ws,
-                                        results);
-      break;
-  }
-}
-
-template <std::size_t kLanes>
-void PathModel::analyze_superframe_batch_lanes(
-    const std::vector<markov::CsrPattern>& factor_patterns,
-    const markov::CsrPattern& product_pattern, BatchSolveWorkspace& ws,
-    std::span<PathTransientResult* const> results) const {
-  WHART_SPAN("path_solve_batch");
-  namespace simd = linalg::simd;
-  const std::size_t lanes = kLanes == 0 ? results.size() : kLanes;
-  expects(lanes >= 1, "at least one lane");
-  expects(factor_patterns.size() == opportunities_.size() &&
-              ws.factor_values.size() == opportunities_.size(),
-          "one chain factor per transmission opportunity");
-  expects(ws.ps.size() == opportunities_.size() * lanes,
-          "one success probability per opportunity per lane");
-  expects(ws.product_values.size() == product_pattern.nonzeros() * lanes,
-          "product values refilled for this lane count");
-#ifndef WHART_OBS_DISABLED
-  const bool timed = common::obs::metrics_enabled();
-  const auto solve_start = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-#endif
-  const std::size_t hops = config_.hop_count();
-  const std::size_t dim = hops + 2;
-  const std::size_t goal = hops;
-  const std::uint32_t frame = config_.superframe.uplink_slots;
-  const std::uint32_t ttl = config_.effective_ttl();
-  const std::uint32_t interval = config_.reporting_interval;
-  const std::uint32_t horizon = config_.horizon();
-
-  // One-cycle accounting structures from the dense prefix/suffix sweep of
-  // analyze_superframe_into, each entry widened to a lane array; the
-  // per-lane accumulation order matches the scalar sweep entry for entry.
   ws.prefix.assign(dim * dim * lanes, 0.0);
   for (std::size_t i = 0; i < dim; ++i)
     simd::fill(ws.prefix.data() + (i * dim + i) * lanes, 1.0, lanes);
@@ -627,14 +404,13 @@ void PathModel::analyze_superframe_batch_lanes(
     }
     // prefix <- prefix * M_i: the arithmetic of left_multiply_batch_into
     // (accumulation ascending over the factor's rows), lane-wide.
-    const markov::CsrPattern& step = factor_patterns[i];
-    const std::vector<double>& step_values = ws.factor_values[i];
+    const LaneCsr& step = factors[i];
     simd::fill(ws.prefix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t k = 0; k < dim; ++k)
       for (std::size_t idx = step.row_start[k]; idx < step.row_start[k + 1];
            ++idx) {
         const std::size_t c = step.col_index[idx];
-        const double* value = step_values.data() + idx * lanes;
+        const double* value = step.values + idx * lanes;
         for (std::size_t r = 0; r < dim; ++r)
           simd::mul_add(ws.prefix_next.data() + (r * dim + c) * lanes,
                         ws.prefix.data() + (r * dim + k) * lanes, value,
@@ -650,14 +426,13 @@ void PathModel::analyze_superframe_batch_lanes(
   ws.suffix_next.assign(dim * dim * lanes, 0.0);
   for (std::size_t i = opportunities_.size(); i-- > 0;) {
     const std::size_t hop = opportunities_[i].hop;
-    const markov::CsrPattern& step = factor_patterns[i];
-    const std::vector<double>& step_values = ws.factor_values[i];
+    const LaneCsr& step = factors[i];
     simd::fill(ws.suffix_next.data(), 0.0, dim * dim * lanes);
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t idx = step.row_start[r]; idx < step.row_start[r + 1];
            ++idx) {
         const std::size_t k = step.col_index[idx];
-        const double* value = step_values.data() + idx * lanes;
+        const double* value = step.values + idx * lanes;
         for (std::size_t c = 0; c < dim; ++c)
           simd::mul_add(ws.suffix_next.data() + (r * dim + c) * lanes, value,
                         ws.suffix.data() + (k * dim + c) * lanes, lanes);
@@ -710,17 +485,15 @@ void PathModel::analyze_superframe_batch_lanes(
           results[l]->expected_transmissions += ws.lane_scratch[l];
         }
       }
-      // p <- p^T * product.  The scalar core skips rows with p[r] == 0;
-      // lanes cannot branch independently, and the skipped contributions
-      // are exact zeros, so every row is visited.
+      // p <- p^T * product.  Every row is visited: lanes cannot branch
+      // independently, and a row with p[r] == 0 contributes exact zeros.
       simd::fill(ws.p_next.data(), 0.0, dim * lanes);
       for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product_pattern.row_start[r];
-             idx < product_pattern.row_start[r + 1]; ++idx)
-          simd::mul_add(
-              ws.p_next.data() + product_pattern.col_index[idx] * lanes,
-              ws.p.data() + r * lanes,
-              ws.product_values.data() + idx * lanes, lanes);
+        for (std::size_t idx = product.row_start[r];
+             idx < product.row_start[r + 1]; ++idx)
+          simd::mul_add(ws.p_next.data() + product.col_index[idx] * lanes,
+                        ws.p.data() + r * lanes,
+                        product.values + idx * lanes, lanes);
       std::swap(ws.p, ws.p_next);
     } else if (cycle * frame < ttl) {
       // The cycle the TTL cuts through fires its opportunities one by one
@@ -761,8 +534,10 @@ void PathModel::analyze_superframe_batch_lanes(
       ws.p[h * lanes + l] = 0.0;
     }
 
-  // Delivered-attempt accounting, folded backward cycle-by-cycle exactly
-  // as in the scalar core.
+  // Delivered-attempt accounting, folded backward cycle-by-cycle.  b
+  // starts as the goal indicator at the TTL slot (transient mass there is
+  // lost, so its delivery probability is already 0); the TTL cycle runs
+  // per-slot, every earlier cycle collapses through K and the product.
   {
     WHART_TIMER("hart.stage.tail_solve.ns");
     ws.b.assign(dim * lanes, 0.0);
@@ -798,10 +573,10 @@ void PathModel::analyze_superframe_batch_lanes(
                    lanes);
       }
       for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product_pattern.row_start[r];
-             idx < product_pattern.row_start[r + 1]; ++idx) {
-          const std::size_t c = product_pattern.col_index[idx];
-          const double* value = ws.product_values.data() + idx * lanes;
+        for (std::size_t idx = product.row_start[r];
+             idx < product.row_start[r + 1]; ++idx) {
+          const std::size_t c = product.col_index[idx];
+          const double* value = product.values + idx * lanes;
           simd::mul_add(ws.u_next.data() + r * lanes, value,
                         ws.u.data() + c * lanes, lanes);
           simd::mul_add(ws.b_next.data() + r * lanes, value,
@@ -932,19 +707,23 @@ namespace {
 
 /// Verification-harness adapter: `inject_stale_skeleton` biases hop 0's
 /// success probability, emulating a refill that wrote stale values into
-/// the skeleton's structures.  Only the skeleton path wraps providers
-/// with this, so fresh and refilled solves diverge and the differential
+/// the skeleton's structures.  Only the skeleton path applies it (the
+/// refill gather through `bias`, the per-slot route through this
+/// wrapper), so fresh and refilled solves diverge and the differential
 /// oracle's refill arm must notice.
 class StaleLinks final : public LinkProbabilityProvider {
  public:
   StaleLinks(const LinkProbabilityProvider& base, double delta) noexcept
       : base_(base), delta_(delta) {}
 
+  [[nodiscard]] static double bias(double p, std::size_t hop,
+                                   double delta) noexcept {
+    return hop == 0 && delta != 0.0 ? std::clamp(p + delta, 0.0, 1.0) : p;
+  }
+
   [[nodiscard]] double up_probability(
       std::size_t hop, std::uint64_t absolute_slot) const override {
-    double p = base_.up_probability(hop, absolute_slot);
-    if (hop == 0) p = std::clamp(p + delta_, 0.0, 1.0);
-    return p;
+    return bias(base_.up_probability(hop, absolute_slot), hop, delta_);
   }
   [[nodiscard]] std::size_t hop_count() const override {
     return base_.hop_count();
@@ -1035,27 +814,39 @@ PathModelSkeleton::PathModelSkeleton(PathModelConfig config)
               .count()));
 }
 
-void PathModelSkeleton::prime(SolveWorkspace& ws) const {
-  ws.factors.clear();
-  ws.factors.reserve(factor_patterns_.size());
-  for (const markov::CsrPattern& pattern : factor_patterns_)
-    ws.factors.push_back(linalg::CsrMatrix::from_parts(
-        pattern.rows, pattern.cols, pattern.row_start, pattern.col_index,
-        std::vector<double>(pattern.nonzeros(), 1.0)));
-  const markov::CsrPattern& product = chain_.pattern();
-  ws.product = linalg::CsrMatrix::from_parts(
-      product.rows, product.cols, product.row_start, product.col_index,
-      std::vector<double>(product.nonzeros(), 0.0));
+void PathModelSkeleton::prime(SolveWorkspace& ws, std::size_t lanes) const {
+  if (ws.primed && ws.primed_lanes == lanes &&
+      ws.primed_config == model_.config())
+    return;
+  ws.factor_values.resize(factor_patterns_.size());
+  for (std::size_t i = 0; i < factor_patterns_.size(); ++i)
+    ws.factor_values[i].assign(factor_patterns_[i].nonzeros() * lanes, 1.0);
+  ws.product_values.assign(chain_.pattern().nonzeros() * lanes, 0.0);
+  ws.ps.assign(provenance_.size() * lanes, 0.0);
   ws.primed = true;
+  ws.primed_lanes = lanes;
   ws.primed_config = model_.config();
 }
 
-void PathModelSkeleton::analyze_into(const LinkProbabilityProvider& links,
-                                     const PathAnalysisOptions& options,
-                                     SolveWorkspace& ws,
-                                     PathTransientResult& result) const {
-  expects(links.hop_count() >= config().hop_count(),
-          "provider covers every hop");
+void PathModelSkeleton::solve_refilled(
+    SolveWorkspace& ws, std::span<PathTransientResult* const> results) const {
+  ws.factor_operands.clear();
+  for (std::size_t i = 0; i < factor_patterns_.size(); ++i)
+    ws.factor_operands.push_back({factor_patterns_[i].row_start.data(),
+                                  factor_patterns_[i].col_index.data(),
+                                  ws.factor_values[i].data()});
+  const markov::CsrPattern& product = chain_.pattern();
+  model_.analyze_superframe_batch_into(
+      ws.factor_operands,
+      {product.row_start.data(), product.col_index.data(),
+       ws.product_values.data()},
+      ws, results);
+}
+
+void PathModelSkeleton::solve_unrefilled(const LinkProbabilityProvider& links,
+                                         const PathAnalysisOptions& options,
+                                         SolveWorkspace& ws,
+                                         PathTransientResult& result) const {
   if (channel_enlarged(links, config().hop_count())) {
     // The skeleton's patterns describe the compact i.i.d. chain; a
     // multi-state channel enlarges the state space, so refilling cannot
@@ -1064,55 +855,94 @@ void PathModelSkeleton::analyze_into(const LinkProbabilityProvider& links,
     result = model_.analyze(links, options);
     return;
   }
-  const StaleLinks stale(links, options.inject_stale_skeleton);
-  const LinkProbabilityProvider& provider =
-      options.inject_stale_skeleton != 0.0
-          ? static_cast<const LinkProbabilityProvider&>(stale)
-          : links;
-
-  if (options.kernel == TransientKernel::kSuperframeProduct &&
-      provider.cycle_stationary()) {
-    if (options.inject_product_error != 0.0) {
-      // Product-entry injection perturbs a freshly built kernel; there
-      // is no refilled equivalent, so take the fresh path.
-      WHART_COUNT("hart.skeleton.refill_fallback");
-      result = model_.analyze(provider, options);
-      return;
-    }
-    // A firing probability of exactly 0 or 1 drops an entry from the
-    // assembled slot matrix, so the captured generic pattern no longer
-    // matches a fresh build — fall back rather than refill a structure
-    // the fresh path would not produce.
-    const net::SuperframeConfig& superframe = model_.config().superframe;
-    for (const SlotProvenance& prov : provenance_) {
-      const double ps = provider.up_probability(
-          prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-      if (!(ps > 0.0) || !(ps < 1.0)) {
-        WHART_COUNT("hart.skeleton.refill_fallback");
-        result = model_.analyze(provider, options);
-        return;
-      }
-    }
-    if (!ws.primed || !(ws.primed_config == model_.config())) prime(ws);
-    {
-      WHART_TIMER("hart.stage.refill.ns");
-      for (std::size_t i = 0; i < provenance_.size(); ++i) {
-        const SlotProvenance& prov = provenance_[i];
-        prov.write(provider.up_probability(
-                       prov.hop, superframe.absolute_slot_of_uplink(prov.slot)),
-                   ws.factors[i].values());
-      }
-      chain_.refill(ws.factors, ws.chain_arena, ws.product.values());
-    }
-    WHART_COUNT("hart.skeleton.refills");
-    model_.analyze_superframe_into(provider, ws.factors, ws.product, ws,
-                                   result);
-    return;
-  }
   if (options.kernel == TransientKernel::kSuperframeProduct)
     WHART_COUNT("hart.path_solve.kernel_fallback");
   WHART_COUNT("hart.skeleton.refills");
-  model_.analyze_per_slot_into(provider, ws, result);
+  const StaleLinks stale(links, options.inject_stale_skeleton);
+  model_.analyze_per_slot_into(stale, ws, result);
+}
+
+void PathModelSkeleton::refill_and_solve(
+    std::span<const LinkProbabilityProvider* const> links,
+    const PathAnalysisOptions& options, SolveWorkspace& ws,
+    std::span<PathTransientResult* const> results) const {
+  const std::size_t lanes = links.size();
+  prime(ws, lanes);
+  {
+    WHART_TIMER("hart.stage.refill.ns");
+    // Gather each opportunity's per-lane success probabilities into its
+    // factor's value lanes, then replay the cycle-product chain once for
+    // all lanes.
+    const net::SuperframeConfig& superframe = model_.config().superframe;
+    for (std::size_t fi = 0; fi < provenance_.size(); ++fi) {
+      const SlotProvenance& prov = provenance_[fi];
+      const std::uint64_t slot = superframe.absolute_slot_of_uplink(prov.slot);
+      double* ps = ws.ps.data() + fi * lanes;
+      std::vector<double>& values = ws.factor_values[fi];
+      for (std::size_t l = 0; l < lanes; ++l) {
+        ps[l] = StaleLinks::bias(links[l]->up_probability(prov.hop, slot),
+                                 prov.hop, options.inject_stale_skeleton);
+        values[prov.failure_index * lanes + l] = 1.0 - ps[l];
+        values[prov.success_index * lanes + l] = ps[l];
+      }
+    }
+    batch_refill_->refill(ws.factor_values, lanes, ws.chain_arena,
+                          ws.product_values);
+  }
+  WHART_COUNT_N("hart.skeleton.refills", lanes);
+  if (lanes > 1) {
+    WHART_COUNT("hart.batch.refills");
+    WHART_COUNT_N("hart.batch.lanes_filled", lanes);
+    if (options.inject_lane_swap) {
+      // Verification-harness injection: cross-lane contamination of the
+      // refilled product, the signature of a lane-indexing bug.
+      for (std::size_t k = 0; k < chain_.pattern().nonzeros(); ++k)
+        std::swap(ws.product_values[k * lanes],
+                  ws.product_values[k * lanes + 1]);
+    }
+  }
+  solve_refilled(ws, results);
+}
+
+void PathModelSkeleton::analyze_into(const LinkProbabilityProvider& links,
+                                     const PathAnalysisOptions& options,
+                                     SolveWorkspace& ws,
+                                     PathTransientResult& result) const {
+  expects(links.hop_count() >= config().hop_count(),
+          "provider covers every hop");
+  if (options.kernel != TransientKernel::kSuperframeProduct ||
+      !links.cycle_stationary() ||
+      channel_enlarged(links, config().hop_count())) {
+    solve_unrefilled(links, options, ws, result);
+    return;
+  }
+  const LinkProbabilityProvider* const lane = &links;
+  PathTransientResult* const out = &result;
+  refill_and_solve({&lane, 1}, options, ws, {&out, 1});
+}
+
+void PathModelSkeleton::analyze_batch_into(
+    std::span<const LinkProbabilityProvider* const> links,
+    const PathAnalysisOptions& options, SolveWorkspace& ws,
+    std::span<PathTransientResult> results) const {
+  expects(links.size() == results.size(), "one result per provider");
+  ws.lane_links.clear();
+  ws.result_ptrs.clear();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    expects(links[i]->hop_count() >= config().hop_count(),
+            "provider covers every hop");
+    if (options.kernel == TransientKernel::kSuperframeProduct &&
+        links[i]->cycle_stationary() &&
+        !channel_enlarged(*links[i], config().hop_count())) {
+      ws.lane_links.push_back(links[i]);
+      ws.result_ptrs.push_back(&results[i]);
+    } else {
+      WHART_COUNT("hart.batch.remainder_points");
+      solve_unrefilled(*links[i], options, ws, results[i]);
+    }
+  }
+  if (!ws.lane_links.empty())
+    refill_and_solve(ws.lane_links, options, ws, ws.result_ptrs);
 }
 
 bool PathModelSkeleton::analyze_incremental_into(
@@ -1123,170 +953,54 @@ bool PathModelSkeleton::analyze_incremental_into(
   expects(links.hop_count() >= config().hop_count(),
           "provider covers every hop");
   // The incremental path exists only where the cycle product does; every
-  // regime analyze_into would route elsewhere (per-slot kernel,
-  // non-stationary links, channel enlargement) or solve fresh (refill
-  // injections, degenerate ps) is declined here so the caller's fresh
-  // fallback reproduces analyze_into's behavior exactly.
+  // regime analyze_into would route to another core is declined here so
+  // the caller's fallback reproduces analyze_into's behavior exactly.
   if (options.kernel != TransientKernel::kSuperframeProduct ||
       !links.cycle_stationary() ||
-      channel_enlarged(links, config().hop_count()) ||
-      options.inject_product_error != 0.0 ||
-      options.inject_stale_skeleton != 0.0) {
+      channel_enlarged(links, config().hop_count())) {
     WHART_COUNT("hart.whatif.incremental_fallback");
     return false;
   }
-  const net::SuperframeConfig& superframe = model_.config().superframe;
-  for (const SlotProvenance& prov : provenance_) {
-    const double ps = links.up_probability(
-        prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-    if (!(ps > 0.0) || !(ps < 1.0)) {
-      WHART_COUNT("hart.whatif.incremental_fallback");
-      return false;
-    }
-  }
-  if (!ws.primed || !(ws.primed_config == model_.config())) prime(ws);
+  prime(ws, 1);
   {
     WHART_TIMER("hart.stage.incremental_refill.ns");
-    if (!product.seeded()) {
-      // Cold start: write every firing value and seed the partial-value
-      // cache with one full replay.
-      for (std::size_t i = 0; i < provenance_.size(); ++i) {
-        const SlotProvenance& prov = provenance_[i];
-        prov.write(links.up_probability(
-                       prov.hop, superframe.absolute_slot_of_uplink(prov.slot)),
-                   ws.factors[i].values());
-      }
-      product.refill(ws.factors);
-      WHART_COUNT("hart.whatif.seeds");
-    } else {
-      for (std::size_t i = 0; i < provenance_.size(); ++i) {
-        const SlotProvenance& prov = provenance_[i];
-        bool changed = false;
-        for (std::size_t hop : changed_hops) changed |= prov.hop == hop;
-        if (!changed) continue;
-        prov.write(links.up_probability(
-                       prov.hop, superframe.absolute_slot_of_uplink(prov.slot)),
-                   ws.factors[i].values());
+    // Cold start: write every firing value and seed the partial-value
+    // cache with one full replay.  Warm: write the changed hops' values
+    // and replay only the product rows they reach.
+    const bool seed = !product.seeded();
+    const net::SuperframeConfig& superframe = model_.config().superframe;
+    for (std::size_t i = 0; i < provenance_.size(); ++i) {
+      const SlotProvenance& prov = provenance_[i];
+      ws.ps[i] = links.up_probability(
+          prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
+      if (!seed && std::find(changed_hops.begin(), changed_hops.end(),
+                             prov.hop) == changed_hops.end())
+        continue;
+      prov.write(ws.ps[i], ws.factor_values[i]);
+      if (!seed) {
         product.update(i, prov.failure_index);
         product.update(i, prov.success_index);
       }
-      product.propagate(ws.factors);
+    }
+    if (seed) {
+      product.refill(ws.factor_values);
+      WHART_COUNT("hart.whatif.seeds");
+    } else {
+      product.propagate(ws.factor_values);
       WHART_COUNT("hart.whatif.incremental_solves");
     }
     const std::span<const double> values = product.values();
-    std::copy(values.begin(), values.end(), ws.product.values().begin());
+    std::copy(values.begin(), values.end(), ws.product_values.begin());
     if (options.inject_stale_product_row != 0.0) {
       // Emulate a row the targeted re-accumulation failed to replay.
       const markov::CsrPattern& pattern = chain_.pattern();
-      const std::span<double> out = ws.product.values();
       for (std::size_t k = pattern.row_start[0]; k < pattern.row_start[1]; ++k)
-        out[k] += options.inject_stale_product_row;
+        ws.product_values[k] += options.inject_stale_product_row;
     }
   }
-  model_.analyze_superframe_into(links, ws.factors, ws.product, ws, result);
+  PathTransientResult* const out = &result;
+  solve_refilled(ws, {&out, 1});
   return true;
-}
-
-void PathModelSkeleton::prime_batch(BatchSolveWorkspace& ws,
-                                    std::size_t lanes) const {
-  ws.factor_values.resize(factor_patterns_.size());
-  for (std::size_t i = 0; i < factor_patterns_.size(); ++i)
-    ws.factor_values[i].assign(factor_patterns_[i].nonzeros() * lanes, 1.0);
-  ws.product_values.assign(chain_.pattern().nonzeros() * lanes, 0.0);
-  ws.primed = true;
-  ws.primed_lanes = lanes;
-  ws.primed_config = model_.config();
-}
-
-void PathModelSkeleton::analyze_batch_into(
-    std::span<const LinkProbabilityProvider* const> links,
-    const PathAnalysisOptions& options, BatchSolveWorkspace& ws,
-    std::span<PathTransientResult> results) const {
-  expects(links.size() == results.size(), "one result per provider");
-  const net::SuperframeConfig& superframe = model_.config().superframe;
-
-  // Partition lanes: a lane is batchable when the SoA core reproduces its
-  // scalar refill exactly — superframe kernel, cycle-stationary provider,
-  // no fault injections that perturb the refill path, and no degenerate
-  // firing probability (ps of 0 or 1 changes the captured pattern).
-  ws.batched_index.clear();
-  ws.scalar_index.clear();
-  // The scan stashes every candidate's firing probabilities
-  // (candidate-major) so the refill gather below reuses them instead of
-  // querying each provider a second time.
-  ws.ps_scan.resize(links.size() * provenance_.size());
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    expects(links[i]->hop_count() >= config().hop_count(),
-            "provider covers every hop");
-    bool batchable = options.kernel == TransientKernel::kSuperframeProduct &&
-                     options.inject_product_error == 0.0 &&
-                     options.inject_stale_skeleton == 0.0 &&
-                     links[i]->cycle_stationary() &&
-                     !channel_enlarged(*links[i], config().hop_count());
-    if (batchable)
-      for (std::size_t fi = 0; fi < provenance_.size(); ++fi) {
-        const SlotProvenance& prov = provenance_[fi];
-        const double ps = links[i]->up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        ws.ps_scan[i * provenance_.size() + fi] = ps;
-        if (!(ps > 0.0) || !(ps < 1.0)) {
-          batchable = false;
-          break;
-        }
-      }
-    (batchable ? ws.batched_index : ws.scalar_index).push_back(i);
-  }
-  // A batch needs at least two lanes to amortize anything; below that,
-  // every point takes the scalar refill path.
-  if (ws.batched_index.size() < 2) {
-    WHART_COUNT_N("hart.batch.remainder_points", links.size());
-    for (std::size_t i = 0; i < links.size(); ++i)
-      analyze_into(*links[i], options, ws.scalar, results[i]);
-    return;
-  }
-  if (!ws.scalar_index.empty()) {
-    WHART_COUNT_N("hart.batch.remainder_points", ws.scalar_index.size());
-    for (std::size_t i : ws.scalar_index)
-      analyze_into(*links[i], options, ws.scalar, results[i]);
-  }
-
-  const std::size_t lanes = ws.batched_index.size();
-  if (!ws.primed || ws.primed_lanes != lanes ||
-      !(ws.primed_config == model_.config()))
-    prime_batch(ws, lanes);
-  WHART_COUNT("hart.batch.refills");
-  WHART_COUNT_N("hart.batch.lanes_filled", lanes);
-  {
-    WHART_TIMER("hart.stage.batch_refill.ns");
-    // One SoA refill prices every lane: gather each opportunity's
-    // per-lane success probabilities into its factor's value lanes, then
-    // replay the cycle-product chain once for all lanes.
-    ws.ps.resize(provenance_.size() * lanes);
-    for (std::size_t fi = 0; fi < provenance_.size(); ++fi) {
-      const SlotProvenance& prov = provenance_[fi];
-      std::vector<double>& factor_values = ws.factor_values[fi];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double ps =
-            ws.ps_scan[ws.batched_index[l] * provenance_.size() + fi];
-        ws.ps[fi * lanes + l] = ps;
-        factor_values[prov.failure_index * lanes + l] = 1.0 - ps;
-        factor_values[prov.success_index * lanes + l] = ps;
-      }
-    }
-    batch_refill_->refill(ws.factor_values, lanes, ws.chain_arena,
-                          std::span<double>(ws.product_values));
-  }
-  if (options.inject_lane_swap) {
-    // Verification-harness injection: cross-lane contamination of the
-    // refilled product, the signature of a lane-indexing bug.
-    for (std::size_t k = 0; k < chain_.pattern().nonzeros(); ++k)
-      std::swap(ws.product_values[k * lanes],
-                ws.product_values[k * lanes + 1]);
-  }
-  ws.result_ptrs.clear();
-  for (std::size_t i : ws.batched_index) ws.result_ptrs.push_back(&results[i]);
-  model_.analyze_superframe_batch_into(factor_patterns_, chain_.pattern(), ws,
-                                       ws.result_ptrs);
 }
 
 }  // namespace whart::hart

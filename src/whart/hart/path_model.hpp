@@ -57,27 +57,23 @@ struct PathAnalysisOptions {
   TransientKernel kernel = TransientKernel::kPerSlot;
 
   /// Verification-harness fault injection: when nonzero, this delta is
-  /// added to one entry of the cycle-product matrix before solving
-  /// (kSuperframeProduct only).  It deliberately breaks the collapse so
-  /// the differential oracle can prove it catches a bad product build.
-  /// Always 0 in production.
+  /// added to entry (0, 0) of a fresh PathModel::analyze build's cycle
+  /// product before solving (kSuperframeProduct only).  It deliberately
+  /// breaks the collapse so the differential oracle can prove it catches
+  /// a bad product build.  Ignored by skeleton refills.  Always 0 in
+  /// production.
   double inject_product_error = 0.0;
 
   /// Verification-harness fault injection: when nonzero, a
-  /// PathModelSkeleton refill biases hop 0's success probability by this
-  /// delta — a deliberately stale numeric phase, so the differential
-  /// oracle can prove its refill arm catches skeleton/value drift.
-  /// Ignored by fresh PathModel::analyze builds.  Always 0 in production.
+  /// PathModelSkeleton refill (analyze_into, analyze_batch_into) biases
+  /// hop 0's success probability by this delta — a deliberately stale
+  /// numeric phase, so the differential oracle can prove its refill arm
+  /// catches skeleton/value drift.  Ignored by fresh PathModel::analyze
+  /// builds and incremental replays.  Always 0 in production.
   double inject_stale_skeleton = 0.0;
 
-  /// Evaluation points refilled together by the SoA batch core
-  /// (DESIGN.md §13): sweeps and rank_link_upgrades chunk same-shape
-  /// grid points into batches of at most this many lanes and solve them
-  /// through PathModelSkeleton::analyze_batch_into.  1 = scalar refills.
-  std::size_t batch_lanes = 1;
-
   /// Verification-harness fault injection: swap the first two value
-  /// lanes of the batched cycle product after the SoA refill — the
+  /// lanes of the refilled cycle product of a multi-lane solve — the
   /// signature of a lane-indexing bug in the Gustavson replay (cross-
   /// lane contamination), which the differential oracle's batch arm
   /// must catch.  Always false in production.
@@ -227,59 +223,33 @@ struct PathTransientResult {
   SolverDiagnostics diagnostics;
 };
 
-/// Reusable numeric-phase scratch of the skeleton solve path (DESIGN.md
-/// §12).  Every buffer grows to its high-water mark on the first solve
-/// of a given shape and is only rewritten afterwards, so a warm
-/// workspace makes PathModelSkeleton::analyze_into allocation-free.
-/// One workspace per thread; pool with common::WorkspacePool.
-struct SolveWorkspace {
-  // Numeric-phase matrices, primed from the skeleton's patterns: one
-  // chain factor per transmission opportunity (PathModel::opportunities
-  // order) and the cycle product, whose `values` arrays are refilled in
-  // place before each solve.
-  std::vector<linalg::CsrMatrix> factors;
-  linalg::CsrMatrix product;
-  markov::ChainRefillArena chain_arena;
-  bool primed = false;
-  PathModelConfig primed_config;  ///< shape the structures were built for
-
-  // Per-slot kernel scratch.
-  std::vector<double> beta;  ///< beta[t][h] flattened to ttl x hops
-  std::vector<double> mass;
-
-  // Superframe kernel scratch.
-  std::vector<double> prefix_columns;  ///< opportunities x dim, flattened
-  linalg::Matrix prefix;
-  linalg::Matrix prefix_next;
-  linalg::Matrix suffix;
-  linalg::Matrix suffix_next;
-  linalg::Matrix attempts;
-  linalg::Matrix delivered_kernel;
-  linalg::Vector p;
-  linalg::Vector p_next;
-  linalg::Vector b;
-  linalg::Vector b_next;
-  linalg::Vector u;
-  linalg::Vector u_next;
-
-  /// Reusable transient output for callers that immediately reduce it to
-  /// measures (sweeps, the cache) and do not keep the full result.
-  PathTransientResult scratch_result;
+/// One CSR operand of the superframe solve core: a sparsity pattern plus
+/// its values, one lane array per stored entry (entry k occupies
+/// values[k * lanes, (k + 1) * lanes)).  A non-owning view, so a
+/// skeleton's patterns with refilled lanes and a fresh build's matrices
+/// (one lane) feed the same core.
+struct LaneCsr {
+  const std::size_t* row_start = nullptr;
+  const std::size_t* col_index = nullptr;
+  const double* values = nullptr;
 };
 
-/// Reusable SoA scratch of PathModelSkeleton::analyze_batch_into
-/// (DESIGN.md §13).  Every numeric structure of the superframe solve is
-/// widened by a lane dimension in entry-major layout — entry k of a
-/// buffer occupies lane array [k * lanes, (k + 1) * lanes) — so the
-/// batched core streams the shared patterns once while the arithmetic
-/// runs lane-parallel.  Buffers reach their high-water mark on the first
-/// solve of a (shape, lane count) and warm batched solves allocate
-/// nothing.  One workspace per thread; pool with common::WorkspacePool.
-struct BatchSolveWorkspace {
-  /// SoA factor values primed from the skeleton's patterns (one per
-  /// transmission opportunity: nonzeros x lanes; constant entries hold
-  /// 1.0, firing entries are refilled per batch) and the SoA
-  /// cycle-product values they collapse into through markov::BatchRefill.
+/// Reusable numeric-phase scratch of the path solves (DESIGN.md §12,
+/// §13).  Every superframe solve runs the structure-of-arrays core, whose
+/// buffers carry a lane dimension in entry-major layout — entry k of a
+/// buffer occupies lane array [k * lanes, (k + 1) * lanes) — so a batch
+/// of N same-shape points streams the shared patterns once while the
+/// arithmetic runs lane-parallel; a single solve is the same code at one
+/// lane.  Every buffer grows to its high-water mark on the first solve of
+/// a (shape, lane count) and is only rewritten afterwards, so a warm
+/// workspace makes the skeleton solves allocation-free.  One workspace
+/// per thread; pool with common::WorkspacePool.
+struct SolveWorkspace {
+  /// Factor values primed from the skeleton's patterns (one per
+  /// transmission opportunity, PathModel::opportunities order:
+  /// nonzeros x lanes; constant entries hold 1.0, firing entries are
+  /// refilled per solve) and the cycle-product values they collapse into
+  /// through markov::BatchRefill.
   std::vector<std::vector<double>> factor_values;
   std::vector<double> product_values;
   markov::BatchLaneArena chain_arena;
@@ -291,8 +261,14 @@ struct BatchSolveWorkspace {
   /// (opportunities x lanes, PathModel::opportunities order).
   std::vector<double> ps;
 
-  // Lane-widened superframe solve scratch (dims as in SolveWorkspace,
-  // each times lanes).
+  /// The core's view of the factors (one per opportunity).
+  std::vector<LaneCsr> factor_operands;
+
+  // Per-slot kernel scratch.
+  std::vector<double> beta;  ///< beta[t][h] flattened to ttl x hops
+  std::vector<double> mass;
+
+  // Superframe core scratch, dim = hops + 2 (each times lanes).
   std::vector<double> prefix_columns;  ///< opportunities x dim x lanes
   std::vector<double> prefix;          ///< dim x dim x lanes
   std::vector<double> prefix_next;
@@ -309,22 +285,14 @@ struct BatchSolveWorkspace {
   std::vector<double> lane_scratch;  ///< lanes
   std::vector<double> goal_seen;     ///< lanes
 
-  /// Lane bookkeeping of one analyze_batch_into call: which caller
-  /// indices were packed into the SoA solve vs sent to the scalar path.
-  std::vector<std::size_t> batched_index;
-  std::vector<std::size_t> scalar_index;
+  /// Lane bookkeeping of one analyze_batch_into call: the providers and
+  /// outputs of the lanes refilled together.
+  std::vector<const LinkProbabilityProvider*> lane_links;
   std::vector<PathTransientResult*> result_ptrs;
-  /// Per-candidate firing probabilities gathered during the
-  /// batchability scan (candidate-major: candidate i's values occupy
-  /// [i * firings, (i + 1) * firings)), reused by the refill gather so
-  /// each provider is queried once per firing.
-  std::vector<double> ps_scan;
 
-  /// Scalar-path scratch of the per-lane fallbacks.
-  SolveWorkspace scalar;
-
-  /// Reusable transient outputs for callers that immediately reduce the
-  /// batch to measures (sweeps) and do not keep the full results.
+  /// Reusable transient outputs for callers that immediately reduce them
+  /// to measures (sweeps, the cache) and do not keep the full results.
+  PathTransientResult scratch_result;
   std::vector<PathTransientResult> scratch_results;
 };
 
@@ -451,24 +419,18 @@ class PathModel {
   void analyze_per_slot_into(const LinkProbabilityProvider& links,
                              SolveWorkspace& workspace,
                              PathTransientResult& result) const;
-  /// The superframe core reads `factors` in opportunities() order (the
-  /// identity slots of a cycle do nothing to its prefix/suffix sweeps)
-  /// and `product` is the collapsed cycle.
-  void analyze_superframe_into(const LinkProbabilityProvider& links,
-                               std::span<const linalg::CsrMatrix> factors,
-                               const linalg::CsrMatrix& product,
-                               SolveWorkspace& workspace,
-                               PathTransientResult& result) const;
 
-  /// SoA batch core (DESIGN.md §13): the superframe solve with every
-  /// numeric buffer widened by a lane dimension.  The workspace's
-  /// factor_values, ps and product_values must already be filled for
-  /// results.size() lanes; per-lane arithmetic order matches
-  /// analyze_superframe_into, so each lane agrees with its scalar solve
-  /// to rounding (1e-12 in the lane-equivalence battery).
+  /// The superframe core (DESIGN.md §13), lane-parallel over
+  /// results.size() points: `factors` are the chain factors in
+  /// opportunities() order (the identity slots of a cycle do nothing to
+  /// its prefix/suffix sweeps), `product` is the collapsed cycle, and
+  /// workspace.ps holds every opportunity's per-lane success
+  /// probability.  Each lane's arithmetic is independent of the lane
+  /// count, and a lane's extra pattern entries holding +0.0 add exact
+  /// zeros, so a point solves to the same bits in any batch.
   void analyze_superframe_batch_into(
-      const std::vector<markov::CsrPattern>& factor_patterns,
-      const markov::CsrPattern& product_pattern, BatchSolveWorkspace& workspace,
+      std::span<const LaneCsr> factors, const LaneCsr& product,
+      SolveWorkspace& workspace,
       std::span<PathTransientResult* const> results) const;
   /// Lane-count-specialized body of analyze_superframe_batch_into:
   /// kLanes == 0 reads the width from results.size() at runtime; the
@@ -477,8 +439,8 @@ class PathModel {
   /// unroll flat.  Arithmetic is identical in every instantiation.
   template <std::size_t kLanes>
   void analyze_superframe_batch_lanes(
-      const std::vector<markov::CsrPattern>& factor_patterns,
-      const markov::CsrPattern& product_pattern, BatchSolveWorkspace& workspace,
+      std::span<const LaneCsr> factors, const LaneCsr& product,
+      SolveWorkspace& workspace,
       std::span<PathTransientResult* const> results) const;
 
   PathModelConfig config_;
@@ -499,15 +461,17 @@ class PathModel {
 /// (schedule, hop count, Is, TTL) shape.  The skeleton owns the firing
 /// table (its PathModel), one CSR sparsity pattern per
 /// transmission opportunity with a provenance map from each pattern's
-/// two live nonzeros to their values indices, and the symbolic
-/// cycle-product chain over those patterns alone — the identity slots of
-/// a cycle are left out, so symbolic and numeric cost track
-/// transmissions, not frame length.
-/// `analyze_into` is the numeric phase: it refills only the `values`
-/// arrays from a link provider into a SolveWorkspace and solves through
-/// the same numeric cores as PathModel::analyze — no symbolic rebuild, no
-/// allocation once the workspace is warm, results bitwise equal to a
-/// fresh build.
+/// two live nonzeros to their values indices, the symbolic cycle-product
+/// chain over those patterns alone — the identity slots of a cycle are
+/// left out, so symbolic and numeric cost track transmissions, not frame
+/// length — and the compiled markov::BatchRefill plan over that chain.
+/// `analyze_into` / `analyze_batch_into` are the numeric phase: they
+/// refill only the value lanes from link providers into a SolveWorkspace
+/// and solve through the same numeric cores as PathModel::analyze — no
+/// symbolic rebuild, no allocation once the workspace is warm, results
+/// bitwise equal to a fresh build.  The patterns are captured at a
+/// generic probability, so a firing probability of 0 or 1 merely leaves
+/// +0.0 in entries a fresh build drops; those add exact zeros.
 class PathModelSkeleton {
  public:
   /// Runs the symbolic phase (validates the config like PathModel).
@@ -518,12 +482,11 @@ class PathModelSkeleton {
     return model_.config();
   }
 
-  /// Numeric phase.  Falls back to a fresh model().analyze — counted as
-  /// `hart.skeleton.refill_fallback` — when refilling cannot reproduce a
-  /// fresh build: a degenerate firing probability (ps of 0 or 1 changes
-  /// the captured sparsity pattern) or a product-entry injection.  A
-  /// non-cycle-stationary provider under kSuperframeProduct degrades to
-  /// the per-slot core exactly like PathModel::analyze.
+  /// Numeric phase: analyze_batch_into at one lane.  A channel-enlarged
+  /// provider solves fresh through model().analyze (counted as
+  /// `hart.skeleton.refill_fallback`); a non-cycle-stationary provider
+  /// under kSuperframeProduct degrades to the per-slot core exactly like
+  /// PathModel::analyze.
   void analyze_into(const LinkProbabilityProvider& links,
                     const PathAnalysisOptions& options,
                     SolveWorkspace& workspace,
@@ -539,12 +502,13 @@ class PathModelSkeleton {
   /// `changed_hops` must still hold the probabilities of the previous
   /// call (the caller re-solves to revert a perturbation, passing the
   /// same hops).  An unseeded product is seeded by a full replay
-  /// (`changed_hops` is then ignored).  Returns false — `result`
-  /// untouched, workspace and product unmodified — when the incremental
-  /// path cannot reproduce a fresh build: per-slot kernel, non-cycle-
-  /// stationary provider, channel enlargement, degenerate firing
-  /// probability, or a refill-path injection; the caller then solves
-  /// through analyze_into (with a separate workspace).
+  /// (`changed_hops` is then ignored).  The product replays the
+  /// workspace's one-lane factor values, and the transient solve is the
+  /// one-lane superframe core.  Returns false — `result` untouched,
+  /// workspace and product unmodified — where no cycle product exists:
+  /// per-slot kernel, non-cycle-stationary provider or channel
+  /// enlargement; the caller then solves through analyze_into (with a
+  /// separate workspace).
   bool analyze_incremental_into(const LinkProbabilityProvider& links,
                                 const PathAnalysisOptions& options,
                                 std::span<const std::size_t> changed_hops,
@@ -552,20 +516,17 @@ class PathModelSkeleton {
                                 SolveWorkspace& workspace,
                                 PathTransientResult& result) const;
 
-  /// Batched numeric phase (DESIGN.md §13): refill up to
-  /// options.batch_lanes evaluation points through one SoA pass over the
-  /// shared patterns and solve them lane-parallel.  `links` and `results`
-  /// are parallel arrays (one provider and output per lane).  Lanes the
-  /// batch core cannot reproduce exactly — non-cycle-stationary
-  /// providers, degenerate firing probabilities, or injection options —
-  /// are routed through the scalar analyze_into per lane (counted as
-  /// `hart.batch.remainder_points`); a batch only forms when at least
-  /// two lanes qualify.  Each batched lane agrees with its scalar solve
-  /// to rounding (~1e-15 relative), not bitwise: SIMD backends may fuse
-  /// multiply-adds differently from the scalar build.
+  /// Batched numeric phase (DESIGN.md §13): refill every evaluation
+  /// point through one pass over the shared patterns and solve them
+  /// lane-parallel — the lane count is links.size().  `links` and
+  /// `results` are parallel arrays (one provider and output per lane).
+  /// Lanes without a cycle product — per-slot kernel, non-cycle-
+  /// stationary or channel-enlarged providers — solve one by one as in
+  /// analyze_into (counted as `hart.batch.remainder_points`).  Every
+  /// refilled lane is bitwise equal to its own one-lane solve.
   void analyze_batch_into(std::span<const LinkProbabilityProvider* const> links,
                           const PathAnalysisOptions& options,
-                          BatchSolveWorkspace& workspace,
+                          SolveWorkspace& workspace,
                           std::span<PathTransientResult> results) const;
 
   /// Where an opportunity's two mutable values live in its chain factor
@@ -602,11 +563,26 @@ class PathModelSkeleton {
   }
 
  private:
-  /// Materialize workspace factor/product structures from the patterns.
-  void prime(SolveWorkspace& workspace) const;
+  /// Materialize the factor/product value arrays for `lanes` lanes
+  /// unless the workspace already holds them for this shape.
+  void prime(SolveWorkspace& workspace, std::size_t lanes) const;
 
-  /// Materialize the SoA factor/product value arrays for `lanes` lanes.
-  void prime_batch(BatchSolveWorkspace& workspace, std::size_t lanes) const;
+  /// A lane the refill cannot take (see analyze_into), solved alone.
+  void solve_unrefilled(const LinkProbabilityProvider& links,
+                        const PathAnalysisOptions& options,
+                        SolveWorkspace& workspace,
+                        PathTransientResult& result) const;
+
+  /// Refill `links.size()` lanes and solve them through the superframe
+  /// core.
+  void refill_and_solve(std::span<const LinkProbabilityProvider* const> links,
+                        const PathAnalysisOptions& options,
+                        SolveWorkspace& workspace,
+                        std::span<PathTransientResult* const> results) const;
+
+  /// Run the superframe core over the workspace's primed values.
+  void solve_refilled(SolveWorkspace& workspace,
+                      std::span<PathTransientResult* const> results) const;
 
   PathModel model_;
   std::vector<markov::CsrPattern> factor_patterns_;

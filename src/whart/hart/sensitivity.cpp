@@ -12,10 +12,8 @@
 #include "whart/common/parallel.hpp"
 #include "whart/hart/path_cache.hpp"
 #include "whart/hart/what_if.hpp"
-#include "whart/linalg/matrix.hpp"
 #include "whart/linalg/simd.hpp"
 #include "whart/markov/batch_refill.hpp"
-#include "whart/markov/superframe_kernel.hpp"
 
 namespace whart::hart {
 
@@ -69,7 +67,8 @@ std::vector<double> sensitivity_per_slot(const PathModel& model,
   return sensitivity;
 }
 
-/// Collapsed adjoint over the compact message chain: the per-slot sum
+/// Collapsed adjoint over the compact message chain, lane-parallel over
+/// one provider per lane on a shared skeleton: the per-slot sum
 /// mass * (beta_success - beta_failure) for hop h over one full cycle is
 /// the bilinear form p G_h b with
 ///   G_h = sum over opportunities j firing hop h of
@@ -78,123 +77,13 @@ std::vector<double> sensitivity_per_slot(const PathModel& model,
 /// the cycle's end (Prefix/Suffix are products of opportunity factors;
 /// the identity slots between them change neither).  Full pre-TTL cycles
 /// then cost one form each (p and b advance through the cycle product);
-/// only the cycle the TTL cuts runs opportunity by opportunity.
-std::vector<double> sensitivity_superframe(
-    const PathModel& model, const LinkProbabilityProvider& links) {
-  const PathModelConfig& config = model.config();
-  const std::size_t hops = config.hop_count();
-  const std::size_t dim = hops + 2;
-  const std::size_t goal = hops;
-  const std::uint32_t frame = config.superframe.uplink_slots;
-  const std::uint32_t ttl = config.effective_ttl();
-  const std::span<const PathModel::Opportunity> opportunities =
-      model.opportunities();
-  const std::size_t count = opportunities.size();
-  const auto target_of = [&](std::size_t h) {
-    return h + 1 == hops ? goal : h + 1;
-  };
-
-  std::vector<linalg::CsrMatrix> factors = model.opportunity_matrices(links);
-  std::vector<double> ps(count);
-  for (std::size_t i = 0; i < count; ++i)
-    ps[i] = links.up_probability(
-        opportunities[i].hop,
-        config.superframe.absolute_slot_of_uplink(opportunities[i].slot));
-
-  linalg::Matrix prefix = linalg::Matrix::identity(dim);
-  std::vector<double> prefix_columns(count * dim);
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t r = 0; r < dim; ++r)
-      prefix_columns[i * dim + r] = prefix(r, opportunities[i].hop);
-    prefix = linalg::left_multiply_batch(prefix, factors[i]);
-  }
-
-  std::vector<linalg::Matrix> adjoint(hops, linalg::Matrix(dim, dim));
-  linalg::Matrix suffix = linalg::Matrix::identity(dim);
-  for (std::size_t i = count; i-- > 0;) {
-    // Here suffix == Suffix_{j+1}: beta right after opportunity j fires.
-    const std::size_t h = opportunities[i].hop;
-    const std::size_t target = target_of(h);
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c)
-        adjoint[h](r, c) += prefix_columns[i * dim + r] *
-                            (suffix(target, c) - suffix(h, c));
-    linalg::Matrix next(dim, dim);
-    for (std::size_t r = 0; r < dim; ++r)
-      factors[i].for_each_in_row(r, [&](std::size_t k, double v) {
-        for (std::size_t c = 0; c < dim; ++c) next(r, c) += v * suffix(k, c);
-      });
-    suffix = std::move(next);
-  }
-  const markov::SuperframeKernel kernel(std::move(factors));
-  const linalg::CsrMatrix& product = kernel.cycle_product();
-
-  // Delivery vectors at the end of each full pre-TTL cycle, backward
-  // from the TTL cycle (whose opportunities fold in one by one from
-  // e_goal — the transient mass alive at the TTL slot is lost, delivery
-  // 0).  beta_after[i * dim ..] is b right after opportunity i fires in
-  // the TTL cycle.
-  const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-  linalg::Vector b(dim);
-  b[goal] = 1.0;
-  std::vector<double> beta_after(count * dim);
-  for (std::size_t i = count; i-- > 0;) {
-    if (ttl_cycle * frame + opportunities[i].slot > ttl) continue;
-    for (std::size_t r = 0; r < dim; ++r) beta_after[i * dim + r] = b[r];
-    const std::size_t h = opportunities[i].hop;
-    b[h] = ps[i] * b[target_of(h)] + (1.0 - ps[i]) * b[h];
-  }
-  std::vector<linalg::Vector> cycle_end_delivery(ttl_cycle);
-  if (ttl_cycle > 0) {
-    cycle_end_delivery[ttl_cycle - 1] = b;
-    for (std::uint32_t c = ttl_cycle - 1; c-- > 0;) {
-      linalg::Vector next(dim);
-      for (std::size_t r = 0; r < dim; ++r)
-        product.for_each_in_row(r, [&](std::size_t k, double v) {
-          next[r] += v * cycle_end_delivery[c + 1][k];
-        });
-      cycle_end_delivery[c] = std::move(next);
-    }
-  }
-
-  std::vector<double> sensitivity(hops, 0.0);
-  linalg::Vector p(dim);
-  p[0] = 1.0;
-  for (std::uint32_t cycle = 0; cycle < ttl_cycle; ++cycle) {
-    for (std::size_t h = 0; h < hops; ++h) {
-      double form = 0.0;
-      for (std::size_t r = 0; r < dim; ++r) {
-        double row = 0.0;
-        for (std::size_t c = 0; c < dim; ++c)
-          row += adjoint[h](r, c) * cycle_end_delivery[cycle][c];
-        form += p[r] * row;
-      }
-      sensitivity[h] += form;
-    }
-    p = product.left_multiply(p);
-  }
-  // The cycle the TTL cuts, opportunity by opportunity.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (ttl_cycle * frame + opportunities[i].slot > ttl) break;
-    const std::size_t h = opportunities[i].hop;
-    const std::size_t target = target_of(h);
-    const double* after = beta_after.data() + i * dim;
-    sensitivity[h] += p[h] * (after[target] - after[h]);
-    const double moved = p[h] * ps[i];
-    p[h] -= moved;
-    p[target] += moved;
-  }
-  return sensitivity;
-}
-
-/// SoA mirror of sensitivity_superframe over a shared skeleton: every
-/// numeric structure of the adjoint sweep is widened by a lane dimension
-/// (entry-major, as in the batch solve core) and the per-lane arithmetic
-/// order matches the scalar sweep, so lane L agrees with the scalar
-/// sweep of provider L to rounding.  All providers must be
-/// cycle-stationary.  Degenerate firing probabilities (0 or 1) need no
-/// fallback here: the skeleton's generic pattern merely carries entries
-/// a fresh build would drop, and those contribute exact zeros.
+/// only the cycle the TTL cuts runs opportunity by opportunity.  Every
+/// numeric structure is widened by a lane dimension (entry-major, as in
+/// the superframe solve core), and each lane's arithmetic is independent
+/// of the lane count.  All providers must be cycle-stationary.
+/// Degenerate firing probabilities (0 or 1) need no special case: the
+/// skeleton's generic pattern merely carries entries a fresh build would
+/// drop, and those contribute exact zeros.
 std::vector<std::vector<double>> sensitivity_superframe_batch(
     const PathModelSkeleton& skeleton,
     std::span<const LinkProbabilityProvider* const> links) {
@@ -389,8 +278,11 @@ std::vector<double> reachability_sensitivity(
   expects(links.hop_count() >= model.config().hop_count(),
           "provider covers every hop");
   if (kernel == TransientKernel::kSuperframeProduct &&
-      links.cycle_stationary())
-    return sensitivity_superframe(model, links);
+      links.cycle_stationary()) {
+    const PathModelSkeleton skeleton(model.config());
+    const LinkProbabilityProvider* const lane = &links;
+    return std::move(sensitivity_superframe_batch(skeleton, {&lane, 1})[0]);
+  }
   return sensitivity_per_slot(model, links);
 }
 
@@ -407,15 +299,9 @@ std::vector<std::vector<double>> reachability_sensitivity_batch(
         links[i]->cycle_stationary())
       batched.push_back(i);
     else
-      results[i] =
-          reachability_sensitivity(skeleton.model(), *links[i], kernel);
+      results[i] = sensitivity_per_slot(skeleton.model(), *links[i]);
   }
-  if (batched.size() < 2) {
-    for (std::size_t i : batched)
-      results[i] =
-          reachability_sensitivity(skeleton.model(), *links[i], kernel);
-    return results;
-  }
+  if (batched.empty()) return results;
   std::vector<const LinkProbabilityProvider*> lane_links;
   lane_links.reserve(batched.size());
   for (std::size_t i : batched) lane_links.push_back(links[i]);
@@ -452,9 +338,8 @@ std::vector<LinkSensitivity> rank_link_upgrades(
       slot = std::make_shared<const PathModelSkeleton>(config);
   }
 
-  // Same-shape paths chunk into groups of at most batch_lanes lanes —
-  // singletons when batching is off — priced by one SoA adjoint sweep
-  // per group (DESIGN.md §13).  Groups fan out across threads; the
+  // Same-shape paths chunk into groups of at most batch_lanes lanes,
+  // priced by one lane-parallel adjoint sweep per group (DESIGN.md §13).  Groups fan out across threads; the
   // accumulation over shared links stays serial and in path order so the
   // sums are reproducible.
   std::vector<std::vector<std::size_t>> groups;

@@ -28,19 +28,19 @@ namespace whart::hart {
 /// improves).  All entries are >= 0.  kSuperframeProduct folds the
 /// adjoint cycle-by-cycle through the superframe product (one bilinear
 /// form per cycle instead of a per-slot sweep) when `links` is
-/// cycle-stationary, agreeing with the per-slot sweep to rounding;
-/// otherwise it falls back to per-slot.
+/// cycle-stationary — the batch sweep below at one lane over a one-shot
+/// skeleton — agreeing with the per-slot sweep to rounding; otherwise it
+/// falls back to per-slot.
 std::vector<double> reachability_sensitivity(
     const PathModel& model, const LinkProbabilityProvider& links,
     TransientKernel kernel = TransientKernel::kPerSlot);
 
 /// Batched sensitivity (DESIGN.md §13): one adjoint sweep over the
-/// skeleton's shared patterns prices every provider at once, SoA
+/// skeleton's shared patterns prices every provider at once,
 /// lane-parallel.  Returns one dR/dps vector per provider, in order.
-/// Lanes the batch sweep cannot take (kernel != kSuperframeProduct or a
-/// non-cycle-stationary provider) run the scalar sweep instead, as does
-/// the whole call when fewer than two lanes qualify; batched lanes agree
-/// with their scalar sweeps to rounding (~1e-15 relative).
+/// Lanes the sweep cannot take (kernel != kSuperframeProduct or a
+/// non-cycle-stationary provider) run the per-slot sweep instead; every
+/// other lane gets the same bits it would get alone.
 std::vector<std::vector<double>> reachability_sensitivity_batch(
     const PathModelSkeleton& skeleton,
     std::span<const LinkProbabilityProvider* const> links,
@@ -61,10 +61,9 @@ struct LinkSensitivity {
 /// Paths sharing a schedule shape (equal skeleton fingerprints, DESIGN.md
 /// §12) share one symbolic model build — the adjoint sweep reads only
 /// the shape, so the ranking is bitwise-identical to per-path builds.
-/// `batch_lanes > 1` additionally groups same-shape paths into SoA
-/// batches of at most that many lanes priced through
-/// reachability_sensitivity_batch (the ranking then agrees with the
-/// scalar path to rounding rather than bitwise).
+/// Same-shape paths are priced through reachability_sensitivity_batch in
+/// groups of at most `batch_lanes` lanes; the lane count changes only
+/// the work per pass, not the ranking.
 std::vector<LinkSensitivity> rank_link_upgrades(
     const net::Network& network, const std::vector<net::Path>& paths,
     const net::Schedule& schedule, net::SuperframeConfig superframe,

@@ -1,10 +1,12 @@
 #include "whart/hart/sweep.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -45,23 +47,14 @@ PathMeasures measure_with_channel(const PathModelConfig& config,
   return compute_path_measures(path_model, links, options);
 }
 
-/// Numeric-refill counterpart of measure_with_links: the skeleton holds
-/// the symbolic phase, the pooled workspace the warm buffers.  Bitwise
-/// equal to measure_with_links on the skeleton's config (shared numeric
-/// core — see DESIGN.md §12).
-PathMeasures measure_with_skeleton(
-    const PathModelSkeleton& skeleton,
-    common::WorkspacePool<SolveWorkspace>& workspaces,
-    const link::LinkModel& model, TransientKernel kernel) {
-  const SteadyStateLinks links(skeleton.config().hop_count(), model);
-  PathAnalysisOptions options;
-  options.kernel = kernel;
-  auto workspace = workspaces.acquire();
-  skeleton.analyze_into(links, options, *workspace,
-                        workspace->scratch_result);
-  return measures_from_transient(skeleton.config(),
-                                 workspace->scratch_result);
-}
+/// Scratch of one lane batch: the solve workspace plus the batch's
+/// providers, kept across batches so a batch of one point allocates no
+/// more than the point's own provider.
+struct BatchWorkspace {
+  SolveWorkspace solve;
+  std::vector<SteadyStateLinks> links;
+  std::vector<const LinkProbabilityProvider*> providers;
+};
 
 /// Shapes the process-wide skeleton store keeps warm; the 65th distinct
 /// shape evicts the least recently used one.  Far above any single
@@ -112,10 +105,10 @@ struct PointSpec {
 
 /// Shared sweep runner.  Solves every spec (in parallel across points or
 /// batches) and returns SweepPoints in spec order.  With skeleton reuse,
-/// points with equal skeleton fingerprints share one symbolic build; with
-/// batch_lanes > 1 they are additionally chunked — preserving
-/// first-appearance order, contiguity not required — into SoA batches of
-/// at most batch_lanes lanes solved through analyze_batch_into.
+/// points with equal skeleton fingerprints share one symbolic build and
+/// are chunked — preserving first-appearance order, contiguity not
+/// required — into batches of at most batch_lanes lanes solved through
+/// analyze_batch_into.
 std::vector<SweepPoint> solve_points(const std::vector<PointSpec>& specs,
                                      unsigned threads, TransientKernel kernel,
                                      bool reuse_skeleton,
@@ -188,72 +181,63 @@ std::vector<SweepPoint> solve_points(const std::vector<PointSpec>& specs,
     shape_of[i] = it->second;
   }
 
-  std::vector<SweepPoint> points(specs.size());
-  if (batch_lanes <= 1) {
-    common::WorkspacePool<SolveWorkspace> workspaces;
-    common::parallel_for(
-        specs.size(),
-        [&](std::size_t i) {
-          points[i] =
-              SweepPoint{specs[i].parameter,
-                         measure_with_skeleton(*shapes[shape_of[i]],
-                                               workspaces, specs[i].model,
-                                               kernel)};
-        },
-        threads);
-    return points;
-  }
-
   // Chunk same-shape point indices into lane batches of at most
   // batch_lanes.  A batch fills until full, then the next same-shape
   // point opens a fresh one, so non-contiguous same-shape points group
-  // together while output order stays the caller's.
+  // together while output order stays the caller's.  Batch b holds
+  // points order[begin[b], begin[b + 1]), in first-appearance order.
+  const std::size_t width = std::max<std::size_t>(batch_lanes, 1);
   constexpr std::size_t kNoBatch = std::numeric_limits<std::size_t>::max();
-  std::vector<std::vector<std::size_t>> batches;
+  std::vector<std::size_t> batch_of(specs.size());
+  std::vector<std::size_t> begin{0};  // batch sizes, then offsets
   std::vector<std::size_t> open(shapes.size(), kNoBatch);  // shape -> batch
   for (std::size_t i = 0; i < specs.size(); ++i) {
     std::size_t& slot = open[shape_of[i]];
     if (slot == kNoBatch) {
-      slot = batches.size();
-      batches.emplace_back();
+      slot = begin.size() - 1;
+      begin.push_back(0);
     }
-    std::vector<std::size_t>& batch = batches[slot];
-    batch.push_back(i);
-    if (batch.size() == batch_lanes) slot = kNoBatch;
+    batch_of[i] = slot;
+    if (++begin[slot + 1] == width) slot = kNoBatch;
+  }
+  for (std::size_t b = 1; b < begin.size(); ++b) begin[b] += begin[b - 1];
+  std::vector<std::size_t> order(specs.size());
+  {
+    std::vector<std::size_t> cursor(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      order[cursor[batch_of[i]]++] = i;
   }
 
-  common::WorkspacePool<BatchSolveWorkspace> workspaces;
+  std::vector<SweepPoint> points(specs.size());
+  common::WorkspacePool<BatchWorkspace> workspaces;
   common::parallel_for(
-      batches.size(),
-      [&](std::size_t bi) {
-        const std::vector<std::size_t>& batch = batches[bi];
-        const PathModelSkeleton& skeleton =
-            *shapes[shape_of[batch.front()]];
+      begin.size() - 1,
+      [&](std::size_t b) {
+        const std::span<const std::size_t> batch(order.data() + begin[b],
+                                                 begin[b + 1] - begin[b]);
+        const PathModelSkeleton& skeleton = *shapes[shape_of[batch.front()]];
         PathAnalysisOptions options;
         options.kernel = kernel;
-        options.batch_lanes = batch_lanes;
         auto workspace = workspaces.acquire();
-        // Reserve before taking element pointers — emplace_back must not
-        // reallocate under the provider span.
-        std::vector<SteadyStateLinks> links;
-        links.reserve(batch.size());
-        std::vector<const LinkProbabilityProvider*> providers;
-        providers.reserve(batch.size());
-        for (std::size_t i : batch) {
-          links.emplace_back(skeleton.config().hop_count(), specs[i].model);
-          providers.push_back(&links.back());
-        }
-        workspace->scratch_results.resize(batch.size());
-        skeleton.analyze_batch_into(providers, options, *workspace,
-                                    workspace->scratch_results);
+        workspace->links.clear();
+        for (std::size_t i : batch)
+          workspace->links.emplace_back(skeleton.config().hop_count(),
+                                        specs[i].model);
+        workspace->providers.clear();
+        for (const SteadyStateLinks& links : workspace->links)
+          workspace->providers.push_back(&links);
+        std::vector<PathTransientResult>& results =
+            workspace->solve.scratch_results;
+        results.resize(batch.size());
+        skeleton.analyze_batch_into(workspace->providers, options,
+                                    workspace->solve, results);
         // Measures come from each point's own config: batch lanes share a
         // shape fingerprint (frame, Is, TTL, firing pattern), not the
         // Fdown/gateway-offset fields the delay measures read.
         for (std::size_t j = 0; j < batch.size(); ++j)
           points[batch[j]] = SweepPoint{
               specs[batch[j]].parameter,
-              measures_from_transient(specs[batch[j]].config,
-                                      workspace->scratch_results[j])};
+              measures_from_transient(specs[batch[j]].config, results[j])};
       },
       threads);
   return points;

@@ -11,13 +11,12 @@
 // into a pooled SolveWorkspace — bitwise-identical to per-point fresh
 // solves, just without the per-point allocation and symbolic rebuild.
 //
-// `batch_lanes > 1` additionally groups same-shape grid points —
-// contiguous or not — into SoA batches of at most that many lanes and
-// solves each batch through PathModelSkeleton::analyze_batch_into
+// `batch_lanes` sets how many same-shape grid points — contiguous or
+// not — share one pass of PathModelSkeleton::analyze_batch_into
 // (DESIGN.md §13): one walk of the shared sparsity patterns refills all
-// lanes at once.  Output order and values match the unbatched path to
-// rounding (~1e-15 relative); points the batch core cannot take (shape
-// singletons, degenerate availabilities) fall back to scalar refills.
+// lanes at once.  1 solves every point alone through the same code.
+// Output order and values do not depend on it (each lane's arithmetic is
+// its own).
 #pragma once
 
 #include <cstdint>
@@ -61,8 +60,8 @@ std::vector<double> linspace(double first, double last, std::size_t count);
 /// marginal success equals the point's link availability
 /// (ChannelModel::with_marginal_success) and solves through the
 /// channel-enlarged DTMC.  Channel points always solve fresh — the
-/// skeleton/batch refills key the i.i.d. shape, not the enlarged one —
-/// so `reuse_skeleton`/`batch_lanes` are inert under a channel.
+/// skeleton refills key the i.i.d. shape, not the enlarged one — so
+/// `reuse_skeleton`/`batch_lanes` are inert under a channel.
 SweepSeries sweep_availability(const PathModelConfig& config,
                                const std::vector<double>& availabilities,
                                unsigned threads = 0,
@@ -85,8 +84,8 @@ SweepSeries sweep_ber(const PathModelConfig& config,
 
 /// Sweep over the hop count: paths of 1..`max_hops` hops scheduled
 /// contiguously from slot 1 (Fig. 10).  The schedule shape changes at
-/// every point, so skeleton reuse here only pools workspaces and
-/// batching degenerates to shape singletons (scalar refills).
+/// every point, so skeleton reuse here only pools workspaces and every
+/// batch holds one point.
 SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
                             net::SuperframeConfig superframe,
                             std::uint32_t reporting_interval,

@@ -90,11 +90,11 @@ void WhatIfEngine::revert_path(PathState& state) {
     for (std::size_t hop : state.changed_hops) changed |= prov.hop == hop;
     if (!changed) continue;
     prov.write(state.availability[prov.hop],
-               state.workspace.factors[i].values());
+               state.workspace.factor_values[i]);
     state.product->update(i, prov.failure_index);
     state.product->update(i, prov.success_index);
   }
-  state.product->propagate(state.workspace.factors);
+  state.product->propagate(state.workspace.factor_values);
 }
 
 void WhatIfEngine::resolve_path(std::size_t p, net::LinkId link,
@@ -110,7 +110,6 @@ void WhatIfEngine::resolve_path(std::size_t p, net::LinkId link,
   const SteadyStateLinks links(state.scratch_availability);
   PathAnalysisOptions path_options;
   path_options.kernel = options_.kernel;
-  path_options.inject_stale_product_row = options_.inject_stale_product_row;
   if (state.incremental_ok &&
       state.skeleton->analyze_incremental_into(links, path_options,
                                                state.changed_hops,
@@ -120,9 +119,9 @@ void WhatIfEngine::resolve_path(std::size_t p, net::LinkId link,
     revert_path(state);
     return;
   }
-  // Fresh fallback (degenerate probability, per-slot kernel, ...): the
-  // skeleton-cached solve analyze_network itself would run, on a scratch
-  // workspace so the incremental slot values stay at baseline.
+  // Fallback (per-slot kernel): the skeleton-cached solve
+  // analyze_network itself would run, on a scratch workspace so the
+  // incremental slot values stay at baseline.
   WHART_COUNT("hart.whatif.fresh_fallbacks");
   state.skeleton->analyze_into(links, path_options, fallback_workspace_,
                                scratch_transient_);

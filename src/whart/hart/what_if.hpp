@@ -38,11 +38,6 @@ struct WhatIfOptions {
   /// Worker threads of the baseline fan-out (0 = WHART_THREADS).
   /// What-if queries themselves run serially — they touch few paths.
   unsigned threads = 0;
-
-  /// Verification-harness fault injection, forwarded to
-  /// PathAnalysisOptions::inject_stale_product_row on the incremental
-  /// solves.  Always 0 in production.
-  double inject_stale_product_row = 0.0;
 };
 
 /// Full result of one what-if: per-path measures in path order.
@@ -118,8 +113,8 @@ class WhatIfEngine {
     std::unique_ptr<markov::IncrementalProduct> product;
     SolveWorkspace workspace;
     /// Baseline seeding succeeded, so incremental solves apply; when
-    /// false (e.g. a degenerate firing probability at baseline) every
-    /// what-if on this path re-solves fresh through analyze_into.
+    /// false (the per-slot kernel) every what-if on this path re-solves
+    /// through analyze_into.
     bool incremental_ok = false;
     /// Hop indices and perturbed availabilities of the current query.
     std::vector<std::size_t> changed_hops;

@@ -1,142 +1,49 @@
-// Explicit-SIMD lane primitives of the structure-of-arrays batch solve
-// path (DESIGN.md §13).  A "lane array" is the contiguous block of N
-// doubles holding one value per batched evaluation point; every helper
-// below applies one elementwise operation across such a block.
+// Lane primitives of the structure-of-arrays superframe solve (DESIGN.md
+// §13).  A "lane array" is the contiguous block of N doubles holding one
+// value per evaluation point solved in the same pass; every helper below
+// applies one elementwise operation across such a block.
 //
-// Backend selection is a compile-time dispatch: AVX2 (4 doubles per
-// vector) when the TU is built with -mavx2, NEON (2 doubles) on AArch64,
-// and a plain scalar loop otherwise — which GCC/Clang auto-vectorize to
-// the baseline ISA (SSE2 on x86-64), so the fallback is portable, not
-// slow.  Each helper walks the lane array in full hardware vectors and
-// finishes the remainder (< vector width) with the scalar loop; the
-// per-lane arithmetic order is identical in all three backends, and
-// fused multiply-add is used exactly where the compiler would contract
-// the scalar expression (`acc += a * b` under the default
-// -ffp-contract), keeping batched lanes within rounding of the scalar
-// refill they mirror.
+// One backend on every platform: plain loops over `__restrict` pointers,
+// which GCC/Clang auto-vectorize to the baseline ISA (SSE2 on x86-64).
+// Each helper evaluates exactly the scalar expression it names, so a
+// one-lane solve performs the arithmetic of a scalar loop, operation for
+// operation.
 #pragma once
 
 #include <cstddef>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#endif
-
 namespace whart::linalg::simd {
 
-#if defined(__AVX2__)
-
-/// Doubles per hardware vector of the selected backend.
-inline constexpr std::size_t kWidth = 4;
-
-[[nodiscard]] inline const char* backend_name() noexcept { return "avx2"; }
+// The lane arrays of a solve never alias (accumulators, inputs and
+// pattern values live in distinct workspace buffers), so the helpers
+// declare it: without `__restrict` the auto-vectorizer guards every call
+// with runtime overlap checks, and at typical lane counts (1-16 doubles)
+// the checks cost more than the loop.
 
 /// out[i] = a[i] * b[i]
-inline void mul(double* out, const double* a, const double* b,
-                std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + kWidth <= n; i += kWidth)
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(b + i)));
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-/// acc[i] += a[i] * b[i]
-inline void mul_add(double* acc, const double* a, const double* b,
-                    std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + kWidth <= n; i += kWidth) {
-    const __m256d va = _mm256_loadu_pd(a + i);
-    const __m256d vb = _mm256_loadu_pd(b + i);
-    __m256d vc = _mm256_loadu_pd(acc + i);
-#if defined(__FMA__)
-    vc = _mm256_fmadd_pd(va, vb, vc);
-#else
-    vc = _mm256_add_pd(vc, _mm256_mul_pd(va, vb));
-#endif
-    _mm256_storeu_pd(acc + i, vc);
-  }
-  for (; i < n; ++i) acc[i] += a[i] * b[i];
-}
-
-/// acc[i] += a[i]
-inline void add(double* acc, const double* a, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + kWidth <= n; i += kWidth)
-    _mm256_storeu_pd(
-        acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                               _mm256_loadu_pd(a + i)));
-  for (; i < n; ++i) acc[i] += a[i];
-}
-
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-
-inline constexpr std::size_t kWidth = 2;
-
-[[nodiscard]] inline const char* backend_name() noexcept { return "neon"; }
-
-inline void mul(double* out, const double* a, const double* b,
-                std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + kWidth <= n; i += kWidth)
-    vst1q_f64(out + i, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-inline void mul_add(double* acc, const double* a, const double* b,
-                    std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + kWidth <= n; i += kWidth)
-    vst1q_f64(acc + i, vfmaq_f64(vld1q_f64(acc + i), vld1q_f64(a + i),
-                                 vld1q_f64(b + i)));
-  for (; i < n; ++i) acc[i] += a[i] * b[i];
-}
-
-inline void add(double* acc, const double* a, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + kWidth <= n; i += kWidth)
-    vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), vld1q_f64(a + i)));
-  for (; i < n; ++i) acc[i] += a[i];
-}
-
-#else
-
-inline constexpr std::size_t kWidth = 1;
-
-[[nodiscard]] inline const char* backend_name() noexcept { return "scalar"; }
-
-// The lane arrays of a batched solve never alias (accumulators, inputs
-// and pattern values live in distinct workspace buffers), so the scalar
-// fallback declares it: without `__restrict` the auto-vectorizer guards
-// every call with runtime overlap checks, and at typical lane counts
-// (8-16 doubles) the checks cost more than the loop.
 inline void mul(double* __restrict out, const double* __restrict a,
                 const double* __restrict b, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+/// acc[i] += a[i] * b[i]
 inline void mul_add(double* __restrict acc, const double* __restrict a,
                     const double* __restrict b, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) acc[i] += a[i] * b[i];
 }
 
+/// acc[i] += a[i]
 inline void add(double* __restrict acc, const double* __restrict a,
                 std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) acc[i] += a[i];
 }
-
-#endif
 
 /// out[i] = value
 inline void fill(double* out, double value, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) out[i] = value;
 }
 
-/// out[i] = a[i].  Callers copy between distinct workspace buffers, so
-/// the pointers are declared non-aliasing (see the scalar fallback note
-/// above).
+/// out[i] = a[i]
 inline void copy(double* __restrict out, const double* __restrict a,
                  std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i];

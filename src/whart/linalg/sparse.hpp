@@ -68,13 +68,21 @@ class CsrMatrix {
       visit(col_index_[k], values_[k]);
   }
 
-  /// The stored values in CSR order.  The mutable overload is the
-  /// numeric-refill hook of the symbolic/numeric split: a skeleton that
-  /// captured this matrix's sparsity pattern may overwrite values in
-  /// place (same pattern, new probabilities) without reassembly.
+  /// The stored values in CSR order.  The mutable overload overwrites
+  /// values in place (same pattern, new probabilities) without
+  /// reassembly.
   [[nodiscard]] std::span<double> values() noexcept { return values_; }
   [[nodiscard]] std::span<const double> values() const noexcept {
     return values_;
+  }
+
+  /// The CSR index arrays: row r's entries occupy
+  /// [row_start()[r], row_start()[r + 1]) of col_index() and values().
+  [[nodiscard]] std::span<const std::size_t> row_start() const noexcept {
+    return row_start_;
+  }
+  [[nodiscard]] std::span<const std::size_t> col_index() const noexcept {
+    return col_index_;
   }
 
  private:

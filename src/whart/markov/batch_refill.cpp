@@ -23,12 +23,12 @@ BatchRefill::BatchRefill(const ChainProductSkeleton& chain,
   const std::vector<CsrPattern>& partials = chain.partials();
   if (partials.size() == 1) return;  // single factor: refill is a copy
 
-  // Compile the Gustavson replay once: the same row/entry walk the
-  // scalar refill performs, recorded as a flat op list instead of
+  // Compile the Gustavson replay once: the same row/entry walk
+  // linalg::multiply performs, recorded as a flat op list instead of
   // executed.  Replay then needs no marker array, no sparse accumulator
   // and no copy-out pass — each visit already knows its output slot.
-  // Op order equals the scalar visit order, which keeps batched lanes
-  // within rounding of their scalar refills.
+  // Op order equals linalg::multiply's visit order, which makes every
+  // lane bitwise equal to a fresh chain build.
   std::vector<std::uint32_t> col_slot(chain.max_cols(), 0);
   std::vector<std::size_t> col_tag(chain.max_cols(), kNoTag);
   std::size_t tag = 0;
@@ -118,8 +118,11 @@ void BatchRefill::refill(std::span<const std::vector<double>> factor_values,
 
   // Common lane counts dispatch to fixed-width instantiations
   // (flat-unrolled lane loops); anything else takes the runtime-width
-  // fallback — same arithmetic either way.
+  // instantiation — same arithmetic either way.
   switch (lanes) {
+    case 1:
+      replay<1>(factor_values, lanes, arena, values_out);
+      break;
     case 4:
       replay<4>(factor_values, lanes, arena, values_out);
       break;

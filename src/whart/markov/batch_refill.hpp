@@ -1,23 +1,23 @@
-// Structure-of-arrays batched numeric refill (DESIGN.md §13): the
-// numeric half of the symbolic/numeric split evaluated for N points at
-// once.  A ChainProductSkeleton fixes one sparsity pattern per partial
-// product; BatchRefill compiles that fixed chain into a flat multiply
-// plan at construction — one (left entry, factor entry, output slot)
-// triple per Gustavson visit, in the scalar refill's exact visit order —
-// and replays the plan with N contiguous value lanes per stored nonzero.
-// Replay carries no symbolic bookkeeping (no marker array, no sparse
-// accumulator, no copy-out pass): each op is a single lane-wide multiply
-// or multiply-add straight into the output entry, so one walk of the
-// plan prices every evaluation point and the per-entry arithmetic
-// vectorizes across lanes (linalg/simd.hpp).
+// Structure-of-arrays numeric refill (DESIGN.md §13): the numeric half
+// of the symbolic/numeric split, evaluated for N points at once (N = 1
+// for a single solve).  A ChainProductSkeleton fixes one sparsity
+// pattern per partial product; BatchRefill compiles that fixed chain
+// into a flat multiply plan at construction — one (left entry, factor
+// entry, output slot) triple per Gustavson visit, in linalg::multiply's
+// visit order — and replays the plan with N contiguous value lanes per
+// stored nonzero.  Replay carries no symbolic bookkeeping (no marker
+// array, no sparse accumulator, no copy-out pass): each op is a single
+// lane-wide multiply (first touch of an output entry) or multiply-add
+// straight into the output entry, so one walk of the plan prices every
+// evaluation point and the per-entry arithmetic vectorizes across lanes
+// (linalg/simd.hpp).
 //
 // Lane layout is entry-major: the values of pattern entry k occupy
 // [k * lanes, (k + 1) * lanes) of the value array, one double per lane.
-// Each lane's multiply-add sequence is exactly the scalar refill's, so
-// lane L of a batched refill agrees with a scalar refill of lane L's
-// factors to rounding (bitwise on backends whose FMA contraction matches
-// the scalar build; within ~1 ulp otherwise — the lane-equivalence
-// battery in tests/markov/batch_refill_test.cpp holds it to 1e-12).
+// Each lane's multiply/multiply-add sequence is exactly the one
+// linalg::multiply runs over the same factors, so every lane is bitwise
+// equal to a fresh chain build of its own factor values (the battery in
+// tests/markov/batch_refill_test.cpp checks it with EXPECT_EQ).
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,8 @@
 
 namespace whart::markov {
 
-/// Reusable SoA scratch of BatchRefill::refill — the ping-pong lane
-/// buffers holding intermediate partial products
+/// Reusable scratch of BatchRefill::refill — the ping-pong lane buffers
+/// holding intermediate partial products
 /// (max_partial_nonzeros x lanes each).  They grow to their high-water
 /// mark on the first refill of a given (shape, lane count) and are only
 /// rewritten afterwards, so warm batched refills allocate nothing.
@@ -38,7 +38,7 @@ struct BatchLaneArena {
   std::vector<double> partial_b;
 };
 
-/// Lane-parallel replay of ChainProductSkeleton::refill.  Construction
+/// Lane-parallel numeric pass over a ChainProductSkeleton.  Construction
 /// compiles the multiply plan from the skeleton's patterns (built once
 /// per shape — PathModelSkeleton caches one instance); the instance
 /// borrows the skeleton and the factor patterns, so both referents must
@@ -51,7 +51,7 @@ class BatchRefill {
   BatchRefill(const ChainProductSkeleton& chain,
               const std::vector<CsrPattern>& factors);
 
-  /// Batched numeric pass: factor_values[k] holds the SoA values of
+  /// Numeric pass: factor_values[k] holds the SoA values of
   /// factor k (factors[k].nonzeros() x lanes, entry-major) and the full
   /// product's SoA values land in `values_out`
   /// (chain.pattern().nonzeros() x lanes).  Allocation-free once
@@ -77,7 +77,7 @@ class BatchRefill {
   static constexpr std::uint32_t kFirstTouch = 0x80000000u;
 
   /// Plan replay with the lane count as a template parameter (kLanes ==
-  /// 0 is the runtime-width fallback) so the simd helpers run with
+  /// 0 is the runtime-width case) so the simd helpers run with
   /// compile-time trip counts; arithmetic and op order are identical in
   /// every instantiation.
   template <std::size_t kLanes>

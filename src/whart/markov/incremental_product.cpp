@@ -14,7 +14,7 @@ constexpr std::size_t kNoTag = std::numeric_limits<std::size_t>::max();
 
 IncrementalProduct::IncrementalProduct(const ChainProductSkeleton& chain,
                                        const std::vector<CsrPattern>& factors)
-    : chain_(&chain) {
+    : chain_(&chain), factors_(&factors) {
   expects(factors.size() == chain.factor_count(),
           "one factor pattern per chain factor");
   expects(factors.front() == chain.partials().front(),
@@ -63,46 +63,53 @@ IncrementalProduct::IncrementalProduct(const ChainProductSkeleton& chain,
 }
 
 void IncrementalProduct::replay_row(std::size_t k, std::size_t r,
-                                    const linalg::CsrMatrix& b) {
-  // The refill row body verbatim (structure.cpp): left-partial entries in
-  // CSR order times the factor's rows, dense-accumulated per column, then
+                                    const double* b_values) {
+  // linalg::multiply's row body verbatim: left-partial entries in CSR
+  // order times the factor's rows, dense-accumulated per column, then
   // written out in the output pattern's sorted column order.  Identical
   // operand values in identical order make the result bitwise equal to a
   // full refill of the same factors.
   const CsrPattern& left = chain_->partials()[k - 1];
   const CsrPattern& out = chain_->partials()[k];
+  const CsrPattern& b = (*factors_)[k];
   const double* left_values = partial_values_[k - 1].data();
   double* out_values = partial_values_[k].data();
   const std::size_t row_tag = next_tag_++;
   for (std::size_t ka = left.row_start[r]; ka < left.row_start[r + 1]; ++ka) {
     const std::size_t ac = left.col_index[ka];
     const double av = left_values[ka];
-    b.for_each_in_row(ac, [&](std::size_t bc, double bv) {
+    for (std::size_t kb = b.row_start[ac]; kb < b.row_start[ac + 1]; ++kb) {
+      const std::size_t bc = b.col_index[kb];
       if (marker_[bc] != row_tag) {
         marker_[bc] = row_tag;
-        accumulator_[bc] = av * bv;
+        accumulator_[bc] = av * b_values[kb];
       } else {
-        accumulator_[bc] += av * bv;
+        accumulator_[bc] += av * b_values[kb];
       }
-    });
+    }
   }
   for (std::size_t ko = out.row_start[r]; ko < out.row_start[r + 1]; ++ko)
     out_values[ko] = accumulator_[out.col_index[ko]];
 }
 
-void IncrementalProduct::refill(const std::vector<linalg::CsrMatrix>& factors) {
+void IncrementalProduct::expect_factor_values(
+    std::span<const std::vector<double>> factor_values) const {
+  expects(factor_values.size() == factors_->size(),
+          "one value array per factor pattern");
+  for (std::size_t k = 0; k < factor_values.size(); ++k)
+    expects(factor_values[k].size() == (*factors_)[k].nonzeros(),
+            "factor values sized to their pattern");
+}
+
+void IncrementalProduct::refill(
+    std::span<const std::vector<double>> factor_values) {
+  expect_factor_values(factor_values);
   const std::vector<CsrPattern>& partials = chain_->partials();
-  expects(factors.size() == partials.size(), "one factor per chain pattern");
-  expects(factors.front().nonzeros() == partials.front().nonzeros(),
-          "first factor matches its captured pattern");
-  const std::span<const double> first = factors.front().values();
-  std::copy(first.begin(), first.end(), partial_values_[0].begin());
-  for (std::size_t k = 1; k < partials.size(); ++k) {
-    const linalg::CsrMatrix& b = factors[k];
-    expects(b.rows() == partials[k - 1].cols && b.cols() == partials[k].cols,
-            "factor dimensions match the skeleton");
-    for (std::size_t r = 0; r < partials[k].rows; ++r) replay_row(k, r, b);
-  }
+  std::copy(factor_values.front().begin(), factor_values.front().end(),
+            partial_values_[0].begin());
+  for (std::size_t k = 1; k < partials.size(); ++k)
+    for (std::size_t r = 0; r < partials[k].rows; ++r)
+      replay_row(k, r, factor_values[k].data());
   pending_.clear();
   seeded_ = true;
 }
@@ -114,10 +121,9 @@ void IncrementalProduct::update(std::size_t factor, std::size_t values_index) {
 }
 
 std::size_t IncrementalProduct::propagate(
-    const std::vector<linalg::CsrMatrix>& factors) {
+    std::span<const std::vector<double>> factor_values) {
   expects(seeded_, "propagate requires a seeded product (call refill)");
-  expects(factors.size() == chain_->factor_count(),
-          "one factor per chain pattern");
+  expect_factor_values(factor_values);
   if (pending_.empty()) return 0;
   const std::vector<CsrPattern>& partials = chain_->partials();
   const std::size_t rows = partials.front().rows;
@@ -144,12 +150,11 @@ std::size_t IncrementalProduct::propagate(
     for (std::size_t r = 0; r < rows; ++r) {
       if (dirty_[r] == 0) continue;
       if (k == 0) {
-        const std::span<const double> first = factors.front().values();
         const CsrPattern& f = partials.front();
         for (std::size_t ki = f.row_start[r]; ki < f.row_start[r + 1]; ++ki)
-          partial_values_[0][ki] = first[ki];
+          partial_values_[0][ki] = factor_values[0][ki];
       } else {
-        replay_row(k, r, factors[k]);
+        replay_row(k, r, factor_values[k].data());
       }
       ++replayed;
     }

@@ -1,21 +1,20 @@
 // Incremental numeric updates of a chain product (DESIGN.md §15): the
-// low-rank counterpart of ChainProductSkeleton::refill.  A refill replays
-// Gustavson's numeric pass over every row of every partial; when only a
-// few factor entries moved (a what-if on one link's availability moves
-// exactly two entries per firing slot), almost all of that work
+// low-rank counterpart of a full refill (markov::BatchRefill).  A refill
+// replays Gustavson's numeric pass over every row of every partial; when
+// only a few factor entries moved (a what-if on one link's availability
+// moves exactly two entries per firing slot), almost all of that work
 // recomputes values that cannot have changed.  IncrementalProduct caches
 // the values of every left-to-right partial, maps each changed factor
 // entry to the partial rows it can reach, and replays only those rows —
-// per row the arithmetic is the refill's own row body verbatim, so the
-// propagated product is bitwise equal to a full refill (and hence to a
-// fresh linalg::multiply chain build).
+// per row the arithmetic is linalg::multiply's row body verbatim, so the
+// propagated product is bitwise equal to a full refill and to a fresh
+// linalg::multiply chain build.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "whart/linalg/sparse.hpp"
 #include "whart/markov/structure.hpp"
 
 namespace whart::markov {
@@ -23,13 +22,17 @@ namespace whart::markov {
 /// Cached numeric state of one chain product M_0 * ... * M_{F-1} over a
 /// borrowed ChainProductSkeleton, supporting entry-targeted re-products.
 ///
+/// Factor values are one-lane value arrays: factor_values[k][i] is entry
+/// i (CSR order of the k-th factor pattern) of factor k — the layout of a
+/// one-lane SolveWorkspace.
+///
 /// Lifecycle: `refill` seeds the cache from a full factor set; `update`
 /// records that one factor entry's value moved (the caller has already
-/// written the new value into its factor matrix); `propagate` replays
-/// the dirty rows of every downstream partial and leaves `values()`
-/// holding the product — bitwise what a full `refill` against the same
-/// factors would produce.  The skeleton (and the factor patterns it was
-/// built from) must outlive this object.
+/// written the new value into its value array); `propagate` replays the
+/// dirty rows of every downstream partial and leaves `values()` holding
+/// the product — bitwise what a full `refill` against the same factors
+/// would produce.  The skeleton and the factor patterns it was built
+/// from must outlive this object.
 class IncrementalProduct {
  public:
   /// Builds the propagation index: per-factor values-index -> row maps
@@ -40,22 +43,21 @@ class IncrementalProduct {
   IncrementalProduct(const ChainProductSkeleton& chain,
                      const std::vector<CsrPattern>& factors);
 
-  /// Full numeric seed: replay the whole chain against `factors`
-  /// (which must match the ctor patterns entry-for-entry), caching every
-  /// partial's values.  Arithmetic matches ChainProductSkeleton::refill
-  /// row for row.
-  void refill(const std::vector<linalg::CsrMatrix>& factors);
+  /// Full numeric seed: replay the whole chain against `factor_values`
+  /// (one array per ctor pattern, sized to its nonzeros), caching every
+  /// partial's values.  Arithmetic matches linalg::multiply row for row.
+  void refill(std::span<const std::vector<double>> factor_values);
 
   /// Record that entry `values_index` of factor `factor` holds a new
   /// value.  Cheap; the numeric work happens in `propagate`.
   void update(std::size_t factor, std::size_t values_index);
 
   /// Replay the rows reachable from the recorded updates, stage by
-  /// stage, reading current factor values from `factors`.  Returns the
+  /// stage, reading current factor values from `factor_values`.  Returns the
   /// number of partial rows re-accumulated (the work the full refill
   /// avoided is partials x rows minus this).  No-op when nothing was
   /// recorded.
-  std::size_t propagate(const std::vector<linalg::CsrMatrix>& factors);
+  std::size_t propagate(std::span<const std::vector<double>> factor_values);
 
   /// Values of the full product, in the CSR order of
   /// chain().pattern().  Valid after `refill`.
@@ -78,10 +80,16 @@ class IncrementalProduct {
   }
 
  private:
-  /// Re-accumulate row `r` of partial `k` (k >= 1) — the refill row body.
-  void replay_row(std::size_t k, std::size_t r, const linalg::CsrMatrix& b);
+  /// Re-accumulate row `r` of partial `k` (k >= 1) — linalg::multiply's
+  /// row body over factor k's pattern and `b_values`.
+  void replay_row(std::size_t k, std::size_t r, const double* b_values);
+
+  /// Checks that `factor_values` matches the factor patterns.
+  void expect_factor_values(
+      std::span<const std::vector<double>> factor_values) const;
 
   const ChainProductSkeleton* chain_;
+  const std::vector<CsrPattern>* factors_;
   /// row_of_[k][vi]: row of entry vi in factor k.
   std::vector<std::vector<std::size_t>> row_of_;
   /// Column -> rows transpose of each intermediate partial: rows r with

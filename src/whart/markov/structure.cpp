@@ -255,65 +255,4 @@ ChainProductSkeleton::ChainProductSkeleton(
     max_partial_nnz_ = std::max(max_partial_nnz_, partials_[k].nonzeros());
 }
 
-void ChainProductSkeleton::refill(
-    const std::vector<linalg::CsrMatrix>& factors, ChainRefillArena& arena,
-    std::span<double> values_out) const {
-  expects(factors.size() == partials_.size(),
-          "one factor per skeleton pattern");
-  expects(values_out.size() == pattern().nonzeros(),
-          "output sized to the product pattern");
-  expects(factors.front().nonzeros() == partials_.front().nonzeros(),
-          "first factor matches its captured pattern");
-  const std::span<const double> first = factors.front().values();
-  if (factors.size() == 1) {
-    std::copy(first.begin(), first.end(), values_out.begin());
-    return;
-  }
-  // Warm-up sizing only; a warm arena keeps its capacity and these
-  // assigns/resizes allocate nothing.  The marker must be re-blanked
-  // every refill — tags repeat across refills.
-  arena.marker.assign(max_cols_, kNoTag);
-  arena.accumulator.resize(max_cols_);
-  arena.partial_a.resize(max_partial_nnz_);
-  arena.partial_b.resize(max_partial_nnz_);
-
-  // Replay the numeric pass of linalg::multiply for every chain step.
-  // The left operand's pattern is the stored partial (whose columns are
-  // sorted exactly as a fresh CSR partial would store them) and the
-  // right operand is the fresh factor, so each multiply-add runs in the
-  // very same order as a fresh chain build — the results are bitwise
-  // identical, not merely close.
-  const double* left_values = first.data();
-  std::size_t tag = 0;
-  for (std::size_t k = 1; k < partials_.size(); ++k) {
-    const CsrPattern& left = partials_[k - 1];
-    const CsrPattern& out = partials_[k];
-    const linalg::CsrMatrix& b = factors[k];
-    expects(b.rows() == left.cols && b.cols() == out.cols,
-            "factor dimensions match the skeleton");
-    double* out_values = k + 1 == partials_.size() ? values_out.data()
-                         : k % 2 == 1             ? arena.partial_a.data()
-                                                  : arena.partial_b.data();
-    for (std::size_t r = 0; r < out.rows; ++r) {
-      const std::size_t row_tag = tag++;
-      for (std::size_t ka = left.row_start[r]; ka < left.row_start[r + 1];
-           ++ka) {
-        const std::size_t ac = left.col_index[ka];
-        const double av = left_values[ka];
-        b.for_each_in_row(ac, [&](std::size_t bc, double bv) {
-          if (arena.marker[bc] != row_tag) {
-            arena.marker[bc] = row_tag;
-            arena.accumulator[bc] = av * bv;
-          } else {
-            arena.accumulator[bc] += av * bv;
-          }
-        });
-      }
-      for (std::size_t ko = out.row_start[r]; ko < out.row_start[r + 1]; ++ko)
-        out_values[ko] = arena.accumulator[out.col_index[ko]];
-    }
-    left_values = out_values;
-  }
-}
-
 }  // namespace whart::markov

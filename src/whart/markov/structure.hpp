@@ -8,13 +8,12 @@
 // split (DESIGN.md §12): CsrPattern captures a sparse matrix's shape
 // without its values, and ChainProductSkeleton captures the sparsity of
 // every left-to-right partial product of a matrix chain so the cycle
-// product of a SuperframeKernel can be refilled numerically — same
-// pattern, new probabilities — without re-running the symbolic pass or
-// allocating.
+// product can be refilled numerically (markov::BatchRefill,
+// markov::IncrementalProduct) — same pattern, new probabilities —
+// without re-running the symbolic pass or allocating.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "whart/linalg/sparse.hpp"
@@ -39,25 +38,13 @@ struct CsrPattern {
   friend bool operator==(const CsrPattern&, const CsrPattern&) = default;
 };
 
-/// Reusable scratch of ChainProductSkeleton::refill.  All buffers grow
-/// to their high-water mark on the first refill and are only rewritten
-/// afterwards, so a warm refill performs no allocation.
-struct ChainRefillArena {
-  /// Dense per-column accumulator of the current output row.
-  std::vector<double> accumulator;
-  /// marker[c] == current row tag when column c is live in this row.
-  std::vector<std::size_t> marker;
-  /// Ping-pong value buffers of the intermediate partial products.
-  std::vector<double> partial_a;
-  std::vector<double> partial_b;
-};
-
 /// Symbolic skeleton of the chain product M_0 * M_1 * ... * M_{F-1}:
 /// the sparsity pattern of every left-to-right partial product, computed
-/// once.  `refill` then replays Gustavson's numeric pass against fresh
-/// factor values, writing the final product's values in CSR order —
-/// bitwise equal to rebuilding the chain through linalg::multiply,
-/// because both visit the same nonzeros in the same order.
+/// once.  The numeric passes over it (markov::BatchRefill and
+/// markov::IncrementalProduct) replay Gustavson's arithmetic against
+/// fresh factor values — bitwise equal to rebuilding the chain through
+/// linalg::multiply, because they visit the same nonzeros in the same
+/// order.
 class ChainProductSkeleton {
  public:
   /// Symbolic chain collapse over the factor patterns (at least one;
@@ -88,12 +75,6 @@ class ChainProductSkeleton {
   [[nodiscard]] std::size_t max_partial_nonzeros() const noexcept {
     return max_partial_nnz_;
   }
-
-  /// Numeric pass: recompute the product's values from `factors` (which
-  /// must match the ctor patterns entry-for-entry) into `values_out`
-  /// (size pattern().nonzeros()).  Allocation-free once `arena` is warm.
-  void refill(const std::vector<linalg::CsrMatrix>& factors,
-              ChainRefillArena& arena, std::span<double> values_out) const;
 
  private:
   /// partials_[k]: pattern of M_0 * ... * M_k.

@@ -310,14 +310,12 @@ OracleReport cross_validate(const Scenario& input_scenario,
       }
     }
 
-    // Batch leg: the SoA lane-parallel refill (DESIGN.md §13).  Lane 0
+    // Batch leg: the lane-parallel refill (DESIGN.md §13).  Lane 0
     // carries the scenario's true availabilities; lanes 1..3 deform them
     // strictly into (0, 1), so the batch always holds distinct
     // non-degenerate lanes and a cross-lane swap is always observable.
-    // Each lane must reproduce its own fresh scalar superframe solve to
-    // 1e-12 relative — bitwise is not promised here, because the SIMD
-    // backend may contract multiply-adds differently from the scalar
-    // build.  kLaneSwap corrupts only this leg.
+    // Each lane must reproduce its own fresh superframe solve to 1e-12
+    // relative.  kLaneSwap corrupts only this leg.
     {
       constexpr std::size_t kLanes = 4;
       constexpr double kLaneTolerance = 1e-12;
@@ -341,10 +339,9 @@ OracleReport cross_validate(const Scenario& input_scenario,
         providers.push_back(&lane);
       hart::PathAnalysisOptions batch_options;
       batch_options.kernel = hart::TransientKernel::kSuperframeProduct;
-      batch_options.batch_lanes = kLanes;
       batch_options.inject_lane_swap =
           config.injection == Injection::kLaneSwap;
-      hart::BatchSolveWorkspace batch_workspace;
+      hart::SolveWorkspace batch_workspace;
       std::vector<hart::PathTransientResult> batched(kLanes);
       skeleton.analyze_batch_into(providers, batch_options, batch_workspace,
                                   batched);
@@ -382,11 +379,9 @@ OracleReport cross_validate(const Scenario& input_scenario,
 
     // Incremental leg: the what-if engine's targeted Gustavson row
     // replay (markov::IncrementalProduct, DESIGN.md §15).  The leg
-    // seeds a baseline cycle product from sanitized availabilities
-    // (clamped strictly into (0, 1), so the incremental path never
-    // declines on a degenerate firing probability — the leg asserts
-    // incremental-vs-fresh equivalence and may pick its own probe
-    // values), then perturbs each hop in isolation, re-solves through
+    // seeds a baseline cycle product from the scenario's availabilities
+    // (degenerate 0 or 1 included), then perturbs each hop in isolation
+    // to a probe value inside (0, 1), re-solves through
     // analyze_incremental_into (only the dirty product rows replayed)
     // and compares against a fresh solve of the perturbed chain.  Under
     // kPerSlot the incremental path declines by contract and the
@@ -396,8 +391,7 @@ OracleReport cross_validate(const Scenario& input_scenario,
       constexpr double kIncrementalTolerance = 1e-12;
       const hart::PathModel model(path_config);
       const hart::PathModelSkeleton skeleton(path_config);
-      std::vector<double> base = availabilities;
-      for (double& a : base) a = std::clamp(a, 0.02, 0.98);
+      const std::vector<double>& base = availabilities;
       const hart::SteadyStateLinks base_links{base};
       for (const hart::TransientKernel kernel :
            {hart::TransientKernel::kPerSlot,

@@ -13,12 +13,12 @@
 //       phase captured once, values refilled per solve; DESIGN.md §12),
 //       run cold and warm for both kernels and required to reproduce
 //       the fresh solve BITWISE, not merely within tolerance;
-//   (6) the batch leg — the SoA lane-parallel refill
+//   (6) the batch leg — the lane-parallel refill
 //       (PathModelSkeleton::analyze_batch_into, DESIGN.md §13): the
 //       scenario's availabilities plus three deformed variants solve as
 //       one four-lane batch, and every lane must match its own fresh
-//       scalar solve to 1e-12 relative — cross-lane contamination in
-//       the vectorized core shows up as a lane answering a neighbour's
+//       solve to 1e-12 relative — cross-lane contamination in the
+//       lane-parallel core shows up as a lane answering a neighbour's
 //       question.
 //   (7) the channel leg — when the scenario carries a correlated-channel
 //       overlay, the channel-enlarged production solver (both kernels)
@@ -87,7 +87,7 @@ enum class Injection {
   /// The batch leg's first two SoA cycle-product value lanes swapped
   /// after the vectorized refill — cross-lane contamination, the
   /// signature of a lane-indexing bug in the Gustavson replay.  Caught
-  /// by the per-lane comparison against fresh scalar solves.
+  /// by the per-lane comparison against fresh solves.
   kLaneSwap,
   /// The channel leg's firing rows redistribute their failure mass by
   /// the *stationary* distribution instead of the failure-conditioned

@@ -1,18 +1,21 @@
 // The symbolic/numeric split (DESIGN.md §12): a PathModelSkeleton's
 // numeric refill must reproduce a fresh PathModel::analyze bit for bit —
 // for both transient kernels, on cold and warm workspaces, across a
-// generated scenario corpus and in the degenerate regimes where the
-// refill falls back to a fresh solve.  Plus the shape-only fingerprint
-// that decides when two paths may share one skeleton.
+// generated scenario corpus and with degenerate (0 or 1) firing
+// probabilities, which refill like any other.  Plus the shape-only
+// fingerprint that decides when two paths may share one skeleton.
 #include "whart/hart/path_model.hpp"
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "whart/common/obs.hpp"
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_cache.hpp"
 #include "whart/markov/superframe_kernel.hpp"
@@ -55,6 +58,37 @@ void expect_same_product(const linalg::CsrMatrix& actual,
     actual.for_each_in_row(
         r, [&](std::size_t c, double v) { got.emplace_back(c, v); });
     EXPECT_EQ(got, want) << "row " << r;
+  }
+}
+
+// A refilled cycle product (the skeleton's generic pattern at one lane)
+// against a fresh one: every fresh entry appears with the same bits, and
+// every entry the generic pattern adds (a ps of 0 or 1 drops it from a
+// fresh build) holds exactly +0.0.
+void expect_refilled_product(const markov::CsrPattern& pattern,
+                             std::span<const double> values,
+                             const linalg::CsrMatrix& expected) {
+  ASSERT_EQ(pattern.rows, expected.rows());
+  ASSERT_EQ(values.size(), pattern.nonzeros());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t r = 0; r < pattern.rows; ++r) {
+    std::vector<std::pair<std::size_t, double>> want;
+    expected.for_each_in_row(
+        r, [&](std::size_t c, double v) { want.emplace_back(c, v); });
+    std::size_t w = 0;
+    for (std::size_t k = pattern.row_start[r]; k < pattern.row_start[r + 1];
+         ++k) {
+      const std::size_t c = pattern.col_index[k];
+      if (w < want.size() && want[w].first == c) {
+        EXPECT_EQ(bits(values[k]), bits(want[w].second))
+            << "entry (" << r << ", " << c << ")";
+        ++w;
+      } else {
+        EXPECT_EQ(bits(values[k]), bits(0.0))
+            << "extra entry (" << r << ", " << c << ")";
+      }
+    }
+    EXPECT_EQ(w, want.size()) << "row " << r << " lacks a fresh entry";
   }
 }
 
@@ -128,16 +162,42 @@ TEST(PathSkeleton, WarmWorkspaceSurvivesChangingAvailabilities) {
   }
 }
 
-TEST(PathSkeleton, DegenerateProbabilitiesFallBackBitwiseEqual) {
-  // ps of 0 or 1 changes the captured sparsity pattern, so analyze_into
-  // must detect it and fall back to a fresh solve — still bitwise equal.
+std::uint64_t counter(const char* name) {
+  const auto counters = common::obs::Registry::instance().snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? std::uint64_t{0} : it->second;
+}
+
+TEST(PathSkeleton, DegenerateProbabilitiesRefillBitwiseEqual) {
+  // ps of 0 or 1 drops an entry from a fresh build's factors; the
+  // skeleton refills its generic pattern anyway.  The extra entries hold
+  // +0.0 and add exact zeros, so the refill stays bitwise equal to the
+  // fresh solve with no fallback.
+  common::obs::set_metrics_enabled(true);
+  const std::uint64_t fallbacks = counter("hart.skeleton.refill_fallback");
   PathModelConfig config;
   config.hop_slots = {1, 3};
   config.superframe = net::SuperframeConfig::symmetric(5);
   config.reporting_interval = 3;
-  expect_refill_matches_fresh(config, {0.0, 0.7});
-  expect_refill_matches_fresh(config, {1.0, 1.0});
-  expect_refill_matches_fresh(config, {0.8, 0.0});
+  const PathModel model(config);
+  const PathModelSkeleton skeleton(config);
+  PathAnalysisOptions options;
+  options.kernel = TransientKernel::kSuperframeProduct;
+  for (const std::vector<double>& availabilities :
+       {std::vector<double>{0.0, 0.7}, std::vector<double>{1.0, 1.0},
+        std::vector<double>{0.8, 0.0}}) {
+    SCOPED_TRACE(::testing::PrintToString(availabilities));
+    expect_refill_matches_fresh(config, availabilities);
+    const SteadyStateLinks links{availabilities};
+    SolveWorkspace workspace;
+    PathTransientResult refilled;
+    skeleton.analyze_into(links, options, workspace, refilled);
+    const markov::SuperframeKernel full(
+        verify::full_chain_slot_matrices(model, links));
+    expect_refilled_product(skeleton.chain().pattern(),
+                            workspace.product_values, full.cycle_product());
+  }
+  EXPECT_EQ(counter("hart.skeleton.refill_fallback"), fallbacks);
 }
 
 TEST(PathSkeleton, FingerprintIgnoresAvailabilitiesButNotShape) {
@@ -274,7 +334,11 @@ void expect_explicit_case(const PathModelConfig& config,
   const markov::SuperframeKernel kernel(
       verify::full_chain_slot_matrices(model, links));
   ASSERT_EQ(kernel.period(), config.superframe.cycle_slots());
-  expect_same_product(workspace.product, kernel.cycle_product());
+  // No degenerate probability here, so the patterns agree exactly.
+  ASSERT_EQ(skeleton.chain().pattern().nonzeros(),
+            kernel.cycle_product().nonzeros());
+  expect_refilled_product(skeleton.chain().pattern(), workspace.product_values,
+                          kernel.cycle_product());
 }
 
 TEST(PathSkeleton, OpportunityChainRefillMatchesFullChainOnExplicitShapes) {

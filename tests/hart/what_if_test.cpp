@@ -150,8 +150,9 @@ TEST(WhatIfEngine, PerSlotKernelFallbackAgreesWithIncremental) {
 
 TEST(WhatIfEngine, DegenerateBaselineLinkFallsBackToFreshSolves) {
   // A perfect link makes the firing probability degenerate at the
-  // baseline, so seeding declines and the engine must route that path's
-  // queries through the fresh fallback — with correct results.
+  // baseline.  The skeleton's generic pattern refills it like any other
+  // value (the dropped entries hold +0.0), so seeding and the queries on
+  // that path must still match fresh solves.
   net::TypicalNetwork t = net::make_typical_network();
   const net::LinkId perfect = net::LinkId{0};
   t.network.set_link_model(perfect, link::LinkModel(0.0, 0.9));
@@ -175,6 +176,50 @@ TEST(WhatIfEngine, DegenerateBaselineLinkFallsBackToFreshSolves) {
   for (std::size_t p = 0; p < t.paths.size(); ++p)
     expect_rel(result.per_path[p].reachability,
                fresh.per_path[p].reachability, 1e-12);
+}
+
+TEST(WhatIfEngine, DegenerateWhatIfsStayIncremental) {
+  // Moving a link to availability 0 or 1 makes its firing probabilities
+  // degenerate.  Both queries replay the product incrementally — no
+  // fallback — and agree with fresh solves of the modified network.
+  common::obs::set_metrics_enabled(true);
+  const auto count = [](const char* name) {
+    const auto counters =
+        common::obs::Registry::instance().snapshot().counters;
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const net::TypicalNetwork t = net::make_typical_network();
+  WhatIfEngine engine(t.network, t.paths, t.eta_a, t.superframe,
+                      net::kTypicalReportingInterval);
+  const auto single = std::find_if(
+      engine.links().begin(), engine.links().end(),
+      [&](net::LinkId link) { return engine.paths_using(link) == 1; });
+  ASSERT_NE(single, engine.links().end());
+  const net::LinkId link = *single;
+  for (const link::LinkModel& model :
+       {link::LinkModel(1.0, 0.0), link::LinkModel(0.0, 1.0)}) {
+    const double availability = model.steady_state_availability();
+    SCOPED_TRACE(availability);
+    const std::uint64_t solves = count("hart.whatif.incremental_solves");
+    const std::uint64_t fallbacks = count("hart.whatif.incremental_fallback");
+    const WhatIfResult result = engine.what_if(link, availability);
+    EXPECT_EQ(count("hart.whatif.incremental_solves"), solves + 1);
+    EXPECT_EQ(count("hart.whatif.incremental_fallback"), fallbacks);
+    net::Network modified = t.network;
+    modified.set_link_model(link, model);
+    const NetworkMeasures fresh = analyze_network(
+        modified, t.paths, t.eta_a, t.superframe,
+        net::kTypicalReportingInterval, superframe_options());
+    for (std::size_t p = 0; p < t.paths.size(); ++p) {
+      expect_rel(result.per_path[p].reachability,
+                 fresh.per_path[p].reachability, 1e-12, "reachability");
+      expect_rel(result.per_path[p].expected_delay_ms,
+                 fresh.per_path[p].expected_delay_ms, 1e-12, "delay");
+      expect_rel(result.per_path[p].discard_probability,
+                 fresh.per_path[p].discard_probability, 1e-12, "discard");
+    }
+  }
 }
 
 TEST(WhatIfEngine, DeltaMatchesTheFullQuery) {

@@ -1,8 +1,6 @@
-// The SIMD lane primitives (DESIGN.md §13): every helper must match the
-// plain scalar loop it replaces on every length — in particular lengths
-// straddling the hardware vector width, where the remainder loop takes
-// over — and must keep per-lane results within rounding of the scalar
-// expression (exact when no FMA contraction is involved, as in mul/add).
+// The lane primitives (DESIGN.md §13): every helper must evaluate the
+// plain scalar expression it names on every length, including the short
+// and odd lengths the auto-vectorized loop finishes element by element.
 #include "whart/linalg/simd.hpp"
 
 #include <cmath>
@@ -22,20 +20,9 @@ std::vector<double> pattern(std::size_t n, double phase) {
   return v;
 }
 
-// Lengths around multiples of the vector width exercise both the full
-// vector body and the scalar remainder of every helper.
+// Empty, single-lane, odd and batch-sized lengths.
 std::vector<std::size_t> interesting_lengths() {
-  std::vector<std::size_t> lengths = {0, 1, 2, 3, 5, 7, 8, 13, 64};
-  lengths.push_back(simd::kWidth);
-  if (simd::kWidth > 1) lengths.push_back(simd::kWidth - 1);
-  lengths.push_back(simd::kWidth + 1);
-  lengths.push_back(3 * simd::kWidth + 1);
-  return lengths;
-}
-
-TEST(Simd, BackendReportsPositiveWidth) {
-  EXPECT_GE(simd::kWidth, 1u);
-  EXPECT_NE(simd::backend_name(), nullptr);
+  return {0, 1, 2, 3, 4, 5, 7, 8, 13, 16, 64};
 }
 
 TEST(Simd, MulMatchesScalarLoopExactly) {
@@ -58,10 +45,8 @@ TEST(Simd, MulAddMatchesScalarLoop) {
     std::vector<double> expected = acc;
     simd::mul_add(acc.data(), a.data(), b.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      // The vector body may contract to a fused multiply-add; allow one
-      // ulp-scale difference from the unfused scalar expression.
       expected[i] += a[i] * b[i];
-      EXPECT_NEAR(acc[i], expected[i], 1e-15 * (1.0 + std::abs(expected[i])));
+      EXPECT_EQ(acc[i], expected[i]);
     }
   }
 }

@@ -1,24 +1,21 @@
-// The lane-equivalence battery of the SoA batch solve (DESIGN.md §13).
-// Two layers: (1) markov::BatchRefill against the scalar
-// ChainProductSkeleton::refill on randomized matrix chains, every lane
-// checked independently; (2) PathModelSkeleton::analyze_batch_into
-// against scalar analyze_into over the generated scenario corpus and
-// the edge cases the batch partition must route around — single-lane
-// batches, lane counts straddling the hardware vector width, TTL cuts,
-// one-slot frames and degenerate (pfl 0/1) lanes that must fall back to
-// the scalar path inside a mixed batch.
+// The lane-equivalence battery of the SoA solve (DESIGN.md §13).  Two
+// layers: (1) markov::BatchRefill against a fresh linalg::multiply chain
+// on randomized matrix chains, every lane checked bitwise; (2)
+// PathModelSkeleton::analyze_batch_into against each lane's own one-point
+// analyze_into over the generated scenario corpus and the edge cases —
+// single-lane batches, TTL cuts, one-slot frames, degenerate (ps 0/1)
+// lanes that batch with the rest, and per-slot lanes that solve alone.
 #include "whart/markov/batch_refill.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "whart/common/obs.hpp"
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_model.hpp"
-#include "whart/linalg/simd.hpp"
 #include "whart/linalg/sparse.hpp"
 #include "whart/markov/structure.hpp"
 #include "whart/numeric/rng.hpp"
@@ -26,17 +23,6 @@
 
 namespace whart::markov {
 namespace {
-
-// Per-lane arithmetic order matches the scalar refill, so lanes agree
-// with scalar solves to rounding; 1e-12 relative absorbs backend FMA
-// contraction differences with nine digits to spare.
-constexpr double kTol = 1e-12;
-
-void expect_close(double batched, double scalar, const std::string& what) {
-  const double scale =
-      std::max({1.0, std::abs(batched), std::abs(scalar)});
-  EXPECT_LE(std::abs(batched - scalar), kTol * scale) << what;
-}
 
 // --- Layer 1: the markov core on randomized chains ---------------------
 
@@ -68,7 +54,10 @@ linalg::CsrMatrix lane_variant(const linalg::CsrMatrix& base,
                                        std::move(values));
 }
 
-void expect_batch_matches_scalar_chain(std::size_t dim,
+// Each lane's multiply/multiply-add sequence is linalg::multiply's, so
+// every lane must equal a fresh chain build of its own factors bit for
+// bit.
+void expect_batch_matches_multiply_chain(std::size_t dim,
                                        std::size_t factor_count,
                                        std::size_t lanes,
                                        std::uint64_t seed) {
@@ -108,14 +97,15 @@ void expect_batch_matches_scalar_chain(std::size_t dim,
   batch.refill(soa, lanes, arena, std::span<double>(warm));
   EXPECT_EQ(batched, warm);
 
-  ChainRefillArena scalar_arena;
-  std::vector<double> scalar(chain.pattern().nonzeros());
   for (std::size_t l = 0; l < lanes; ++l) {
-    chain.refill(lane_factors[l], scalar_arena, std::span<double>(scalar));
-    for (std::size_t k = 0; k < scalar.size(); ++k)
-      expect_close(batched[k * lanes + l], scalar[k],
-                   "entry " + std::to_string(k) + " lane " +
-                       std::to_string(l));
+    linalg::CsrMatrix product = lane_factors[l].front();
+    for (std::size_t k = 1; k < factor_count; ++k)
+      product = linalg::multiply(product, lane_factors[l][k]);
+    ASSERT_EQ(CsrPattern::of(product), chain.pattern());
+    const auto expected = product.values();
+    for (std::size_t k = 0; k < expected.size(); ++k)
+      EXPECT_EQ(batched[k * lanes + l], expected[k])
+          << "entry " << k << " lane " << l;
   }
 }
 
@@ -123,28 +113,17 @@ TEST(BatchRefill, LanesMatchScalarRefillOnRandomChains) {
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}, std::size_t{7}}) {
     SCOPED_TRACE("lanes " + std::to_string(lanes));
-    expect_batch_matches_scalar_chain(6, 4, lanes, 17 + lanes);
-    expect_batch_matches_scalar_chain(9, 7, lanes, 400 + lanes);
-  }
-}
-
-TEST(BatchRefill, LaneCountsStraddlingVectorWidth) {
-  // The remainder loop of every simd helper: widths around kWidth and a
-  // count that is not a multiple of it.
-  const std::size_t w = linalg::simd::kWidth;
-  std::vector<std::size_t> widths = {w, w + 1, 2 * w + 1, 3};
-  if (w > 1) widths.push_back(w - 1);
-  for (const std::size_t lanes : widths) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    expect_batch_matches_scalar_chain(7, 5, lanes, 900 + lanes);
+    expect_batch_matches_multiply_chain(6, 4, lanes, 17 + lanes);
+    expect_batch_matches_multiply_chain(7, 5, lanes, 900 + lanes);
+    expect_batch_matches_multiply_chain(9, 7, lanes, 400 + lanes);
   }
 }
 
 TEST(BatchRefill, SingleFactorChainIsAPassthrough) {
-  expect_batch_matches_scalar_chain(5, 1, 3, 7);
+  expect_batch_matches_multiply_chain(5, 1, 3, 7);
 }
 
-// --- Layer 2: the hart batch solve against scalar analyze_into ---------
+// --- Layer 2: the hart batch solve against one-point analyze_into ------
 
 using hart::PathAnalysisOptions;
 using hart::PathModel;
@@ -154,44 +133,25 @@ using hart::PathTransientResult;
 using hart::SteadyStateLinks;
 using hart::TransientKernel;
 
+// A lane's arithmetic does not depend on the lane count, so a batched
+// lane equals its one-point solve exactly.
 void expect_lane_matches_scalar(const PathTransientResult& batched,
                                 const PathTransientResult& scalar,
                                 const std::string& lane) {
-  ASSERT_EQ(batched.cycle_probabilities.size(),
-            scalar.cycle_probabilities.size());
-  for (std::size_t i = 0; i < scalar.cycle_probabilities.size(); ++i)
-    expect_close(batched.cycle_probabilities[i],
-                 scalar.cycle_probabilities[i],
-                 lane + " cycle " + std::to_string(i));
-  expect_close(batched.discard_probability, scalar.discard_probability,
-               lane + " discard");
-  expect_close(batched.expected_transmissions,
-               scalar.expected_transmissions, lane + " transmissions");
-  expect_close(batched.expected_transmissions_delivered,
-               scalar.expected_transmissions_delivered,
-               lane + " delivered");
-  ASSERT_EQ(batched.expected_transmissions_per_hop.size(),
-            scalar.expected_transmissions_per_hop.size());
-  for (std::size_t h = 0;
-       h < scalar.expected_transmissions_per_hop.size(); ++h)
-    expect_close(batched.expected_transmissions_per_hop[h],
-                 scalar.expected_transmissions_per_hop[h],
-                 lane + " hop " + std::to_string(h));
-  EXPECT_EQ(batched.trajectory_stride, scalar.trajectory_stride) << lane;
-  ASSERT_EQ(batched.goal_trajectory.size(), scalar.goal_trajectory.size());
-  for (std::size_t k = 0; k < scalar.goal_trajectory.size(); ++k) {
-    ASSERT_EQ(batched.goal_trajectory[k].size(),
-              scalar.goal_trajectory[k].size());
-    for (std::size_t i = 0; i < scalar.goal_trajectory[k].size(); ++i)
-      expect_close(batched.goal_trajectory[k][i],
-                   scalar.goal_trajectory[k][i],
-                   lane + " trajectory " + std::to_string(k) + "," +
-                       std::to_string(i));
-  }
+  SCOPED_TRACE(lane);
+  EXPECT_EQ(batched.cycle_probabilities, scalar.cycle_probabilities);
+  EXPECT_EQ(batched.discard_probability, scalar.discard_probability);
+  EXPECT_EQ(batched.expected_transmissions, scalar.expected_transmissions);
+  EXPECT_EQ(batched.expected_transmissions_delivered,
+            scalar.expected_transmissions_delivered);
+  EXPECT_EQ(batched.expected_transmissions_per_hop,
+            scalar.expected_transmissions_per_hop);
+  EXPECT_EQ(batched.trajectory_stride, scalar.trajectory_stride);
+  EXPECT_EQ(batched.goal_trajectory, scalar.goal_trajectory);
 }
 
 // Solve `lane_availabilities` as one batch through a shared skeleton and
-// check every lane against its own scalar refill.
+// check every lane against its own one-point solve.
 void expect_batch_solve_matches_scalar(
     const PathModelConfig& config,
     const std::vector<std::vector<double>>& lane_availabilities) {
@@ -207,9 +167,8 @@ void expect_batch_solve_matches_scalar(
 
   PathAnalysisOptions options;
   options.kernel = TransientKernel::kSuperframeProduct;
-  options.batch_lanes = lane_availabilities.size();
 
-  hart::BatchSolveWorkspace workspace;
+  hart::SolveWorkspace workspace;
   std::vector<PathTransientResult> batched(links.size());
   skeleton.analyze_batch_into(providers, options, workspace, batched);
   // Warm pass through the same workspace must agree too.
@@ -270,17 +229,6 @@ TEST(BatchSolve, SingleLaneBatchMatchesScalar) {
                                     deformed_lanes({0.7, 0.85, 0.9}, 1));
 }
 
-TEST(BatchSolve, LaneCountsAroundVectorWidth) {
-  const std::size_t w = linalg::simd::kWidth;
-  std::vector<std::size_t> widths = {w, w + 1, 2 * w + 1};
-  if (w > 1) widths.push_back(w - 1);
-  for (const std::size_t lanes : widths) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    expect_batch_solve_matches_scalar(
-        three_hop_config(), deformed_lanes({0.7, 0.85, 0.9}, lanes));
-  }
-}
-
 TEST(BatchSolve, TtlCutBatchesMatchScalar) {
   PathModelConfig config = three_hop_config();
   config.ttl = 14;  // cuts the horizon mid-cycle
@@ -296,22 +244,45 @@ TEST(BatchSolve, OneSlotFrameBatchesMatchScalar) {
   expect_batch_solve_matches_scalar(config, deformed_lanes({0.75}, 4));
 }
 
+std::uint64_t counter(const char* name) {
+  const auto counters = common::obs::Registry::instance().snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? std::uint64_t{0} : it->second;
+}
+
 TEST(BatchSolve, DegenerateLanesFallBackInsideAMixedBatch) {
-  // pfl of 0 or 1 changes the sparsity pattern, so those lanes must be
-  // routed to the scalar per-lane path while the rest still batch — and
-  // every lane, batched or fallen back, must match its scalar solve.
-  expect_batch_solve_matches_scalar(
-      three_hop_config(),
-      {{0.7, 0.85, 0.9},
-       {0.0, 0.85, 0.9},    // dead hop: scalar fallback
-       {1.0, 1.0, 1.0},     // perfect links: scalar fallback
-       {0.72, 0.83, 0.88},  // batchable
-       {0.68, 0.8, 0.93}});
+  // pfl of 0 or 1 leaves +0.0 in the generic pattern's entries a fresh
+  // build would drop; those lanes batch with the rest — no lane solves
+  // apart — and every lane still matches its one-point solve.
+  common::obs::set_metrics_enabled(true);
+  const std::uint64_t remainder_before = counter("hart.batch.remainder_points");
+  const std::uint64_t filled_before = counter("hart.batch.lanes_filled");
+  const std::vector<std::vector<double>> lanes = {
+      {0.7, 0.85, 0.9},
+      {0.0, 0.85, 0.9},  // dead hop
+      {1.0, 1.0, 1.0},   // perfect links
+      {0.72, 0.83, 0.88},
+      {0.68, 0.8, 0.93}};
+  const PathModelSkeleton skeleton(three_hop_config());
+  std::vector<SteadyStateLinks> links;
+  links.reserve(lanes.size());
+  for (const std::vector<double>& availabilities : lanes)
+    links.emplace_back(availabilities);
+  std::vector<const hart::LinkProbabilityProvider*> providers;
+  for (const SteadyStateLinks& provider : links) providers.push_back(&provider);
+  PathAnalysisOptions options;
+  options.kernel = TransientKernel::kSuperframeProduct;
+  hart::SolveWorkspace workspace;
+  std::vector<PathTransientResult> batched(lanes.size());
+  skeleton.analyze_batch_into(providers, options, workspace, batched);
+  EXPECT_EQ(counter("hart.batch.remainder_points"), remainder_before);
+  EXPECT_EQ(counter("hart.batch.lanes_filled"), filled_before + lanes.size());
+  expect_batch_solve_matches_scalar(three_hop_config(), lanes);
 }
 
 TEST(BatchSolve, PerSlotKernelFallsBackToScalarLanes) {
-  // The per-slot kernel has no SoA core; analyze_batch_into must route
-  // every lane through the scalar refill and still match.
+  // The per-slot kernel has no SoA core; analyze_batch_into must solve
+  // every lane alone through the per-slot core and still match.
   const PathModelConfig config = three_hop_config();
   const PathModelSkeleton skeleton(config);
   const std::vector<std::vector<double>> lanes =
@@ -327,8 +298,7 @@ TEST(BatchSolve, PerSlotKernelFallsBackToScalarLanes) {
 
   PathAnalysisOptions options;
   options.kernel = TransientKernel::kPerSlot;
-  options.batch_lanes = lanes.size();
-  hart::BatchSolveWorkspace workspace;
+  hart::SolveWorkspace workspace;
   std::vector<PathTransientResult> batched(links.size());
   skeleton.analyze_batch_into(providers, options, workspace, batched);
 
@@ -359,9 +329,8 @@ TEST(BatchSolve, LaneSwapInjectionBreaksLaneEquivalence) {
 
   PathAnalysisOptions options;
   options.kernel = TransientKernel::kSuperframeProduct;
-  options.batch_lanes = lanes.size();
   options.inject_lane_swap = true;
-  hart::BatchSolveWorkspace workspace;
+  hart::SolveWorkspace workspace;
   std::vector<PathTransientResult> swapped(links.size());
   skeleton.analyze_batch_into(providers, options, workspace, swapped);
 

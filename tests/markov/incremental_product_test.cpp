@@ -36,6 +36,26 @@ std::vector<CsrPattern> patterns_of(
   return patterns;
 }
 
+/// One-lane value arrays of the factors (the layout IncrementalProduct
+/// reads).
+std::vector<std::vector<double>> values_of(
+    const std::vector<linalg::CsrMatrix>& factors) {
+  std::vector<std::vector<double>> values;
+  values.reserve(factors.size());
+  for (const linalg::CsrMatrix& m : factors)
+    values.emplace_back(m.values().begin(), m.values().end());
+  return values;
+}
+
+/// The reference product: a fresh linalg::multiply chain build.
+std::vector<double> multiply_chain(
+    const std::vector<linalg::CsrMatrix>& factors) {
+  linalg::CsrMatrix product = factors.front();
+  for (std::size_t k = 1; k < factors.size(); ++k)
+    product = linalg::multiply(product, factors[k]);
+  return {product.values().begin(), product.values().end()};
+}
+
 void expect_bitwise(std::span<const double> a, std::span<const double> b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -55,15 +75,11 @@ TEST(IncrementalProduct, RefillMatchesSkeletonBitwise) {
     const std::vector<CsrPattern> patterns = patterns_of(factors);
     const ChainProductSkeleton chain(patterns);
 
-    ChainRefillArena arena;
-    std::vector<double> expected(chain.pattern().nonzeros());
-    chain.refill(factors, arena, expected);
-
     IncrementalProduct product(chain, patterns);
     EXPECT_FALSE(product.seeded());
-    product.refill(factors);
+    product.refill(values_of(factors));
     EXPECT_TRUE(product.seeded());
-    expect_bitwise(expected, product.values());
+    expect_bitwise(multiply_chain(factors), product.values());
   }
 }
 
@@ -78,24 +94,23 @@ TEST(IncrementalProduct, TargetedUpdatesMatchFullRefillBitwise) {
     const std::vector<CsrPattern> patterns = patterns_of(factors);
     const ChainProductSkeleton chain(patterns);
     IncrementalProduct product(chain, patterns);
-    product.refill(factors);
+    std::vector<std::vector<double>> values = values_of(factors);
+    product.refill(values);
 
-    ChainRefillArena arena;
-    std::vector<double> expected(chain.pattern().nonzeros());
     // Several rounds of sparse mutations against the same product: the
-    // dirty-row replay must stay bitwise equal to a from-scratch refill
-    // after every round, not just the first.
+    // dirty-row replay must stay bitwise equal to a from-scratch chain
+    // build after every round, not just the first.
     for (int round = 0; round < 4; ++round) {
       const std::size_t mutations = 1 + rng.below(4);
       for (std::size_t m = 0; m < mutations; ++m) {
         const std::size_t k = rng.below(factors.size());
         const std::size_t vi = rng.below(factors[k].nonzeros());
         factors[k].values()[vi] = 0.01 + 0.9 * rng.uniform();
+        values[k][vi] = factors[k].values()[vi];
         product.update(k, vi);
       }
-      product.propagate(factors);
-      chain.refill(factors, arena, expected);
-      expect_bitwise(expected, product.values());
+      product.propagate(values);
+      expect_bitwise(multiply_chain(factors), product.values());
     }
   }
 }
@@ -107,9 +122,10 @@ TEST(IncrementalProduct, PropagateWithoutPendingIsANoop) {
   const std::vector<CsrPattern> patterns = patterns_of(factors);
   const ChainProductSkeleton chain(patterns);
   IncrementalProduct product(chain, patterns);
-  product.refill(factors);
+  const std::vector<std::vector<double>> values = values_of(factors);
+  product.refill(values);
   const std::uint64_t replayed_before = product.rows_replayed();
-  EXPECT_EQ(product.propagate(factors), 0u);
+  EXPECT_EQ(product.propagate(values), 0u);
   EXPECT_EQ(product.rows_replayed(), replayed_before);
 }
 
@@ -120,7 +136,7 @@ TEST(IncrementalProduct, PropagateBeforeSeedingThrows) {
   const ChainProductSkeleton chain(patterns);
   IncrementalProduct product(chain, patterns);
   product.update(0, 0);
-  EXPECT_THROW(product.propagate(factors), precondition_error);
+  EXPECT_THROW(product.propagate(values_of(factors)), precondition_error);
 }
 
 TEST(IncrementalProduct, LastFactorUpdateReplaysOnlyTheFinalStage) {
@@ -142,19 +158,18 @@ TEST(IncrementalProduct, LastFactorUpdateReplaysOnlyTheFinalStage) {
   const std::vector<CsrPattern> patterns = patterns_of(factors);
   const ChainProductSkeleton chain(patterns);
   IncrementalProduct product(chain, patterns);
-  product.refill(factors);
+  std::vector<std::vector<double>> values = values_of(factors);
+  product.refill(values);
 
   const std::size_t k = chain_length - 1;
   factors[k].values()[0] = 0.123456789;
+  values[k][0] = 0.123456789;
   product.update(k, 0);
-  const std::size_t replayed = product.propagate(factors);
+  const std::size_t replayed = product.propagate(values);
   EXPECT_GT(replayed, 0u);
   EXPECT_LE(replayed, n);  // one stage, at most every row of it
 
-  ChainRefillArena arena;
-  std::vector<double> expected(chain.pattern().nonzeros());
-  chain.refill(factors, arena, expected);
-  expect_bitwise(expected, product.values());
+  expect_bitwise(multiply_chain(factors), product.values());
 }
 
 TEST(IncrementalProduct, RejectsMismatchedFactors) {
