@@ -27,12 +27,13 @@
 //                        the channel-enlarged DTMC, --simulate draws
 //                        from the same chains (kChannel regime) and
 //                        --sweep evaluates its grid under the overlay
-//   --kernel <name>      force one transient solver on every path:
-//                        per-slot or superframe (superframe-product
-//                        collapse).  Unset, each path gets the faster
-//                        one for its kind: superframe for i.i.d. links,
-//                        per-slot under --channel.  Same results to
-//                        rounding either way
+//   --kernel <name>      force one transient solver on the i.i.d.
+//                        paths: per-slot (the firing-table walk) or
+//                        superframe (superframe-product collapse; the
+//                        default).  Same results to rounding either way.
+//                        Channel paths (--channel) have one solver, the
+//                        walk, so superframe is ignored there with a
+//                        warning
 //   --reuse-skeleton     share the symbolic solve phase between paths of
 //                        identical schedule shape and across sweep grid
 //                        points (default; bitwise-identical results)
@@ -303,11 +304,17 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
   if (!options.channel_spec.empty())
     channel = whart::link::ChannelModel::parse(options.channel_spec);
 
-  // --channel routes every solve through the channel-enlarged DTMC,
-  // which has no skeleton-reuse or batched-refill path; flags asking for
-  // those would otherwise be swallowed silently.
+  // --channel routes every solve through the channel-enlarged walk,
+  // which has no skeleton-reuse, batched-refill or superframe-product
+  // path; flags asking for those would otherwise be swallowed silently.
   if (channel.has_value()) {
     std::uint64_t ignored = 0;
+    if (options.kernel == whart::hart::TransientKernel::kSuperframeProduct) {
+      std::cerr << "whart_cli: warning: --kernel superframe is ignored with "
+                   "--channel (channel paths have one solver, the "
+                   "firing-table walk)\n";
+      ++ignored;
+    }
     if (options.batch_lanes_set) {
       std::cerr << "whart_cli: warning: --batch-lanes is ignored with "
                    "--channel (channel-enlarged solves have no batch "

@@ -25,8 +25,8 @@
 //                        link-bias | discard-leak | cycle-shift |
 //                        product-entry | stale-skeleton-value |
 //                        lane-swap | channel-state-leak |
-//                        stale-product-row (a healthy harness must
-//                        then FAIL)
+//                        channel-gap-shift | stale-product-row (a
+//                        healthy harness must then FAIL)
 //   --metrics[=<file>]   dump the obs metrics snapshot as JSON
 //                        (default file: whart_verify_metrics.json)
 //   --obs-dir=<dir>      full observability bundle (metrics.json,
@@ -55,7 +55,7 @@ int usage() {
                "[--channel-prob <p>] "
                "[--inject link-bias|discard-leak|cycle-shift|product-entry|"
                "stale-skeleton-value|lane-swap|channel-state-leak|"
-               "stale-product-row] "
+               "channel-gap-shift|stale-product-row] "
                "[--metrics[=<file>]] [--obs-dir=<dir>]\n";
   return 2;
 }
@@ -129,6 +129,9 @@ int main(int argc, char** argv) {
         else if (fault == "channel-state-leak")
           config.oracle.injection =
               whart::verify::Injection::kChannelStateLeak;
+        else if (fault == "channel-gap-shift")
+          config.oracle.injection =
+              whart::verify::Injection::kChannelGapShift;
         else if (fault == "stale-product-row")
           config.oracle.injection =
               whart::verify::Injection::kStaleProductRow;

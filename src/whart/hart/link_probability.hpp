@@ -34,16 +34,15 @@ class LinkProbabilityProvider {
   /// — the precondition of the superframe-product transient kernel
   /// (markov::SuperframeKernel).  Providers whose probabilities evolve
   /// over time (transient links, scripted failures) must keep the
-  /// default false; PathModel then falls back to the per-slot solve.
+  /// default false; PathModel then walks the firing table.
   [[nodiscard]] virtual bool cycle_stationary() const { return false; }
 
   /// The finite-state Markov channel behind hop `hop`, or nullptr when
   /// the hop is per-slot independent.  When any hop returns a channel
-  /// with more than one state, PathModel enlarges its DTMC so the hop
-  /// carries the channel state (hart/path_model_channel.cpp) and
-  /// up_probability is interpreted as the channel's stationary marginal
-  /// success (used by the i.i.d. code paths a degenerate channel must
-  /// reproduce).
+  /// with more than one state, PathModel's firing-table walk enlarges the
+  /// DTMC so the hop carries the channel state, and up_probability is
+  /// interpreted as the channel's stationary marginal success (used by
+  /// the i.i.d. code paths a degenerate channel must reproduce).
   [[nodiscard]] virtual const link::ChannelModel* channel_model(
       std::size_t /*hop*/) const {
     return nullptr;
@@ -127,9 +126,9 @@ class TransientLinks final : public LinkProbabilityProvider {
 /// from DOWN afterwards.
 /// True when any of the first `hops` hops of `links` carries a
 /// multi-state channel — the condition under which PathModel enlarges
-/// its DTMC state space (and skeleton/batch refills fall back to fresh
-/// solves, since the enlarged shape is not the one their patterns were
-/// captured for).
+/// its DTMC state space (and the superframe product and skeleton/batch
+/// refills give way to the walk, since the enlarged shape is not the one
+/// their patterns were captured for).
 [[nodiscard]] bool channel_enlarged(const LinkProbabilityProvider& links,
                                     std::size_t hops);
 

@@ -39,11 +39,11 @@ struct AnalysisOptions {
   /// picks per path kind, default_kernel() (DESIGN.md §11): the
   /// superframe product for i.i.d. steady-state paths, whose cycle
   /// product runs over the transmission opportunities only, and the
-  /// per-slot core for channel-enlarged paths (see `channel`), whose
-  /// enlarged cycle product still mixes every slot and is the slower of
-  /// the two there.  A value forces that kernel on every path (the
-  /// differential oracle's and the goldens' seam).  The kernels agree on
-  /// every measure to ~1e-12.
+  /// firing-table walk for channel-enlarged paths (see `channel`), the
+  /// only solver those have.  A value forces that kernel on every i.i.d.
+  /// path (the differential oracle's and the goldens' seam); forcing
+  /// kSuperframeProduct on channel paths still walks them, counted as a
+  /// kernel fallback.  The kernels agree on every measure to ~1e-12.
   std::optional<TransientKernel> kernel;
 
   /// Share the symbolic solve phase between paths of identical schedule
@@ -57,7 +57,7 @@ struct AnalysisOptions {
   /// this channel rescaled so its stationary marginal success equals the
   /// hop's steady-state availability (ChannelModel::with_marginal_success)
   /// and the per-path solves go through the channel-enlarged DTMC
-  /// (hart/path_model_channel.cpp).  Channel paths always solve fresh:
+  /// (PathModel's firing-table walk).  Channel paths always solve fresh:
   /// the cache and the skeleton store key the i.i.d. shape, not the
   /// enlarged one, so neither is consulted.  A one-state (i.i.d.)
   /// channel reproduces the plain analysis to rounding.
@@ -65,8 +65,8 @@ struct AnalysisOptions {
 };
 
 /// The kernel analyze_network runs when AnalysisOptions::kernel is
-/// unset: the superframe product on i.i.d. paths, the per-slot core on
-/// channel-enlarged ones.
+/// unset: the superframe product on i.i.d. paths, the firing-table walk
+/// on channel-enlarged ones.
 constexpr TransientKernel default_kernel(bool channel_enlarged) noexcept {
   return channel_enlarged ? TransientKernel::kPerSlot
                           : TransientKernel::kSuperframeProduct;

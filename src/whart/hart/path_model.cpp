@@ -14,11 +14,6 @@
 
 namespace whart::hart {
 
-namespace {
-constexpr std::uint32_t kNoOpportunity =
-    std::numeric_limits<std::uint32_t>::max();
-}
-
 PathModelConfig PathModelConfig::from_schedule(
     const net::Schedule& schedule, std::size_t path_index,
     net::SuperframeConfig superframe, std::uint32_t reporting_interval) {
@@ -49,44 +44,32 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
               std::numeric_limits<std::uint32_t>::max(),
           "cycle (Fup + Fdown) * 10 ms fits in 32 bits");
   expects(config_.effective_ttl() >= 1, "ttl >= 1");
-  for (net::SlotNumber s : config_.hop_slots)
-    expects(s >= 1 && s <= config_.superframe.uplink_slots,
-            "hop slots lie within the uplink frame");
   expects(config_.retry_slots.empty() ||
               config_.retry_slots.size() == config_.hop_slots.size(),
           "retry_slots empty or one entry per hop");
-  std::vector<net::SlotNumber> sorted = config_.hop_slots;
-  for (net::SlotNumber s : config_.retry_slots) {
-    if (s == 0) continue;  // no retry slot for this hop
-    expects(s >= 1 && s <= config_.superframe.uplink_slots,
-            "retry slots lie within the uplink frame");
-    sorted.push_back(s);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  expects(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-          "each transmission opportunity has its own dedicated slot");
 
-  // Firing table: mark each in-frame slot with the hop it carries, then
-  // renumber the marked slots as opportunities in slot order.  A hop slot
-  // and a retry slot never coincide (checked above), so each slot names
-  // at most one hop.
+  // Firing table: every dedicated and nonzero retry slot with the hop it
+  // carries, in slot order; no two may share a slot.
   const std::uint32_t frame = config_.superframe.uplink_slots;
   const std::size_t hops = config_.hop_count();
-  opportunity_of_slot_.assign(frame, kNoOpportunity);
+  opportunities_.reserve(hops + config_.retry_slots.size());
   for (std::size_t h = 0; h < hops; ++h)
-    opportunity_of_slot_[config_.hop_slots[h] - 1] =
-        static_cast<std::uint32_t>(h);
+    opportunities_.push_back({config_.hop_slots[h], h});
   for (std::size_t h = 0; h < config_.retry_slots.size(); ++h)
-    if (config_.retry_slots[h] != 0)
-      opportunity_of_slot_[config_.retry_slots[h] - 1] =
-          static_cast<std::uint32_t>(h);
-  opportunities_.reserve(sorted.size());
-  for (std::uint32_t slot = 1; slot <= frame; ++slot) {
-    std::uint32_t& entry = opportunity_of_slot_[slot - 1];
-    if (entry == kNoOpportunity) continue;
-    opportunities_.push_back({slot, entry});
-    entry = static_cast<std::uint32_t>(opportunities_.size() - 1);
-  }
+    if (config_.retry_slots[h] != 0)  // 0: no retry slot for this hop
+      opportunities_.push_back({config_.retry_slots[h], h});
+  for (const Opportunity& o : opportunities_)
+    expects(o.slot >= 1 && o.slot <= frame,
+            "hop and retry slots lie within the uplink frame");
+  std::sort(opportunities_.begin(), opportunities_.end(),
+            [](const Opportunity& a, const Opportunity& b) {
+              return a.slot < b.slot;
+            });
+  expects(std::adjacent_find(opportunities_.begin(), opportunities_.end(),
+                             [](const Opportunity& a, const Opportunity& b) {
+                               return a.slot == b.slot;
+                             }) == opportunities_.end(),
+          "each transmission opportunity has its own dedicated slot");
 
   // First reachable layer of each hop, in closed form.  A message reaches
   // hop h + 1 on hop h's first firing at a global slot s >= first[h] + 1
@@ -115,14 +98,6 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
   for (std::uint32_t first : first_layer_) transient_count_ += ttl - first;
 }
 
-std::optional<std::size_t> PathModel::hop_in_slot(
-    std::uint32_t global_slot) const noexcept {
-  const std::uint32_t opportunity =
-      opportunity_of_slot_[(global_slot - 1) % config_.superframe.uplink_slots];
-  if (opportunity == kNoOpportunity) return std::nullopt;
-  return opportunities_[opportunity].hop;
-}
-
 PathTransientResult PathModel::analyze(
     const LinkProbabilityProvider& links) const {
   return analyze(links, PathAnalysisOptions{});
@@ -131,38 +106,177 @@ PathTransientResult PathModel::analyze(
 PathTransientResult PathModel::analyze(
     const LinkProbabilityProvider& links,
     const PathAnalysisOptions& options) const {
-  if (channel_enlarged(links, config_.hop_count()))
-    return analyze_channel(links, options);
   if (options.kernel == TransientKernel::kSuperframeProduct) {
-    if (links.cycle_stationary())
+    if (links.cycle_stationary() &&
+        !channel_enlarged(links, config_.hop_count()))
       return analyze_superframe(links, options.inject_product_error);
     WHART_COUNT("hart.path_solve.kernel_fallback");
   }
-  return analyze_per_slot(links);
-}
-
-PathTransientResult PathModel::analyze_per_slot(
-    const LinkProbabilityProvider& links) const {
   SolveWorkspace workspace;
   PathTransientResult result;
-  analyze_per_slot_into(links, workspace, result);
+  walk(links, options.inject_channel_fault, workspace, result);
   return result;
 }
 
-void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
-                                      SolveWorkspace& ws,
-                                      PathTransientResult& result) const {
+namespace {
+
+/// P^n of a channel's transition matrix (k x k, row-major) by repeated
+/// squaring.
+std::vector<double> channel_power(const link::ChannelModel& channel,
+                                  std::uint64_t n) {
+  const std::size_t k = channel.state_count();
+  std::vector<double> power(k * k, 0.0);
+  std::vector<double> base(k * k);
+  std::vector<double> product(k * k);
+  for (std::size_t r = 0; r < k; ++r) {
+    power[r * k + r] = 1.0;
+    for (std::size_t c = 0; c < k; ++c)
+      base[r * k + c] = channel.transition(r, c);
+  }
+  const auto multiply_into = [&](const std::vector<double>& a,
+                                 const std::vector<double>& b,
+                                 std::vector<double>& out) {
+    std::fill(product.begin(), product.end(), 0.0);
+    for (std::size_t r = 0; r < k; ++r)
+      for (std::size_t m = 0; m < k; ++m)
+        for (std::size_t c = 0; c < k; ++c)
+          product[r * k + c] += a[r * k + m] * b[m * k + c];
+    out.swap(product);
+  };
+  for (; n > 0; n >>= 1) {
+    if ((n & 1) != 0) multiply_into(power, base, power);
+    if (n > 1) multiply_into(base, base, base);
+  }
+  return power;
+}
+
+}  // namespace
+
+void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
+                     SolveWorkspace& ws, PathTransientResult& result,
+                     std::span<double> sensitivity) const {
   WHART_SPAN("path_solve");
-  expects(links.hop_count() >= config_.hop_count(),
-          "provider covers every hop");
+  const std::size_t hops = config_.hop_count();
+  expects(links.hop_count() >= hops, "provider covers every hop");
+  expects(sensitivity.empty() || sensitivity.size() == hops,
+          "one sensitivity entry per hop");
 #ifndef WHART_OBS_DISABLED
   const bool timed = common::obs::metrics_enabled();
   const auto solve_start = timed ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
 #endif
-  const std::size_t hops = config_.hop_count();
+  const net::SuperframeConfig& superframe = config_.superframe;
+  const std::uint32_t frame = superframe.uplink_slots;
   const std::uint32_t ttl = config_.effective_ttl();
   const std::uint32_t horizon = config_.horizon();
+
+  // Block layout: hop h owns states [offset, offset + k_h) of the mass
+  // and delivery vectors, k_h > 1 only for a multi-state channel.
+  ws.walk_hops.resize(hops);
+  std::size_t states = 0;
+  for (std::size_t h = 0; h < hops; ++h) {
+    WalkHop& hop = ws.walk_hops[h];
+    const link::ChannelModel* channel = links.channel_model(h);
+    hop.channel =
+        channel != nullptr && channel->state_count() > 1 ? channel : nullptr;
+    hop.states = hop.channel != nullptr ? hop.channel->state_count() : 1;
+    hop.offset = states;
+    states += hop.states;
+  }
+  const bool enlarged = states > hops;
+
+  // P_h^gap, computed once per distinct (hop, gap) of this solve.
+  struct Power {
+    std::size_t hop;
+    std::uint64_t gap;
+    std::vector<double> values;
+  };
+  std::vector<Power> powers;
+  const auto power = [&](std::size_t h, std::uint64_t gap) -> const double* {
+    if (fault == ChannelFault::kGapShift) ++gap;
+    for (const Power& p : powers)
+      if (p.hop == h && p.gap == gap) return p.values.data();
+    powers.push_back({h, gap, channel_power(*ws.walk_hops[h].channel, gap)});
+    return powers.back().values.data();
+  };
+  // A hop's stationary law and per-state success probability; a one-
+  // state hop has pi = (1) and reads ps from its firing record.
+  const auto pi = [](const WalkHop& hop, std::size_t s) {
+    return hop.channel != nullptr ? hop.channel->stationary()[s] : 1.0;
+  };
+  const auto success_in = [](const WalkHop& hop, std::size_t s,
+                             const double* record) {
+    return hop.channel != nullptr ? hop.channel->success_in_state(s)
+                                  : record[0];
+  };
+  // pi . v over hop `h`'s block: the delivery probability of an arrival,
+  // arrivals being stationary draws.
+  const auto stationary_dot = [&](std::size_t h, const double* v) {
+    const WalkHop& hop = ws.walk_hops[h];
+    double dot = 0.0;
+    for (std::size_t s = 0; s < hop.states; ++s)
+      dot += pi(hop, s) * v[hop.offset + s];
+    return dot;
+  };
+
+  // The firings up to the TTL: firing j is opportunity j % count of
+  // cycle j / count, and the TTL keeps a prefix of them.
+  const std::size_t count = opportunities_.size();
+  std::size_t firings = static_cast<std::size_t>(ttl / frame) * count;
+  for (const Opportunity& o : opportunities_)
+    firings += o.slot <= ttl % frame;
+  const auto global_slot = [&](std::size_t j) {
+    return static_cast<std::uint32_t>(j / count) * frame +
+           opportunities_[j % count].slot;
+  };
+
+  // Backward pass: each firing's delivery vector beta (per channel state
+  // s of the firing hop: P(delivery | at the hop in state s just before
+  // the firing)) and gain beta_success - beta_failure, from the delivery
+  // vector of the same hop's next firing (failure) and the next hop's
+  // (success).  A record holds ps, beta[k_h], gain[k_h].
+  ws.next_beta.assign(states, 0.0);
+  for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
+  ws.firings.clear();
+  for (std::size_t j = firings; j-- > 0;) {
+    const std::size_t h = opportunities_[j % count].hop;
+    WalkHop& hop = ws.walk_hops[h];
+    const std::uint64_t slot =
+        superframe.absolute_slot_of_uplink(global_slot(j));
+    const double success =
+        h + 1 == hops ? 1.0 : stationary_dot(h + 1, ws.next_beta.data());
+    const std::size_t at = ws.firings.size();
+    ws.firings.resize(at + 1 + 2 * hop.states);
+    double* record = ws.firings.data() + at;
+    record[0] = hop.channel != nullptr ? 0.0 : links.up_probability(h, slot);
+    double* beta = record + 1;
+    double* gain = beta + hop.states;
+    double* next = ws.next_beta.data() + hop.offset;
+    // gain <- beta_failure: the next firing's vector carried back across
+    // the gap (the failing slot included).
+    if (!hop.fired.has_value()) {
+      std::fill(gain, gain + hop.states, 0.0);
+    } else if (hop.channel == nullptr) {
+      gain[0] = next[0];
+    } else if (fault == ChannelFault::kStateLeak) {
+      std::fill(gain, gain + hop.states,
+                stationary_dot(h, ws.next_beta.data()));
+    } else {
+      const double* p = power(h, *hop.fired - slot);
+      for (std::size_t s = 0; s < hop.states; ++s) {
+        gain[s] = 0.0;
+        for (std::size_t s2 = 0; s2 < hop.states; ++s2)
+          gain[s] += p[s * hop.states + s2] * next[s2];
+      }
+    }
+    for (std::size_t s = 0; s < hop.states; ++s) {
+      const double ps = success_in(hop, s, record);
+      beta[s] = ps * success + (1.0 - ps) * gain[s];
+      gain[s] = success - gain[s];
+      next[s] = beta[s];
+    }
+    hop.fired = slot;
+  }
 
   result.cycle_probabilities.assign(config_.reporting_interval, 0.0);
   result.expected_transmissions_per_hop.assign(hops, 0.0);
@@ -172,92 +286,98 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
   result.trajectory_stride = 1;
   result.diagnostics = SolverDiagnostics{};
   result.goal_trajectory.resize(horizon + 1);
-  std::size_t trajectory_entry = 0;
-  const auto record_trajectory = [&] {
-    result.goal_trajectory[trajectory_entry++].assign(
-        result.cycle_probabilities.begin(), result.cycle_probabilities.end());
+  std::size_t recorded = 0;
+  const auto record_trajectory = [&](std::size_t until) {
+    for (; recorded < until; ++recorded)
+      result.goal_trajectory[recorded].assign(
+          result.cycle_probabilities.begin(),
+          result.cycle_probabilities.end());
   };
-  record_trajectory();
 
-  // Backward pass: beta[t][h] = P(eventual delivery | at (t, h) before
-  // slot t+1).  Needed to attribute attempts to delivered messages.
-  ws.beta.assign(static_cast<std::size_t>(ttl) * hops, 0.0);
-  const auto beta_at = [&](std::uint32_t t, std::size_t h) -> double& {
-    return ws.beta[static_cast<std::size_t>(t) * hops + h];
-  };
-  for (std::uint32_t t = ttl; t-- > 0;) {
-    const std::uint32_t slot = t + 1;
-    const std::optional<std::size_t> firing = hop_in_slot(slot);
-    for (std::size_t h = 0; h < hops; ++h) {
-      const double continue_beta = slot == ttl ? 0.0 : beta_at(t + 1, h);
-      if (firing == h) {
-        const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(slot));
-        const double success_beta =
-            h + 1 == hops
-                ? 1.0
-                : (slot == ttl ? 0.0 : beta_at(t + 1, h + 1));
-        beta_at(t, h) = ps * success_beta + (1.0 - ps) * continue_beta;
-      } else {
-        beta_at(t, h) = continue_beta;
-      }
+  // Forward pass: the message starts at hop 0 with its channel
+  // stationary.  A block is brought up to date only when its hop fires;
+  // until its first firing it holds stationary arrivals alone.
+  ws.mass.assign(states, 0.0);
+  for (std::size_t s = 0; s < ws.walk_hops[0].states; ++s)
+    ws.mass[s] = pi(ws.walk_hops[0], s);
+  for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
+  std::vector<double> mixed;
+  std::size_t record_end = ws.firings.size();
+  for (std::size_t j = 0; j < firings; ++j) {
+    const std::size_t h = opportunities_[j % count].hop;
+    WalkHop& hop = ws.walk_hops[h];
+    const std::uint32_t global = global_slot(j);
+    const std::uint64_t slot = superframe.absolute_slot_of_uplink(global);
+    record_end -= 1 + 2 * hop.states;
+    const double* record = ws.firings.data() + record_end;
+    const double* beta = record + 1;
+    const double* gain = beta + hop.states;
+    record_trajectory(global);
+    double* m = ws.mass.data() + hop.offset;
+    if (hop.channel != nullptr && hop.fired.has_value()) {
+      const double* p = power(h, slot - *hop.fired);
+      mixed.assign(hop.states, 0.0);
+      for (std::size_t s = 0; s < hop.states; ++s)
+        for (std::size_t s2 = 0; s2 < hop.states; ++s2)
+          mixed[s2] += m[s] * p[s * hop.states + s2];
+      std::copy(mixed.begin(), mixed.end(), m);
+    }
+    hop.fired = slot;
+    double moved = 0.0;
+    for (std::size_t s = 0; s < hop.states; ++s) {
+      if (!(m[s] > 0.0)) continue;
+      const double ps = success_in(hop, s, record);
+      result.expected_transmissions += m[s];
+      result.expected_transmissions_per_hop[h] += m[s];
+      result.expected_transmissions_delivered += m[s] * beta[s];
+      if (!sensitivity.empty()) sensitivity[h] += m[s] * gain[s];
+      const double success = m[s] * ps;
+      m[s] -= success;
+      moved += success;
+    }
+    if (hop.channel != nullptr && fault == ChannelFault::kStateLeak) {
+      double failed = 0.0;
+      for (std::size_t s = 0; s < hop.states; ++s) failed += m[s];
+      for (std::size_t s = 0; s < hop.states; ++s)
+        m[s] = failed * pi(hop, s);
+    }
+    if (h + 1 == hops) {
+      result.cycle_probabilities[j / count] += moved;
+    } else {
+      const WalkHop& next = ws.walk_hops[h + 1];
+      for (std::size_t s = 0; s < next.states; ++s)
+        ws.mass[next.offset + s] += moved * pi(next, s);
     }
   }
-
-  ws.mass.assign(hops, 0.0);
-  ws.mass[0] = 1.0;
-
-  for (std::uint32_t slot = 1; slot <= horizon; ++slot) {
-    if (slot <= ttl) {
-      if (const auto firing = hop_in_slot(slot); firing.has_value()) {
-        const std::size_t h = *firing;
-        if (ws.mass[h] > 0.0) {
-          const double ps = links.up_probability(
-              h, config_.superframe.absolute_slot_of_uplink(slot));
-          result.expected_transmissions += ws.mass[h];
-          result.expected_transmissions_per_hop[h] += ws.mass[h];
-          result.expected_transmissions_delivered +=
-              ws.mass[h] * beta_at(slot - 1, h);
-          const double moved = ws.mass[h] * ps;
-          ws.mass[h] -= moved;
-          if (h + 1 == hops) {
-            const std::uint32_t cycle =
-                (slot - 1) / config_.superframe.uplink_slots;  // 0-based
-            result.cycle_probabilities[cycle] += moved;
-          } else {
-            ws.mass[h + 1] += moved;
-          }
-        }
-      }
-      if (slot == ttl) {
-        // TTL expired: every in-flight message is discarded.
-        for (double& m : ws.mass) {
-          result.discard_probability += m;
-          m = 0.0;
-        }
-      }
-    }
-    record_trajectory();
+  record_trajectory(std::size_t{horizon} + 1);
+  // TTL expired: every in-flight message is discarded (lazy mixing
+  // moves mass between channel states, never out of a block).
+  for (double& m : ws.mass) {
+    result.discard_probability += m;
+    m = 0.0;
   }
 
-  result.diagnostics.dtmc_states = state_count();
-  result.diagnostics.transient_states = transient_count_;
-  result.diagnostics.absorbing_states = config_.reporting_interval + 1;
-  result.diagnostics.forward_steps = horizon;
+  SolverDiagnostics& diagnostics = result.diagnostics;
+  diagnostics.dtmc_states = enlarged ? states + 2 : state_count();
+  diagnostics.transient_states = enlarged ? states : transient_count_;
+  diagnostics.absorbing_states =
+      enlarged ? 2 : std::size_t{config_.reporting_interval} + 1;
+  diagnostics.forward_steps = horizon;
   const double goal_mass =
       std::accumulate(result.cycle_probabilities.begin(),
                       result.cycle_probabilities.end(), 0.0);
-  result.diagnostics.mass_residual =
+  diagnostics.mass_residual =
       std::abs(1.0 - goal_mass - result.discard_probability);
   WHART_COUNT("hart.path_solve.count");
-  WHART_OBSERVE("hart.path_solve.states", state_count());
-  WHART_EVENT(kSolveDone, "hart.path_solve", state_count(), 0);
+  if (enlarged) WHART_COUNT("hart.path_solve.channel");
+  WHART_OBSERVE("hart.path_solve.states", diagnostics.dtmc_states);
+  WHART_EVENT(kSolveDone, "hart.path_solve", diagnostics.dtmc_states, 0);
 #ifndef WHART_OBS_DISABLED
   if (timed) {
     const auto elapsed = std::chrono::steady_clock::now() - solve_start;
-    result.diagnostics.solve_ns = static_cast<std::uint64_t>(
+    diagnostics.solve_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    WHART_OBSERVE("hart.path_solve.ns", result.diagnostics.solve_ns);
+    WHART_OBSERVE("hart.path_solve.ns", diagnostics.solve_ns);
   }
 #endif
 }
@@ -402,7 +522,7 @@ void PathModel::analyze_superframe_batch_lanes(
       simd::add(ws.attempts.data() + (r * hops + hop) * lanes,
                 column + r * lanes, lanes);
     }
-    // prefix <- prefix * M_i: the arithmetic of left_multiply_batch_into
+    // prefix <- prefix * M_i: the arithmetic of left_multiply_batch
     // (accumulation ascending over the factor's rows), lane-wide.
     const LaneCsr& step = factors[i];
     simd::fill(ws.prefix_next.data(), 0.0, dim * dim * lanes);
@@ -637,13 +757,18 @@ markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
   std::vector<linalg::Triplet> transitions;
   std::vector<std::string> names(num_states);
 
+  // The firing hop of each in-frame uplink slot (`hops` when idle).
+  const std::uint32_t frame = config_.superframe.uplink_slots;
+  std::vector<std::size_t> firing_hop(frame, hops);
+  for (const Opportunity& o : opportunities_) firing_hop[o.slot - 1] = o.hop;
+
   // Transient states and their outgoing transitions, t-major: state
   // (t, h) is number layer_start + h.
   std::size_t layer_start = 0;
   std::size_t width = layer_width(0, 0);
   for (std::uint32_t t = 0; t < ttl; ++t) {
     const std::uint32_t slot = t + 1;
-    const std::optional<std::size_t> firing = hop_in_slot(slot);
+    const std::size_t firing = firing_hop[t % frame];
     const std::size_t next_start = layer_start + width;
     const std::size_t next_width = t + 1 < ttl ? layer_width(t + 1, width) : 0;
     for (std::size_t h = 0; h < width; ++h) {
@@ -669,7 +794,7 @@ markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
             h, config_.superframe.absolute_slot_of_uplink(slot));
         const std::size_t success_target =
             h + 1 == hops
-                ? goal_index((slot - 1) / config_.superframe.uplink_slots)
+                ? goal_index((slot - 1) / frame)
                 : continuation(h + 1);
         if (ps > 0.0)
           transitions.push_back({from, success_target, ps});
@@ -708,9 +833,9 @@ namespace {
 /// Verification-harness adapter: `inject_stale_skeleton` biases hop 0's
 /// success probability, emulating a refill that wrote stale values into
 /// the skeleton's structures.  Only the skeleton path applies it (the
-/// refill gather through `bias`, the per-slot route through this
-/// wrapper), so fresh and refilled solves diverge and the differential
-/// oracle's refill arm must notice.
+/// refill gather through `bias`, the walk through this wrapper), so
+/// fresh and refilled solves diverge and the differential oracle's
+/// refill arm must notice.
 class StaleLinks final : public LinkProbabilityProvider {
  public:
   StaleLinks(const LinkProbabilityProvider& base, double delta) noexcept
@@ -730,6 +855,10 @@ class StaleLinks final : public LinkProbabilityProvider {
   }
   [[nodiscard]] bool cycle_stationary() const override {
     return base_.cycle_stationary();
+  }
+  [[nodiscard]] const link::ChannelModel* channel_model(
+      std::size_t hop) const override {
+    return base_.channel_model(hop);
   }
 
  private:
@@ -847,19 +976,16 @@ void PathModelSkeleton::solve_unrefilled(const LinkProbabilityProvider& links,
                                          const PathAnalysisOptions& options,
                                          SolveWorkspace& ws,
                                          PathTransientResult& result) const {
-  if (channel_enlarged(links, config().hop_count())) {
-    // The skeleton's patterns describe the compact i.i.d. chain; a
-    // multi-state channel enlarges the state space, so refilling cannot
-    // reproduce a fresh build — solve fresh through the channel core.
-    WHART_COUNT("hart.skeleton.refill_fallback");
-    result = model_.analyze(links, options);
-    return;
-  }
   if (options.kernel == TransientKernel::kSuperframeProduct)
     WHART_COUNT("hart.path_solve.kernel_fallback");
-  WHART_COUNT("hart.skeleton.refills");
+  // The skeleton's patterns describe the compact i.i.d. chain; a
+  // multi-state channel enlarges the state space past them.
+  if (channel_enlarged(links, config().hop_count()))
+    WHART_COUNT("hart.skeleton.refill_fallback");
+  else
+    WHART_COUNT("hart.skeleton.refills");
   const StaleLinks stale(links, options.inject_stale_skeleton);
-  model_.analyze_per_slot_into(stale, ws, result);
+  model_.walk(stale, options.inject_channel_fault, ws, result);
 }
 
 void PathModelSkeleton::refill_and_solve(

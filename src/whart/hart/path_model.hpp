@@ -37,19 +37,34 @@ namespace whart::hart {
 
 /// Which transient solver answers PathModel::analyze.
 enum class TransientKernel {
-  /// Forward propagation, one step per uplink slot — the paper's Eq. 5
-  /// read off directly.  Works under every link regime.
+  /// The firing-table walk (DESIGN.md §11): the paper's Eq. 5 stepped
+  /// over the path's transmission opportunities only, since message mass
+  /// moves nowhere else.  Works under every link regime, channel-
+  /// enlarged paths included, and records the per-slot goal trajectory.
   kPerSlot,
 
   /// Superframe-product collapse (markov::SuperframeKernel): the
   /// per-slot matrices of one cycle are premultiplied into the cycle
   /// matrix once, and the reporting interval advances cycle-by-cycle
   /// through it (plus a per-slot tail when the TTL cuts a cycle).
-  /// Requires a cycle-stationary link provider (steady-state links);
-  /// time-varying providers fall back to kPerSlot.  Results agree with
-  /// kPerSlot to rounding (~1e-15 relative; the products reassociate
-  /// the same arithmetic), not bitwise.
+  /// Requires i.i.d. attempts from a cycle-stationary provider (steady-
+  /// state links); time-varying and channel-enlarged providers walk the
+  /// firing table instead (counted as hart.path_solve.kernel_fallback).
+  /// Results agree with kPerSlot to rounding (~1e-15 relative; the
+  /// products reassociate the same arithmetic), not bitwise.
   kSuperframeProduct,
+};
+
+/// Verification-harness fault of the channel-enlarged walk (see
+/// PathAnalysisOptions::inject_channel_fault).
+enum class ChannelFault {
+  kNone,
+  /// Failure mass is redrawn at the channel's stationary law instead of
+  /// staying in the state it failed in — forgetting that a failed
+  /// attempt is evidence of a bad channel state.
+  kStateLeak,
+  /// Every lazy mix advances one slot too far (P^(gap+1) for P^gap).
+  kGapShift,
 };
 
 /// Per-solve knobs of PathModel::analyze and compute_path_measures.
@@ -88,14 +103,12 @@ struct PathAnalysisOptions {
   /// production.
   double inject_stale_product_row = 0.0;
 
-  /// Verification-harness fault injection: in the channel-enlarged
-  /// solver (path_model_channel.cpp), redistribute the failure mass of
-  /// every firing row by the channel's *stationary* distribution instead
-  /// of the conditioned transition row — i.e. forget that a failed
-  /// attempt is evidence of a bad channel state.  The classic bug a
-  /// correlated-channel solver can have; the oracle's channel arm must
-  /// catch it.  Always false in production.
-  bool inject_channel_state_leak = false;
+  /// Verification-harness fault injection: a deliberate bug in the
+  /// channel-enlarged firing-table walk, mirrored in both its passes so
+  /// the solve stays self-consistent and only the oracle's channel arm
+  /// (against the channel reference solver) can tell.  Always kNone in
+  /// production.
+  ChannelFault inject_channel_fault = ChannelFault::kNone;
 };
 
 /// Static description of one path's model.
@@ -178,10 +191,11 @@ struct SolverDiagnostics {
   bool from_cache = false;
 
   /// Solver that actually produced this result.  kSuperframeProduct only
-  /// when the collapse ran; a cycle-stationarity fallback reports
-  /// kPerSlot.  For kSuperframeProduct the state-count fields above
-  /// describe the compact message chain (hops + Goal + Discard) the
-  /// collapse operates on, not the unrolled chain.
+  /// when the collapse ran; a fallback to the walk reports kPerSlot.  For
+  /// kSuperframeProduct the state-count fields above describe the compact
+  /// message chain (hops + Goal + Discard) the collapse operates on, and
+  /// for a channel-enlarged walk the enlarged chain (sum of k_h + Goal +
+  /// Discard), not the unrolled chain.
   TransientKernel kernel = TransientKernel::kPerSlot;
 };
 
@@ -234,6 +248,19 @@ struct LaneCsr {
   const double* values = nullptr;
 };
 
+/// One hop of the firing-table walk (PathModel::walk): its channel block
+/// of k_h states at `offset` in the walk's mass and delivery vectors.
+struct WalkHop {
+  /// The hop's multi-state channel, or null when attempts are i.i.d.
+  /// (one state, success probability from the provider).
+  const link::ChannelModel* channel = nullptr;
+  std::size_t states = 1;
+  std::size_t offset = 0;
+  /// Absolute slot of the hop's adjacent firing in the current pass (its
+  /// previous firing going forward, its next one going backward).
+  std::optional<std::uint64_t> fired;
+};
+
 /// Reusable numeric-phase scratch of the path solves (DESIGN.md §12,
 /// §13).  Every superframe solve runs the structure-of-arrays core, whose
 /// buffers carry a lane dimension in entry-major layout — entry k of a
@@ -264,9 +291,15 @@ struct SolveWorkspace {
   /// The core's view of the factors (one per opportunity).
   std::vector<LaneCsr> factor_operands;
 
-  // Per-slot kernel scratch.
-  std::vector<double> beta;  ///< beta[t][h] flattened to ttl x hops
+  // Firing-table walk scratch (PathModel::walk).  `firings` holds one
+  // record per firing, last firing first: its success probability, the
+  // k_h-entry delivery vector beta and the k_h-entry gain beta_success -
+  // beta_failure.  `mass` and `next_beta` hold one channel block per hop:
+  // the message mass, and the delivery vector of the hop's next firing.
+  std::vector<WalkHop> walk_hops;
+  std::vector<double> firings;
   std::vector<double> mass;
+  std::vector<double> next_beta;
 
   // Superframe core scratch, dim = hops + 2 (each times lanes).
   std::vector<double> prefix_columns;  ///< opportunities x dim x lanes
@@ -297,30 +330,29 @@ struct SolveWorkspace {
 };
 
 /// The path DTMC of one schedule shape, held as its firing table plus
-/// each hop's first reachable time layer: under i.i.d. attempts every
-/// solve needs only the firing table, and to_dtmc unrolls the (t, h)
-/// states on demand.
+/// each hop's first reachable time layer: every solve needs only the
+/// firing table, and to_dtmc unrolls the (t, h) states on demand.
 class PathModel {
  public:
   /// Validates the config: at least one hop, slots within the frame, no
   /// two hops sharing a slot, horizon > 0 and Is * Fup within 32 bits.
-  /// Allocates only the firing table (O(Fup + hops)), never anything
-  /// sized by the TTL or by Is.
+  /// Allocates only the firing table (O(hops + opportunities)), never
+  /// anything sized by Fup, the TTL or Is.
   explicit PathModel(PathModelConfig config);
 
   [[nodiscard]] const PathModelConfig& config() const noexcept {
     return config_;
   }
 
-  /// Exact transient analysis (paper Eq. 5) by forward propagation over
-  /// the unrolled chain, with per-slot success probabilities from `links`.
+  /// Exact transient analysis (paper Eq. 5) by the firing-table walk,
+  /// with per-slot success probabilities from `links`.
   [[nodiscard]] PathTransientResult analyze(
       const LinkProbabilityProvider& links) const;
 
   /// Transient analysis with solver selection.  kSuperframeProduct
   /// collapses full cycles through markov::SuperframeKernel when `links`
-  /// is cycle-stationary and otherwise falls back to the per-slot solve
-  /// (recorded in diagnostics.kernel and an obs counter).
+  /// is cycle-stationary with i.i.d. attempts and otherwise falls back to
+  /// the walk (recorded in diagnostics.kernel and an obs counter).
   [[nodiscard]] PathTransientResult analyze(
       const LinkProbabilityProvider& links,
       const PathAnalysisOptions& options) const;
@@ -338,22 +370,6 @@ class PathModel {
   /// cycle-stationary.
   [[nodiscard]] std::vector<linalg::CsrMatrix> opportunity_matrices(
       const LinkProbabilityProvider& links) const;
-
-  /// The cycle_slots() per-slot transition matrices of one cycle over
-  /// the channel-enlarged chain (DESIGN.md §14): states
-  /// off[h]..off[h]+k_h-1 are "waiting at hop h in channel state s"
-  /// (k_h = hop h's ChannelModel state count, 1 when the hop has none),
-  /// followed by Goal and Discard.  Every slot — idle uplink and
-  /// downlink included — mixes each hop's channel block through its
-  /// transition matrix; a firing slot splits the block row into success
-  /// q_s times a fresh stationary draw of the next hop's channel (exact,
-  /// because per-link chains are independent and started stationary) and
-  /// failure (1 - q_s) times the conditioned transition row.  With
-  /// `inject_state_leak` the failure mass is redistributed by the
-  /// stationary distribution instead — the channel-state-leak fault the
-  /// oracle must catch.
-  [[nodiscard]] std::vector<linalg::CsrMatrix> channel_slot_matrices(
-      const LinkProbabilityProvider& links, bool inject_state_leak) const;
 
   /// Materialize the underlying DTMC (the output of the paper's
   /// Algorithm 1) with transition probabilities frozen from `links`.
@@ -376,11 +392,6 @@ class PathModel {
     return transient_count_ + config_.reporting_interval + 1;
   }
 
-  /// Which hop (if any) fires in global uplink slot s (1-based): a
-  /// lookup in the firing table.
-  [[nodiscard]] std::optional<std::size_t> hop_in_slot(
-      std::uint32_t global_slot) const noexcept;
-
   /// One transmission opportunity of a frame: the uplink slot carrying a
   /// hop's dedicated or retry transmission.
   struct Opportunity {
@@ -397,28 +408,30 @@ class PathModel {
  private:
   friend class PathModelSkeleton;
 
-  /// Channel-enlarged solver (path_model_channel.cpp): dispatched by
-  /// analyze() whenever any hop of `links` reports a multi-state
-  /// ChannelModel.  Honors the kernel choice — a per-slot stored-
-  /// backward solve over the enlarged matrices, or the superframe
-  /// collapse through markov::SuperframeKernel — and the product-entry
-  /// and channel-state-leak injections.
-  [[nodiscard]] PathTransientResult analyze_channel(
-      const LinkProbabilityProvider& links,
-      const PathAnalysisOptions& options) const;
+  friend std::vector<double> reachability_sensitivity(
+      const PathModel& model, const LinkProbabilityProvider& links,
+      TransientKernel kernel);
 
-  [[nodiscard]] PathTransientResult analyze_per_slot(
-      const LinkProbabilityProvider& links) const;
   [[nodiscard]] PathTransientResult analyze_superframe(
       const LinkProbabilityProvider& links, double inject) const;
 
-  /// Shared numeric cores.  Both the fresh analyze paths and the
-  /// skeleton refill path run these exact functions, so fresh and
-  /// refilled solves are bitwise identical by construction — the fresh
-  /// path merely builds its inputs (and a throwaway workspace) first.
-  void analyze_per_slot_into(const LinkProbabilityProvider& links,
-                             SolveWorkspace& workspace,
-                             PathTransientResult& result) const;
+  /// The firing-table walk (DESIGN.md §11, §14): the solve of every path
+  /// the superframe product does not take.  Message mass moves only at
+  /// firings, so both passes step over Is cycles x opportunities() up to
+  /// the TTL.  The backward pass stores each firing's delivery vector
+  /// beta; the forward pass moves one mass block per hop (k_h channel
+  /// states, 1 for an i.i.d. hop), reading i.i.d. success probabilities
+  /// per (cycle, opportunity).  A channel block mixes lazily: it advances
+  /// by P_h^gap only when its hop fires, gap being the absolute slots
+  /// since the hop last fired, because arrivals enter at the stationary
+  /// law pi and pi P = pi.  On i.i.d. paths the arithmetic is the
+  /// unrolled chain's, step for step.  When `sensitivity` is non-empty
+  /// (one entry per hop) it accumulates dR/dps_h: mass x (beta_success -
+  /// beta_failure) over hop h's firings, for a channel hop the derivative
+  /// by a uniform shift of its per-state success probabilities.
+  void walk(const LinkProbabilityProvider& links, ChannelFault fault,
+            SolveWorkspace& workspace, PathTransientResult& result,
+            std::span<double> sensitivity = {}) const;
 
   /// The superframe core (DESIGN.md §13), lane-parallel over
   /// results.size() points: `factors` are the chain factors in
@@ -444,11 +457,8 @@ class PathModel {
       std::span<PathTransientResult* const> results) const;
 
   PathModelConfig config_;
-  /// Firing table, built once: the ordered opportunities and, per
-  /// in-frame uplink slot s, opportunity_of_slot_[s - 1] = its index in
-  /// opportunities_ (UINT32_MAX when s is idle).
+  /// Firing table, built once: the opportunities in slot order.
   std::vector<Opportunity> opportunities_;
-  std::vector<std::uint32_t> opportunity_of_slot_;
   /// first_layer_[h]: the first time layer t at which state (t, h) is
   /// reachable; (t, h) exists exactly for first_layer_[h] <= t < ttl.
   /// Strictly increasing, and hops the TTL cuts off are left out, so
@@ -482,11 +492,11 @@ class PathModelSkeleton {
     return model_.config();
   }
 
-  /// Numeric phase: analyze_batch_into at one lane.  A channel-enlarged
-  /// provider solves fresh through model().analyze (counted as
-  /// `hart.skeleton.refill_fallback`); a non-cycle-stationary provider
-  /// under kSuperframeProduct degrades to the per-slot core exactly like
-  /// PathModel::analyze.
+  /// Numeric phase: analyze_batch_into at one lane.  A provider the
+  /// refill cannot take walks the firing table exactly like
+  /// PathModel::analyze: kPerSlot, a non-cycle-stationary provider (under
+  /// kSuperframeProduct a kernel fallback) or a channel-enlarged one
+  /// (also counted as `hart.skeleton.refill_fallback`).
   void analyze_into(const LinkProbabilityProvider& links,
                     const PathAnalysisOptions& options,
                     SolveWorkspace& workspace,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -18,54 +17,6 @@
 namespace whart::hart {
 
 namespace {
-
-/// Per-slot adjoint: each attempt of hop h in slot s contributes
-/// mass * (beta_success - beta_failure) to dR/dps_h, with beta the
-/// eventual-delivery probabilities right after slot s.
-std::vector<double> sensitivity_per_slot(const PathModel& model,
-                                         const LinkProbabilityProvider& links) {
-  const PathModelConfig& config = model.config();
-  const std::size_t hops = config.hop_count();
-  const std::uint32_t ttl = config.effective_ttl();
-
-  // Backward pass: beta[t * hops + h] = P(delivery | at (t, h)); layer
-  // ttl is the expired one (delivery 0).
-  std::vector<double> beta((static_cast<std::size_t>(ttl) + 1) * hops, 0.0);
-  const auto beta_at = [&](std::uint32_t t, std::size_t h) -> double& {
-    return beta[static_cast<std::size_t>(t) * hops + h];
-  };
-  const auto success_beta = [&](std::uint32_t t, std::size_t h) {
-    return h + 1 == hops ? 1.0 : beta_at(t, h + 1);
-  };
-  for (std::uint32_t t = ttl; t-- > 0;) {
-    for (std::size_t h = 0; h < hops; ++h) beta_at(t, h) = beta_at(t + 1, h);
-    if (const auto firing = model.hop_in_slot(t + 1); firing.has_value()) {
-      const std::size_t h = *firing;
-      const double ps = links.up_probability(
-          h, config.superframe.absolute_slot_of_uplink(t + 1));
-      beta_at(t, h) =
-          ps * success_beta(t + 1, h) + (1.0 - ps) * beta_at(t + 1, h);
-    }
-  }
-
-  // Forward pass accumulating the adjoint.
-  std::vector<double> sensitivity(hops, 0.0);
-  std::vector<double> mass(hops, 0.0);
-  mass[0] = 1.0;
-  for (std::uint32_t slot = 1; slot <= ttl; ++slot) {
-    const std::optional<std::size_t> firing = model.hop_in_slot(slot);
-    if (!firing.has_value() || mass[*firing] == 0.0) continue;
-    const std::size_t h = *firing;
-    const double ps = links.up_probability(
-        h, config.superframe.absolute_slot_of_uplink(slot));
-    sensitivity[h] += mass[h] * (success_beta(slot, h) - beta_at(slot, h));
-    const double moved = mass[h] * ps;
-    mass[h] -= moved;
-    if (h + 1 < hops) mass[h + 1] += moved;
-    // Delivered mass leaves the transient system.
-  }
-  return sensitivity;
-}
 
 /// Collapsed adjoint over the compact message chain, lane-parallel over
 /// one provider per lane on a shared skeleton: the per-slot sum
@@ -275,15 +226,20 @@ std::vector<std::vector<double>> sensitivity_superframe_batch(
 std::vector<double> reachability_sensitivity(
     const PathModel& model, const LinkProbabilityProvider& links,
     TransientKernel kernel) {
-  expects(links.hop_count() >= model.config().hop_count(),
-          "provider covers every hop");
+  const std::size_t hops = model.config().hop_count();
+  expects(links.hop_count() >= hops, "provider covers every hop");
   if (kernel == TransientKernel::kSuperframeProduct &&
-      links.cycle_stationary()) {
+      links.cycle_stationary() && !channel_enlarged(links, hops)) {
     const PathModelSkeleton skeleton(model.config());
     const LinkProbabilityProvider* const lane = &links;
     return std::move(sensitivity_superframe_batch(skeleton, {&lane, 1})[0]);
   }
-  return sensitivity_per_slot(model, links);
+  // The firing-table walk's two passes price every hop at once.
+  std::vector<double> sensitivity(hops, 0.0);
+  SolveWorkspace workspace;
+  PathTransientResult result;
+  model.walk(links, ChannelFault::kNone, workspace, result, sensitivity);
+  return sensitivity;
 }
 
 std::vector<std::vector<double>> reachability_sensitivity_batch(
@@ -296,10 +252,12 @@ std::vector<std::vector<double>> reachability_sensitivity_batch(
     expects(links[i]->hop_count() >= skeleton.config().hop_count(),
             "provider covers every hop");
     if (kernel == TransientKernel::kSuperframeProduct &&
-        links[i]->cycle_stationary())
+        links[i]->cycle_stationary() &&
+        !channel_enlarged(*links[i], skeleton.config().hop_count()))
       batched.push_back(i);
     else
-      results[i] = sensitivity_per_slot(skeleton.model(), *links[i]);
+      results[i] = reachability_sensitivity(skeleton.model(), *links[i],
+                                            TransientKernel::kPerSlot);
   }
   if (batched.empty()) return results;
   std::vector<const LinkProbabilityProvider*> lane_links;

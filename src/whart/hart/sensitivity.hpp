@@ -25,12 +25,14 @@ namespace whart::hart {
 /// dR/dps per hop: how much the path's reachability rises per unit
 /// increase of hop h's per-attempt success probability (all attempts of
 /// that hop move together, as they do when its stationary availability
-/// improves).  All entries are >= 0.  kSuperframeProduct folds the
+/// improves).  All entries are >= 0.  kPerSlot reads them off the
+/// firing-table walk's two passes (PathModel::walk); for a hop with a
+/// multi-state channel that is the derivative by a uniform shift of its
+/// per-state success probabilities.  kSuperframeProduct folds the
 /// adjoint cycle-by-cycle through the superframe product (one bilinear
-/// form per cycle instead of a per-slot sweep) when `links` is
-/// cycle-stationary — the batch sweep below at one lane over a one-shot
-/// skeleton — agreeing with the per-slot sweep to rounding; otherwise it
-/// falls back to per-slot.
+/// form per cycle) when `links` is cycle-stationary with i.i.d. attempts
+/// — the batch sweep below at one lane over a one-shot skeleton —
+/// agreeing with the walk to rounding; otherwise it walks.
 std::vector<double> reachability_sensitivity(
     const PathModel& model, const LinkProbabilityProvider& links,
     TransientKernel kernel = TransientKernel::kPerSlot);
@@ -38,9 +40,10 @@ std::vector<double> reachability_sensitivity(
 /// Batched sensitivity (DESIGN.md §13): one adjoint sweep over the
 /// skeleton's shared patterns prices every provider at once,
 /// lane-parallel.  Returns one dR/dps vector per provider, in order.
-/// Lanes the sweep cannot take (kernel != kSuperframeProduct or a
-/// non-cycle-stationary provider) run the per-slot sweep instead; every
-/// other lane gets the same bits it would get alone.
+/// Lanes the sweep cannot take (kernel != kSuperframeProduct, a
+/// non-cycle-stationary or a channel-enlarged provider) walk the firing
+/// table instead; every other lane gets the same bits it would get
+/// alone.
 std::vector<std::vector<double>> reachability_sensitivity_batch(
     const PathModelSkeleton& skeleton,
     std::span<const LinkProbabilityProvider* const> links,

@@ -31,8 +31,8 @@ namespace whart::hart {
 struct WhatIfOptions {
   /// Transient kernel of the per-path solves.  The incremental product
   /// replay exists only under kSuperframeProduct; with kPerSlot every
-  /// affected path re-solves through the (still skeleton-cached) per-slot
-  /// core.
+  /// affected path re-solves through the (still skeleton-cached)
+  /// firing-table walk.
   TransientKernel kernel = TransientKernel::kSuperframeProduct;
 
   /// Worker threads of the baseline fan-out (0 = WHART_THREADS).

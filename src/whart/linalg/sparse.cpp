@@ -194,19 +194,9 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b) {
 
 Matrix left_multiply_batch(const Matrix& x, const CsrMatrix& a,
                            std::size_t block_rows) {
-  Matrix y(x.rows(), a.cols());
-  left_multiply_batch_into(x, a, y, block_rows);
-  return y;
-}
-
-void left_multiply_batch_into(const Matrix& x, const CsrMatrix& a, Matrix& y,
-                              std::size_t block_rows) {
   expects(x.cols() == a.rows(), "dimensions agree");
   expects(block_rows >= 1, "at least one row per block");
-  expects(y.rows() == x.rows() && y.cols() == a.cols(),
-          "output shape matches the product");
-  for (std::size_t r = 0; r < y.rows(); ++r)
-    for (std::size_t c = 0; c < y.cols(); ++c) y(r, c) = 0.0;
+  Matrix y(x.rows(), a.cols());
   for (std::size_t begin = 0; begin < x.rows(); begin += block_rows) {
     const std::size_t end = std::min(begin + block_rows, x.rows());
     for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -215,6 +205,7 @@ void left_multiply_batch_into(const Matrix& x, const CsrMatrix& a, Matrix& y,
       });
     }
   }
+  return y;
 }
 
 }  // namespace whart::linalg

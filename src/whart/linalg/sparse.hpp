@@ -133,11 +133,4 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b);
 Matrix left_multiply_batch(const Matrix& x, const CsrMatrix& a,
                            std::size_t block_rows = 32);
 
-/// Allocation-free variant: writes X * A into a caller-owned `y` (which
-/// must already have shape x.rows() x a.cols(); it is zeroed first).
-/// Identical arithmetic to left_multiply_batch, so results are bitwise
-/// equal — this is the ping-pong kernel of the refill solve path.
-void left_multiply_batch_into(const Matrix& x, const CsrMatrix& a, Matrix& y,
-                              std::size_t block_rows = 32);
-
 }  // namespace whart::linalg

@@ -95,26 +95,70 @@ ChannelModel ChannelModel::from_link_model(const LinkModel& link) {
                          link.recovery_probability(), 0.0, 1.0);
 }
 
+namespace {
+
+constexpr std::size_t kMaxParsedStates = 64;
+
+/// True when some state is reachable from every state of the k x k
+/// chain — exactly when it has one closed class, hence one stationary
+/// law.
+bool has_unique_stationary_law(std::size_t k,
+                               const std::vector<double>& transition) {
+  std::vector<char> reach(k * k, 0);
+  for (std::size_t r = 0; r < k; ++r) {
+    reach[r * k + r] = 1;
+    for (std::size_t c = 0; c < k; ++c)
+      if (transition[r * k + c] > 0.0) reach[r * k + c] = 1;
+  }
+  for (std::size_t m = 0; m < k; ++m)
+    for (std::size_t r = 0; r < k; ++r)
+      if (reach[r * k + m] != 0)
+        for (std::size_t c = 0; c < k; ++c)
+          if (reach[m * k + c] != 0) reach[r * k + c] = 1;
+  for (std::size_t c = 0; c < k; ++c) {
+    bool from_all = true;
+    for (std::size_t r = 0; r < k; ++r) from_all = from_all && reach[r * k + c];
+    if (from_all) return true;
+  }
+  return false;
+}
+
+std::string format_value(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
+}  // namespace
+
 ChannelModel ChannelModel::parse(const std::string& spec) {
+  const auto fail = [&spec](const std::string& problem) {
+    return channel_spec_error("channel spec '" + spec + "': " + problem);
+  };
+  const auto check_probability = [&](const std::string& name, double p) {
+    if (!(p >= 0.0 && p <= 1.0))
+      throw fail(name + " = " + format_value(p) + " is outside [0, 1]");
+  };
   if (spec == "iid") return iid();
   if (spec.starts_with("ge:")) {
     std::istringstream in(spec.substr(3));
     double v[4];
     char comma = ',';
-    for (int i = 0; i < 4; ++i) {
-      if (i > 0 && (!(in >> comma) || comma != ','))
-        expects(false, "ge spec is ge:pgb,pbg,eg,eb");
-      if (!(in >> v[i])) expects(false, "ge spec is ge:pgb,pbg,eg,eb");
-    }
+    for (int i = 0; i < 4; ++i)
+      if ((i > 0 && (!(in >> comma) || comma != ',')) || !(in >> v[i]))
+        throw fail("expected four comma-separated numbers ge:pgb,pbg,eg,eb");
     char trailing = 0;
-    expects(!(in >> trailing), "ge spec is ge:pgb,pbg,eg,eb",
-            "trailing characters after the fourth parameter");
+    if (in >> trailing) throw fail("trailing characters after eb");
+    const char* names[4] = {"pgb", "pbg", "eg", "eb"};
+    for (int i = 0; i < 4; ++i) check_probability(names[i], v[i]);
+    if (v[0] + v[1] == 0.0)
+      throw fail("pgb + pbg = 0 freezes the chain in place");
     return gilbert_elliott(v[0], v[1], v[2], v[3]);
   }
   if (spec.starts_with("chain:")) {
     const std::string path = spec.substr(6);
     std::ifstream file(path);
-    expects(static_cast<bool>(file), "chain file must be readable", path);
+    if (!file) throw fail("cannot read '" + path + "'");
     // Strip '#' comments, then read k, k*k transitions, k error rates.
     std::stringstream tokens;
     std::string line;
@@ -124,21 +168,43 @@ ChannelModel ChannelModel::parse(const std::string& spec) {
       tokens << line << ' ';
     }
     std::size_t k = 0;
-    expects(static_cast<bool>(tokens >> k) && k >= 1,
-            "chain file starts with the state count k");
+    if (!(tokens >> k) || k < 1 || k > kMaxParsedStates)
+      throw fail("the file must start with the state count k in 1.." +
+                 std::to_string(kMaxParsedStates));
+    const std::string layout = "k = " + std::to_string(k) + ", then " +
+                               std::to_string(k) + " rows of " +
+                               std::to_string(k) +
+                               " transition probabilities, then " +
+                               std::to_string(k) + " error rates";
     std::vector<double> transition(k * k);
-    for (double& p : transition)
-      expects(static_cast<bool>(tokens >> p),
-              "chain file needs k rows of k transition probabilities");
     std::vector<double> error(k);
+    for (double& p : transition)
+      if (!(tokens >> p)) throw fail("the file ends early: expected " + layout);
     for (double& e : error)
-      expects(static_cast<bool>(tokens >> e),
-              "chain file ends with k error rates");
+      if (!(tokens >> e)) throw fail("the file ends early: expected " + layout);
+    std::string trailing;
+    if (tokens >> trailing)
+      throw fail("unexpected '" + trailing + "' after " + layout);
+    for (std::size_t r = 0; r < k; ++r) {
+      double row = 0.0;
+      for (std::size_t c = 0; c < k; ++c) {
+        check_probability("transition (" + std::to_string(r + 1) + ", " +
+                              std::to_string(c + 1) + ")",
+                          transition[r * k + c]);
+        row += transition[r * k + c];
+      }
+      if (!(std::abs(row - 1.0) <= kRowTolerance))
+        throw fail("transition row " + std::to_string(r + 1) + " sums to " +
+                   format_value(row) + ", not 1");
+    }
+    for (std::size_t s = 0; s < k; ++s)
+      check_probability("error rate " + std::to_string(s + 1), error[s]);
+    if (!has_unique_stationary_law(k, transition))
+      throw fail("the chain has more than one closed class, so no unique "
+                 "stationary law");
     return chain(std::move(transition), std::move(error));
   }
-  expects(false, "channel spec is iid | ge:pgb,pbg,eg,eb | chain:<file>",
-          spec);
-  return iid();  // unreachable
+  throw fail("expected iid, ge:pgb,pbg,eg,eb or chain:<file>");
 }
 
 double ChannelModel::marginal_success() const noexcept {

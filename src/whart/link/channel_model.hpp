@@ -8,12 +8,13 @@
 // (p_good->bad, p_bad->good) is the classic Gilbert-Elliott model.
 //
 // The path solver enlarges its DTMC state space so each hop carries its
-// channel state (hart/path_model_channel.cpp); the Monte-Carlo simulator
-// draws from the same chain (sim::LinkRegime::kChannel), which is the
-// cross-validation target of the verify battery.
+// channel state (hart::PathModel's firing-table walk); the Monte-Carlo
+// simulator draws from the same chain (sim::LinkRegime::kChannel), which
+// is the cross-validation target of the verify battery.
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,13 @@
 #include "whart/markov/dtmc.hpp"
 
 namespace whart::link {
+
+/// Thrown by ChannelModel::parse on a malformed or out-of-range spec; the
+/// message names the spec and the problem.
+class channel_spec_error : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// A k-state Markov fading channel with per-state message error rates.
 ///
@@ -50,10 +58,12 @@ class ChannelModel {
   static ChannelModel from_link_model(const LinkModel& link);
 
   /// Parse a CLI spec: "iid" | "ge:pgb,pbg,eg,eb" | "chain:<file>".
-  /// The chain file holds k on the first line, then k rows of k
+  /// The chain file holds k (1..64) on the first line, then k rows of k
   /// transition probabilities, then one line of k error rates
-  /// (whitespace-separated; '#' starts a comment).  Throws
-  /// whart::invariant_error on malformed specs.
+  /// (whitespace-separated; '#' starts a comment).  Every value is
+  /// checked before a model is built: probabilities in [0, 1], rows
+  /// summing to 1, and a chain with one stationary law (some state
+  /// reachable from every state).  Throws channel_spec_error otherwise.
   static ChannelModel parse(const std::string& spec);
 
   /// Number of channel states k (1 for iid, 2 for Gilbert-Elliott).

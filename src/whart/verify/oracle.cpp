@@ -74,17 +74,17 @@ ProductionLeg solve_production(const hart::PathModelConfig& config,
 }
 
 /// The channel-enlarged production leg of one path.  kChannelStateLeak
-/// corrupts this leg (and only this leg).
+/// and kChannelGapShift corrupt this leg (and only this leg).
 ProductionLeg solve_production_channel(
     const hart::PathModelConfig& config,
-    const std::vector<link::ChannelModel>& channels, Injection injection,
-    hart::TransientKernel kernel) {
+    const std::vector<link::ChannelModel>& channels, Injection injection) {
   const hart::PathModel model(config);
   const hart::ChannelLinks links{channels};
   hart::PathAnalysisOptions options;
-  options.kernel = kernel;
-  options.inject_channel_state_leak =
-      injection == Injection::kChannelStateLeak;
+  if (injection == Injection::kChannelStateLeak)
+    options.inject_channel_fault = hart::ChannelFault::kStateLeak;
+  if (injection == Injection::kChannelGapShift)
+    options.inject_channel_fault = hart::ChannelFault::kGapShift;
   hart::PathTransientResult transient = model.analyze(links, options);
 
   ProductionLeg leg;
@@ -106,16 +106,17 @@ ProductionLeg solve_production_channel(
 
 OracleReport cross_validate(const Scenario& input_scenario,
                             const OracleConfig& config) {
-  // kChannelStateLeak corrupts the channel leg, so the self-test must
-  // guarantee that leg runs and that the leak is observable in every
+  // The channel faults corrupt the channel leg, so the self-test must
+  // guarantee that leg runs and that the fault is observable in every
   // scenario: override the overlay with a fixed slow-mixing chain
-  // (|lambda_2| = 0.85, so the leaked state survives even a 40-slot
+  // (|lambda_2| = 0.85, so the corrupted state survives even a 40-slot
   // cycle well above the deterministic tolerance — a fast generated
-  // chain can forget the leak between attempts), force at least two
-  // cycles so hops can retry, and drop any TTL (with TTL = 1 a failed
-  // attempt discards and the leaked memory is never consulted).
+  // chain can forget it between attempts), force at least two cycles so
+  // hops can retry, and drop any TTL (with TTL = 1 a failed attempt
+  // discards and the channel memory is never consulted).
   Scenario scenario = input_scenario;
-  if (config.injection == Injection::kChannelStateLeak) {
+  if (config.injection == Injection::kChannelStateLeak ||
+      config.injection == Injection::kChannelGapShift) {
     scenario.channel =
         link::ChannelModel::gilbert_elliott(0.05, 0.1, 0.02, 0.65);
     scenario.reporting_interval =
@@ -472,10 +473,9 @@ OracleReport cross_validate(const Scenario& input_scenario,
       }
     }
 
-    // Channel leg: the enlarged-state-space solver under the scenario's
-    // correlated-channel overlay, both kernels, against the independent
-    // dense channel reference.  kChannelStateLeak corrupts only this
-    // leg.
+    // Channel leg: the enlarged-state-space walk under the scenario's
+    // correlated-channel overlay, against the independent channel
+    // reference.  The channel faults corrupt only this leg.
     if (scenario.channel.has_value()) {
       const std::vector<link::ChannelModel> channels =
           scenario.hop_channels(p);
@@ -484,62 +484,49 @@ OracleReport cross_validate(const Scenario& input_scenario,
         enlarged += c.state_count();
       const ReferenceResult channel_ref =
           reference_solve_channel(path_config, channels);
-      for (const hart::TransientKernel kernel :
-           {hart::TransientKernel::kPerSlot,
-            hart::TransientKernel::kSuperframeProduct}) {
-        const std::string tag =
-            kernel == hart::TransientKernel::kSuperframeProduct
-                ? "channel-superframe"
-                : "channel-per-slot";
-        const ProductionLeg leg = solve_production_channel(
-            path_config, channels, config.injection, kernel);
-        // The enlarged solver must actually have dispatched: its
-        // transient state count is the sum of the hops' channel sizes,
-        // not the hop count of the compact chain.
-        if (!leg.measures.diagnostics.has_value() ||
-            leg.measures.diagnostics->transient_states != enlarged)
-          add_finding(p, "closure:" + tag + "-dispatch",
-                      "expected " + std::to_string(enlarged) +
-                          " enlarged transient states");
-        const double closure =
-            std::abs(leg.measures.reachability + leg.discard - 1.0);
-        if (closure > config.deterministic_tolerance)
-          add_finding(p, "closure:" + tag + ":reachability-discard",
-                      "|R + P(discard) - 1| = " + format_double(closure));
-        const auto compare_channel = [&](const std::string& field,
-                                         double prod_value,
-                                         double ref_value) {
-          if (!close(prod_value, ref_value, config.deterministic_tolerance))
-            add_finding(p, tag + ":" + field,
-                        "production " + format_double(prod_value) +
-                            " vs channel reference " +
-                            format_double(ref_value));
-        };
-        for (std::size_t i = 0; i < channel_ref.cycle_probabilities.size();
-             ++i)
-          compare_channel("g(" + std::to_string(i + 1) + ")",
-                          leg.measures.cycle_probabilities[i],
-                          channel_ref.cycle_probabilities[i]);
-        compare_channel("reachability", leg.measures.reachability,
-                        channel_ref.reachability);
-        compare_channel("discard", leg.discard,
-                        channel_ref.discard_probability);
-        compare_channel("expected_delay_ms", leg.measures.expected_delay_ms,
-                        channel_ref.expected_delay_ms);
-        compare_channel("expected_transmissions",
-                        leg.measures.expected_transmissions,
-                        channel_ref.expected_transmissions);
-        compare_channel("transmissions_delivered",
-                        leg.transmissions_delivered,
-                        channel_ref.expected_transmissions_delivered);
-        for (std::size_t h = 0;
-             h < channel_ref.expected_transmissions_per_hop.size(); ++h)
-          compare_channel("transmissions_hop" + std::to_string(h),
-                          leg.transmissions_per_hop[h],
-                          channel_ref.expected_transmissions_per_hop[h]);
-        if (kernel == hart::TransientKernel::kPerSlot)
-          channel_production.push_back(leg);
-      }
+      const std::string tag = "channel-per-slot";
+      const ProductionLeg leg =
+          solve_production_channel(path_config, channels, config.injection);
+      // The enlarged solver must actually have dispatched: its transient
+      // state count is the sum of the hops' channel sizes, not the hop
+      // count of the compact chain.
+      if (!leg.measures.diagnostics.has_value() ||
+          leg.measures.diagnostics->transient_states != enlarged)
+        add_finding(p, "closure:" + tag + "-dispatch",
+                    "expected " + std::to_string(enlarged) +
+                        " enlarged transient states");
+      const double closure =
+          std::abs(leg.measures.reachability + leg.discard - 1.0);
+      if (closure > config.deterministic_tolerance)
+        add_finding(p, "closure:" + tag + ":reachability-discard",
+                    "|R + P(discard) - 1| = " + format_double(closure));
+      const auto compare_channel = [&](const std::string& field,
+                                       double prod_value, double ref_value) {
+        if (!close(prod_value, ref_value, config.deterministic_tolerance))
+          add_finding(p, tag + ":" + field,
+                      "production " + format_double(prod_value) +
+                          " vs channel reference " + format_double(ref_value));
+      };
+      for (std::size_t i = 0; i < channel_ref.cycle_probabilities.size(); ++i)
+        compare_channel("g(" + std::to_string(i + 1) + ")",
+                        leg.measures.cycle_probabilities[i],
+                        channel_ref.cycle_probabilities[i]);
+      compare_channel("reachability", leg.measures.reachability,
+                      channel_ref.reachability);
+      compare_channel("discard", leg.discard, channel_ref.discard_probability);
+      compare_channel("expected_delay_ms", leg.measures.expected_delay_ms,
+                      channel_ref.expected_delay_ms);
+      compare_channel("expected_transmissions",
+                      leg.measures.expected_transmissions,
+                      channel_ref.expected_transmissions);
+      compare_channel("transmissions_delivered", leg.transmissions_delivered,
+                      channel_ref.expected_transmissions_delivered);
+      for (std::size_t h = 0;
+           h < channel_ref.expected_transmissions_per_hop.size(); ++h)
+        compare_channel("transmissions_hop" + std::to_string(h),
+                        leg.transmissions_per_hop[h],
+                        channel_ref.expected_transmissions_per_hop[h]);
+      channel_production.push_back(leg);
     }
   }
 

@@ -21,9 +21,9 @@
 //       lane-parallel core shows up as a lane answering a neighbour's
 //       question.
 //   (7) the channel leg — when the scenario carries a correlated-channel
-//       overlay, the channel-enlarged production solver (both kernels)
-//       is compared against verify::reference_solve_channel, an
-//       independent dense solver over the (t, hop, channel-state) grid,
+//       overlay, the channel-enlarged production solver (the firing-
+//       table walk) is compared against verify::reference_solve_channel,
+//       an independent solver over the full (t, hop, channel-state) grid,
 //       and the simulator leg switches to the kChannel regime so the
 //       empirical draws come from the very chains the analytics solve;
 //   (8) the incremental leg — the what-if engine's targeted row replay
@@ -55,8 +55,9 @@
 // stand-in for a lane-indexing bug in the vectorized refill),
 // kStaleProductRow biases the start-state row of the incremental leg's
 // propagated cycle product (a stand-in for an incompletely replayed
-// product row after a targeted update).  A healthy harness reports
-// findings for every injection and none for kNone.
+// product row after a targeted update), and kChannelStateLeak and
+// kChannelGapShift corrupt the channel leg's walk.  A healthy harness
+// reports findings for every injection and none for kNone.
 #pragma once
 
 #include <cstdint>
@@ -89,15 +90,20 @@ enum class Injection {
   /// signature of a lane-indexing bug in the Gustavson replay.  Caught
   /// by the per-lane comparison against fresh solves.
   kLaneSwap,
-  /// The channel leg's firing rows redistribute their failure mass by
-  /// the *stationary* distribution instead of the failure-conditioned
-  /// transition row — the signature of dropping the channel-state
-  /// memory between retry attempts (what makes bursts bursts).  To make
-  /// the self-test deterministic the oracle forces a fixed
-  /// Gilbert-Elliott overlay and a multi-cycle interval onto the
-  /// scenario, so retries exist and the leak is observable.  Caught by
-  /// the channel-reference comparison.
+  /// The channel leg's walk redraws failed mass at the *stationary*
+  /// distribution instead of keeping the state it failed in — the
+  /// signature of dropping the channel-state memory between retry
+  /// attempts (what makes bursts bursts).  To make the self-test
+  /// deterministic the oracle forces a fixed slow-mixing Gilbert-Elliott
+  /// overlay and a multi-cycle interval onto the scenario, so retries
+  /// exist and the leak is observable.  Caught by the channel-reference
+  /// comparison.
   kChannelStateLeak,
+  /// The channel leg's walk mixes each lazily advanced channel block one
+  /// slot too far (P^(gap+1) for P^gap) — the off-by-one the lazy mix
+  /// invites.  Forces the same overlay as kChannelStateLeak; caught by
+  /// the channel-reference comparison.
+  kChannelGapShift,
   /// Every entry of row 0 of the incremental leg's propagated cycle
   /// product biased by 1e-6 (the start-state row; a stand-in for a
   /// stale or incompletely replayed product row after a targeted

@@ -1,5 +1,6 @@
 #include "whart/verify/reference_solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -68,11 +69,17 @@ void finish_measures(const hart::PathModelConfig& config,
 ReferenceResult reference_solve(const hart::PathModelConfig& config,
                                 const std::vector<double>& availabilities) {
   const std::size_t hops = config.hop_count();
-  expects(hops >= 1, "at least one hop");
   expects(availabilities.size() >= hops, "one availability per hop");
-  for (std::size_t h = 0; h < hops; ++h)
-    expects(availabilities[h] >= 0.0 && availabilities[h] <= 1.0,
-            "availability in [0, 1]");
+  return reference_solve(
+      config, hart::SteadyStateLinks(std::vector<double>(
+                  availabilities.begin(), availabilities.begin() + hops)));
+}
+
+ReferenceResult reference_solve(const hart::PathModelConfig& config,
+                                const hart::LinkProbabilityProvider& links) {
+  const std::size_t hops = config.hop_count();
+  expects(hops >= 1, "at least one hop");
+  expects(links.hop_count() >= hops, "one provider entry per hop");
 
   const std::uint32_t horizon = config.horizon();
   const std::uint32_t ttl = config.effective_ttl();
@@ -105,7 +112,9 @@ ReferenceResult reference_solve(const hart::PathModelConfig& config,
       const std::size_t from = grid(t, h);
       const std::size_t stay = expires ? discard : grid(t + 1, h);
       if (firing == h) {
-        const double ps = availabilities[h];
+        const double ps = links.up_probability(
+            h, config.superframe.absolute_slot_of_uplink(slot));
+        expects(ps >= 0.0 && ps <= 1.0, "success probability in [0, 1]");
         const std::size_t advance =
             h + 1 == hops
                 ? goal((slot - 1) / config.superframe.uplink_slots)
@@ -208,28 +217,36 @@ ReferenceResult reference_solve_channel(
   };
   const std::size_t discard = n - 1;
 
-  // One dense matrix per cycle-slot position, reused every cycle: the
-  // uplink layer t encodes the global slot t + 1 (and hence the goal
-  // cycle and the TTL expiry), so the matrices are frame-position-
-  // homogeneous.  Uplink position f advances exactly the layers t with
-  // t % Fup == f; downlink positions only mix every hop's channel in
-  // place.  Rows not written stay zero — they never carry mass.
-  std::vector<std::vector<double>> matrices(
-      cycle_slots, std::vector<double>(n * n, 0.0));
-  for (std::uint32_t f = 0; f < cycle_slots; ++f) {
-    std::vector<double>& m = matrices[f];
-    const auto at = [&](std::size_t row, std::size_t col) -> double& {
-      return m[row * n + col];
+  // One matrix per uplink position, reused every cycle, plus one for
+  // every downlink slot: the uplink layer t encodes the global slot t + 1
+  // (and hence the goal cycle and the TTL expiry), so the matrices are
+  // frame-position-homogeneous.  Uplink position f advances exactly the
+  // layers t with t % Fup == f; a downlink slot only mixes every hop's
+  // channel in place.  Each matrix is its list of (row, column, value)
+  // entries; rows without entries never carry mass.
+  struct Entry {
+    std::size_t row;
+    std::size_t col;
+    double value;
+  };
+  std::vector<std::vector<Entry>> matrices(fup + 1);
+  const auto matrix_of = [&](std::uint32_t position) -> std::vector<Entry>& {
+    return matrices[std::min(position, fup)];
+  };
+  for (std::uint32_t f = 0; f <= fup; ++f) {
+    std::vector<Entry>& m = matrices[f];
+    const auto add = [&](std::size_t row, std::size_t col, double value) {
+      m.push_back({row, col, value});
     };
-    for (std::uint32_t i = 0; i < cycles; ++i) at(goal(i), goal(i)) = 1.0;
-    at(discard, discard) = 1.0;
-    if (f >= fup) {  // downlink: channel mixing on every layer
+    for (std::uint32_t i = 0; i < cycles; ++i) add(goal(i), goal(i), 1.0);
+    add(discard, discard, 1.0);
+    if (f == fup) {  // downlink: channel mixing on every layer
       for (std::uint32_t t = 0; t < ttl; ++t)
         for (std::size_t h = 0; h < hops; ++h)
           for (std::size_t s = 0; s < channels[h].state_count(); ++s)
             for (std::size_t s2 = 0; s2 < channels[h].state_count(); ++s2)
-              at(grid(t, h, s), grid(t, h, s2)) +=
-                  channels[h].transition(s, s2);
+              add(grid(t, h, s), grid(t, h, s2),
+                  channels[h].transition(s, s2));
       continue;
     }
     for (std::uint32_t t = f; t < ttl; t += fup) {
@@ -243,12 +260,12 @@ ReferenceResult reference_solve_channel(
           // Channel-mixed "stay at hop h" target (or Discard on expiry).
           const auto stay_mass = [&](double mass) {
             if (expires) {
-              at(from, discard) += mass;
+              add(from, discard, mass);
               return;
             }
             for (std::size_t s2 = 0; s2 < k; ++s2)
-              at(from, grid(t + 1, h, s2)) +=
-                  mass * channels[h].transition(s, s2);
+              add(from, grid(t + 1, h, s2),
+                  mass * channels[h].transition(s, s2));
           };
           if (firing != h) {
             stay_mass(1.0);
@@ -256,16 +273,16 @@ ReferenceResult reference_solve_channel(
           }
           const double ps = channels[h].success_in_state(s);
           if (h + 1 == hops) {
-            at(from, goal((slot - 1) / fup)) += ps;
+            add(from, goal((slot - 1) / fup), ps);
           } else if (expires) {
-            at(from, discard) += ps;
+            add(from, discard, ps);
           } else {
             // The next hop's independent stationary chain is a fresh
             // draw at arrival.
             for (std::size_t s2 = 0; s2 < channels[h + 1].state_count();
                  ++s2)
-              at(from, grid(t + 1, h + 1, s2)) +=
-                  ps * channels[h + 1].stationary()[s2];
+              add(from, grid(t + 1, h + 1, s2),
+                  ps * channels[h + 1].stationary()[s2]);
           }
           stay_mass(1.0 - ps);
         }
@@ -286,15 +303,10 @@ ReferenceResult reference_solve_channel(
   std::vector<std::vector<double>> v(total_abs + 1,
                                      std::vector<double>(n, 0.0));
   for (std::uint32_t i = 0; i < cycles; ++i) v[total_abs][goal(i)] = 1.0;
-  for (std::size_t a = total_abs; a-- > 0;) {
-    const std::vector<double>& m = matrices[a % cycle_slots];
-    for (std::size_t row = 0; row < n; ++row) {
-      double sum = 0.0;
-      for (std::size_t col = 0; col < n; ++col)
-        sum += m[row * n + col] * v[a + 1][col];
-      v[a][row] = sum;
-    }
-  }
+  for (std::size_t a = total_abs; a-- > 0;)
+    for (const Entry& e :
+         matrix_of(static_cast<std::uint32_t>(a % cycle_slots)))
+      v[a][e.row] += e.value * v[a + 1][e.col];
 
   // Forward pass over every absolute slot of the interval.
   std::vector<double> dist(n, 0.0);
@@ -318,14 +330,9 @@ ReferenceResult reference_solve_channel(
         }
       }
     }
-    const std::vector<double>& m = matrices[f];
     std::vector<double> next(n, 0.0);
-    for (std::size_t row = 0; row < n; ++row) {
-      const double mass = dist[row];
-      if (mass == 0.0) continue;
-      for (std::size_t col = 0; col < n; ++col)
-        next[col] += mass * m[row * n + col];
-    }
+    for (const Entry& e : matrix_of(f))
+      next[e.col] += dist[e.row] * e.value;
     dist = std::move(next);
   }
 

@@ -3,10 +3,9 @@
 // error rates carries no usable memory and must reproduce the i.i.d.
 // solver to 1e-12 — across both transient kernels and across the
 // scalar/batched sweep refills — while a k = 2 general chain must match
-// the dedicated Gilbert-Elliott construction exactly.  The enlarged
-// per-slot matrices themselves are checked row-stochastic, and the
-// channel-state-leak injection must actually change them (a fault the
-// oracle is supposed to catch had better exist).
+// the dedicated Gilbert-Elliott construction exactly.  Both injected
+// walk faults must actually move the answer (a fault the oracle is
+// supposed to catch had better exist) while conserving mass.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -202,36 +201,36 @@ TEST(ChannelPathModel, SweepCollapseAcrossScalarAndBatchedLanes) {
   }
 }
 
-TEST(ChannelPathModel, EnlargedSlotMatricesAreRowStochastic) {
+TEST(ChannelPathModel, ChannelFaultsMoveTheAnswerAndConserveMass) {
+  // Each injected walk fault must move some cycle probability visibly —
+  // otherwise the oracle's channel-fault self-tests would be vacuous —
+  // while every solve, faulty or not, still conserves probability mass.
   const PathModelConfig config = retry_config();
   const PathModel model(config);
   const ChannelLinks links(
       config.hop_count(),
       link::ChannelModel::gilbert_elliott(0.2, 0.35, 0.02, 0.65));
-  const std::vector<linalg::CsrMatrix> healthy =
-      model.channel_slot_matrices(links, /*inject_state_leak=*/false);
-  ASSERT_EQ(healthy.size(), config.superframe.cycle_slots());
-  for (std::size_t s = 0; s < healthy.size(); ++s) {
-    for (std::size_t r = 0; r < healthy[s].rows(); ++r)
-      EXPECT_NEAR(healthy[s].row_sum(r), 1.0, 1e-12)
-          << "slot " << s << " row " << r;
+  const auto solve_with = [&](ChannelFault fault) {
+    PathAnalysisOptions options;
+    options.inject_channel_fault = fault;
+    const PathTransientResult result = model.analyze(links, options);
+    double reachability = 0.0;
+    for (double g : result.cycle_probabilities) reachability += g;
+    EXPECT_LE(std::abs(reachability + result.discard_probability - 1.0),
+              1e-12);
+    return result;
+  };
+  const PathTransientResult healthy = solve_with(ChannelFault::kNone);
+  for (const ChannelFault fault :
+       {ChannelFault::kStateLeak, ChannelFault::kGapShift}) {
+    const PathTransientResult faulty = solve_with(fault);
+    double max_delta = 0.0;
+    for (std::size_t i = 0; i < healthy.cycle_probabilities.size(); ++i)
+      max_delta = std::max(max_delta,
+                           std::abs(healthy.cycle_probabilities[i] -
+                                    faulty.cycle_probabilities[i]));
+    EXPECT_GT(max_delta, 1e-3) << "fault " << static_cast<int>(fault);
   }
-
-  // The leak injection must change at least one firing row — otherwise
-  // the kChannelStateLeak self-test would be vacuous.
-  const std::vector<linalg::CsrMatrix> leaky =
-      model.channel_slot_matrices(links, /*inject_state_leak=*/true);
-  double max_delta = 0.0;
-  for (std::size_t s = 0; s < healthy.size(); ++s)
-    for (std::size_t r = 0; r < healthy[s].rows(); ++r)
-      for (std::size_t c = 0; c < healthy[s].cols(); ++c)
-        max_delta = std::max(max_delta, std::abs(healthy[s].at(r, c) -
-                                                 leaky[s].at(r, c)));
-  EXPECT_GT(max_delta, 1e-3);
-  // ... while staying a valid chain itself.
-  for (const linalg::CsrMatrix& matrix : leaky)
-    for (std::size_t r = 0; r < matrix.rows(); ++r)
-      EXPECT_NEAR(matrix.row_sum(r), 1.0, 1e-12);
 }
 
 }  // namespace

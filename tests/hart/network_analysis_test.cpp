@@ -8,6 +8,7 @@
 #include <map>
 
 #include "whart/common/contracts.hpp"
+#include "whart/common/obs.hpp"
 #include "whart/link/channel_model.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/typical_network.hpp"
@@ -242,7 +243,7 @@ AnalysisOptions bursty_options() {
 
 TEST(NetworkAnalysis, DefaultKernelIsPickedPerPathKind) {
   // i.i.d. steady-state paths take the superframe product, channel-
-  // enlarged paths the per-slot core — with and without the cache.
+  // enlarged paths the firing-table walk — with and without the cache.
   AnalysisOptions iid;
   expect_every_path_solved_by(iid, TransientKernel::kSuperframeProduct);
   iid.use_cache = false;
@@ -253,6 +254,15 @@ TEST(NetworkAnalysis, DefaultKernelIsPickedPerPathKind) {
 }
 
 TEST(NetworkAnalysis, ExplicitKernelIsHonouredOnBothPathKinds) {
+  // i.i.d. paths run whichever kernel is forced.  Channel paths have one
+  // solver, the firing-table walk: a forced superframe product walks
+  // them too, reports kPerSlot and counts one kernel fallback per path.
+  common::obs::set_metrics_enabled(true);
+  const auto fallbacks = [] {
+    const auto counters = common::obs::Registry::instance().snapshot().counters;
+    const auto it = counters.find("hart.path_solve.kernel_fallback");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
   for (const TransientKernel kernel :
        {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
     AnalysisOptions iid;
@@ -260,7 +270,13 @@ TEST(NetworkAnalysis, ExplicitKernelIsHonouredOnBothPathKinds) {
     expect_every_path_solved_by(iid, kernel);
     AnalysisOptions bursty = bursty_options();
     bursty.kernel = kernel;
-    expect_every_path_solved_by(bursty, kernel);
+    const std::uint64_t before = fallbacks();
+    expect_every_path_solved_by(bursty, TransientKernel::kPerSlot);
+    const std::uint64_t expected =
+        kernel == TransientKernel::kSuperframeProduct
+            ? net::make_typical_network().paths.size()
+            : 0;
+    EXPECT_EQ(fallbacks() - before, expected);
   }
 }
 

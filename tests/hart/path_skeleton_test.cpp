@@ -275,7 +275,10 @@ void expect_one_factor_per_opportunity(const PathModelConfig& config) {
     const PathModel::Opportunity& o = skeleton.model().opportunities()[i];
     EXPECT_EQ(skeleton.provenance()[i].slot, o.slot);
     EXPECT_EQ(skeleton.provenance()[i].hop, o.hop);
-    EXPECT_EQ(skeleton.model().hop_in_slot(o.slot), o.hop);
+    // Each opportunity is its hop's dedicated or retry slot.
+    EXPECT_TRUE(o.slot == config.hop_slots[o.hop] ||
+                (!config.retry_slots.empty() &&
+                 o.slot == config.retry_slots[o.hop]));
     if (i > 0) {
       EXPECT_LT(skeleton.model().opportunities()[i - 1].slot, o.slot);
     }

@@ -83,6 +83,45 @@ TEST(Sensitivity, MatchesFiniteDifferences) {
   expect_matches_finite_differences(retry, {0.7, 0.8, 0.6});
 }
 
+TEST(Sensitivity, ChannelHopsPriceAUniformShiftOfTheirSuccess) {
+  // On a channel path the walk's adjoint is dR/d(delta) for every
+  // per-state success probability of the hop moving by delta together;
+  // both kernels walk such paths.
+  PathModelConfig config;
+  config.hop_slots = {2, 5, 7};
+  config.retry_slots = {3, 0, 9};
+  config.superframe = net::SuperframeConfig::symmetric(10);
+  config.reporting_interval = 3;
+  const PathModel model(config);
+  const auto channels = [](double shift) {
+    std::vector<link::ChannelModel> hops;
+    for (double error_bad : {0.6, 0.8, 0.7})
+      hops.push_back(link::ChannelModel::gilbert_elliott(
+          0.1, 0.3, 0.05 - shift, error_bad - shift));
+    return hops;
+  };
+  const ChannelLinks links(channels(0.0));
+  for (const TransientKernel kernel :
+       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
+    const std::vector<double> adjoint =
+        reachability_sensitivity(model, links, kernel);
+    const double eps = 1e-7;
+    for (std::size_t h = 0; h < 3; ++h) {
+      std::vector<link::ChannelModel> up = channels(0.0);
+      std::vector<link::ChannelModel> down = up;
+      up[h] = channels(eps)[h];
+      down[h] = channels(-eps)[h];
+      const auto reachability = [&](const std::vector<link::ChannelModel>& c) {
+        const PathTransientResult r = model.analyze(ChannelLinks(c));
+        return std::accumulate(r.cycle_probabilities.begin(),
+                               r.cycle_probabilities.end(), 0.0);
+      };
+      const double fd = (reachability(up) - reachability(down)) / (2.0 * eps);
+      EXPECT_NEAR(adjoint[h], fd, 1e-6) << "hop " << h;
+    }
+  }
+}
+
 TEST(Sensitivity, WorstLinkHasTheLargestGradient) {
   const PathModel model(example_config(4));
   std::vector<link::LinkModel> links{

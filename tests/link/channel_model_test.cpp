@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "whart/common/contracts.hpp"
 #include "whart/link/channel_model.hpp"
@@ -107,13 +108,60 @@ TEST(ChannelModel, ParseReadsChainFiles) {
   std::remove(path.c_str());
 }
 
+/// The typed error `parse` throws for `spec`, or "" when it throws none
+/// (any other exception fails the test).
+std::string spec_error(const std::string& spec) {
+  try {
+    (void)ChannelModel::parse(spec);
+  } catch (const channel_spec_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// A chain file holding `body`, for the chain-file rejections.
+std::string chain_file(const std::string& name, const std::string& body) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << body;
+  return path;
+}
+
 TEST(ChannelModel, ParseRejectsMalformedSpecs) {
-  EXPECT_THROW(ChannelModel::parse("bogus"), precondition_error);
-  EXPECT_THROW(ChannelModel::parse("ge:0.1,0.4"), precondition_error);
-  EXPECT_THROW(ChannelModel::parse("ge:0.1,0.4,0.02,0.7,9"),
-               precondition_error);
-  EXPECT_THROW(ChannelModel::parse("chain:/no/such/file"),
-               precondition_error);
+  // Outside input gets a typed error naming the spec and the problem.
+  const std::pair<std::string, std::string> cases[] = {
+      {"bogus", "expected iid, ge:pgb,pbg,eg,eb or chain:<file>"},
+      {"foo", "expected iid, ge:pgb,pbg,eg,eb or chain:<file>"},
+      {"ge:0.1,0.4",
+       "expected four comma-separated numbers ge:pgb,pbg,eg,eb"},
+      {"ge:0.1,0.2",
+       "expected four comma-separated numbers ge:pgb,pbg,eg,eb"},
+      {"ge:0.1,0.4,0.02,0.7,9", "trailing characters after eb"},
+      {"ge:2,0,0,1", "pgb = 2 is outside [0, 1]"},
+      {"ge:0.1,0.2,0.3,1.5", "eb = 1.5 is outside [0, 1]"},
+      {"ge:0,0,0.1,0.5", "pgb + pbg = 0 freezes the chain in place"},
+      {"chain:/no/such/file", "cannot read '/no/such/file'"},
+      {"chain:/nonexistent", "cannot read '/nonexistent'"},
+  };
+  for (const auto& [spec, problem] : cases)
+    EXPECT_EQ(spec_error(spec), "channel spec '" + spec + "': " + problem);
+
+  const std::string bad_rows =
+      chain_file("bad_rows.chain", "2\n0.5 0.4\n0.3 0.7\n0.1 0.9\n");
+  EXPECT_EQ(spec_error("chain:" + bad_rows),
+            "channel spec 'chain:" + bad_rows +
+                "': transition row 1 sums to 0.9, not 1");
+  const std::string short_file =
+      chain_file("short.chain", "3\n0.8 0.1 0.1\n0.2 0.7 0.1\n0.1 0.5 0.9\n");
+  EXPECT_NE(spec_error("chain:" + short_file).find("the file ends early"),
+            std::string::npos);
+  const std::string two_classes = chain_file(
+      "two_classes.chain", "3\n1 0 0\n0 1 0\n0.5 0.5 0\n0 0.5 1\n");
+  EXPECT_NE(spec_error("chain:" + two_classes).find("no unique stationary"),
+            std::string::npos);
+  for (const std::string& path : {bad_rows, short_file, two_classes})
+    std::remove(path.c_str());
+
+  // The factories keep their contracts for internal callers.
   EXPECT_THROW(ChannelModel::gilbert_elliott(0.0, 0.0, 0.0, 1.0),
                precondition_error);
   EXPECT_THROW(ChannelModel::chain({0.5, 0.4}, {0.0, 1.0}),

@@ -282,7 +282,7 @@ TEST(BatchSolve, DegenerateLanesFallBackInsideAMixedBatch) {
 
 TEST(BatchSolve, PerSlotKernelFallsBackToScalarLanes) {
   // The per-slot kernel has no SoA core; analyze_batch_into must solve
-  // every lane alone through the per-slot core and still match.
+  // every lane alone through the firing-table walk and still match.
   const PathModelConfig config = three_hop_config();
   const PathModelSkeleton skeleton(config);
   const std::vector<std::vector<double>> lanes =

@@ -1,4 +1,4 @@
-// The superframe-product transient kernel against the per-slot solver:
+// The superframe-product transient kernel against the firing-table walk:
 // the cycle collapse must reproduce every solver output to 1e-12 across
 // a seeded corpus of generated scenarios (out-of-order slots, retry
 // slots, mid-horizon TTLs, degenerate links) and the structural edge
