@@ -17,11 +17,9 @@
 //                                --require-speedup with a fractional
 //                                factor (iid/ge >= 0.25).
 //
-// Channel points always solve fresh (no skeleton reuse, no batching —
-// the refill patterns key the i.i.d. shape), so the i.i.d. arm also
-// runs with reuse off: the gate compares like against like, pure solve
-// cost per point.  Single-threaded for the same reason as
-// bench_skeleton: the point is the per-solve cost, not the fan-out.
+// Every arm walks the firing table (the i.i.d. arm one state per hop),
+// so the gate compares like against like, pure solve cost per point.
+// Single-threaded: the point is the per-solve cost, not the fan-out.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -74,8 +72,8 @@ void BM_ChannelAvailabilitySweep(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         hart::sweep_availability(config, grid, 1,
-                                 hart::TransientKernel::kSuperframeProduct,
-                                 /*reuse_skeleton=*/false,
+                                 hart::TransientKernel::kPerSlot,
+                                 /*reuse_skeleton=*/true,
                                  /*batch_lanes=*/1, channel)
             .points.back()
             .measures.reachability);

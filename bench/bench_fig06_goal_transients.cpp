@@ -15,14 +15,15 @@ int main() {
   const hart::SteadyStateLinks links(
       3, link::LinkModel::from_availability(0.75));
   const hart::PathTransientResult result = model.analyze(links);
+  const std::vector<std::vector<double>> trajectory =
+      hart::goal_trajectory(result, model.config().horizon());
 
   Table table({"t (slots)", "R7", "R14", "R21", "R28"});
   for (std::uint32_t t = 0; t <= 28; t += 1) {
-    table.add_row({std::to_string(t),
-                   Table::fixed(result.goal_trajectory[t][0], 5),
-                   Table::fixed(result.goal_trajectory[t][1], 5),
-                   Table::fixed(result.goal_trajectory[t][2], 5),
-                   Table::fixed(result.goal_trajectory[t][3], 5)});
+    table.add_row({std::to_string(t), Table::fixed(trajectory[t][0], 5),
+                   Table::fixed(trajectory[t][1], 5),
+                   Table::fixed(trajectory[t][2], 5),
+                   Table::fixed(trajectory[t][3], 5)});
   }
   table.print(std::cout);
 

@@ -138,8 +138,7 @@ void BM_TypicalNetworkAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_TypicalNetworkAnalysis);
 
-// The seed-equivalent baseline: strictly serial, no memoization —
-// exactly the per-path loop the repository shipped with.
+// The seed-equivalent baseline: strictly serial, one walk per path.
 void BM_GeneratedPlantAnalysis(benchmark::State& state) {
   net::PlantProfile profile;
   profile.device_count = static_cast<std::uint32_t>(state.range(0));
@@ -147,7 +146,6 @@ void BM_GeneratedPlantAnalysis(benchmark::State& state) {
   const net::GeneratedPlant plant = net::generate_plant(profile);
   hart::AnalysisOptions options;
   options.threads = 1;
-  options.use_cache = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         hart::analyze_network(plant.network, plant.paths, plant.schedule,
@@ -157,44 +155,26 @@ void BM_GeneratedPlantAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratedPlantAnalysis)->Arg(10)->Arg(50)->Arg(200);
 
-// The parallel engine on the same workload: Args are (devices, threads,
-// cache).  Cached runs share one PathAnalysisCache across iterations —
-// the steady state of a long-lived analysis service, where repeated and
-// structurally identical solves all hit.
+// The parallel engine on the same workload: Args are (devices, threads).
 void BM_GeneratedPlantAnalysisParallel(benchmark::State& state) {
   net::PlantProfile profile;
   profile.device_count = static_cast<std::uint32_t>(state.range(0));
   profile.seed = 7;
   const net::GeneratedPlant plant = net::generate_plant(profile);
-  hart::PathAnalysisCache cache;
   hart::AnalysisOptions options;
   options.threads = static_cast<unsigned>(state.range(1));
-  options.use_cache = state.range(2) != 0;
-  options.cache = options.use_cache ? &cache : nullptr;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         hart::analyze_network(plant.network, plant.paths, plant.schedule,
                               plant.superframe, 4, options)
             .mean_delay_ms);
   }
-  // Machine-readable (lands in the --benchmark_format=json "counters"
-  // object) instead of a hand-formatted label.
-  state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(cache.hits()));
-  state.counters["cache_misses"] =
-      benchmark::Counter(static_cast<double>(cache.misses()));
-  state.counters["cache_entries"] =
-      benchmark::Counter(static_cast<double>(cache.size()));
 }
 BENCHMARK(BM_GeneratedPlantAnalysisParallel)
-    ->Args({200, 1, 0})
-    ->Args({200, 2, 0})
-    ->Args({200, 4, 0})
-    ->Args({200, 8, 0})
-    ->Args({200, 1, 1})
-    ->Args({200, 2, 1})
-    ->Args({200, 4, 1})
-    ->Args({200, 8, 1});
+    ->Args({200, 1})
+    ->Args({200, 2})
+    ->Args({200, 4})
+    ->Args({200, 8});
 
 // The seed-equivalent Monte-Carlo baseline: one shard, one stream.
 void BM_MonteCarloPerInterval(benchmark::State& state) {

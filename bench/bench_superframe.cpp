@@ -1,12 +1,10 @@
-// Superframe-product kernel vs per-slot transient recursion
+// The firing-table walk vs the superframe-product collapse
 // (google-benchmark).  Every workload runs under both kernels with the
-// kernel selector as the LAST benchmark argument (0 = kPerSlot,
-// 1 = kSuperframeProduct), so tools/check_bench_regression.py can pair
-// .../0 against .../1 and assert the collapse speedup, and compare runs
-// against the committed BENCH_superframe.json baseline.
-//
-// All network solves are cold-cache (no PathAnalysisCache, one thread):
-// the point is the raw solver cost, not memoization.
+// kernel selector as the LAST benchmark argument (0 = kPerSlot, the
+// walk; 1 = kSuperframeProduct, the reference collapse), so
+// tools/check_bench_regression.py can pair .../1 against .../0 and
+// assert the walk's speedup, and compare runs against the committed
+// BENCH_superframe.json baseline.  Network solves run on one thread.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -63,7 +61,6 @@ void BM_TypicalNetworkSolve(benchmark::State& state) {
   const net::TypicalNetwork t = net::make_typical_network();
   hart::AnalysisOptions options;
   options.threads = 1;
-  options.use_cache = false;
   options.kernel = state.range(1) != 0
                        ? hart::TransientKernel::kSuperframeProduct
                        : hart::TransientKernel::kPerSlot;
@@ -80,7 +77,7 @@ BENCHMARK(BM_TypicalNetworkSolve)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// 200-device generated plant, cold cache: Args are (Is, kernel).
+// 200-device generated plant: Args are (Is, kernel).
 void BM_GeneratedPlantSolve(benchmark::State& state) {
   net::PlantProfile profile;
   profile.device_count = 200;
@@ -88,7 +85,6 @@ void BM_GeneratedPlantSolve(benchmark::State& state) {
   const net::GeneratedPlant plant = net::generate_plant(profile);
   hart::AnalysisOptions options;
   options.threads = 1;
-  options.use_cache = false;
   options.kernel = state.range(1) != 0
                        ? hart::TransientKernel::kSuperframeProduct
                        : hart::TransientKernel::kPerSlot;

@@ -1,23 +1,23 @@
-// Incremental what-if benchmarks (google-benchmark): the all-links
-// what-if sweep of DESIGN.md §15 on a generated 200-device plant,
-// incremental engine against full re-solves.
+// What-if benchmarks (google-benchmark): the all-links what-if sweep of
+// DESIGN.md §15 on a generated 200-device plant, the engine against full
+// re-solves.
 //
-//   BM_WhatIfEngineBuild     one engine construction — baseline fan-out,
-//                            skeleton sharing and product seeding (the
-//                            calibration benchmark of the CI gate)
+//   BM_WhatIfEngineBuild     one engine construction — the baseline
+//                            fan-out (the calibration benchmark of the
+//                            CI gate)
 //   BM_WhatIfSweepFresh      every link moved to the probe availability
 //                            and scored by a full analyze_network of the
 //                            modified plant (the pre-engine behaviour)
 //   BM_WhatIfSweepIncremental the same sweep through one warm engine's
 //                            what_if_delta — only the paths using each
-//                            link re-solve, via targeted product-row
-//                            replay; tools/check_bench_regression.py
+//                            link re-walk; tools/check_bench_regression.py
 //                            pairs the two and asserts the >= 10x
-//                            speedup
+//                            speedup (the name predates the walk and is
+//                            kept so the baseline stays comparable)
 //
 // Both sweep arms answer the identical question (the what-if unit tests
-// and the incremental oracle leg pin the values to 1e-12); only the
-// time differs.  All runs are single-threaded so the gate measures the
+// and the oracle's what-if leg pin the values to 1e-12); only the time
+// differs.  All runs are single-threaded so the gate measures the
 // algorithmic win, not the fan-out.
 #include <benchmark/benchmark.h>
 
@@ -63,9 +63,7 @@ void BM_WhatIfSweepFresh(benchmark::State& state) {
   net::GeneratedPlant plant = plant_200();
   const std::vector<net::LinkId> links = plant.network.links();
   hart::AnalysisOptions options;
-  options.kernel = hart::TransientKernel::kSuperframeProduct;
   options.threads = 1;
-  options.use_cache = false;  // a what-if is a fresh question every time
   for (auto _ : state) {
     double worst = 0.0;
     for (const net::LinkId link : links) {
@@ -85,9 +83,9 @@ void BM_WhatIfSweepFresh(benchmark::State& state) {
 }
 BENCHMARK(BM_WhatIfSweepFresh);
 
-// The same all-links sweep through one warm incremental engine: per
-// link, only the paths scheduled over it re-solve (targeted product-row
-// replay); every other path's cached measures are reused.
+// The same all-links sweep through one warm engine: per link, only the
+// paths scheduled over it re-walk; every other path's cached measures
+// are reused.
 void BM_WhatIfSweepIncremental(benchmark::State& state) {
   const net::GeneratedPlant plant = plant_200();
   hart::WhatIfOptions options;

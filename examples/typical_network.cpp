@@ -122,8 +122,10 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write '" << trace_path << "'\n";
       return 1;
     }
-    report::write_chrome_trace_json(
-        file, common::obs::TraceCollector::instance().events());
+    const common::obs::TraceCollector& collector =
+        common::obs::TraceCollector::instance();
+    report::write_chrome_trace_json(file, collector.events(),
+                                    collector.flows());
     std::cout << "wrote Chrome trace to " << trace_path << "\n";
   }
   if (obs_session) obs_session->finish();

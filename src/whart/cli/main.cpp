@@ -27,32 +27,14 @@
 //                        the channel-enlarged DTMC, --simulate draws
 //                        from the same chains (kChannel regime) and
 //                        --sweep evaluates its grid under the overlay
-//   --kernel <name>      force one transient solver on the i.i.d.
-//                        paths: per-slot (the firing-table walk) or
-//                        superframe (superframe-product collapse; the
-//                        default).  Same results to rounding either way.
-//                        Channel paths (--channel) have one solver, the
-//                        walk, so superframe is ignored there with a
-//                        warning
-//   --reuse-skeleton     share the symbolic solve phase between paths of
-//                        identical schedule shape and across sweep grid
-//                        points (default; bitwise-identical results)
-//   --no-reuse-skeleton  rebuild every solve from scratch (the
-//                        differential oracle's baseline path)
-//   --batch-lanes <n>    lane count of the --sweep grid: same-shape sweep
-//                        points refill and solve n lanes per pass of the
-//                        superframe core (DESIGN.md §13; n >= 1, default
-//                        1 = one point per pass; requires
-//                        --reuse-skeleton; the values do not depend on n)
 //   --what-if link=<id>:<pfl>
-//                        incremental what-if (DESIGN.md §15): re-evaluate
-//                        the network with link <id>'s per-slot failure
+//                        what-if (DESIGN.md §15): re-evaluate the
+//                        network with link <id>'s per-slot failure
 //                        probability set to <pfl> (its recovery
-//                        probability kept), re-solving only the paths
-//                        scheduled over that link through the cached
-//                        cycle products; prints the affected paths'
-//                        measure deltas and the new network summary.
-//                        Not available together with --channel
+//                        probability kept), re-walking only the paths
+//                        scheduled over that link; prints the affected
+//                        paths' measure deltas and the new network
+//                        summary.  Not available together with --channel
 
 //   --metrics[=<file>]   dump the metrics-registry snapshot as JSON
 //                        (default file: whart_metrics.json)
@@ -112,14 +94,7 @@ struct Options {
   std::string metrics_path;
   std::string trace_path;
   std::string obs_dir;
-  std::optional<whart::hart::TransientKernel> kernel;  // unset = per kind
-  bool reuse_skeleton = true;
-  std::size_t batch_lanes = 1;
   std::optional<WhatIfQuery> what_if;
-  // Whether the flags --channel silently bypasses were passed explicitly
-  // (the combination earns a warning and a `cli.ignored_flags` count).
-  bool batch_lanes_set = false;
-  bool reuse_flag_set = false;
 };
 
 int usage(const std::string& complaint = "") {
@@ -129,9 +104,7 @@ int usage(const std::string& complaint = "") {
                "[--stability <targetR>] [--csv <file>] [--sweep <file>] "
                "[--shards <n>] "
                "[--channel iid|ge:pgb,pbg,eg,eb|chain:<file>] "
-               "[--kernel per-slot|superframe] "
-               "[--reuse-skeleton|--no-reuse-skeleton] "
-               "[--batch-lanes <n>] [--what-if link=<id>:<pfl>] "
+               "[--what-if link=<id>:<pfl>] "
                "[--metrics[=<file>]] [--trace[=<file>]] "
                "[--obs-dir=<dir>]\n";
   return 2;
@@ -232,8 +205,8 @@ void write_csv(const whart::cli::ParsedSpec& spec,
 }
 
 /// The --what-if mode: re-evaluate the network with one link's failure
-/// probability moved to the requested value, through the incremental
-/// engine (DESIGN.md §15) — only paths scheduled over the link re-solve.
+/// probability moved to the requested value, through the what-if engine
+/// (DESIGN.md §15) — only paths scheduled over the link re-walk.
 void print_what_if(const whart::cli::ParsedSpec& spec,
                    const whart::net::Schedule& schedule,
                    const Options& options) {
@@ -252,11 +225,8 @@ void print_what_if(const whart::cli::ParsedSpec& spec,
   const double prc = base.recovery_probability();
   const double availability = prc / (prc + pfl);
 
-  whart::hart::WhatIfOptions what_if_options;
-  if (options.kernel.has_value()) what_if_options.kernel = *options.kernel;
   whart::hart::WhatIfEngine engine(spec.network, spec.paths, schedule,
-                                   spec.superframe, spec.reporting_interval,
-                                   what_if_options);
+                                   spec.superframe, spec.reporting_interval);
   const std::vector<whart::hart::PathMeasures>& baseline = engine.baseline();
   whart::hart::WhatIfResult result = engine.what_if(link, availability);
 
@@ -288,8 +258,8 @@ void print_what_if(const whart::cli::ParsedSpec& spec,
             << Table::fixed(what_if_measures.mean_delay_ms, 1)
             << " ms, utilization U = "
             << Table::fixed(what_if_measures.network_utilization, 4) << "\n"
-            << "incremental solver: " << resolved << " paths re-solved, "
-            << reused << " reused from cache\n";
+            << "what-if engine: " << resolved << " paths re-walked, "
+            << reused << " kept at baseline\n";
 }
 
 void print_analysis(const whart::cli::ParsedSpec& spec,
@@ -304,39 +274,12 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
   if (!options.channel_spec.empty())
     channel = whart::link::ChannelModel::parse(options.channel_spec);
 
-  // --channel routes every solve through the channel-enlarged walk,
-  // which has no skeleton-reuse, batched-refill or superframe-product
-  // path; flags asking for those would otherwise be swallowed silently.
-  if (channel.has_value()) {
-    std::uint64_t ignored = 0;
-    if (options.kernel == whart::hart::TransientKernel::kSuperframeProduct) {
-      std::cerr << "whart_cli: warning: --kernel superframe is ignored with "
-                   "--channel (channel paths have one solver, the "
-                   "firing-table walk)\n";
-      ++ignored;
-    }
-    if (options.batch_lanes_set) {
-      std::cerr << "whart_cli: warning: --batch-lanes is ignored with "
-                   "--channel (channel-enlarged solves have no batch "
-                   "path)\n";
-      ++ignored;
-    }
-    if (options.reuse_flag_set) {
-      std::cerr << "whart_cli: warning: --reuse-skeleton/--no-reuse-skeleton "
-                   "is ignored with --channel (channel-enlarged solves "
-                   "rebuild from scratch)\n";
-      ++ignored;
-    }
-    if (ignored > 0) WHART_COUNT_N("cli.ignored_flags", ignored);
-  }
   if (channel.has_value() && options.what_if.has_value())
     throw std::runtime_error(
         "--what-if is not available together with --channel (the "
-        "incremental engine caches slot-independent cycle products)");
+        "what-if engine walks steady-state links only)");
 
   whart::hart::AnalysisOptions analysis_options;
-  analysis_options.kernel = options.kernel;
-  analysis_options.reuse_skeleton = options.reuse_skeleton;
   analysis_options.channel = channel;
   const whart::hart::NetworkMeasures measures = whart::hart::analyze_network(
       spec.network, spec.paths, schedule, spec.superframe,
@@ -384,8 +327,7 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
 
   const whart::hart::NetworkDiagnostics& diag = measures.diagnostics;
   std::cout << "solver: " << diag.dtmc_solves << " DTMC solves ("
-            << diag.states_solved << " states), " << diag.cache_hits
-            << " cache hits, max mass residual "
+            << diag.states_solved << " states), max mass residual "
             << diag.max_mass_residual << "\n";
 
   std::cout << "\nOverall delay distribution:\n";
@@ -438,10 +380,8 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
             schedule, worst, spec.superframe, spec.reporting_interval);
     const whart::hart::SweepSeries series = whart::hart::sweep_availability(
         config, whart::hart::linspace(0.65, 0.99, 18), 0,
-        options.kernel.value_or(
-            whart::hart::default_kernel(channel.has_value())),
-        options.reuse_skeleton, options.batch_lanes,
-        channel.has_value() ? &*channel : nullptr);
+        whart::hart::TransientKernel::kPerSlot, /*reuse_skeleton=*/true,
+        /*batch_lanes=*/1, channel.has_value() ? &*channel : nullptr);
     std::ofstream file(options.sweep_path);
     if (!file)
       throw std::runtime_error("cannot write '" + options.sweep_path + "'");
@@ -475,8 +415,9 @@ void write_observability(const Options& options) {
     std::ofstream file(options.trace_path);
     if (!file)
       throw std::runtime_error("cannot write '" + options.trace_path + "'");
-    whart::report::write_chrome_trace_json(
-        file, obs::TraceCollector::instance().events());
+    const obs::TraceCollector& collector = obs::TraceCollector::instance();
+    whart::report::write_chrome_trace_json(file, collector.events(),
+                                           collector.flows());
     std::cout << "\nSpan aggregates:\n";
     whart::report::print_span_table(std::cout, spans);
     std::cout << "wrote Chrome trace to " << options.trace_path << "\n";
@@ -518,25 +459,6 @@ int main(int argc, char** argv) {
         return bad_value(arg, argv[i]);
     } else if (arg == "--channel" && i + 1 < argc) {
       options.channel_spec = argv[++i];
-    } else if (arg == "--kernel" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "per-slot")
-        options.kernel = whart::hart::TransientKernel::kPerSlot;
-      else if (name == "superframe")
-        options.kernel = whart::hart::TransientKernel::kSuperframeProduct;
-      else
-        return usage();
-    } else if (arg == "--reuse-skeleton") {
-      options.reuse_skeleton = true;
-      options.reuse_flag_set = true;
-    } else if (arg == "--no-reuse-skeleton") {
-      options.reuse_skeleton = false;
-      options.reuse_flag_set = true;
-    } else if (arg == "--batch-lanes" && i + 1 < argc) {
-      if (!parse_number(argv[++i], options.batch_lanes) ||
-          options.batch_lanes == 0)
-        return bad_value(arg, argv[i]);
-      options.batch_lanes_set = true;
     } else if (arg == "--what-if" && i + 1 < argc) {
       options.what_if = parse_what_if(argv[++i]);
       if (!options.what_if.has_value()) return bad_value(arg, argv[i]);

@@ -23,9 +23,8 @@
 //                        the GE row of the CI fuzz matrix)
 //   --inject <fault>     corrupt the production leg on purpose:
 //                        link-bias | discard-leak | cycle-shift |
-//                        product-entry | stale-skeleton-value |
-//                        lane-swap | channel-state-leak |
-//                        channel-gap-shift | stale-product-row (a
+//                        product-entry | channel-state-leak |
+//                        channel-gap-shift | what-if-skip-path (a
 //                        healthy harness must then FAIL)
 //   --metrics[=<file>]   dump the obs metrics snapshot as JSON
 //                        (default file: whart_verify_metrics.json)
@@ -54,8 +53,7 @@ int usage() {
                "[--intervals <n>] [--shards <n>] [--threads <n>] "
                "[--channel-prob <p>] "
                "[--inject link-bias|discard-leak|cycle-shift|product-entry|"
-               "stale-skeleton-value|lane-swap|channel-state-leak|"
-               "channel-gap-shift|stale-product-row] "
+               "channel-state-leak|channel-gap-shift|what-if-skip-path] "
                "[--metrics[=<file>]] [--obs-dir=<dir>]\n";
   return 2;
 }
@@ -121,20 +119,15 @@ int main(int argc, char** argv) {
           config.oracle.injection = whart::verify::Injection::kCycleShift;
         else if (fault == "product-entry")
           config.oracle.injection = whart::verify::Injection::kProductEntry;
-        else if (fault == "stale-skeleton-value")
-          config.oracle.injection =
-              whart::verify::Injection::kStaleSkeletonValue;
-        else if (fault == "lane-swap")
-          config.oracle.injection = whart::verify::Injection::kLaneSwap;
         else if (fault == "channel-state-leak")
           config.oracle.injection =
               whart::verify::Injection::kChannelStateLeak;
         else if (fault == "channel-gap-shift")
           config.oracle.injection =
               whart::verify::Injection::kChannelGapShift;
-        else if (fault == "stale-product-row")
+        else if (fault == "what-if-skip-path")
           config.oracle.injection =
-              whart::verify::Injection::kStaleProductRow;
+              whart::verify::Injection::kWhatIfSkipPath;
         else
           return usage();
       } else if (arg == "--metrics") {

@@ -126,9 +126,8 @@ class TransientLinks final : public LinkProbabilityProvider {
 /// from DOWN afterwards.
 /// True when any of the first `hops` hops of `links` carries a
 /// multi-state channel — the condition under which PathModel enlarges
-/// its DTMC state space (and the superframe product and skeleton/batch
-/// refills give way to the walk, since the enlarged shape is not the one
-/// their patterns were captured for).
+/// its DTMC state space (and the superframe collapse gives way to the
+/// walk).
 [[nodiscard]] bool channel_enlarged(const LinkProbabilityProvider& links,
                                     std::size_t hops);
 

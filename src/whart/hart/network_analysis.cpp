@@ -4,9 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "whart/common/contracts.hpp"
@@ -26,83 +23,35 @@ NetworkMeasures analyze_network(const net::Network& network,
   expects(!paths.empty(), "at least one path");
   WHART_COUNT("hart.network.analyses");
   WHART_GAUGE_SET("hart.network.paths", static_cast<double>(paths.size()));
-  PathAnalysisCache local_cache;
-  PathAnalysisCache* cache =
-      options.cache != nullptr ? options.cache
-                               : (options.use_cache ? &local_cache : nullptr);
-
-  // Every path of a call is of one kind, i.i.d. or channel-enlarged.
-  const TransientKernel kernel =
-      options.kernel.value_or(default_kernel(options.channel.has_value()));
-
-  std::vector<PathModelConfig> configs(paths.size());
-  for (std::size_t p = 0; p < paths.size(); ++p)
-    configs[p] = PathModelConfig::from_schedule(schedule, p, superframe,
-                                                reporting_interval);
-
-  // Cacheless skeleton sharing: group paths by schedule shape in a
-  // serial pre-pass so each shape runs its symbolic phase exactly once;
-  // the map is read-only during the parallel fan-out.  (With a cache the
-  // cache's own skeleton store plays this role.)
-  std::vector<std::string> shape_keys(paths.size());
-  std::unordered_map<std::string, std::shared_ptr<const PathModelSkeleton>>
-      skeletons;
-  if (cache == nullptr && options.reuse_skeleton &&
-      !options.channel.has_value()) {
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      shape_keys[p] =
-          PathAnalysisCache::skeleton_fingerprint(configs[p], kernel);
-      auto& slot = skeletons[shape_keys[p]];
-      if (slot == nullptr)
-        slot = std::make_shared<const PathModelSkeleton>(configs[p]);
-    }
-  }
+  PathAnalysisOptions path_options;
+  path_options.kernel = options.kernel.value_or(TransientKernel::kPerSlot);
   common::WorkspacePool<SolveWorkspace> workspaces;
 
   std::vector<PathMeasures> per_path(paths.size());
   common::parallel_for(
       paths.size(),
       [&](std::size_t p) {
-        const PathModelConfig& config = configs[p];
+        const PathModel model(PathModelConfig::from_schedule(
+            schedule, p, superframe, reporting_interval));
         std::vector<double> availability;
-        availability.reserve(config.hop_count());
-        for (const link::LinkModel& model : paths[p].hop_models(network))
-          availability.push_back(model.steady_state_availability());
+        availability.reserve(model.config().hop_count());
+        for (const link::LinkModel& link : paths[p].hop_models(network))
+          availability.push_back(link.steady_state_availability());
+        auto workspace = workspaces.acquire();
+        PathTransientResult& transient = workspace->scratch_result;
         if (options.channel.has_value()) {
-          // Channel-enlarged solve: each hop runs the overlay rescaled to
-          // its own availability, and neither the cache nor the skeleton
-          // store applies (both key the i.i.d. shape).
+          // Each hop runs the overlay rescaled to its own availability.
           std::vector<link::ChannelModel> channels;
           channels.reserve(availability.size());
           for (double a : availability)
             channels.push_back(options.channel->with_marginal_success(a));
-          const PathModel model(config);
-          const ChannelLinks links(std::move(channels));
-          PathAnalysisOptions path_options;
-          path_options.kernel = kernel;
-          per_path[p] = compute_path_measures(model, links, path_options);
-        } else if (cache != nullptr) {
-          per_path[p] = cache->measures(config, availability, kernel,
-                                        options.reuse_skeleton);
-        } else if (options.reuse_skeleton) {
-          const PathModelSkeleton& skeleton = *skeletons.at(shape_keys[p]);
-          const SteadyStateLinks links(std::move(availability));
-          PathAnalysisOptions path_options;
-          path_options.kernel = kernel;
-          auto workspace = workspaces.acquire();
-          skeleton.analyze_into(links, path_options, *workspace,
-                                workspace->scratch_result);
-          // The transient depends only on the shape the skeleton keys;
-          // measures re-derive from this path's own config.
-          per_path[p] =
-              measures_from_transient(config, workspace->scratch_result);
+          model.analyze_into(ChannelLinks(std::move(channels)), path_options,
+                             *workspace, transient);
         } else {
-          const PathModel model(config);
-          const SteadyStateLinks links(std::move(availability));
-          PathAnalysisOptions path_options;
-          path_options.kernel = kernel;
-          per_path[p] = compute_path_measures(model, links, path_options);
+          model.analyze_into(SteadyStateLinks(std::move(availability)),
+                             path_options, *workspace, transient);
         }
+        per_path[p] = measures_from_transient(model.config(), transient);
       },
       options.threads);
   return aggregate_measures(std::move(per_path));
@@ -157,13 +106,9 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
       result.bottleneck_by_reachability = p;
     if (m.diagnostics.has_value()) {
       const SolverDiagnostics& d = *m.diagnostics;
-      if (d.from_cache) {
-        ++result.diagnostics.cache_hits;
-      } else {
-        ++result.diagnostics.dtmc_solves;
-        result.diagnostics.states_solved += d.dtmc_states;
-        result.diagnostics.solve_ns_total += d.solve_ns;
-      }
+      ++result.diagnostics.dtmc_solves;
+      result.diagnostics.states_solved += d.dtmc_states;
+      result.diagnostics.solve_ns_total += d.solve_ns;
       result.diagnostics.max_mass_residual =
           std::max(result.diagnostics.max_mass_residual, d.mass_residual);
     }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "whart/hart/path_analysis.hpp"
-#include "whart/hart/path_cache.hpp"
 #include "whart/link/channel_model.hpp"
 #include "whart/net/path.hpp"
 #include "whart/net/schedule.hpp"
@@ -17,60 +16,36 @@
 
 namespace whart::hart {
 
-/// Execution knobs of analyze_network.  Neither threading nor caching
-/// changes the result: per-path measures land by index and the cache's
-/// canonical solves are bit-identical to direct ones.
+/// Execution knobs of analyze_network.  Threading does not change the
+/// result: per-path measures land by index.
 struct AnalysisOptions {
   /// Worker threads for the per-path fan-out; 0 consults WHART_THREADS
   /// and falls back to the hardware concurrency, 1 runs serially.
   unsigned threads = 0;
 
-  /// Share solves between structurally identical paths (on by default;
-  /// purely a speedup).
+  /// Read by nothing: every path walks its own firing table.  Declared
+  /// only because the end-to-end benchmark harness (e2ebench/) sets it.
   bool use_cache = true;
 
-  /// Optional caller-owned cache reused across calls (e.g. across the
-  /// repeated analyses of a sweep or benchmark).  When null and
-  /// use_cache is true, a fresh per-call cache still deduplicates within
-  /// the call.
-  PathAnalysisCache* cache = nullptr;
-
-  /// Transient solver for the per-path solves.  Unset (the default)
-  /// picks per path kind, default_kernel() (DESIGN.md §11): the
-  /// superframe product for i.i.d. steady-state paths, whose cycle
-  /// product runs over the transmission opportunities only, and the
-  /// firing-table walk for channel-enlarged paths (see `channel`), the
-  /// only solver those have.  A value forces that kernel on every i.i.d.
-  /// path (the differential oracle's and the goldens' seam); forcing
-  /// kSuperframeProduct on channel paths still walks them, counted as a
-  /// kernel fallback.  The kernels agree on every measure to ~1e-12.
+  /// Transient solver for the per-path solves.  Unset (the default) and
+  /// kPerSlot walk every path's firing table (DESIGN.md §11).
+  /// kSuperframeProduct forces the reference collapse on every i.i.d.
+  /// path (the goldens' seam); channel paths still walk, counted as a
+  /// kernel fallback.  The two agree on every measure to ~1e-12.
   std::optional<TransientKernel> kernel;
 
-  /// Share the symbolic solve phase between paths of identical schedule
-  /// shape (DESIGN.md §12): paths with equal skeleton fingerprints run
-  /// Algorithm 1 once and each perform only a numeric refill.  Bitwise
-  /// identical to fresh per-path solves; off is the differential
-  /// oracle's baseline.  Forwarded to the cache when one is in use.
+  /// Read by nothing, like use_cache: declared only because the
+  /// end-to-end benchmark harness (e2ebench/) sets it.
   bool reuse_skeleton = true;
 
   /// Correlated-channel overlay.  When set, every hop of every path runs
   /// this channel rescaled so its stationary marginal success equals the
   /// hop's steady-state availability (ChannelModel::with_marginal_success)
-  /// and the per-path solves go through the channel-enlarged DTMC
-  /// (PathModel's firing-table walk).  Channel paths always solve fresh:
-  /// the cache and the skeleton store key the i.i.d. shape, not the
-  /// enlarged one, so neither is consulted.  A one-state (i.i.d.)
-  /// channel reproduces the plain analysis to rounding.
+  /// and the per-path solves walk the channel-enlarged chain.  A
+  /// one-state (i.i.d.) channel reproduces the plain analysis to
+  /// rounding.
   std::optional<link::ChannelModel> channel;
 };
-
-/// The kernel analyze_network runs when AnalysisOptions::kernel is
-/// unset: the superframe product on i.i.d. paths, the firing-table walk
-/// on channel-enlarged ones.
-constexpr TransientKernel default_kernel(bool channel_enlarged) noexcept {
-  return channel_enlarged ? TransientKernel::kPerSlot
-                          : TransientKernel::kSuperframeProduct;
-}
 
 /// One point of the network-wide delay distribution.
 struct DelayProbability {
@@ -85,16 +60,13 @@ struct DelayProbability {
 /// DTMC work went.  Paths analyzed without diagnostics (analytic
 /// derivations) contribute nothing.
 struct NetworkDiagnostics {
-  /// Paths whose measures required a fresh DTMC solve.
+  /// Paths whose measures came from a DTMC solve.
   std::uint64_t dtmc_solves = 0;
 
-  /// Paths served from the path-analysis cache.
-  std::uint64_t cache_hits = 0;
-
-  /// Total chain states across the fresh solves.
+  /// Total chain states across the solves.
   std::uint64_t states_solved = 0;
 
-  /// Wall-clock summed over fresh solves, ns (0 when metrics are off).
+  /// Wall-clock summed over the solves, ns (0 when metrics are off).
   std::uint64_t solve_ns_total = 0;
 
   /// Worst probability-mass residual seen across all solves.

@@ -57,8 +57,8 @@ struct PathMeasures {
   double delay_jitter_ms = 0.0;
 
   /// Solver provenance: present when the measures came from an exact DTMC
-  /// solve (directly or through the cache); absent for measures derived
-  /// analytically from known cycle probabilities.
+  /// solve; absent for measures derived analytically from known cycle
+  /// probabilities.
   std::optional<SolverDiagnostics> diagnostics;
 
   /// Smallest delay d with P(delay <= d | received) >= q.  Returns the
@@ -81,9 +81,8 @@ PathMeasures compute_path_measures(const PathModel& model,
 
 /// Reduce a transient solve to measures — the exact reduction
 /// compute_path_measures applies (measures_from_cycles plus the exact
-/// delivered-only utilization override).  Shared with the skeleton
-/// refill path, so fresh and refilled solves yield bitwise-identical
-/// measures whenever their transients agree bitwise.
+/// delivered-only utilization override), for callers that solve through
+/// PathModel::analyze_into.
 PathMeasures measures_from_transient(const PathModelConfig& config,
                                      const PathTransientResult& transient);
 

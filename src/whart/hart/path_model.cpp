@@ -9,7 +9,6 @@
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
-#include "whart/linalg/simd.hpp"
 #include "whart/markov/superframe_kernel.hpp"
 
 namespace whart::hart {
@@ -106,16 +105,40 @@ PathTransientResult PathModel::analyze(
 PathTransientResult PathModel::analyze(
     const LinkProbabilityProvider& links,
     const PathAnalysisOptions& options) const {
-  if (options.kernel == TransientKernel::kSuperframeProduct) {
-    if (links.cycle_stationary() &&
-        !channel_enlarged(links, config_.hop_count()))
-      return analyze_superframe(links, options.inject_product_error);
-    WHART_COUNT("hart.path_solve.kernel_fallback");
-  }
   SolveWorkspace workspace;
   PathTransientResult result;
-  walk(links, options.inject_channel_fault, workspace, result);
+  analyze_into(links, options, workspace, result);
   return result;
+}
+
+void PathModel::analyze_into(const LinkProbabilityProvider& links,
+                             const PathAnalysisOptions& options,
+                             SolveWorkspace& workspace,
+                             PathTransientResult& result) const {
+  if (options.kernel == TransientKernel::kSuperframeProduct) {
+    if (links.cycle_stationary() &&
+        !channel_enlarged(links, config_.hop_count())) {
+      result = analyze_superframe(links, options.inject_product_error);
+      return;
+    }
+    WHART_COUNT("hart.path_solve.kernel_fallback");
+  }
+  walk(links, options.inject_channel_fault, workspace, result);
+}
+
+std::vector<std::vector<double>> goal_trajectory(
+    const PathTransientResult& result, std::uint32_t horizon) {
+  std::vector<std::vector<double>> trajectory(horizon + std::size_t{1});
+  std::vector<double> goals(result.cycle_probabilities.size(), 0.0);
+  std::size_t next = 0;
+  for (std::uint32_t t = 0; t <= horizon; ++t) {
+    for (; next < result.deliveries.size() &&
+           result.deliveries[next].slot <= t;
+         ++next)
+      goals[result.deliveries[next].cycle] += result.deliveries[next].mass;
+    trajectory[t] = goals;
+  }
+  return trajectory;
 }
 
 namespace {
@@ -220,11 +243,19 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   };
 
   // The firings up to the TTL: firing j is opportunity j % count of
-  // cycle j / count, and the TTL keeps a prefix of them.
+  // cycle j / count, and the TTL keeps a prefix of them.  Counted per
+  // opportunity with the record doubles and the last hop's deliveries,
+  // so both buffers are sized once.
   const std::size_t count = opportunities_.size();
-  std::size_t firings = static_cast<std::size_t>(ttl / frame) * count;
-  for (const Opportunity& o : opportunities_)
-    firings += o.slot <= ttl % frame;
+  std::size_t firings = 0;
+  std::size_t record_doubles = 0;
+  std::size_t deliveries = 0;
+  for (const Opportunity& o : opportunities_) {
+    const std::size_t occurrences = ttl / frame + (o.slot <= ttl % frame);
+    firings += occurrences;
+    record_doubles += occurrences * (1 + 2 * ws.walk_hops[o.hop].states);
+    if (o.hop + 1 == hops) deliveries += occurrences;
+  }
   const auto global_slot = [&](std::size_t j) {
     return static_cast<std::uint32_t>(j / count) * frame +
            opportunities_[j % count].slot;
@@ -238,6 +269,7 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   ws.next_beta.assign(states, 0.0);
   for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
   ws.firings.clear();
+  ws.firings.reserve(record_doubles);
   for (std::size_t j = firings; j-- > 0;) {
     const std::size_t h = opportunities_[j % count].hop;
     WalkHop& hop = ws.walk_hops[h];
@@ -283,16 +315,9 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   result.discard_probability = 0.0;
   result.expected_transmissions = 0.0;
   result.expected_transmissions_delivered = 0.0;
-  result.trajectory_stride = 1;
+  result.deliveries.clear();
+  result.deliveries.reserve(deliveries);
   result.diagnostics = SolverDiagnostics{};
-  result.goal_trajectory.resize(horizon + 1);
-  std::size_t recorded = 0;
-  const auto record_trajectory = [&](std::size_t until) {
-    for (; recorded < until; ++recorded)
-      result.goal_trajectory[recorded].assign(
-          result.cycle_probabilities.begin(),
-          result.cycle_probabilities.end());
-  };
 
   // Forward pass: the message starts at hop 0 with its channel
   // stationary.  A block is brought up to date only when its hop fires;
@@ -312,7 +337,6 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
     const double* record = ws.firings.data() + record_end;
     const double* beta = record + 1;
     const double* gain = beta + hop.states;
-    record_trajectory(global);
     double* m = ws.mass.data() + hop.offset;
     if (hop.channel != nullptr && hop.fired.has_value()) {
       const double* p = power(h, slot - *hop.fired);
@@ -342,14 +366,15 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
         m[s] = failed * pi(hop, s);
     }
     if (h + 1 == hops) {
-      result.cycle_probabilities[j / count] += moved;
+      const auto cycle = static_cast<std::uint32_t>(j / count);
+      result.cycle_probabilities[cycle] += moved;
+      result.deliveries.push_back({global, cycle, moved});
     } else {
       const WalkHop& next = ws.walk_hops[h + 1];
       for (std::size_t s = 0; s < next.states; ++s)
         ws.mass[next.offset + s] += moved * pi(next, s);
     }
   }
-  record_trajectory(std::size_t{horizon} + 1);
   // TTL expired: every in-flight message is discarded (lazy mixing
   // moves mass between channel states, never out of a block).
   for (double& m : ws.mass) {
@@ -377,7 +402,7 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
     const auto elapsed = std::chrono::steady_clock::now() - solve_start;
     diagnostics.solve_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    WHART_OBSERVE("hart.path_solve.ns", diagnostics.solve_ns);
+    WHART_OBSERVE("hart.stage.walk.ns", diagnostics.solve_ns);
   }
 #endif
 }
@@ -417,84 +442,35 @@ std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
 
 PathTransientResult PathModel::analyze_superframe(
     const LinkProbabilityProvider& links, double inject) const {
-  // Fresh build: collapse the opportunity chain through SuperframeKernel,
-  // then hand its factors and product to the superframe core at one lane
-  // with a throwaway workspace.  Skeleton refills feed the same core, so
-  // the two agree bitwise.
-  markov::SuperframeKernel kernel(opportunity_matrices(links));
-  if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
-  const auto operand = [](const linalg::CsrMatrix& m) {
-    return LaneCsr{m.row_start().data(), m.col_index().data(),
-                   m.values().data()};
-  };
-  SolveWorkspace workspace;
-  for (std::size_t i = 0; i < opportunities_.size(); ++i) {
-    const Opportunity& o = opportunities_[i];
-    workspace.factor_operands.push_back(operand(kernel.slot_matrix(i)));
-    workspace.ps.push_back(links.up_probability(
-        o.hop, config_.superframe.absolute_slot_of_uplink(o.slot)));
-  }
-  PathTransientResult result;
-  PathTransientResult* const lane = &result;
-  analyze_superframe_batch_into(workspace.factor_operands,
-                                operand(kernel.cycle_product()), workspace,
-                                {&lane, 1});
-  return result;
-}
-
-void PathModel::analyze_superframe_batch_into(
-    std::span<const LaneCsr> factors, const LaneCsr& product,
-    SolveWorkspace& ws, std::span<PathTransientResult* const> results) const {
-  // Common batch widths run the fixed-width instantiation (flat-unrolled
-  // lane loops); anything else takes the runtime-width one.  Same
-  // arithmetic either way — the dispatch only changes code generation.
-  switch (results.size()) {
-    case 1:
-      analyze_superframe_batch_lanes<1>(factors, product, ws, results);
-      break;
-    case 4:
-      analyze_superframe_batch_lanes<4>(factors, product, ws, results);
-      break;
-    case 8:
-      analyze_superframe_batch_lanes<8>(factors, product, ws, results);
-      break;
-    case 16:
-      analyze_superframe_batch_lanes<16>(factors, product, ws, results);
-      break;
-    default:
-      analyze_superframe_batch_lanes<0>(factors, product, ws, results);
-      break;
-  }
-}
-
-template <std::size_t kLanes>
-void PathModel::analyze_superframe_batch_lanes(
-    std::span<const LaneCsr> factors, const LaneCsr& product,
-    SolveWorkspace& ws, std::span<PathTransientResult* const> results) const {
   WHART_SPAN("path_solve");
-  namespace simd = linalg::simd;
-  const std::size_t lanes = kLanes == 0 ? results.size() : kLanes;
-  expects(lanes >= 1, "at least one lane");
-  expects(factors.size() == opportunities_.size(),
-          "one chain factor per transmission opportunity");
-  expects(ws.ps.size() == opportunities_.size() * lanes,
-          "one success probability per opportunity per lane");
 #ifndef WHART_OBS_DISABLED
   const bool timed = common::obs::metrics_enabled();
   const auto solve_start = timed ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
 #endif
+  markov::SuperframeKernel kernel(opportunity_matrices(links));
+  if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
+  const linalg::CsrMatrix& product = kernel.cycle_product();
   const std::size_t hops = config_.hop_count();
   const std::size_t dim = hops + 2;
   const std::size_t goal = hops;
+  const std::size_t count = opportunities_.size();
   const std::uint32_t frame = config_.superframe.uplink_slots;
   const std::uint32_t ttl = config_.effective_ttl();
   const std::uint32_t interval = config_.reporting_interval;
-  const std::uint32_t horizon = config_.horizon();
+  // Success probabilities are frozen from the first cycle; the provider
+  // is cycle-stationary.
+  std::vector<double> ps(count);
+  for (std::size_t i = 0; i < count; ++i)
+    ps[i] = links.up_probability(
+        opportunities_[i].hop,
+        config_.superframe.absolute_slot_of_uplink(opportunities_[i].slot));
+  const auto target_of = [&](std::size_t h) {
+    return h + 1 == hops ? goal : h + 1;
+  };
 
   // One-cycle accounting matrices from a dense prefix/suffix sweep over
-  // the transmission opportunities (identity slots leave both unchanged),
-  // each entry widened to a lane array.
+  // the transmission opportunities (identity slots leave both unchanged).
   //
   //   attempts(x, h): expected transmissions of hop h during a full cycle
   //     entered in state x — the prefix column of state h summed over the
@@ -507,152 +483,101 @@ void PathModel::analyze_superframe_batch_lanes(
   //     K = sum over firing slots j of
   //         (column x_j of Prefix_{j-1}) (row x_j of Suffix_j),
   //     Prefix_{j-1} = M_1..M_{j-1} and Suffix_j = M_j..M_F.
-  ws.prefix.assign(dim * dim * lanes, 0.0);
-  for (std::size_t i = 0; i < dim; ++i)
-    simd::fill(ws.prefix.data() + (i * dim + i) * lanes, 1.0, lanes);
-  ws.prefix_next.assign(dim * dim * lanes, 0.0);
-  ws.attempts.assign(dim * hops * lanes, 0.0);
-  ws.prefix_columns.resize(opportunities_.size() * dim * lanes);
-  for (std::size_t i = 0; i < opportunities_.size(); ++i) {
+  std::vector<double> prefix(dim * dim, 0.0);
+  for (std::size_t i = 0; i < dim; ++i) prefix[i * dim + i] = 1.0;
+  std::vector<double> next(dim * dim);
+  std::vector<double> attempts(dim * hops, 0.0);
+  std::vector<double> prefix_columns(count * dim);
+  for (std::size_t i = 0; i < count; ++i) {
     const std::size_t hop = opportunities_[i].hop;
-    double* column = ws.prefix_columns.data() + i * dim * lanes;
+    double* column = prefix_columns.data() + i * dim;
     for (std::size_t r = 0; r < dim; ++r) {
-      simd::copy(column + r * lanes,
-                 ws.prefix.data() + (r * dim + hop) * lanes, lanes);
-      simd::add(ws.attempts.data() + (r * hops + hop) * lanes,
-                column + r * lanes, lanes);
+      column[r] = prefix[r * dim + hop];
+      attempts[r * hops + hop] += column[r];
     }
-    // prefix <- prefix * M_i: the arithmetic of left_multiply_batch
-    // (accumulation ascending over the factor's rows), lane-wide.
-    const LaneCsr& step = factors[i];
-    simd::fill(ws.prefix_next.data(), 0.0, dim * dim * lanes);
+    // prefix <- prefix * M_i, accumulating ascending over M_i's rows.
+    const linalg::CsrMatrix& step = kernel.slot_matrix(i);
+    std::fill(next.begin(), next.end(), 0.0);
     for (std::size_t k = 0; k < dim; ++k)
-      for (std::size_t idx = step.row_start[k]; idx < step.row_start[k + 1];
-           ++idx) {
-        const std::size_t c = step.col_index[idx];
-        const double* value = step.values + idx * lanes;
+      for (std::size_t idx = step.row_start()[k];
+           idx < step.row_start()[k + 1]; ++idx)
         for (std::size_t r = 0; r < dim; ++r)
-          simd::mul_add(ws.prefix_next.data() + (r * dim + c) * lanes,
-                        ws.prefix.data() + (r * dim + k) * lanes, value,
-                        lanes);
-      }
-    std::swap(ws.prefix, ws.prefix_next);
+          next[r * dim + step.col_index()[idx]] +=
+              prefix[r * dim + k] * step.values()[idx];
+    std::swap(prefix, next);
   }
-
-  ws.delivered_kernel.assign(dim * dim * lanes, 0.0);
-  ws.suffix.assign(dim * dim * lanes, 0.0);
-  for (std::size_t i = 0; i < dim; ++i)
-    simd::fill(ws.suffix.data() + (i * dim + i) * lanes, 1.0, lanes);
-  ws.suffix_next.assign(dim * dim * lanes, 0.0);
-  for (std::size_t i = opportunities_.size(); i-- > 0;) {
+  std::vector<double> delivered_kernel(dim * dim, 0.0);
+  std::vector<double>& suffix = prefix;
+  std::fill(suffix.begin(), suffix.end(), 0.0);
+  for (std::size_t i = 0; i < dim; ++i) suffix[i * dim + i] = 1.0;
+  for (std::size_t i = count; i-- > 0;) {
     const std::size_t hop = opportunities_[i].hop;
-    const LaneCsr& step = factors[i];
-    simd::fill(ws.suffix_next.data(), 0.0, dim * dim * lanes);
+    const linalg::CsrMatrix& step = kernel.slot_matrix(i);
+    std::fill(next.begin(), next.end(), 0.0);
     for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t idx = step.row_start[r]; idx < step.row_start[r + 1];
-           ++idx) {
-        const std::size_t k = step.col_index[idx];
-        const double* value = step.values + idx * lanes;
+      for (std::size_t idx = step.row_start()[r];
+           idx < step.row_start()[r + 1]; ++idx)
         for (std::size_t c = 0; c < dim; ++c)
-          simd::mul_add(ws.suffix_next.data() + (r * dim + c) * lanes, value,
-                        ws.suffix.data() + (k * dim + c) * lanes, lanes);
-      }
-    std::swap(ws.suffix, ws.suffix_next);
-    const double* column = ws.prefix_columns.data() + i * dim * lanes;
+          next[r * dim + c] +=
+              step.values()[idx] * suffix[step.col_index()[idx] * dim + c];
+    std::swap(suffix, next);
+    const double* column = prefix_columns.data() + i * dim;
     for (std::size_t r = 0; r < dim; ++r)
       for (std::size_t c = 0; c < dim; ++c)
-        simd::mul_add(ws.delivered_kernel.data() + (r * dim + c) * lanes,
-                      column + r * lanes,
-                      ws.suffix.data() + (hop * dim + c) * lanes, lanes);
+        delivered_kernel[r * dim + c] += column[r] * suffix[hop * dim + c];
   }
 
-  for (PathTransientResult* result : results) {
-    result->cycle_probabilities.assign(interval, 0.0);
-    result->expected_transmissions_per_hop.assign(hops, 0.0);
-    result->discard_probability = 0.0;
-    result->expected_transmissions = 0.0;
-    result->expected_transmissions_delivered = 0.0;
-    result->trajectory_stride = frame;
-    result->diagnostics = SolverDiagnostics{};
-    result->goal_trajectory.resize(interval + 1);
-  }
-  std::size_t trajectory_entry = 0;
-  const auto record_trajectory = [&] {
-    for (PathTransientResult* result : results)
-      result->goal_trajectory[trajectory_entry].assign(
-          result->cycle_probabilities.begin(),
-          result->cycle_probabilities.end());
-    ++trajectory_entry;
-  };
-  record_trajectory();
-
-  ws.p.assign(dim * lanes, 0.0);
-  simd::fill(ws.p.data(), 1.0, lanes);
-  ws.p_next.assign(dim * lanes, 0.0);
-  ws.lane_scratch.assign(lanes, 0.0);
-  ws.goal_seen.assign(lanes, 0.0);
+  PathTransientResult result;
+  result.cycle_probabilities.assign(interval, 0.0);
+  result.expected_transmissions_per_hop.assign(hops, 0.0);
+  std::vector<double> p(dim, 0.0);
+  p[0] = 1.0;
+  std::vector<double> p_next(dim);
+  double goal_seen = 0.0;
   for (std::uint32_t cycle = 0; cycle < interval; ++cycle) {
     if (static_cast<std::uint64_t>(cycle + 1) * frame <= ttl) {
       // Full pre-TTL cycle: attempts via the accounting matrix, then one
       // product advance in place of `frame` per-slot steps.
       for (std::size_t h = 0; h < hops; ++h) {
-        simd::fill(ws.lane_scratch.data(), 0.0, lanes);
+        double cycle_attempts = 0.0;
         for (std::size_t x = 0; x < dim; ++x)
-          simd::mul_add(ws.lane_scratch.data(), ws.p.data() + x * lanes,
-                        ws.attempts.data() + (x * hops + h) * lanes, lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          results[l]->expected_transmissions_per_hop[h] += ws.lane_scratch[l];
-          results[l]->expected_transmissions += ws.lane_scratch[l];
-        }
+          cycle_attempts += p[x] * attempts[x * hops + h];
+        result.expected_transmissions_per_hop[h] += cycle_attempts;
+        result.expected_transmissions += cycle_attempts;
       }
-      // p <- p^T * product.  Every row is visited: lanes cannot branch
-      // independently, and a row with p[r] == 0 contributes exact zeros.
-      simd::fill(ws.p_next.data(), 0.0, dim * lanes);
+      std::fill(p_next.begin(), p_next.end(), 0.0);
       for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product.row_start[r];
-             idx < product.row_start[r + 1]; ++idx)
-          simd::mul_add(ws.p_next.data() + product.col_index[idx] * lanes,
-                        ws.p.data() + r * lanes,
-                        product.values + idx * lanes, lanes);
-      std::swap(ws.p, ws.p_next);
+        for (std::size_t idx = product.row_start()[r];
+             idx < product.row_start()[r + 1]; ++idx)
+          p_next[product.col_index()[idx]] += p[r] * product.values()[idx];
+      std::swap(p, p_next);
     } else if (cycle * frame < ttl) {
       // The cycle the TTL cuts through fires its opportunities one by one
       // so the discard lands on the exact slot; cycles past the TTL fall
       // straight through.
-      for (std::size_t i = 0; i < opportunities_.size(); ++i) {
+      for (std::size_t i = 0; i < count; ++i) {
         if (cycle * frame + opportunities_[i].slot > ttl) break;
-        const double* ps_lanes = ws.ps.data() + i * lanes;
         const std::size_t h = opportunities_[i].hop;
-        const std::size_t target = h + 1 == hops ? goal : h + 1;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double ph = ws.p[h * lanes + l];
-          results[l]->expected_transmissions += ph;
-          results[l]->expected_transmissions_per_hop[h] += ph;
-          const double moved = ph * ps_lanes[l];
-          ws.p[h * lanes + l] -= moved;
-          ws.p[target * lanes + l] += moved;
-        }
+        result.expected_transmissions += p[h];
+        result.expected_transmissions_per_hop[h] += p[h];
+        const double moved = p[h] * ps[i];
+        p[h] -= moved;
+        p[target_of(h)] += moved;
       }
-      for (std::size_t h = 0; h < hops; ++h)
-        for (std::size_t l = 0; l < lanes; ++l) {
-          results[l]->discard_probability += ws.p[h * lanes + l];
-          ws.p[h * lanes + l] = 0.0;
-        }
+      for (std::size_t h = 0; h < hops; ++h) {
+        result.discard_probability += p[h];
+        p[h] = 0.0;
+      }
     }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      results[l]->cycle_probabilities[cycle] =
-          ws.p[goal * lanes + l] - ws.goal_seen[l];
-      ws.goal_seen[l] = ws.p[goal * lanes + l];
-    }
-    record_trajectory();
+    result.cycle_probabilities[cycle] = p[goal] - goal_seen;
+    goal_seen = p[goal];
   }
   // When the TTL coincides with a product-advanced cycle boundary the
   // expired mass never passed a per-slot discard; sweep it now.
-  for (std::size_t h = 0; h < hops; ++h)
-    for (std::size_t l = 0; l < lanes; ++l) {
-      results[l]->discard_probability += ws.p[h * lanes + l];
-      ws.p[h * lanes + l] = 0.0;
-    }
+  for (std::size_t h = 0; h < hops; ++h) {
+    result.discard_probability += p[h];
+    p[h] = 0.0;
+  }
 
   // Delivered-attempt accounting, folded backward cycle-by-cycle.  b
   // starts as the goal indicator at the TTL slot (transient mass there is
@@ -660,82 +585,64 @@ void PathModel::analyze_superframe_batch_lanes(
   // per-slot, every earlier cycle collapses through K and the product.
   {
     WHART_TIMER("hart.stage.tail_solve.ns");
-    ws.b.assign(dim * lanes, 0.0);
-    simd::fill(ws.b.data() + goal * lanes, 1.0, lanes);
-    ws.u.assign(dim * lanes, 0.0);
+    std::vector<double> b(dim, 0.0);
+    b[goal] = 1.0;
+    std::vector<double> u(dim, 0.0);
     const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-    for (std::size_t i = opportunities_.size(); i-- > 0;) {
+    for (std::size_t i = count; i-- > 0;) {
       if (ttl_cycle * frame + opportunities_[i].slot > ttl) continue;
-      const double* ps_lanes = ws.ps.data() + i * lanes;
       const std::size_t h = opportunities_[i].hop;
-      const std::size_t target = h + 1 == hops ? goal : h + 1;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double ps = ps_lanes[l];
-        const double b_before = ps * ws.b[target * lanes + l] +
-                                (1.0 - ps) * ws.b[h * lanes + l];
-        ws.u[h * lanes + l] = ps * ws.u[target * lanes + l] +
-                              (1.0 - ps) * ws.u[h * lanes + l] + b_before;
-        ws.b[h * lanes + l] = b_before;
-      }
+      const std::size_t target = target_of(h);
+      const double b_before = ps[i] * b[target] + (1.0 - ps[i]) * b[h];
+      u[h] = ps[i] * u[target] + (1.0 - ps[i]) * u[h] + b_before;
+      b[h] = b_before;
     }
-    ws.u_next.assign(dim * lanes, 0.0);
-    ws.b_next.assign(dim * lanes, 0.0);
+    std::vector<double> u_next(dim);
+    std::vector<double> b_next(dim);
     for (std::uint32_t cycle = ttl_cycle; cycle-- > 0;) {
-      simd::fill(ws.u_next.data(), 0.0, dim * lanes);
-      simd::fill(ws.b_next.data(), 0.0, dim * lanes);
+      std::fill(b_next.begin(), b_next.end(), 0.0);
       for (std::size_t r = 0; r < dim; ++r) {
-        simd::fill(ws.lane_scratch.data(), 0.0, lanes);
+        double folded = 0.0;
         for (std::size_t c = 0; c < dim; ++c)
-          simd::mul_add(ws.lane_scratch.data(),
-                        ws.delivered_kernel.data() + (r * dim + c) * lanes,
-                        ws.b.data() + c * lanes, lanes);
-        simd::copy(ws.u_next.data() + r * lanes, ws.lane_scratch.data(),
-                   lanes);
+          folded += delivered_kernel[r * dim + c] * b[c];
+        u_next[r] = folded;
       }
       for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product.row_start[r];
-             idx < product.row_start[r + 1]; ++idx) {
-          const std::size_t c = product.col_index[idx];
-          const double* value = product.values + idx * lanes;
-          simd::mul_add(ws.u_next.data() + r * lanes, value,
-                        ws.u.data() + c * lanes, lanes);
-          simd::mul_add(ws.b_next.data() + r * lanes, value,
-                        ws.b.data() + c * lanes, lanes);
+        for (std::size_t idx = product.row_start()[r];
+             idx < product.row_start()[r + 1]; ++idx) {
+          const std::size_t c = product.col_index()[idx];
+          u_next[r] += product.values()[idx] * u[c];
+          b_next[r] += product.values()[idx] * b[c];
         }
-      std::swap(ws.u, ws.u_next);
-      std::swap(ws.b, ws.b_next);
+      std::swap(u, u_next);
+      std::swap(b, b_next);
     }
-    for (std::size_t l = 0; l < lanes; ++l)
-      results[l]->expected_transmissions_delivered = ws.u[l];
+    result.expected_transmissions_delivered = u[0];
   }
 
-  for (PathTransientResult* result : results) {
-    result->diagnostics.dtmc_states = dim;
-    result->diagnostics.transient_states = hops;
-    result->diagnostics.absorbing_states = 2;
-    result->diagnostics.forward_steps = horizon;
-    result->diagnostics.kernel = TransientKernel::kSuperframeProduct;
-    const double goal_mass =
-        std::accumulate(result->cycle_probabilities.begin(),
-                        result->cycle_probabilities.end(), 0.0);
-    result->diagnostics.mass_residual =
-        std::abs(1.0 - goal_mass - result->discard_probability);
-  }
-  WHART_COUNT_N("hart.path_solve.count", lanes);
-  WHART_COUNT_N("hart.path_solve.superframe", lanes);
+  SolverDiagnostics& diagnostics = result.diagnostics;
+  diagnostics.dtmc_states = dim;
+  diagnostics.transient_states = hops;
+  diagnostics.absorbing_states = 2;
+  diagnostics.forward_steps = config_.horizon();
+  diagnostics.kernel = TransientKernel::kSuperframeProduct;
+  const double goal_mass =
+      std::accumulate(result.cycle_probabilities.begin(),
+                      result.cycle_probabilities.end(), 0.0);
+  diagnostics.mass_residual =
+      std::abs(1.0 - goal_mass - result.discard_probability);
+  WHART_COUNT("hart.path_solve.count");
+  WHART_COUNT("hart.path_solve.superframe");
   WHART_OBSERVE("hart.path_solve.states", dim);
   WHART_EVENT(kSolveDone, "hart.path_solve", dim, 0);
 #ifndef WHART_OBS_DISABLED
-  if (timed) {
-    const auto elapsed = std::chrono::steady_clock::now() - solve_start;
-    const auto total_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    // Each lane's reported solve time is its amortized share of the batch.
-    for (PathTransientResult* result : results)
-      result->diagnostics.solve_ns = total_ns / lanes;
-    WHART_OBSERVE("hart.path_solve.ns", total_ns);
-  }
+  if (timed)
+    diagnostics.solve_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - solve_start)
+            .count());
 #endif
+  return result;
 }
 
 markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
@@ -826,307 +733,6 @@ std::string PathModel::goal_state_name(std::uint32_t cycle) const {
           "cycle in 1..Is");
   return "R" + std::to_string(config_.gateway_slot() +
                               (cycle - 1) * config_.superframe.uplink_slots);
-}
-
-namespace {
-
-/// Verification-harness adapter: `inject_stale_skeleton` biases hop 0's
-/// success probability, emulating a refill that wrote stale values into
-/// the skeleton's structures.  Only the skeleton path applies it (the
-/// refill gather through `bias`, the walk through this wrapper), so
-/// fresh and refilled solves diverge and the differential oracle's
-/// refill arm must notice.
-class StaleLinks final : public LinkProbabilityProvider {
- public:
-  StaleLinks(const LinkProbabilityProvider& base, double delta) noexcept
-      : base_(base), delta_(delta) {}
-
-  [[nodiscard]] static double bias(double p, std::size_t hop,
-                                   double delta) noexcept {
-    return hop == 0 && delta != 0.0 ? std::clamp(p + delta, 0.0, 1.0) : p;
-  }
-
-  [[nodiscard]] double up_probability(
-      std::size_t hop, std::uint64_t absolute_slot) const override {
-    return bias(base_.up_probability(hop, absolute_slot), hop, delta_);
-  }
-  [[nodiscard]] std::size_t hop_count() const override {
-    return base_.hop_count();
-  }
-  [[nodiscard]] bool cycle_stationary() const override {
-    return base_.cycle_stationary();
-  }
-  [[nodiscard]] const link::ChannelModel* channel_model(
-      std::size_t hop) const override {
-    return base_.channel_model(hop);
-  }
-
- private:
-  const LinkProbabilityProvider& base_;
-  double delta_;
-};
-
-/// Stage-attribution clock for the skeleton constructor: the symbolic
-/// build spends its time in the member-initializer list, so the start
-/// timestamp is taken while the first member initializes and the
-/// elapsed time is observed at the end of the constructor body.
-thread_local std::chrono::steady_clock::time_point g_skeleton_build_start;
-
-PathModelConfig mark_skeleton_build(PathModelConfig config) {
-  g_skeleton_build_start = std::chrono::steady_clock::now();
-  return config;
-}
-
-/// Generic-probability factor patterns: any ps strictly inside (0, 1)
-/// yields the full two-entries-per-firing-row sparsity.
-std::vector<markov::CsrPattern> capture_factor_patterns(
-    const PathModel& model) {
-  const SteadyStateLinks generic(
-      std::vector<double>(model.config().hop_count(), 0.5));
-  const std::vector<linalg::CsrMatrix> factors =
-      model.opportunity_matrices(generic);
-  std::vector<markov::CsrPattern> patterns;
-  patterns.reserve(factors.size());
-  for (const linalg::CsrMatrix& m : factors)
-    patterns.push_back(markov::CsrPattern::of(m));
-  return patterns;
-}
-
-}  // namespace
-
-PathModelSkeleton::PathModelSkeleton(PathModelConfig config)
-    : model_(mark_skeleton_build(std::move(config))),
-      factor_patterns_(capture_factor_patterns(model_)),
-      chain_(factor_patterns_) {
-  // Provenance: for every transmission opportunity, locate the values
-  // indices of the two mutable entries of row `hop` in its factor —
-  // (hop, hop) carries 1 - ps and (hop, target) carries ps; target
-  // (hop + 1 or Goal) is always a higher column, so both are found by a
-  // scan of the sorted row.
-  const std::size_t hops = model_.config().hop_count();
-  const std::span<const PathModel::Opportunity> opportunities =
-      model_.opportunities();
-  for (std::size_t i = 0; i < opportunities.size(); ++i) {
-    const std::size_t h = opportunities[i].hop;
-    const std::size_t target = h + 1 == hops ? hops : h + 1;
-    const markov::CsrPattern& pattern = factor_patterns_[i];
-    SlotProvenance prov;
-    prov.slot = opportunities[i].slot;
-    prov.hop = h;
-    bool found_failure = false;
-    bool found_success = false;
-    for (std::size_t k = pattern.row_start[h]; k < pattern.row_start[h + 1];
-         ++k) {
-      if (pattern.col_index[k] == h) {
-        prov.failure_index = k;
-        found_failure = true;
-      } else if (pattern.col_index[k] == target) {
-        prov.success_index = k;
-        found_success = true;
-      }
-    }
-    ensures(found_failure && found_success,
-            "firing row carries both its success and failure entries");
-    provenance_.push_back(prov);
-  }
-  // Compile the SoA replay plan with the rest of the symbolic phase: the
-  // batch refill then walks a flat op list instead of re-deriving the
-  // Gustavson bookkeeping on every batch.
-  batch_refill_ =
-      std::make_unique<const markov::BatchRefill>(chain_, factor_patterns_);
-  WHART_COUNT("hart.skeleton.builds");
-  WHART_OBSERVE(
-      "hart.stage.skeleton_build.ns",
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - g_skeleton_build_start)
-              .count()));
-}
-
-void PathModelSkeleton::prime(SolveWorkspace& ws, std::size_t lanes) const {
-  if (ws.primed && ws.primed_lanes == lanes &&
-      ws.primed_config == model_.config())
-    return;
-  ws.factor_values.resize(factor_patterns_.size());
-  for (std::size_t i = 0; i < factor_patterns_.size(); ++i)
-    ws.factor_values[i].assign(factor_patterns_[i].nonzeros() * lanes, 1.0);
-  ws.product_values.assign(chain_.pattern().nonzeros() * lanes, 0.0);
-  ws.ps.assign(provenance_.size() * lanes, 0.0);
-  ws.primed = true;
-  ws.primed_lanes = lanes;
-  ws.primed_config = model_.config();
-}
-
-void PathModelSkeleton::solve_refilled(
-    SolveWorkspace& ws, std::span<PathTransientResult* const> results) const {
-  ws.factor_operands.clear();
-  for (std::size_t i = 0; i < factor_patterns_.size(); ++i)
-    ws.factor_operands.push_back({factor_patterns_[i].row_start.data(),
-                                  factor_patterns_[i].col_index.data(),
-                                  ws.factor_values[i].data()});
-  const markov::CsrPattern& product = chain_.pattern();
-  model_.analyze_superframe_batch_into(
-      ws.factor_operands,
-      {product.row_start.data(), product.col_index.data(),
-       ws.product_values.data()},
-      ws, results);
-}
-
-void PathModelSkeleton::solve_unrefilled(const LinkProbabilityProvider& links,
-                                         const PathAnalysisOptions& options,
-                                         SolveWorkspace& ws,
-                                         PathTransientResult& result) const {
-  if (options.kernel == TransientKernel::kSuperframeProduct)
-    WHART_COUNT("hart.path_solve.kernel_fallback");
-  // The skeleton's patterns describe the compact i.i.d. chain; a
-  // multi-state channel enlarges the state space past them.
-  if (channel_enlarged(links, config().hop_count()))
-    WHART_COUNT("hart.skeleton.refill_fallback");
-  else
-    WHART_COUNT("hart.skeleton.refills");
-  const StaleLinks stale(links, options.inject_stale_skeleton);
-  model_.walk(stale, options.inject_channel_fault, ws, result);
-}
-
-void PathModelSkeleton::refill_and_solve(
-    std::span<const LinkProbabilityProvider* const> links,
-    const PathAnalysisOptions& options, SolveWorkspace& ws,
-    std::span<PathTransientResult* const> results) const {
-  const std::size_t lanes = links.size();
-  prime(ws, lanes);
-  {
-    WHART_TIMER("hart.stage.refill.ns");
-    // Gather each opportunity's per-lane success probabilities into its
-    // factor's value lanes, then replay the cycle-product chain once for
-    // all lanes.
-    const net::SuperframeConfig& superframe = model_.config().superframe;
-    for (std::size_t fi = 0; fi < provenance_.size(); ++fi) {
-      const SlotProvenance& prov = provenance_[fi];
-      const std::uint64_t slot = superframe.absolute_slot_of_uplink(prov.slot);
-      double* ps = ws.ps.data() + fi * lanes;
-      std::vector<double>& values = ws.factor_values[fi];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        ps[l] = StaleLinks::bias(links[l]->up_probability(prov.hop, slot),
-                                 prov.hop, options.inject_stale_skeleton);
-        values[prov.failure_index * lanes + l] = 1.0 - ps[l];
-        values[prov.success_index * lanes + l] = ps[l];
-      }
-    }
-    batch_refill_->refill(ws.factor_values, lanes, ws.chain_arena,
-                          ws.product_values);
-  }
-  WHART_COUNT_N("hart.skeleton.refills", lanes);
-  if (lanes > 1) {
-    WHART_COUNT("hart.batch.refills");
-    WHART_COUNT_N("hart.batch.lanes_filled", lanes);
-    if (options.inject_lane_swap) {
-      // Verification-harness injection: cross-lane contamination of the
-      // refilled product, the signature of a lane-indexing bug.
-      for (std::size_t k = 0; k < chain_.pattern().nonzeros(); ++k)
-        std::swap(ws.product_values[k * lanes],
-                  ws.product_values[k * lanes + 1]);
-    }
-  }
-  solve_refilled(ws, results);
-}
-
-void PathModelSkeleton::analyze_into(const LinkProbabilityProvider& links,
-                                     const PathAnalysisOptions& options,
-                                     SolveWorkspace& ws,
-                                     PathTransientResult& result) const {
-  expects(links.hop_count() >= config().hop_count(),
-          "provider covers every hop");
-  if (options.kernel != TransientKernel::kSuperframeProduct ||
-      !links.cycle_stationary() ||
-      channel_enlarged(links, config().hop_count())) {
-    solve_unrefilled(links, options, ws, result);
-    return;
-  }
-  const LinkProbabilityProvider* const lane = &links;
-  PathTransientResult* const out = &result;
-  refill_and_solve({&lane, 1}, options, ws, {&out, 1});
-}
-
-void PathModelSkeleton::analyze_batch_into(
-    std::span<const LinkProbabilityProvider* const> links,
-    const PathAnalysisOptions& options, SolveWorkspace& ws,
-    std::span<PathTransientResult> results) const {
-  expects(links.size() == results.size(), "one result per provider");
-  ws.lane_links.clear();
-  ws.result_ptrs.clear();
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    expects(links[i]->hop_count() >= config().hop_count(),
-            "provider covers every hop");
-    if (options.kernel == TransientKernel::kSuperframeProduct &&
-        links[i]->cycle_stationary() &&
-        !channel_enlarged(*links[i], config().hop_count())) {
-      ws.lane_links.push_back(links[i]);
-      ws.result_ptrs.push_back(&results[i]);
-    } else {
-      WHART_COUNT("hart.batch.remainder_points");
-      solve_unrefilled(*links[i], options, ws, results[i]);
-    }
-  }
-  if (!ws.lane_links.empty())
-    refill_and_solve(ws.lane_links, options, ws, ws.result_ptrs);
-}
-
-bool PathModelSkeleton::analyze_incremental_into(
-    const LinkProbabilityProvider& links, const PathAnalysisOptions& options,
-    std::span<const std::size_t> changed_hops,
-    markov::IncrementalProduct& product, SolveWorkspace& ws,
-    PathTransientResult& result) const {
-  expects(links.hop_count() >= config().hop_count(),
-          "provider covers every hop");
-  // The incremental path exists only where the cycle product does; every
-  // regime analyze_into would route to another core is declined here so
-  // the caller's fallback reproduces analyze_into's behavior exactly.
-  if (options.kernel != TransientKernel::kSuperframeProduct ||
-      !links.cycle_stationary() ||
-      channel_enlarged(links, config().hop_count())) {
-    WHART_COUNT("hart.whatif.incremental_fallback");
-    return false;
-  }
-  prime(ws, 1);
-  {
-    WHART_TIMER("hart.stage.incremental_refill.ns");
-    // Cold start: write every firing value and seed the partial-value
-    // cache with one full replay.  Warm: write the changed hops' values
-    // and replay only the product rows they reach.
-    const bool seed = !product.seeded();
-    const net::SuperframeConfig& superframe = model_.config().superframe;
-    for (std::size_t i = 0; i < provenance_.size(); ++i) {
-      const SlotProvenance& prov = provenance_[i];
-      ws.ps[i] = links.up_probability(
-          prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-      if (!seed && std::find(changed_hops.begin(), changed_hops.end(),
-                             prov.hop) == changed_hops.end())
-        continue;
-      prov.write(ws.ps[i], ws.factor_values[i]);
-      if (!seed) {
-        product.update(i, prov.failure_index);
-        product.update(i, prov.success_index);
-      }
-    }
-    if (seed) {
-      product.refill(ws.factor_values);
-      WHART_COUNT("hart.whatif.seeds");
-    } else {
-      product.propagate(ws.factor_values);
-      WHART_COUNT("hart.whatif.incremental_solves");
-    }
-    const std::span<const double> values = product.values();
-    std::copy(values.begin(), values.end(), ws.product_values.begin());
-    if (options.inject_stale_product_row != 0.0) {
-      // Emulate a row the targeted re-accumulation failed to replay.
-      const markov::CsrPattern& pattern = chain_.pattern();
-      for (std::size_t k = pattern.row_start[0]; k < pattern.row_start[1]; ++k)
-        ws.product_values[k] += options.inject_stale_product_row;
-    }
-  }
-  PathTransientResult* const out = &result;
-  solve_refilled(ws, {&out, 1});
-  return true;
 }
 
 }  // namespace whart::hart

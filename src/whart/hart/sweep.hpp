@@ -2,21 +2,12 @@
 // vs availability, hop count, reporting interval) as data series ready
 // for CSV export — the programmatic counterpart of the bench binaries.
 //
-// All sweeps run under steady-state (cycle-stationary) links, so the
-// superframe-product kernel is the default everywhere; kPerSlot remains
-// reachable through the `kernel` parameter (measures agree to ~1e-12).
-// Each sweep also defaults to skeleton reuse: the symbolic phase of the
-// solve (firing table + sparsity patterns, DESIGN.md §12) runs once per
-// schedule shape and every grid point performs only a numeric refill
-// into a pooled SolveWorkspace — bitwise-identical to per-point fresh
-// solves, just without the per-point allocation and symbolic rebuild.
-//
-// `batch_lanes` sets how many same-shape grid points — contiguous or
-// not — share one pass of PathModelSkeleton::analyze_batch_into
-// (DESIGN.md §13): one walk of the shared sparsity patterns refills all
-// lanes at once.  1 solves every point alone through the same code.
-// Output order and values do not depend on it (each lane's arithmetic is
-// its own).
+// Every grid point walks its path's firing table (DESIGN.md §11) on a
+// pooled SolveWorkspace; kSuperframeProduct, the reference collapse,
+// stays reachable through the `kernel` parameter (measures agree to
+// ~1e-12).  `reuse_skeleton` and `batch_lanes` are read by nothing:
+// they are declared only because the end-to-end benchmark harness
+// (e2ebench/) passes them.
 #pragma once
 
 #include <cstdint>
@@ -52,21 +43,17 @@ std::vector<double> linspace(double first, double last, std::size_t count);
 /// Every sweep evaluates its grid points concurrently (`threads` as in
 /// common::parallel_for: 0 = WHART_THREADS/hardware, 1 = serial) with
 /// results in parameter order, bit-identical to the serial loop.
-/// `reuse_skeleton = false` rebuilds the full model at every grid point
-/// (the differential oracle's baseline; results are bitwise the same).
 ///
 /// `channel` (every sweep): optional correlated-channel overlay.  When
 /// non-null, each grid point rescales the template so its stationary
 /// marginal success equals the point's link availability
-/// (ChannelModel::with_marginal_success) and solves through the
-/// channel-enlarged DTMC.  Channel points always solve fresh — the
-/// skeleton refills key the i.i.d. shape, not the enlarged one — so
-/// `reuse_skeleton`/`batch_lanes` are inert under a channel.
+/// (ChannelModel::with_marginal_success) and walks the channel-enlarged
+/// chain.
 SweepSeries sweep_availability(const PathModelConfig& config,
                                const std::vector<double>& availabilities,
                                unsigned threads = 0,
                                TransientKernel kernel =
-                                   TransientKernel::kSuperframeProduct,
+                                   TransientKernel::kPerSlot,
                                bool reuse_skeleton = true,
                                std::size_t batch_lanes = 1,
                                const link::ChannelModel* channel = nullptr);
@@ -77,32 +64,28 @@ SweepSeries sweep_ber(const PathModelConfig& config,
                       const std::vector<double>& bit_error_rates,
                       unsigned threads = 0,
                       TransientKernel kernel =
-                          TransientKernel::kSuperframeProduct,
+                          TransientKernel::kPerSlot,
                       bool reuse_skeleton = true,
                       std::size_t batch_lanes = 1,
                       const link::ChannelModel* channel = nullptr);
 
 /// Sweep over the hop count: paths of 1..`max_hops` hops scheduled
-/// contiguously from slot 1 (Fig. 10).  The schedule shape changes at
-/// every point, so skeleton reuse here only pools workspaces and every
-/// batch holds one point.
+/// contiguously from slot 1 (Fig. 10).
 SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
                             net::SuperframeConfig superframe,
                             std::uint32_t reporting_interval,
                             unsigned threads = 0,
                             TransientKernel kernel =
-                                TransientKernel::kSuperframeProduct,
+                                TransientKernel::kPerSlot,
                             bool reuse_skeleton = true,
                             std::size_t batch_lanes = 1,
                             const link::ChannelModel* channel = nullptr);
 
-/// Sweep over the reporting interval (Section VI-D).  Distinct intervals
-/// have their own shapes (per-shape skeleton build); repeated intervals
-/// share a skeleton and, with batch_lanes > 1, a batch.
+/// Sweep over the reporting interval (Section VI-D).
 SweepSeries sweep_reporting_interval_series(
     const PathModelConfig& base_config, double availability,
     const std::vector<std::uint32_t>& intervals, unsigned threads = 0,
-    TransientKernel kernel = TransientKernel::kSuperframeProduct,
+    TransientKernel kernel = TransientKernel::kPerSlot,
     bool reuse_skeleton = true, std::size_t batch_lanes = 1,
     const link::ChannelModel* channel = nullptr);
 

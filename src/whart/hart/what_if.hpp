@@ -1,24 +1,19 @@
-// Incremental what-if evaluation (DESIGN.md §15): the interactive
-// re-planning loop of the paper's evaluation — "what happens to
-// reachability and delay if this one link degrades or is upgraded?" —
-// answered without re-solving the network.  The engine caches, per path,
-// the symbolic skeleton, a warm workspace, the baseline PathMeasures and
-// an IncrementalProduct holding the cycle product's partial values; a
-// what-if on one link re-solves only the paths whose schedules contain
-// that link (through the skeleton's opportunity provenance map and
-// targeted Gustavson row replay) and returns every other path's cached
-// measures untouched.
+// What-if evaluation (DESIGN.md §15): the interactive re-planning loop
+// of the paper's evaluation — "what happens to reachability and delay if
+// this one link degrades or is upgraded?" — answered without re-solving
+// the network.  The engine keeps, per path, its PathModel, its baseline
+// hop availabilities and its baseline PathMeasures; a what-if on one
+// link re-walks only the paths whose schedules contain that link and
+// returns every other path's cached measures untouched.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_analysis.hpp"
-#include "whart/markov/incremental_product.hpp"
 #include "whart/net/ids.hpp"
 #include "whart/net/path.hpp"
 #include "whart/net/schedule.hpp"
@@ -29,12 +24,6 @@ namespace whart::hart {
 
 /// Construction knobs of WhatIfEngine.
 struct WhatIfOptions {
-  /// Transient kernel of the per-path solves.  The incremental product
-  /// replay exists only under kSuperframeProduct; with kPerSlot every
-  /// affected path re-solves through the (still skeleton-cached)
-  /// firing-table walk.
-  TransientKernel kernel = TransientKernel::kSuperframeProduct;
-
   /// Worker threads of the baseline fan-out (0 = WHART_THREADS).
   /// What-if queries themselves run serially — they touch few paths.
   unsigned threads = 0;
@@ -62,12 +51,12 @@ struct WhatIfDelta {
   std::size_t paths_resolved = 0;
 };
 
-/// Cached incremental re-solver over one (network, paths, schedule)
-/// analysis.  The baseline pass derives each path's hop availabilities
-/// exactly as analyze_network does (steady-state link models), so a
-/// what-if back to a link's baseline availability reproduces the
-/// baseline measures bitwise.  The engine holds const references to the
-/// network and paths; both must outlive it.
+/// Cached re-solver over one (network, paths, schedule) analysis.  The
+/// baseline pass derives each path's hop availabilities exactly as
+/// analyze_network does (steady-state link models), so a what-if back to
+/// a link's baseline availability reproduces the baseline measures
+/// bitwise.  The engine holds a const reference to the network, which
+/// must outlive it.
 class WhatIfEngine {
  public:
   WhatIfEngine(const net::Network& network, const std::vector<net::Path>& paths,
@@ -106,40 +95,23 @@ class WhatIfEngine {
 
  private:
   struct PathState {
-    PathModelConfig config;
-    std::vector<net::LinkId> hop_links;    ///< resolved link per hop
-    std::vector<double> availability;      ///< baseline per-hop
-    std::shared_ptr<const PathModelSkeleton> skeleton;
-    std::unique_ptr<markov::IncrementalProduct> product;
-    SolveWorkspace workspace;
-    /// Baseline seeding succeeded, so incremental solves apply; when
-    /// false (the per-slot kernel) every what-if on this path re-solves
-    /// through analyze_into.
-    bool incremental_ok = false;
-    /// Hop indices and perturbed availabilities of the current query.
-    std::vector<std::size_t> changed_hops;
-    std::vector<double> scratch_availability;
+    PathModel model;
+    std::vector<net::LinkId> hop_links;  ///< resolved link per hop
+    std::vector<double> availability;    ///< baseline per-hop
   };
 
-  /// Solve path `p` with `link` moved to `availability`, into `out`.
+  /// Walk path `p` with `link` moved to `availability`, into `out`.
   void resolve_path(std::size_t p, net::LinkId link, double availability,
                     PathMeasures& out);
 
-  /// Restore path `p`'s firing values and product partials to baseline
-  /// after an incremental solve (provenance writes + targeted replay —
-  /// no transient solve).
-  void revert_path(PathState& state);
-
   const net::Network* network_;
-  WhatIfOptions options_;
   std::vector<PathState> states_;
   std::vector<PathMeasures> baseline_;
   std::vector<net::LinkId> links_;
   std::unordered_map<net::LinkId, std::vector<std::size_t>> paths_of_link_;
-  /// Fresh-fallback scratch, kept apart from the per-path incremental
-  /// workspaces (whose factor values must persist between queries).
-  SolveWorkspace fallback_workspace_;
-  PathTransientResult scratch_transient_;
+  /// Query scratch: the walk's workspace and the measures what_if_delta
+  /// reduces.
+  SolveWorkspace workspace_;
   PathMeasures scratch_measures_;
 };
 

@@ -1,7 +1,6 @@
 #include "whart/markov/structure.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "whart/common/contracts.hpp"
@@ -190,69 +189,6 @@ double distribution_mass_residual(const linalg::Vector& distribution) {
   for (double value : distribution) sum += value;
   const long double residual = sum > 1.0L ? sum - 1.0L : 1.0L - sum;
   return static_cast<double>(residual);
-}
-
-CsrPattern CsrPattern::of(const linalg::CsrMatrix& matrix) {
-  CsrPattern pattern;
-  pattern.rows = matrix.rows();
-  pattern.cols = matrix.cols();
-  pattern.row_start.reserve(matrix.rows() + 1);
-  pattern.row_start.push_back(0);
-  pattern.col_index.reserve(matrix.nonzeros());
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    matrix.for_each_in_row(
-        r, [&](std::size_t c, double) { pattern.col_index.push_back(c); });
-    pattern.row_start.push_back(pattern.col_index.size());
-  }
-  return pattern;
-}
-
-namespace {
-
-constexpr std::size_t kNoTag = std::numeric_limits<std::size_t>::max();
-
-/// Pattern of a * b: the symbolic half of Gustavson's algorithm (the
-/// same marker walk linalg::multiply runs, minus the arithmetic).
-CsrPattern symbolic_multiply(const CsrPattern& a, const CsrPattern& b) {
-  expects(a.cols == b.rows, "inner dimensions agree");
-  CsrPattern out;
-  out.rows = a.rows;
-  out.cols = b.cols;
-  out.row_start.reserve(a.rows + 1);
-  out.row_start.push_back(0);
-  std::vector<std::size_t> marker(b.cols, kNoTag);
-  std::vector<std::size_t> scratch;
-  for (std::size_t r = 0; r < a.rows; ++r) {
-    scratch.clear();
-    for (std::size_t ka = a.row_start[r]; ka < a.row_start[r + 1]; ++ka) {
-      const std::size_t ac = a.col_index[ka];
-      for (std::size_t kb = b.row_start[ac]; kb < b.row_start[ac + 1]; ++kb) {
-        const std::size_t bc = b.col_index[kb];
-        if (marker[bc] != r) {
-          marker[bc] = r;
-          scratch.push_back(bc);
-        }
-      }
-    }
-    std::sort(scratch.begin(), scratch.end());
-    out.col_index.insert(out.col_index.end(), scratch.begin(), scratch.end());
-    out.row_start.push_back(out.col_index.size());
-  }
-  return out;
-}
-
-}  // namespace
-
-ChainProductSkeleton::ChainProductSkeleton(
-    const std::vector<CsrPattern>& factors) {
-  expects(!factors.empty(), "chain has at least one factor");
-  partials_.reserve(factors.size());
-  partials_.push_back(factors.front());
-  for (std::size_t k = 1; k < factors.size(); ++k)
-    partials_.push_back(symbolic_multiply(partials_.back(), factors[k]));
-  for (const CsrPattern& p : partials_) max_cols_ = std::max(max_cols_, p.cols);
-  for (std::size_t k = 0; k + 1 < partials_.size(); ++k)
-    max_partial_nnz_ = std::max(max_partial_nnz_, partials_[k].nonzeros());
 }
 
 }  // namespace whart::markov

@@ -35,8 +35,7 @@ struct PlantProfile {
   /// each link's availability is drawn uniformly from k evenly spaced
   /// quality classes spanning [min, max] — real site surveys bin links
   /// into a few classes, and discrete classes make many paths of the
-  /// plant structurally identical, which hart::PathAnalysisCache then
-  /// solves once and shares.
+  /// plant structurally identical.
   std::uint32_t availability_levels = 0;
 
   double recovery_probability = link::LinkModel::kDefaultRecovery;

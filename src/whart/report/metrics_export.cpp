@@ -116,14 +116,6 @@ void write_metrics_json(std::ostream& out,
     const auto it = snapshot.counters.find(std::string(name));
     return it != snapshot.counters.end() ? it->second : 0;
   };
-  const std::uint64_t hits = counter("hart.path_cache.hits");
-  const std::uint64_t misses = counter("hart.path_cache.misses");
-  if (hits + misses > 0) {
-    out << "\n    \"cache_hit_ratio\": "
-        << json_number(static_cast<double>(hits) /
-                       static_cast<double>(hits + misses));
-    first = false;
-  }
   const std::uint64_t busy_ns = counter("parallel.busy_ns");
   const std::uint64_t tasks = counter("parallel.tasks");
   if (tasks > 0) {
@@ -131,20 +123,6 @@ void write_metrics_json(std::ostream& out,
         << "    \"parallel_mean_task_ns\": "
         << json_number(static_cast<double>(busy_ns) /
                        static_cast<double>(tasks));
-    first = false;
-  }
-  // Skeleton reuse: refills per symbolic build.  A healthy reuse-heavy
-  // run has a ratio near 1 (many numeric refills amortizing few
-  // symbolic builds); a ratio near builds/(builds+refills) = 0.5 means
-  // every solve rebuilt its skeleton.
-  const std::uint64_t skeleton_builds = counter("hart.skeleton.builds");
-  const std::uint64_t skeleton_refills = counter("hart.skeleton.refills");
-  if (skeleton_builds + skeleton_refills > 0) {
-    out << (first ? "\n" : ",\n")
-        << "    \"skeleton_reuse_ratio\": "
-        << json_number(static_cast<double>(skeleton_refills) /
-                       static_cast<double>(skeleton_builds +
-                                           skeleton_refills));
     first = false;
   }
   out << (first ? "" : "\n  ") << "}";

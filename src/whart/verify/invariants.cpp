@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "whart/hart/link_probability.hpp"
-#include "whart/hart/path_cache.hpp"
 #include "whart/markov/structure.hpp"
 
 namespace whart::verify {
@@ -32,7 +31,6 @@ std::vector<InvariantViolation> InvariantChecker::check(
   const hart::PathTransientResult transient = model.analyze(links);
   const hart::PathMeasures measures = compute_path_measures(model, links);
   check_solution(transient, measures, out);
-  check_cache(config, availabilities, measures, out);
   return out;
 }
 
@@ -111,48 +109,16 @@ void InvariantChecker::check_solution(
         {"monotone-cdf", "sum tau = " + format_double(cdf) + ", not 1"});
 
   // Each goal's transient trajectory is non-decreasing in time (mass
-  // only flows INTO an absorbing state).
-  for (std::size_t t = 1; t < transient.goal_trajectory.size(); ++t)
-    for (std::size_t i = 0; i < transient.goal_trajectory[t].size(); ++i)
-      if (transient.goal_trajectory[t][i] <
-          transient.goal_trajectory[t - 1][i] - options_.cdf_tolerance) {
-        out.push_back({"monotone-cdf",
-                       "goal " + std::to_string(i + 1) +
-                           " trajectory decreases at t = " +
-                           std::to_string(t)});
-        t = transient.goal_trajectory.size();  // one finding is enough
-        break;
-      }
-}
-
-void InvariantChecker::check_cache(
-    const hart::PathModelConfig& config,
-    const std::vector<double>& availabilities, const hart::PathMeasures& cold,
-    std::vector<InvariantViolation>& out) const {
-  hart::PathAnalysisCache cache;
-  (void)cache.measures(config, availabilities);          // miss: populate
-  const hart::PathMeasures hit = cache.measures(config, availabilities);
-
-  const auto mismatch = [&](const char* field, double a, double b) {
-    // Bitwise contract: a cache hit reconstructs the cold solve exactly,
-    // so plain equality (not a tolerance) is the specification.
-    if (a != b && !(std::isnan(a) && std::isnan(b)))
-      out.push_back({"cache-bitwise",
-                     std::string(field) + ": cold " + format_double(a) +
-                         " != hit " + format_double(b)});
-  };
-  if (hit.cycle_probabilities != cold.cycle_probabilities)
-    out.push_back({"cache-bitwise", "cycle_probabilities differ"});
-  mismatch("reachability", cold.reachability, hit.reachability);
-  mismatch("discard_probability", cold.discard_probability,
-           hit.discard_probability);
-  mismatch("expected_delay_ms", cold.expected_delay_ms, hit.expected_delay_ms);
-  mismatch("expected_transmissions", cold.expected_transmissions,
-           hit.expected_transmissions);
-  mismatch("utilization", cold.utilization, hit.utilization);
-  mismatch("utilization_delivered", cold.utilization_delivered,
-           hit.utilization_delivered);
-  mismatch("delay_jitter_ms", cold.delay_jitter_ms, hit.delay_jitter_ms);
+  // only flows INTO an absorbing state): the trajectory is the running
+  // sum of the walk's delivery records, so none may carry negative mass.
+  for (const hart::Delivery& delivery : transient.deliveries)
+    if (delivery.mass < -options_.cdf_tolerance) {
+      out.push_back({"monotone-cdf",
+                     "goal " + std::to_string(delivery.cycle + 1) +
+                         " trajectory decreases at t = " +
+                         std::to_string(delivery.slot)});
+      break;  // one finding is enough
+    }
 }
 
 std::vector<InvariantViolation> InvariantChecker::check_network(

@@ -7,8 +7,7 @@
 //     absorbed by the end of the horizon;
 //   - R + P(discard) = 1;
 //   - the delay CDF over received messages is monotone and normalized,
-//     and every goal's transient trajectory is non-decreasing in time;
-//   - a path-analysis cache hit is bitwise equal to a cold solve.
+//     and every goal's transient trajectory is non-decreasing in time.
 // A violation is a finding, not an exception: the checker returns all
 // of them so the fuzzer can report and shrink.
 #pragma once
@@ -70,10 +69,6 @@ class InvariantChecker {
   void check_solution(const hart::PathTransientResult& transient,
                       const hart::PathMeasures& measures,
                       std::vector<InvariantViolation>& out) const;
-  void check_cache(const hart::PathModelConfig& config,
-                   const std::vector<double>& availabilities,
-                   const hart::PathMeasures& cold,
-                   std::vector<InvariantViolation>& out) const;
 
   InvariantOptions options_;
 };

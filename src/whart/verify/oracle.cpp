@@ -1,15 +1,17 @@
 #include "whart/verify/oracle.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <sstream>
 
 #include "whart/common/contracts.hpp"
 #include "whart/hart/link_probability.hpp"
+#include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_analysis.hpp"
 #include "whart/hart/path_model.hpp"
+#include "whart/hart/what_if.hpp"
 #include "whart/numeric/rng.hpp"
 #include "whart/sim/stats.hpp"
 #include "whart/verify/bounds.hpp"
@@ -123,15 +125,6 @@ OracleReport cross_validate(const Scenario& input_scenario,
         std::max<std::uint32_t>(scenario.reporting_interval, 2);
     scenario.ttl.reset();
   }
-  // kStaleProductRow corrupts the cycle product the incremental leg
-  // propagates; with a single-cycle interval the transient never applies
-  // the product, so the self-test forces retries to exist (mirroring the
-  // channel-leak forcing above).
-  if (config.injection == Injection::kStaleProductRow) {
-    scenario.reporting_interval =
-        std::max<std::uint32_t>(scenario.reporting_interval, 2);
-    scenario.ttl.reset();
-  }
   scenario.validate();
   OracleReport report;
 
@@ -231,248 +224,6 @@ OracleReport cross_validate(const Scenario& input_scenario,
                        ref.expected_transmissions_per_hop[h]);
     }
 
-    // Refill leg: the symbolic/numeric split's promise is bitwise, not
-    // within-tolerance — a skeleton refill replays the exact arithmetic
-    // of a fresh build.  Each kernel runs twice: cold (the workspace is
-    // primed and every buffer allocated) and warm (pure value refill
-    // into retained buffers), both compared bit for bit against the
-    // fresh solve.  kStaleSkeletonValue corrupts only this leg.
-    {
-      const hart::PathModel model(path_config);
-      const hart::PathModelSkeleton skeleton(path_config);
-      const hart::SteadyStateLinks links{availabilities};
-      hart::SolveWorkspace workspace;
-      hart::PathTransientResult refilled;
-      for (const hart::TransientKernel kernel :
-           {hart::TransientKernel::kPerSlot,
-            hart::TransientKernel::kSuperframeProduct}) {
-        hart::PathAnalysisOptions options;
-        options.kernel = kernel;
-        const hart::PathTransientResult fresh = model.analyze(links, options);
-        hart::PathAnalysisOptions refill_options = options;
-        if (config.injection == Injection::kStaleSkeletonValue)
-          refill_options.inject_stale_skeleton = 1e-6;
-        const std::string kernel_tag =
-            kernel == hart::TransientKernel::kSuperframeProduct
-                ? "superframe"
-                : "per-slot";
-        for (const char* pass : {"cold", "warm"}) {
-          skeleton.analyze_into(links, refill_options, workspace, refilled);
-          const auto compare_bits = [&](const std::string& field,
-                                        double fresh_value,
-                                        double refill_value) {
-            if (std::bit_cast<std::uint64_t>(fresh_value) !=
-                std::bit_cast<std::uint64_t>(refill_value))
-              add_finding(p,
-                          "refill:" + kernel_tag + ":" + pass + ":" + field,
-                          "fresh " + format_double(fresh_value) +
-                              " vs refill " + format_double(refill_value));
-          };
-          for (std::size_t i = 0; i < fresh.cycle_probabilities.size(); ++i)
-            compare_bits("g(" + std::to_string(i + 1) + ")",
-                         fresh.cycle_probabilities[i],
-                         refilled.cycle_probabilities[i]);
-          compare_bits("discard", fresh.discard_probability,
-                       refilled.discard_probability);
-          compare_bits("expected_transmissions", fresh.expected_transmissions,
-                       refilled.expected_transmissions);
-          compare_bits("transmissions_delivered",
-                       fresh.expected_transmissions_delivered,
-                       refilled.expected_transmissions_delivered);
-          for (std::size_t h = 0;
-               h < fresh.expected_transmissions_per_hop.size(); ++h)
-            compare_bits("transmissions_hop" + std::to_string(h),
-                         fresh.expected_transmissions_per_hop[h],
-                         refilled.expected_transmissions_per_hop[h]);
-          if (fresh.goal_trajectory.size() != refilled.goal_trajectory.size()) {
-            add_finding(p, "refill:" + kernel_tag + ":" + pass + ":trajectory",
-                        "fresh " +
-                            std::to_string(fresh.goal_trajectory.size()) +
-                            " trajectory entries vs refill " +
-                            std::to_string(refilled.goal_trajectory.size()));
-          } else {
-            for (std::size_t t = 0; t < fresh.goal_trajectory.size(); ++t) {
-              if (fresh.goal_trajectory[t].size() !=
-                  refilled.goal_trajectory[t].size()) {
-                add_finding(
-                    p,
-                    "refill:" + kernel_tag + ":" + pass + ":trajectory",
-                    "entry " + std::to_string(t) + " size mismatch");
-                continue;
-              }
-              for (std::size_t s = 0; s < fresh.goal_trajectory[t].size(); ++s)
-                compare_bits("trajectory(" + std::to_string(t) + "," +
-                                 std::to_string(s) + ")",
-                             fresh.goal_trajectory[t][s],
-                             refilled.goal_trajectory[t][s]);
-            }
-          }
-        }
-      }
-    }
-
-    // Batch leg: the lane-parallel refill (DESIGN.md §13).  Lane 0
-    // carries the scenario's true availabilities; lanes 1..3 deform them
-    // strictly into (0, 1), so the batch always holds distinct
-    // non-degenerate lanes and a cross-lane swap is always observable.
-    // Each lane must reproduce its own fresh superframe solve to 1e-12
-    // relative.  kLaneSwap corrupts only this leg.
-    {
-      constexpr std::size_t kLanes = 4;
-      constexpr double kLaneTolerance = 1e-12;
-      const hart::PathModel model(path_config);
-      const hart::PathModelSkeleton skeleton(path_config);
-      std::vector<hart::SteadyStateLinks> lane_links;
-      lane_links.reserve(kLanes);
-      for (std::size_t j = 0; j < kLanes; ++j) {
-        std::vector<double> lane_avail = availabilities;
-        if (j > 0) {
-          const double blend = 0.1 * static_cast<double>(j);
-          for (double& a : lane_avail)
-            a = a * (1.0 - blend) + 0.5 * blend +
-                0.001 * static_cast<double>(j);
-        }
-        lane_links.emplace_back(lane_avail);
-      }
-      std::vector<const hart::LinkProbabilityProvider*> providers;
-      providers.reserve(kLanes);
-      for (const hart::SteadyStateLinks& lane : lane_links)
-        providers.push_back(&lane);
-      hart::PathAnalysisOptions batch_options;
-      batch_options.kernel = hart::TransientKernel::kSuperframeProduct;
-      batch_options.inject_lane_swap =
-          config.injection == Injection::kLaneSwap;
-      hart::SolveWorkspace batch_workspace;
-      std::vector<hart::PathTransientResult> batched(kLanes);
-      skeleton.analyze_batch_into(providers, batch_options, batch_workspace,
-                                  batched);
-      hart::PathAnalysisOptions lane_options;
-      lane_options.kernel = hart::TransientKernel::kSuperframeProduct;
-      for (std::size_t j = 0; j < kLanes; ++j) {
-        const hart::PathTransientResult fresh =
-            model.analyze(lane_links[j], lane_options);
-        const auto compare_lane = [&](const std::string& field,
-                                      double fresh_value,
-                                      double lane_value) {
-          if (!close(fresh_value, lane_value, kLaneTolerance))
-            add_finding(p, "batch:lane" + std::to_string(j) + ":" + field,
-                        "fresh " + format_double(fresh_value) + " vs lane " +
-                            format_double(lane_value));
-        };
-        for (std::size_t i = 0; i < fresh.cycle_probabilities.size(); ++i)
-          compare_lane("g(" + std::to_string(i + 1) + ")",
-                       fresh.cycle_probabilities[i],
-                       batched[j].cycle_probabilities[i]);
-        compare_lane("discard", fresh.discard_probability,
-                     batched[j].discard_probability);
-        compare_lane("expected_transmissions", fresh.expected_transmissions,
-                     batched[j].expected_transmissions);
-        compare_lane("transmissions_delivered",
-                     fresh.expected_transmissions_delivered,
-                     batched[j].expected_transmissions_delivered);
-        for (std::size_t h = 0;
-             h < fresh.expected_transmissions_per_hop.size(); ++h)
-          compare_lane("transmissions_hop" + std::to_string(h),
-                       fresh.expected_transmissions_per_hop[h],
-                       batched[j].expected_transmissions_per_hop[h]);
-      }
-    }
-
-    // Incremental leg: the what-if engine's targeted Gustavson row
-    // replay (markov::IncrementalProduct, DESIGN.md §15).  The leg
-    // seeds a baseline cycle product from the scenario's availabilities
-    // (degenerate 0 or 1 included), then perturbs each hop in isolation
-    // to a probe value inside (0, 1), re-solves through
-    // analyze_incremental_into (only the dirty product rows replayed)
-    // and compares against a fresh solve of the perturbed chain.  Under
-    // kPerSlot the incremental path declines by contract and the
-    // cached-skeleton fallback the what-if engine would take is held to
-    // the same bound.  kStaleProductRow corrupts only this leg.
-    {
-      constexpr double kIncrementalTolerance = 1e-12;
-      const hart::PathModel model(path_config);
-      const hart::PathModelSkeleton skeleton(path_config);
-      const std::vector<double>& base = availabilities;
-      const hart::SteadyStateLinks base_links{base};
-      for (const hart::TransientKernel kernel :
-           {hart::TransientKernel::kPerSlot,
-            hart::TransientKernel::kSuperframeProduct}) {
-        const bool superframe =
-            kernel == hart::TransientKernel::kSuperframeProduct;
-        const std::string tag =
-            superframe ? "incremental:superframe" : "incremental:per-slot";
-        hart::PathAnalysisOptions options;
-        options.kernel = kernel;
-        if (config.injection == Injection::kStaleProductRow)
-          options.inject_stale_product_row = 1e-6;
-        hart::PathAnalysisOptions fresh_options;
-        fresh_options.kernel = kernel;
-        markov::IncrementalProduct product(skeleton.chain(),
-                                           skeleton.factor_patterns());
-        hart::SolveWorkspace workspace;
-        hart::PathTransientResult incremental;
-        const bool seeded = skeleton.analyze_incremental_into(
-            base_links, options, {}, product, workspace, incremental);
-        if (superframe && !seeded) {
-          add_finding(p, "closure:incremental-dispatch",
-                      "incremental seed declined on cycle-stationary links");
-          continue;
-        }
-        for (std::size_t h = 0; h < base.size(); ++h) {
-          std::vector<double> perturbed = base;
-          perturbed[h] = 0.5 * base[h] + 0.25;  // stays inside (0, 1)
-          if (perturbed[h] == base[h]) perturbed[h] += 0.01;
-          const hart::SteadyStateLinks links{perturbed};
-          const std::size_t changed[] = {h};
-          bool solved = false;
-          if (seeded)
-            solved = skeleton.analyze_incremental_into(
-                links, options, changed, product, workspace, incremental);
-          if (superframe && !solved) {
-            add_finding(
-                p, "closure:incremental-dispatch",
-                "incremental solve declined on hop " + std::to_string(h));
-            break;
-          }
-          if (!solved)
-            skeleton.analyze_into(links, options, workspace, incremental);
-          const hart::PathTransientResult fresh =
-              model.analyze(links, fresh_options);
-          const auto compare_incremental = [&](const std::string& field,
-                                               double fresh_value,
-                                               double incremental_value) {
-            if (!close(fresh_value, incremental_value, kIncrementalTolerance))
-              add_finding(p, tag + ":hop" + std::to_string(h) + ":" + field,
-                          "fresh " + format_double(fresh_value) +
-                              " vs incremental " +
-                              format_double(incremental_value));
-          };
-          for (std::size_t i = 0; i < fresh.cycle_probabilities.size(); ++i)
-            compare_incremental("g(" + std::to_string(i + 1) + ")",
-                                fresh.cycle_probabilities[i],
-                                incremental.cycle_probabilities[i]);
-          compare_incremental("discard", fresh.discard_probability,
-                              incremental.discard_probability);
-          compare_incremental("expected_transmissions",
-                              fresh.expected_transmissions,
-                              incremental.expected_transmissions);
-          compare_incremental("transmissions_delivered",
-                              fresh.expected_transmissions_delivered,
-                              incremental.expected_transmissions_delivered);
-          for (std::size_t hh = 0;
-               hh < fresh.expected_transmissions_per_hop.size(); ++hh)
-            compare_incremental("transmissions_hop" + std::to_string(hh),
-                                fresh.expected_transmissions_per_hop[hh],
-                                incremental.expected_transmissions_per_hop[hh]);
-          // Restore the baseline product state so the next hop's
-          // perturbation is isolated (targeted replay, no fresh seed).
-          if (seeded)
-            skeleton.analyze_incremental_into(base_links, options, changed,
-                                              product, workspace, incremental);
-        }
-      }
-    }
-
     // Channel leg: the enlarged-state-space walk under the scenario's
     // correlated-channel overlay, against the independent channel
     // reference.  The channel faults corrupt only this leg.
@@ -530,11 +281,70 @@ OracleReport cross_validate(const Scenario& input_scenario,
     }
   }
 
-  // Simulator leg.  Retry slots cannot be expressed in a net::Schedule,
-  // so such scenarios are checked by the deterministic legs only.
-  if (!config.run_simulation || scenario.has_retry_slots()) return report;
+  // Retry slots cannot be expressed in a net::Schedule, so such
+  // scenarios are checked by the per-path legs only.
+  if (scenario.has_retry_slots()) return report;
+  const BuiltScenario built = build_network(scenario);
 
-  BuiltScenario built = build_network(scenario);
+  // What-if leg: WhatIfEngine::what_if, which re-walks only the paths
+  // using the changed link, against a fresh analyze_network of a network
+  // copy with that link moved.  Every link is moved in turn to a probe
+  // availability in [0.5, 1) distinct from its own; both sides read the
+  // probe model's availability, so they solve the same chains.
+  // kWhatIfSkipPath corrupts only this leg's engine answer.
+  {
+    constexpr double kWhatIfTolerance = 1e-12;
+    hart::WhatIfOptions engine_options;
+    engine_options.threads = 1;
+    hart::WhatIfEngine engine(built.network, built.paths, built.schedule,
+                              scenario.superframe, scenario.reporting_interval,
+                              engine_options);
+    hart::AnalysisOptions fresh_options;
+    fresh_options.threads = 1;
+    for (const net::LinkId link : engine.links()) {
+      const double base = engine.baseline_availability(link);
+      const link::LinkModel probe = link::LinkModel::from_availability(
+          base == 1.0 ? 0.75 : 0.5 + 0.5 * base);
+      hart::WhatIfResult answer =
+          engine.what_if(link, probe.steady_state_availability());
+      const std::span<const std::size_t> affected =
+          engine.affected_paths(link);
+      if (config.injection == Injection::kWhatIfSkipPath && !affected.empty())
+        answer.per_path[affected.front()] =
+            engine.baseline()[affected.front()];
+      net::Network modified = built.network;
+      modified.set_link_model(link, probe);
+      const hart::NetworkMeasures fresh = hart::analyze_network(
+          modified, built.paths, built.schedule, scenario.superframe,
+          scenario.reporting_interval, fresh_options);
+      for (std::size_t p = 0; p < fresh.per_path.size(); ++p) {
+        const hart::PathMeasures& want = fresh.per_path[p];
+        const hart::PathMeasures& got = answer.per_path[p];
+        const auto compare_what_if = [&](const std::string& field,
+                                         double got_value, double want_value) {
+          if (!close(got_value, want_value, kWhatIfTolerance))
+            add_finding(p,
+                        "what-if:link" + std::to_string(link.value) + ":" +
+                            field,
+                        "engine " + format_double(got_value) +
+                            " vs fresh analysis " + format_double(want_value));
+        };
+        for (std::size_t i = 0; i < want.cycle_probabilities.size(); ++i)
+          compare_what_if("g(" + std::to_string(i + 1) + ")",
+                          got.cycle_probabilities[i],
+                          want.cycle_probabilities[i]);
+        compare_what_if("expected_delay_ms", got.expected_delay_ms,
+                        want.expected_delay_ms);
+        compare_what_if("expected_transmissions", got.expected_transmissions,
+                        want.expected_transmissions);
+        compare_what_if("utilization_delivered", got.utilization_delivered,
+                        want.utilization_delivered);
+      }
+    }
+  }
+
+  // Simulator leg.
+  if (!config.run_simulation) return report;
   sim::SimulatorConfig sim_config;
   sim_config.superframe = scenario.superframe;
   sim_config.reporting_interval = scenario.reporting_interval;

@@ -83,7 +83,6 @@
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_analysis.hpp"
-#include "whart/hart/path_cache.hpp"
 #include "whart/hart/path_model.hpp"
 #include "whart/hart/schedule_optimizer.hpp"
 #include "whart/hart/sensitivity.hpp"

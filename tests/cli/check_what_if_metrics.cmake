@@ -1,7 +1,7 @@
-# Runs `whart_cli --typical --what-if link=2:0.3 --metrics=<file>` at the
-# default kernel and fails unless the query re-solved its four affected
-# paths through the incremental replay: hart.whatif.incremental_solves
-# must be 4 and hart.whatif.incremental_fallback must be absent.
+# Runs `whart_cli --typical --what-if link=2:0.3 --metrics=<file>` and
+# fails unless the one query re-walked exactly the four paths scheduled
+# over link 2: hart.whatif.queries must be 1 and
+# hart.whatif.paths_resolved must be 4.
 #
 #   cmake -DWHART_CLI=<whart_cli> -DMETRICS=<file> \
 #         -P check_what_if_metrics.cmake
@@ -18,17 +18,14 @@ if(NOT status EQUAL 0)
 endif()
 
 file(READ "${METRICS}" json)
-string(JSON solves ERROR_VARIABLE missing
-       GET "${json}" counters hart.whatif.incremental_solves)
-if(missing)
-  message(FATAL_ERROR "hart.whatif.incremental_solves is absent, expected 4")
-elseif(NOT solves EQUAL 4)
-  message(FATAL_ERROR "hart.whatif.incremental_solves is ${solves}, "
-                      "expected 4")
-endif()
-string(JSON fallbacks ERROR_VARIABLE absent
-       GET "${json}" counters hart.whatif.incremental_fallback)
-if(NOT absent)
-  message(FATAL_ERROR "hart.whatif.incremental_fallback is ${fallbacks}, "
-                      "expected no fallback")
-endif()
+foreach(check "hart.whatif.queries:1" "hart.whatif.paths_resolved:4")
+  string(REPLACE ":" ";" check "${check}")
+  list(GET check 0 counter)
+  list(GET check 1 expected)
+  string(JSON value ERROR_VARIABLE missing GET "${json}" counters ${counter})
+  if(missing)
+    message(FATAL_ERROR "${counter} is absent, expected ${expected}")
+  elseif(NOT value EQUAL expected)
+    message(FATAL_ERROR "${counter} is ${value}, expected ${expected}")
+  endif()
+endforeach()

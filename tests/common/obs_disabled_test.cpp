@@ -49,8 +49,7 @@ TEST(ObsDisabled, MacrosAreStatementSafe) {
 
 TEST(ObsDisabled, RegistryApiRemainsUsableDirectly) {
   // The classes stay available even when the macros are compiled out —
-  // callers holding explicit Counter members (e.g. PathAnalysisCache)
-  // keep working.
+  // callers holding explicit Counter members keep working.
   Counter c;
   c.add(2);
   EXPECT_EQ(c.value(), 2u);

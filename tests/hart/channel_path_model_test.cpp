@@ -1,8 +1,8 @@
 // The channel-enlarged path solver (DESIGN.md §14) against its
 // degeneracy anchors: a Gilbert-Elliott channel with equal per-state
 // error rates carries no usable memory and must reproduce the i.i.d.
-// solver to 1e-12 — across both transient kernels and across the
-// scalar/batched sweep refills — while a k = 2 general chain must match
+// solver to 1e-12 — across both transient kernels and every sweep lane
+// count — while a k = 2 general chain must match
 // the dedicated Gilbert-Elliott construction exactly.  Both injected
 // walk faults must actually move the answer (a fault the oracle is
 // supposed to catch had better exist) while conserving mass.
@@ -175,10 +175,9 @@ TEST(ChannelPathModel, BurstinessLowersMultiHopReachability) {
 }
 
 TEST(ChannelPathModel, SweepCollapseAcrossScalarAndBatchedLanes) {
-  // The degenerate-channel sweep against the i.i.d. sweep solved through
-  // scalar refills and 8- and 16-lane SoA batches: every grid point must
-  // agree to 1e-12 regardless of which refill core produced the i.i.d.
-  // value.
+  // The degenerate-channel sweep against the i.i.d. sweep at lane counts
+  // 1, 8 and 16: every grid point must agree to 1e-12, and the lane
+  // count, which the sweeps no longer read, must not matter.
   const PathModelConfig config = retry_config();
   const std::vector<double> grid = linspace(0.5, 0.99, 33);
   // Error rates are equal after rescaling only if they start equal.

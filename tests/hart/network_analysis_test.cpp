@@ -137,19 +137,15 @@ TEST(NetworkAnalysis, DiagnosticsAccountForEveryPath) {
   const net::TypicalNetwork t = net::make_typical_network(
       link::LinkModel::from_availability(0.83));
 
-  // Uncached: every path is a fresh solve with per-path diagnostics.
-  AnalysisOptions no_cache;
-  no_cache.use_cache = false;
+  // Every path is a walk with per-path diagnostics.
   const NetworkMeasures direct =
       analyze_network(t.network, t.paths, t.eta_a, t.superframe,
-                      net::kTypicalReportingInterval, no_cache);
+                      net::kTypicalReportingInterval);
   EXPECT_EQ(direct.diagnostics.dtmc_solves, t.paths.size());
-  EXPECT_EQ(direct.diagnostics.cache_hits, 0u);
   EXPECT_GT(direct.diagnostics.states_solved, 0u);
   EXPECT_LT(direct.diagnostics.max_mass_residual, 1e-9);
   for (const PathMeasures& m : direct.per_path) {
     ASSERT_TRUE(m.diagnostics.has_value());
-    EXPECT_FALSE(m.diagnostics->from_cache);
     EXPECT_GT(m.diagnostics->dtmc_states, 0u);
     EXPECT_EQ(m.diagnostics->dtmc_states,
               m.diagnostics->transient_states +
@@ -158,14 +154,6 @@ TEST(NetworkAnalysis, DiagnosticsAccountForEveryPath) {
               std::uint64_t{net::kTypicalReportingInterval} *
                   t.superframe.uplink_slots);
   }
-
-  // Cached: solves + hits still cover every path, and hits are flagged.
-  const NetworkMeasures cached =
-      analyze_network(t.network, t.paths, t.eta_a, t.superframe,
-                      net::kTypicalReportingInterval);
-  EXPECT_EQ(cached.diagnostics.dtmc_solves + cached.diagnostics.cache_hits,
-            t.paths.size());
-  EXPECT_GT(cached.diagnostics.cache_hits, 0u);  // 10 paths, 3 shapes
 }
 
 TEST(NetworkAnalysis, AggregateMatchesAnOrderedMapReferenceBitwise) {
@@ -241,15 +229,15 @@ AnalysisOptions bursty_options() {
   return options;
 }
 
-TEST(NetworkAnalysis, DefaultKernelIsPickedPerPathKind) {
-  // i.i.d. steady-state paths take the superframe product, channel-
-  // enlarged paths the firing-table walk — with and without the cache.
+TEST(NetworkAnalysis, DefaultKernelWalksEveryPathKind) {
+  // i.i.d. steady-state and channel-enlarged paths both walk their
+  // firing tables; the e2e-only use_cache/reuse_skeleton fields change
+  // nothing.
   AnalysisOptions iid;
-  expect_every_path_solved_by(iid, TransientKernel::kSuperframeProduct);
+  expect_every_path_solved_by(iid, TransientKernel::kPerSlot);
   iid.use_cache = false;
-  expect_every_path_solved_by(iid, TransientKernel::kSuperframeProduct);
   iid.reuse_skeleton = false;
-  expect_every_path_solved_by(iid, TransientKernel::kSuperframeProduct);
+  expect_every_path_solved_by(iid, TransientKernel::kPerSlot);
   expect_every_path_solved_by(bursty_options(), TransientKernel::kPerSlot);
 }
 
@@ -281,9 +269,9 @@ TEST(NetworkAnalysis, ExplicitKernelIsHonouredOnBothPathKinds) {
 }
 
 TEST(NetworkAnalysis, DefaultKernelMatchesPerSlotOnGeneratedPlants) {
-  // The default answer on 200-device plants stays within 1e-12
-  // (relative) of the forced per-slot solve, on every measure a user
-  // reads.
+  // The default answer on 200-device plants is the forced per-slot walk,
+  // bit for bit, and stays within 1e-12 (relative) of the superframe
+  // collapse, the independent reference, on every measure a user reads.
   const auto close = [](double a, double b) {
     return std::abs(a - b) <=
            1e-12 * std::max({std::abs(a), std::abs(b), 1.0});
@@ -295,11 +283,17 @@ TEST(NetworkAnalysis, DefaultKernelMatchesPerSlotOnGeneratedPlants) {
     const net::GeneratedPlant plant = net::generate_plant(profile);
     AnalysisOptions per_slot;
     per_slot.kernel = TransientKernel::kPerSlot;
-    const NetworkMeasures reference =
+    const NetworkMeasures walked =
         analyze_network(plant.network, plant.paths, plant.schedule,
                         plant.superframe, 4, per_slot);
+    AnalysisOptions collapse;
+    collapse.kernel = TransientKernel::kSuperframeProduct;
+    const NetworkMeasures reference =
+        analyze_network(plant.network, plant.paths, plant.schedule,
+                        plant.superframe, 4, collapse);
     const NetworkMeasures m = analyze_network(
         plant.network, plant.paths, plant.schedule, plant.superframe, 4);
+    EXPECT_EQ(m.mean_delay_ms, walked.mean_delay_ms);
     ASSERT_EQ(m.per_path.size(), reference.per_path.size());
     EXPECT_TRUE(close(m.mean_delay_ms, reference.mean_delay_ms));
     EXPECT_TRUE(close(m.network_utilization, reference.network_utilization));
@@ -308,7 +302,13 @@ TEST(NetworkAnalysis, DefaultKernelMatchesPerSlotOnGeneratedPlants) {
     for (std::size_t p = 0; p < m.per_path.size(); ++p) {
       const PathMeasures& got = m.per_path[p];
       const PathMeasures& want = reference.per_path[p];
-      ASSERT_EQ(got.diagnostics->kernel, TransientKernel::kSuperframeProduct);
+      ASSERT_EQ(got.diagnostics->kernel, TransientKernel::kPerSlot);
+      ASSERT_EQ(want.diagnostics->kernel,
+                TransientKernel::kSuperframeProduct);
+      EXPECT_EQ(got.cycle_probabilities,
+                walked.per_path[p].cycle_probabilities);
+      EXPECT_EQ(got.utilization_delivered,
+                walked.per_path[p].utilization_delivered);
       EXPECT_TRUE(close(got.reachability, want.reachability)) << p;
       EXPECT_TRUE(close(got.expected_delay_ms, want.expected_delay_ms)) << p;
       EXPECT_TRUE(close(got.delay_jitter_ms, want.delay_jitter_ms)) << p;

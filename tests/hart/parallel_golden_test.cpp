@@ -1,7 +1,6 @@
 // Golden tests of the parallel engine: every fan-out path must produce
 // results identical (==, not approximately) to its serial counterpart,
-// whatever the thread count, and the cached analysis must match the
-// uncached one bit for bit.
+// whatever the thread count.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,10 +60,9 @@ void expect_identical(const SweepSeries& a, const SweepSeries& b) {
   }
 }
 
-AnalysisOptions serial_uncached() {
+AnalysisOptions serial_options() {
   AnalysisOptions options;
   options.threads = 1;
-  options.use_cache = false;
   return options;
 }
 
@@ -72,54 +70,32 @@ TEST(ParallelGolden, NetworkAnalysisTypical) {
   const net::TypicalNetwork t = net::make_typical_network();
   const NetworkMeasures serial =
       analyze_network(t.network, t.paths, t.eta_a, t.superframe, 4,
-                      serial_uncached());
+                      serial_options());
   for (unsigned threads : {2u, 4u, 8u}) {
     AnalysisOptions options;
     options.threads = threads;
-    options.use_cache = false;
     expect_identical(analyze_network(t.network, t.paths, t.eta_a,
                                      t.superframe, 4, options),
                      serial);
   }
 }
 
-TEST(ParallelGolden, NetworkAnalysisGeneratedPlantCachedAndThreaded) {
+TEST(ParallelGolden, NetworkAnalysisGeneratedPlantThreaded) {
   net::PlantProfile profile;
   profile.device_count = 60;
   profile.seed = 11;
   const net::GeneratedPlant plant = net::generate_plant(profile);
-  const NetworkMeasures serial =
+  const NetworkMeasures serial_measures =
       analyze_network(plant.network, plant.paths, plant.schedule,
-                      plant.superframe, 4, serial_uncached());
-
-  for (const bool use_cache : {false, true}) {
-    for (unsigned threads : {1u, 4u}) {
-      AnalysisOptions options;
-      options.threads = threads;
-      options.use_cache = use_cache;
-      expect_identical(
-          analyze_network(plant.network, plant.paths, plant.schedule,
-                          plant.superframe, 4, options),
-          serial);
-    }
+                      plant.superframe, 4, serial_options());
+  for (unsigned threads : {2u, 4u}) {
+    AnalysisOptions options;
+    options.threads = threads;
+    expect_identical(
+        analyze_network(plant.network, plant.paths, plant.schedule,
+                        plant.superframe, 4, options),
+        serial_measures);
   }
-
-  // A shared (persistent) cache must serve a second identical call from
-  // memory and still reproduce the same result.
-  PathAnalysisCache cache;
-  AnalysisOptions options;
-  options.threads = 4;
-  options.cache = &cache;
-  expect_identical(analyze_network(plant.network, plant.paths,
-                                   plant.schedule, plant.superframe, 4,
-                                   options),
-                   serial);
-  const std::uint64_t first_misses = cache.misses();
-  expect_identical(analyze_network(plant.network, plant.paths,
-                                   plant.schedule, plant.superframe, 4,
-                                   options),
-                   serial);
-  EXPECT_EQ(cache.misses(), first_misses);  // all hits second time
 }
 
 TEST(ParallelGolden, SweepAvailability) {

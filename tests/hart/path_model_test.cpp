@@ -89,16 +89,25 @@ TEST(PathModel, GoalTrajectoryIsMonotoneStepFunction) {
   const PathModel model(example_config(4));
   const SteadyStateLinks links(3, link::LinkModel::from_availability(0.75));
   const PathTransientResult result = model.analyze(links);
-  ASSERT_EQ(result.goal_trajectory.size(), 29u);  // t = 0..28
-  for (std::size_t t = 1; t < result.goal_trajectory.size(); ++t)
+  // One delivery record per firing of the last hop: slot 7 of each cycle.
+  ASSERT_EQ(result.deliveries.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(result.deliveries[i].slot, 7 * (i + 1));
+    EXPECT_EQ(result.deliveries[i].cycle, i);
+    EXPECT_EQ(result.deliveries[i].mass, result.cycle_probabilities[i]);
+  }
+  const std::vector<std::vector<double>> trajectory =
+      goal_trajectory(result, model.config().horizon());
+  ASSERT_EQ(trajectory.size(), 29u);  // t = 0..28
+  for (std::size_t t = 1; t < trajectory.size(); ++t)
     for (std::size_t i = 0; i < 4; ++i)
-      EXPECT_GE(result.goal_trajectory[t][i],
-                result.goal_trajectory[t - 1][i]);
+      EXPECT_GE(trajectory[t][i], trajectory[t - 1][i]);
   // Goal i can only fill at its cycle's gateway slot: t = 7, 14, 21, 28.
-  EXPECT_DOUBLE_EQ(result.goal_trajectory[6][0], 0.0);
-  EXPECT_GT(result.goal_trajectory[7][0], 0.0);
-  EXPECT_DOUBLE_EQ(result.goal_trajectory[13][1], 0.0);
-  EXPECT_GT(result.goal_trajectory[14][1], 0.0);
+  EXPECT_DOUBLE_EQ(trajectory[6][0], 0.0);
+  EXPECT_GT(trajectory[7][0], 0.0);
+  EXPECT_DOUBLE_EQ(trajectory[13][1], 0.0);
+  EXPECT_GT(trajectory[14][1], 0.0);
+  EXPECT_EQ(trajectory.back(), result.cycle_probabilities);
 }
 
 TEST(PathModel, GoalStateNamesFollowPaper) {

@@ -1,4 +1,4 @@
-// rank_link_upgrades determinism golden (DESIGN.md §12/§13): the ranking
+// rank_link_upgrades determinism golden: the ranking
 // is computed by a parallel per-path fan-out, so it must be independent
 // of the worker count — bitwise, not merely within tolerance — and ties
 // between equal-score upgrades must resolve the same way every time.
@@ -16,19 +16,12 @@ namespace whart::hart {
 namespace {
 
 void expect_same_ranking(const std::vector<LinkSensitivity>& golden,
-                         const std::vector<LinkSensitivity>& other,
-                         bool bitwise) {
+                         const std::vector<LinkSensitivity>& other) {
   ASSERT_EQ(golden.size(), other.size());
   for (std::size_t i = 0; i < golden.size(); ++i) {
     EXPECT_EQ(golden[i].link, other[i].link) << "rank " << i;
     EXPECT_EQ(golden[i].paths_using, other[i].paths_using) << "rank " << i;
-    if (bitwise)
-      EXPECT_EQ(golden[i].total_dR_dpi, other[i].total_dR_dpi)
-          << "rank " << i;
-    else
-      EXPECT_NEAR(golden[i].total_dR_dpi, other[i].total_dR_dpi,
-                  1e-9 * (1.0 + golden[i].total_dR_dpi))
-          << "rank " << i;
+    EXPECT_EQ(golden[i].total_dR_dpi, other[i].total_dR_dpi) << "rank " << i;
   }
 }
 
@@ -36,42 +29,21 @@ TEST(RankLinkUpgradesDeterminism, ParallelEqualsSerialAcrossThreadCounts) {
   // The heterogeneous typical network: distinct scores, so any ordering
   // instability shows as a rank swap; the serial run is the golden.
   const net::TypicalNetwork t = net::make_typical_network();
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    const auto golden =
+  const auto golden =
+      rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe,
+                         net::kTypicalReportingInterval, 1);
+  for (const unsigned threads : {4u, 16u}) {
+    const auto ranking =
         rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe,
-                           net::kTypicalReportingInterval, 1, kernel);
-    for (const unsigned threads : {4u, 16u}) {
-      const auto ranking =
-          rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe,
-                             net::kTypicalReportingInterval, threads, kernel);
-      expect_same_ranking(golden, ranking, /*bitwise=*/true);
-    }
-  }
-}
-
-TEST(RankLinkUpgradesDeterminism, BatchedLanesKeepTheOrderAcrossThreads) {
-  // batch_lanes > 1 promises agreement to rounding, not bitwise — but the
-  // ranking ORDER must still be thread-count independent, and the batch
-  // run must agree with the scalar golden to 1e-9.
-  const net::TypicalNetwork t = net::make_typical_network();
-  const auto golden = rank_link_upgrades(
-      t.network, t.paths, t.eta_a, t.superframe,
-      net::kTypicalReportingInterval, 1,
-      TransientKernel::kSuperframeProduct, 1);
-  for (const unsigned threads : {1u, 4u, 16u}) {
-    const auto ranking = rank_link_upgrades(
-        t.network, t.paths, t.eta_a, t.superframe,
-        net::kTypicalReportingInterval, threads,
-        TransientKernel::kSuperframeProduct, 8);
-    expect_same_ranking(golden, ranking, /*bitwise=*/false);
+                           net::kTypicalReportingInterval, threads);
+    expect_same_ranking(golden, ranking);
   }
 }
 
 TEST(RankLinkUpgradesDeterminism, EqualScoreTiesResolveIdenticallyEverywhere) {
   // A star of identical one-hop paths: every link has exactly the same
   // dR/dpi, so the whole ranking is one big tie — the order must come
-  // out ascending by link id for every thread count and kernel, or two
+  // out ascending by link id for every thread count, or two
   // runs of the same analysis would recommend different upgrades.
   net::Network star;
   std::vector<net::Path> paths;
@@ -85,17 +57,14 @@ TEST(RankLinkUpgradesDeterminism, EqualScoreTiesResolveIdenticallyEverywhere) {
       paths, 6, net::SchedulingPolicy::kShortestPathsFirst);
   const net::SuperframeConfig superframe =
       net::SuperframeConfig::symmetric(6);
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    for (const unsigned threads : {1u, 4u, 16u}) {
-      const auto ranking = rank_link_upgrades(star, paths, schedule,
-                                              superframe, 3, threads, kernel);
-      ASSERT_EQ(ranking.size(), 6u);
-      EXPECT_EQ(ranking.front().total_dR_dpi, ranking.back().total_dR_dpi);
-      for (std::size_t i = 0; i < ranking.size(); ++i)
-        EXPECT_EQ(ranking[i].link.value, static_cast<std::uint32_t>(i))
-            << "threads " << threads;
-    }
+  for (const unsigned threads : {1u, 4u, 16u}) {
+    const auto ranking =
+        rank_link_upgrades(star, paths, schedule, superframe, 3, threads);
+    ASSERT_EQ(ranking.size(), 6u);
+    EXPECT_EQ(ranking.front().total_dR_dpi, ranking.back().total_dR_dpi);
+    for (std::size_t i = 0; i < ranking.size(); ++i)
+      EXPECT_EQ(ranking[i].link.value, static_cast<std::uint32_t>(i))
+          << "threads " << threads;
   }
 }
 

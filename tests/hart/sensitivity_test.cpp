@@ -33,26 +33,16 @@ double reachability_at(const PathModel& model,
                          result.cycle_probabilities.end(), 0.0);
 }
 
-/// Every adjoint sweep — per-slot, scalar superframe and the SoA batch
-/// (two lanes, so the batch core really runs) — against central
-/// differences of the forward solve.
+/// The walk's adjoint against central differences of the forward solve.
 void expect_matches_finite_differences(const PathModelConfig& config,
                                        const std::vector<double>& base) {
   const PathModel model(config);
-  const PathModelSkeleton skeleton(config);
   std::vector<link::LinkModel> models;
   for (double pi : base)
     models.push_back(link::LinkModel::from_availability(pi));
-  const SteadyStateLinks links(models);
-  const std::vector<const LinkProbabilityProvider*> lanes{&links, &links};
-  const std::vector<std::pair<std::string, std::vector<double>>> sweeps{
-      {"per-slot",
-       reachability_sensitivity(model, links, TransientKernel::kPerSlot)},
-      {"superframe", reachability_sensitivity(
-                         model, links, TransientKernel::kSuperframeProduct)},
-      {"batch", reachability_sensitivity_batch(
-                    skeleton, lanes, TransientKernel::kSuperframeProduct)
-                    .front()}};
+  const std::vector<double> adjoint =
+      reachability_sensitivity(model, SteadyStateLinks(models));
+  ASSERT_EQ(adjoint.size(), base.size());
 
   const double eps = 1e-7;
   for (std::size_t h = 0; h < base.size(); ++h) {
@@ -63,10 +53,7 @@ void expect_matches_finite_differences(const PathModelConfig& config,
     const double fd = (reachability_at(model, up) -
                        reachability_at(model, down)) /
                       (2.0 * eps);
-    for (const auto& [name, adjoint] : sweeps) {
-      ASSERT_EQ(adjoint.size(), base.size()) << name;
-      EXPECT_NEAR(adjoint[h], fd, 1e-6) << name << " hop " << h;
-    }
+    EXPECT_NEAR(adjoint[h], fd, 1e-6) << "hop " << h;
   }
 }
 
@@ -74,7 +61,7 @@ TEST(Sensitivity, MatchesFiniteDifferences) {
   expect_matches_finite_differences(example_config(4), {0.9, 0.75, 0.85});
 
   // Retry slots: a hop's dedicated and retry attempts all move with its
-  // success probability, so every sweep must count both.
+  // success probability, so the adjoint must count both.
   PathModelConfig retry;
   retry.hop_slots = {2, 5, 7};
   retry.retry_slots = {3, 0, 9};
@@ -85,8 +72,7 @@ TEST(Sensitivity, MatchesFiniteDifferences) {
 
 TEST(Sensitivity, ChannelHopsPriceAUniformShiftOfTheirSuccess) {
   // On a channel path the walk's adjoint is dR/d(delta) for every
-  // per-state success probability of the hop moving by delta together;
-  // both kernels walk such paths.
+  // per-state success probability of the hop moving by delta together.
   PathModelConfig config;
   config.hop_slots = {2, 5, 7};
   config.retry_slots = {3, 0, 9};
@@ -100,25 +86,21 @@ TEST(Sensitivity, ChannelHopsPriceAUniformShiftOfTheirSuccess) {
           0.1, 0.3, 0.05 - shift, error_bad - shift));
     return hops;
   };
-  const ChannelLinks links(channels(0.0));
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    const std::vector<double> adjoint =
-        reachability_sensitivity(model, links, kernel);
-    const double eps = 1e-7;
-    for (std::size_t h = 0; h < 3; ++h) {
-      std::vector<link::ChannelModel> up = channels(0.0);
-      std::vector<link::ChannelModel> down = up;
-      up[h] = channels(eps)[h];
-      down[h] = channels(-eps)[h];
-      const auto reachability = [&](const std::vector<link::ChannelModel>& c) {
-        const PathTransientResult r = model.analyze(ChannelLinks(c));
-        return std::accumulate(r.cycle_probabilities.begin(),
-                               r.cycle_probabilities.end(), 0.0);
-      };
-      const double fd = (reachability(up) - reachability(down)) / (2.0 * eps);
-      EXPECT_NEAR(adjoint[h], fd, 1e-6) << "hop " << h;
-    }
+  const std::vector<double> adjoint =
+      reachability_sensitivity(model, ChannelLinks(channels(0.0)));
+  const double eps = 1e-7;
+  for (std::size_t h = 0; h < 3; ++h) {
+    std::vector<link::ChannelModel> up = channels(0.0);
+    std::vector<link::ChannelModel> down = up;
+    up[h] = channels(eps)[h];
+    down[h] = channels(-eps)[h];
+    const auto reachability = [&](const std::vector<link::ChannelModel>& c) {
+      const PathTransientResult r = model.analyze(ChannelLinks(c));
+      return std::accumulate(r.cycle_probabilities.begin(),
+                             r.cycle_probabilities.end(), 0.0);
+    };
+    const double fd = (reachability(up) - reachability(down)) / (2.0 * eps);
+    EXPECT_NEAR(adjoint[h], fd, 1e-6) << "hop " << h;
   }
 }
 

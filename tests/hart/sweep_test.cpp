@@ -2,11 +2,11 @@
 
 #include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
-#include "whart/common/obs.hpp"
 
 namespace whart::hart {
 namespace {
@@ -50,6 +50,26 @@ TEST(Linspace, DescendingRangeDescendsWithExactEndpoints) {
   EXPECT_DOUBLE_EQ(v.front(), 0.99);
   EXPECT_DOUBLE_EQ(v.back(), 0.65);
   for (std::size_t i = 1; i < v.size(); ++i) EXPECT_LT(v[i], v[i - 1]);
+}
+
+TEST(Linspace, CountOneIsASinglePoint) {
+  // Regression: count == 1 used to divide by (count - 1) and duplicate
+  // the endpoint; a degenerate grid must be exactly {first}.
+  const std::vector<double> single = linspace(0.8, 0.95, 1);
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single.front(), 0.8);
+  const std::vector<double> flat = linspace(0.7, 0.7, 1);
+  ASSERT_EQ(flat.size(), 1u);
+  EXPECT_EQ(flat.front(), 0.7);
+}
+
+TEST(Linspace, EndpointsInclusiveForLargerCounts) {
+  const std::vector<double> grid = linspace(0.5, 0.9, 5);
+  ASSERT_EQ(grid.size(), 5u);
+  EXPECT_DOUBLE_EQ(grid.front(), 0.5);
+  EXPECT_DOUBLE_EQ(grid.back(), 0.9);
+  for (std::size_t i = 1; i < grid.size(); ++i)
+    EXPECT_GT(grid[i], grid[i - 1]);
 }
 
 TEST(SweepAvailability, ReachabilityIsMonotone) {
@@ -145,34 +165,6 @@ TEST(SweepValidation, EmptyInputsThrow) {
   EXPECT_THROW(sweep_ber(example_config(), {}), precondition_error);
   EXPECT_THROW(sweep_reporting_interval_series(example_config(), 0.9, {}),
                precondition_error);
-}
-
-TEST(SweepSkeletonStore, EvictsLeastRecentlyUsedBeyondCapacity) {
-  // The process-wide skeleton store is LRU-bounded at 64 shapes; sweeping
-  // more distinct shapes than that in one session must evict (and count)
-  // rather than grow without limit.  The shapes use a superframe no other
-  // test sweeps, so they are all fresh insertions regardless of what ran
-  // before in this binary.
-  common::obs::set_metrics_enabled(true);
-  const auto evictions = [] {
-    const auto counters =
-        common::obs::Registry::instance().snapshot().counters;
-    const auto it = counters.find("hart.skeleton.store_evictions");
-    return it == counters.end() ? std::uint64_t{0} : it->second;
-  };
-  const std::uint64_t before = evictions();
-  constexpr std::uint32_t kDistinctShapes = 70;
-  for (std::uint32_t i = 0; i < kDistinctShapes; ++i) {
-    PathModelConfig config;
-    config.hop_slots = {i + 1};
-    config.superframe = net::SuperframeConfig::symmetric(kDistinctShapes + 7);
-    config.reporting_interval = 3;
-    const SweepSeries series =
-        sweep_availability(config, linspace(0.7, 0.9, 2), 1);
-    ASSERT_EQ(series.points.size(), 2u);
-  }
-  // 70 fresh shapes through a 64-entry store: at least 6 evictions.
-  EXPECT_GE(evictions(), before + 6);
 }
 
 }  // namespace

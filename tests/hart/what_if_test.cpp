@@ -26,17 +26,11 @@ void expect_rel(double a, double b, double tolerance,
       << what << ": " << a << " vs " << b;
 }
 
-AnalysisOptions superframe_options() {
-  AnalysisOptions options;
-  options.kernel = TransientKernel::kSuperframeProduct;
-  return options;
-}
-
 TEST(WhatIfEngine, BaselineMatchesAnalyzeNetwork) {
   const net::TypicalNetwork t = net::make_typical_network();
   const NetworkMeasures measures = analyze_network(
       t.network, t.paths, t.eta_a, t.superframe,
-      net::kTypicalReportingInterval, superframe_options());
+      net::kTypicalReportingInterval);
   WhatIfEngine engine(t.network, t.paths, t.eta_a, t.superframe,
                       net::kTypicalReportingInterval);
   ASSERT_EQ(engine.baseline().size(), t.paths.size());
@@ -65,7 +59,7 @@ TEST(WhatIfEngine, EveryLinkWhatIfMatchesFreshReSolve) {
     const WhatIfResult result = engine.what_if(link, availability);
     const NetworkMeasures fresh = analyze_network(
         modified, t.paths, t.eta_a, t.superframe,
-        net::kTypicalReportingInterval, superframe_options());
+        net::kTypicalReportingInterval);
     ASSERT_EQ(result.per_path.size(), t.paths.size());
     EXPECT_EQ(result.paths_resolved + result.paths_reused, t.paths.size());
     EXPECT_EQ(result.paths_resolved, engine.paths_using(link));
@@ -130,29 +124,10 @@ TEST(WhatIfEngine, RepeatedQueriesAreStableAndRevertCleanly) {
                      engine.baseline()[p].reachability);
 }
 
-TEST(WhatIfEngine, PerSlotKernelFallbackAgreesWithIncremental) {
-  const net::TypicalNetwork t = net::make_typical_network();
-  WhatIfEngine incremental(t.network, t.paths, t.eta_a, t.superframe,
-                           net::kTypicalReportingInterval);
-  WhatIfOptions per_slot_options;
-  per_slot_options.kernel = TransientKernel::kPerSlot;
-  WhatIfEngine per_slot(t.network, t.paths, t.eta_a, t.superframe,
-                        net::kTypicalReportingInterval, per_slot_options);
-  const net::LinkId link = incremental.links()[2];
-  const WhatIfResult a = incremental.what_if(link, 0.65);
-  const WhatIfResult b = per_slot.what_if(link, 0.65);
-  for (std::size_t p = 0; p < t.paths.size(); ++p) {
-    expect_rel(a.per_path[p].reachability, b.per_path[p].reachability, 1e-9);
-    expect_rel(a.per_path[p].expected_delay_ms,
-               b.per_path[p].expected_delay_ms, 1e-9);
-  }
-}
-
 TEST(WhatIfEngine, DegenerateBaselineLinkFallsBackToFreshSolves) {
   // A perfect link makes the firing probability degenerate at the
-  // baseline.  The skeleton's generic pattern refills it like any other
-  // value (the dropped entries hold +0.0), so seeding and the queries on
-  // that path must still match fresh solves.
+  // baseline; the baseline and the queries on that path must still match
+  // fresh analyses.
   net::TypicalNetwork t = net::make_typical_network();
   const net::LinkId perfect = net::LinkId{0};
   t.network.set_link_model(perfect, link::LinkModel(0.0, 0.9));
@@ -160,7 +135,7 @@ TEST(WhatIfEngine, DegenerateBaselineLinkFallsBackToFreshSolves) {
                       net::kTypicalReportingInterval);
   const NetworkMeasures fresh_baseline = analyze_network(
       t.network, t.paths, t.eta_a, t.superframe,
-      net::kTypicalReportingInterval, superframe_options());
+      net::kTypicalReportingInterval);
   for (std::size_t p = 0; p < t.paths.size(); ++p)
     expect_rel(engine.baseline()[p].reachability,
                fresh_baseline.per_path[p].reachability, 1e-12);
@@ -172,16 +147,16 @@ TEST(WhatIfEngine, DegenerateBaselineLinkFallsBackToFreshSolves) {
       engine.what_if(perfect, downgraded.steady_state_availability());
   const NetworkMeasures fresh = analyze_network(
       modified, t.paths, t.eta_a, t.superframe,
-      net::kTypicalReportingInterval, superframe_options());
+      net::kTypicalReportingInterval);
   for (std::size_t p = 0; p < t.paths.size(); ++p)
     expect_rel(result.per_path[p].reachability,
                fresh.per_path[p].reachability, 1e-12);
 }
 
-TEST(WhatIfEngine, DegenerateWhatIfsStayIncremental) {
+TEST(WhatIfEngine, DegenerateWhatIfsReWalkOneAffectedPath) {
   // Moving a link to availability 0 or 1 makes its firing probabilities
-  // degenerate.  Both queries replay the product incrementally — no
-  // fallback — and agree with fresh solves of the modified network.
+  // degenerate.  Each query re-walks exactly the one path using the link
+  // and agrees with fresh solves of the modified network.
   common::obs::set_metrics_enabled(true);
   const auto count = [](const char* name) {
     const auto counters =
@@ -201,16 +176,15 @@ TEST(WhatIfEngine, DegenerateWhatIfsStayIncremental) {
        {link::LinkModel(1.0, 0.0), link::LinkModel(0.0, 1.0)}) {
     const double availability = model.steady_state_availability();
     SCOPED_TRACE(availability);
-    const std::uint64_t solves = count("hart.whatif.incremental_solves");
-    const std::uint64_t fallbacks = count("hart.whatif.incremental_fallback");
+    const std::uint64_t walks = count("hart.path_solve.count");
     const WhatIfResult result = engine.what_if(link, availability);
-    EXPECT_EQ(count("hart.whatif.incremental_solves"), solves + 1);
-    EXPECT_EQ(count("hart.whatif.incremental_fallback"), fallbacks);
+    EXPECT_EQ(count("hart.path_solve.count"), walks + 1);
+    EXPECT_EQ(result.paths_resolved, 1u);
     net::Network modified = t.network;
     modified.set_link_model(link, model);
     const NetworkMeasures fresh = analyze_network(
         modified, t.paths, t.eta_a, t.superframe,
-        net::kTypicalReportingInterval, superframe_options());
+        net::kTypicalReportingInterval);
     for (std::size_t p = 0; p < t.paths.size(); ++p) {
       expect_rel(result.per_path[p].reachability,
                  fresh.per_path[p].reachability, 1e-12, "reachability");
@@ -251,12 +225,12 @@ TEST(WhatIfEngine, WorstExpectedDelayOverloadMatchesFullScoring) {
   net::Network modified = t.network;
   modified.set_link_model(link, moved);
 
-  const double incremental = worst_expected_delay(
+  const double engine_delay = worst_expected_delay(
       engine, link, moved.steady_state_availability());
   const double full = worst_expected_delay(
       modified, t.paths, t.eta_a, t.superframe,
-      net::kTypicalReportingInterval, superframe_options());
-  expect_rel(incremental, full, 1e-12);
+      net::kTypicalReportingInterval);
+  expect_rel(engine_delay, full, 1e-12);
 }
 
 TEST(WhatIfEngine, RejectsOutOfRangeAvailability) {
@@ -286,24 +260,21 @@ TEST(WhatIfEngine, GeneratedPlantWhatIfsMatchFreshReSolves) {
         engine.what_if(links[i], moved.steady_state_availability());
     const NetworkMeasures fresh =
         analyze_network(modified, plant.paths, plant.schedule,
-                        plant.superframe, 4, superframe_options());
+                        plant.superframe, 4);
     for (std::size_t p = 0; p < plant.paths.size(); ++p)
       expect_rel(result.per_path[p].reachability,
                  fresh.per_path[p].reachability, 1e-12);
   }
 }
 
-TEST(WhatIfEngine, PlantQueriesReplayRowsPerTransmissionNotPerSlot) {
-  // The incremental chain has one factor per transmission opportunity,
-  // so a propagate re-accumulates at most opportunities x (hops + 2)
-  // partial rows — never a multiple of the plant's 780-slot cycle.  Each
-  // re-solved path propagates twice per query: the what-if and its
-  // revert.
+TEST(WhatIfEngine, PlantQueriesReWalkOnlyTheAffectedPaths) {
+  // A query walks each path using the link once and nothing else: the
+  // engine's cost tracks the affected paths, not the plant.
   common::obs::set_metrics_enabled(true);
-  const auto rows_replayed = [] {
+  const auto walks = [] {
     const auto counters =
         common::obs::Registry::instance().snapshot().counters;
-    const auto it = counters.find("markov.incremental.rows_replayed");
+    const auto it = counters.find("hart.path_solve.count");
     return it == counters.end() ? std::uint64_t{0} : it->second;
   };
   net::PlantProfile profile;
@@ -312,25 +283,13 @@ TEST(WhatIfEngine, PlantQueriesReplayRowsPerTransmissionNotPerSlot) {
   const net::GeneratedPlant plant = net::generate_plant(profile);
   WhatIfEngine engine(plant.network, plant.paths, plant.schedule,
                       plant.superframe, 4);
-  std::vector<std::uint64_t> rows_per_propagate(plant.paths.size());
-  for (std::size_t p = 0; p < plant.paths.size(); ++p) {
-    const PathModel model(
-        PathModelConfig::from_schedule(plant.schedule, p, plant.superframe, 4));
-    rows_per_propagate[p] =
-        model.opportunities().size() * (model.config().hop_count() + 2);
-  }
   const std::vector<net::LinkId>& links = engine.links();
   for (std::size_t i = 0; i < links.size(); i += 5) {
-    const std::uint64_t before = rows_replayed();
-    (void)engine.what_if_delta(links[i], 0.75);
-    std::uint64_t bound = 0;
-    for (const std::size_t p : engine.affected_paths(links[i]))
-      bound += 2 * rows_per_propagate[p];
-    const std::uint64_t replayed = rows_replayed() - before;
-    EXPECT_LE(replayed, bound) << "link index " << i;
-    if (bound > 0) {
-      EXPECT_GT(replayed, 0u) << "link index " << i;
-    }
+    const std::uint64_t before = walks();
+    const WhatIfDelta delta = engine.what_if_delta(links[i], 0.75);
+    EXPECT_EQ(walks() - before, engine.paths_using(links[i]))
+        << "link index " << i;
+    EXPECT_EQ(delta.paths_resolved, engine.paths_using(links[i]));
   }
 }
 

@@ -1,15 +1,17 @@
 // Workspace pooling under the parallel engine (DESIGN.md §12): the
-// WorkspacePool leases, the pooled skeleton sweeps and the
-// skeleton-sharing network analysis must all be thread-count invariant
-// and bitwise equal to the fresh-build paths.  Lives in test_parallel so
-// the TSan CI job covers every lease/release and shared-skeleton read.
+// WorkspacePool leases, and the sweeps and network analysis that walk
+// on pooled workspaces, which must be thread-count invariant and bitwise
+// equal to fresh PathModel::analyze walks.  Lives in test_parallel so the
+// TSan CI job covers every lease/release.
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "whart/common/parallel.hpp"
 #include "whart/hart/network_analysis.hpp"
+#include "whart/hart/path_analysis.hpp"
 #include "whart/hart/sweep.hpp"
 #include "whart/net/typical_network.hpp"
 
@@ -87,70 +89,84 @@ void expect_identical(const SweepSeries& a, const SweepSeries& b) {
   }
 }
 
-TEST(SkeletonPool, PooledSweepIsThreadCountInvariantAndMatchesFresh) {
+/// The series a sweep must reproduce: one fresh walk per point, each on
+/// its own PathModel and workspace.
+SweepSeries fresh_series(const std::string& name,
+                         const std::vector<double>& parameters,
+                         const std::vector<PathModelConfig>& configs,
+                         const std::vector<link::LinkModel>& links) {
+  SweepSeries series;
+  series.parameter_name = name;
+  for (std::size_t i = 0; i < parameters.size(); ++i) {
+    const PathModel model(configs[i]);
+    series.points.push_back(
+        {parameters[i],
+         compute_path_measures(
+             model, SteadyStateLinks(configs[i].hop_count(), links[i]))});
+  }
+  return series;
+}
+
+TEST(WorkspacePool, PooledSweepIsThreadCountInvariantAndMatchesFreshWalks) {
   const PathModelConfig config = sweep_config();
   const std::vector<double> grid = linspace(0.6, 0.99, 33);
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    // Fresh per-point builds, serial: the pre-split reference.
-    const SweepSeries fresh =
-        sweep_availability(config, grid, 1, kernel, false);
-    // Pooled refills must match it at every thread count.
-    expect_identical(sweep_availability(config, grid, 1, kernel, true),
-                     fresh);
-    expect_identical(sweep_availability(config, grid, 4, kernel, true),
-                     fresh);
-    expect_identical(sweep_availability(config, grid, 8, kernel, true),
-                     fresh);
-  }
+  std::vector<link::LinkModel> links;
+  for (double a : grid) links.push_back(link::LinkModel::from_availability(a));
+  const SweepSeries fresh = fresh_series(
+      "availability", grid, std::vector<PathModelConfig>(grid.size(), config),
+      links);
+  for (const unsigned threads : {1u, 4u, 8u})
+    expect_identical(sweep_availability(config, grid, threads), fresh);
 }
 
-TEST(SkeletonPool, PooledBerAndIntervalSweepsMatchFresh) {
+TEST(WorkspacePool, PooledBerAndIntervalSweepsMatchFreshWalks) {
   const PathModelConfig config = sweep_config();
   const std::vector<double> bers{1e-5, 1e-4, 5e-4, 1e-3};
+  std::vector<link::LinkModel> ber_links;
+  for (double ber : bers) ber_links.push_back(link::LinkModel::from_ber(ber));
   expect_identical(
-      sweep_ber(config, bers, 4, TransientKernel::kSuperframeProduct, true),
-      sweep_ber(config, bers, 1, TransientKernel::kSuperframeProduct,
-                false));
+      sweep_ber(config, bers, 4),
+      fresh_series("ber", bers,
+                   std::vector<PathModelConfig>(bers.size(), config),
+                   ber_links));
   const std::vector<std::uint32_t> intervals{1, 2, 4, 8};
+  std::vector<double> parameters;
+  std::vector<PathModelConfig> configs;
+  for (std::uint32_t is : intervals) {
+    parameters.push_back(static_cast<double>(is));
+    configs.push_back(config);
+    configs.back().reporting_interval = is;
+  }
   expect_identical(
-      sweep_reporting_interval_series(
-          config, 0.83, intervals, 4,
-          TransientKernel::kSuperframeProduct, true),
-      sweep_reporting_interval_series(
-          config, 0.83, intervals, 1,
-          TransientKernel::kSuperframeProduct, false));
+      sweep_reporting_interval_series(config, 0.83, intervals, 4),
+      fresh_series(
+          "reporting_interval", parameters, configs,
+          std::vector<link::LinkModel>(
+              intervals.size(), link::LinkModel::from_availability(0.83))));
 }
 
-TEST(SkeletonPool, SharedSkeletonNetworkAnalysisMatchesFresh) {
+TEST(WorkspacePool, PooledNetworkAnalysisMatchesFreshWalks) {
   const net::TypicalNetwork t = net::make_typical_network();
-  AnalysisOptions fresh_options;
-  fresh_options.threads = 1;
-  fresh_options.use_cache = false;
-  fresh_options.reuse_skeleton = false;
-  const NetworkMeasures fresh = analyze_network(
-      t.network, t.paths, t.eta_a, t.superframe, 4, fresh_options);
+  std::vector<PathMeasures> fresh;
+  for (std::size_t p = 0; p < t.paths.size(); ++p)
+    fresh.push_back(compute_path_measures(
+        PathModel(PathModelConfig::from_schedule(t.eta_a, p, t.superframe, 4)),
+        SteadyStateLinks(t.paths[p].hop_models(t.network))));
 
   for (const unsigned threads : {1u, 4u}) {
     AnalysisOptions options;
     options.threads = threads;
-    options.use_cache = false;
-    options.reuse_skeleton = true;  // paths sharing a shape share a skeleton
     const NetworkMeasures pooled = analyze_network(
         t.network, t.paths, t.eta_a, t.superframe, 4, options);
-    ASSERT_EQ(pooled.per_path.size(), fresh.per_path.size());
-    for (std::size_t p = 0; p < fresh.per_path.size(); ++p) {
-      EXPECT_EQ(pooled.per_path[p].reachability,
-                fresh.per_path[p].reachability);
+    ASSERT_EQ(pooled.per_path.size(), fresh.size());
+    for (std::size_t p = 0; p < fresh.size(); ++p) {
+      EXPECT_EQ(pooled.per_path[p].reachability, fresh[p].reachability);
       EXPECT_EQ(pooled.per_path[p].expected_delay_ms,
-                fresh.per_path[p].expected_delay_ms);
-      EXPECT_EQ(pooled.per_path[p].utilization,
-                fresh.per_path[p].utilization);
+                fresh[p].expected_delay_ms);
+      EXPECT_EQ(pooled.per_path[p].utilization, fresh[p].utilization);
       EXPECT_EQ(pooled.per_path[p].cycle_probabilities,
-                fresh.per_path[p].cycle_probabilities);
+                fresh[p].cycle_probabilities);
     }
-    EXPECT_EQ(pooled.mean_delay_ms, fresh.mean_delay_ms);
-    EXPECT_EQ(pooled.network_utilization, fresh.network_utilization);
   }
 }
 

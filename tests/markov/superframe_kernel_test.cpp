@@ -64,18 +64,18 @@ void expect_equivalent(const hart::PathModelConfig& config,
         << "hop " << h;
   EXPECT_LE(collapsed.diagnostics.mass_residual, 1e-12);
 
-  // The collapsed trajectory records cycle boundaries; entry k must
-  // match the per-slot trajectory at t = k * Fup.
-  EXPECT_EQ(per_slot.trajectory_stride, 1u);
-  EXPECT_EQ(collapsed.trajectory_stride, config.superframe.uplink_slots);
-  ASSERT_EQ(collapsed.goal_trajectory.size(),
-            static_cast<std::size_t>(config.reporting_interval) + 1);
-  for (std::size_t k = 0; k < collapsed.goal_trajectory.size(); ++k) {
-    const std::size_t t = k * config.superframe.uplink_slots;
-    ASSERT_LT(t, per_slot.goal_trajectory.size());
-    for (std::size_t i = 0; i < collapsed.goal_trajectory[k].size(); ++i)
-      EXPECT_NEAR(collapsed.goal_trajectory[k][i],
-                  per_slot.goal_trajectory[t][i], kTol)
+  // The collapse records no deliveries; the walk's Fig. 6 table at each
+  // cycle boundary t = k * Fup must hold the collapsed g(i) of every
+  // completed cycle i < k and nothing of the later ones.
+  EXPECT_TRUE(collapsed.deliveries.empty());
+  const std::vector<std::vector<double>> trajectory =
+      hart::goal_trajectory(per_slot, config.horizon());
+  for (std::uint32_t k = 0; k <= config.reporting_interval; ++k) {
+    const std::size_t t = std::size_t{k} * config.superframe.uplink_slots;
+    ASSERT_LT(t, trajectory.size());
+    for (std::size_t i = 0; i < trajectory[t].size(); ++i)
+      EXPECT_NEAR(trajectory[t][i],
+                  i < k ? collapsed.cycle_probabilities[i] : 0.0, kTol)
           << "boundary " << k << " cycle " << i;
   }
 }

@@ -64,11 +64,12 @@ TEST(PaperFig6, GoalStateTransientsAtEndOfInterval) {
 TEST(PaperFig6, GoalProbabilitiesFillOnlyAtGatewaySlots) {
   const PathModel model(example_path(4));
   const SteadyStateLinks links(3, LinkModel::from_availability(0.75));
-  const auto result = model.analyze(links);
+  const auto trajectory =
+      goal_trajectory(model.analyze(links), model.config().horizon());
   // R7 fills exactly at t = 7 and stays constant.
-  EXPECT_DOUBLE_EQ(result.goal_trajectory[6][0], 0.0);
-  EXPECT_NEAR(result.goal_trajectory[7][0], 0.4219, 5e-5);
-  EXPECT_NEAR(result.goal_trajectory[28][0], 0.4219, 5e-5);
+  EXPECT_DOUBLE_EQ(trajectory[6][0], 0.0);
+  EXPECT_NEAR(trajectory[7][0], 0.4219, 5e-5);
+  EXPECT_NEAR(trajectory[28][0], 0.4219, 5e-5);
 }
 
 // ---------------------------------------------------------------- Fig. 7

@@ -91,13 +91,13 @@ TEST(MetricsExport, WritesWellFormedJsonWithAllSections) {
   EXPECT_NE(text.find("\"hart.path_solve.ns\""), std::string::npos);
 }
 
-TEST(MetricsExport, DerivesCacheHitRatioAndMeanTaskTime) {
+TEST(MetricsExport, DerivesMeanTaskTime) {
   std::ostringstream out;
   write_metrics_json(out, sample_snapshot());
   const std::string text = out.str();
-  // 30 hits / 40 lookups and 4000 ns / 4 tasks.
-  EXPECT_NE(text.find("\"cache_hit_ratio\": 0.75"), std::string::npos);
+  // 4000 ns / 4 tasks; cache counters in a snapshot derive nothing.
   EXPECT_NE(text.find("\"parallel_mean_task_ns\": 1000"), std::string::npos);
+  EXPECT_EQ(text.find("cache_hit_ratio"), std::string::npos);
 }
 
 TEST(MetricsExport, EmptySnapshotStillValid) {

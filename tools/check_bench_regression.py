@@ -10,17 +10,17 @@ run's times are divided by its calibration time, so only *relative*
 regressions against the rest of the suite count.
 
 It can also assert speedup invariants within a single run — e.g. that
-the superframe-product kernel beats the per-slot recursion by at least
-5x on the tagged workload:
+the firing-table walk (.../0) beats the superframe collapse (.../1) by
+at least 1.5x on the tagged workload:
 
     tools/check_bench_regression.py --current out.json \
-        --require-speedup 'BM_TypicalNetworkSolve/64/0:BM_TypicalNetworkSolve/64/1:5.0'
+        --require-speedup 'BM_TypicalNetworkSolve/64/1:BM_TypicalNetworkSolve/64/0:1.5'
 
-and bound a benchmark's user counter — e.g. that the skeleton refill
-steady state allocates zero bytes:
+and bound a benchmark's user counter — e.g. that a benchmark reporting
+an `allocated_bytes` counter allocates nothing:
 
     tools/check_bench_regression.py --current out.json \
-        --require-counter-max 'BM_RefillSteadyState:steady_state_bytes:0'
+        --require-counter-max 'BM_Example:allocated_bytes:0'
 
 Stdlib only; no third-party packages.
 """
