@@ -229,9 +229,10 @@ AnalysisOptions bursty_options() {
   return options;
 }
 
-TEST(NetworkAnalysis, DefaultKernelWalksEveryPathKind) {
-  // i.i.d. steady-state and channel-enlarged paths both walk their
-  // firing tables; the e2e-only use_cache/reuse_skeleton fields change
+TEST(NetworkAnalysis, DefaultKernelIsPickedPerPathKind) {
+  // The default picks the same solver for each path kind: i.i.d.
+  // steady-state and channel-enlarged paths both walk their firing
+  // tables, and the e2e-only use_cache/reuse_skeleton fields change
   // nothing.
   AnalysisOptions iid;
   expect_every_path_solved_by(iid, TransientKernel::kPerSlot);

@@ -80,21 +80,28 @@ TEST(ParallelGolden, NetworkAnalysisTypical) {
   }
 }
 
-TEST(ParallelGolden, NetworkAnalysisGeneratedPlantThreaded) {
+TEST(ParallelGolden, NetworkAnalysisGeneratedPlantCachedAndThreaded) {
+  // use_cache is read by nothing (it stays because e2ebench sets it):
+  // set or not, every thread count reproduces the serial result.
   net::PlantProfile profile;
   profile.device_count = 60;
   profile.seed = 11;
   const net::GeneratedPlant plant = net::generate_plant(profile);
+  AnalysisOptions serial = serial_options();
+  serial.use_cache = false;
   const NetworkMeasures serial_measures =
       analyze_network(plant.network, plant.paths, plant.schedule,
-                      plant.superframe, 4, serial_options());
-  for (unsigned threads : {2u, 4u}) {
-    AnalysisOptions options;
-    options.threads = threads;
-    expect_identical(
-        analyze_network(plant.network, plant.paths, plant.schedule,
-                        plant.superframe, 4, options),
-        serial_measures);
+                      plant.superframe, 4, serial);
+  for (const bool use_cache : {false, true}) {
+    for (unsigned threads : {1u, 2u, 4u}) {
+      AnalysisOptions options;
+      options.threads = threads;
+      options.use_cache = use_cache;
+      expect_identical(
+          analyze_network(plant.network, plant.paths, plant.schedule,
+                          plant.superframe, 4, options),
+          serial_measures);
+    }
   }
 }
 

@@ -1,12 +1,16 @@
-// Batched sweeps (DESIGN.md §13): grouping same-shape grid points into
-// SoA batches must not change any sweep's output — same point order,
-// same CSV shape, measures equal to the unbatched (and skeleton-free)
-// baselines to well below reporting precision.  Plus the linspace
-// count == 1 regression (a degenerate grid is one point, not a
-// duplicated endpoint) and the batched sensitivity/ranking paths.
+// The sweeps' batch_lanes parameter (DESIGN.md §13) is read by nothing:
+// every grid point walks alone on a pooled workspace.  The parameter
+// stays because e2ebench passes it, so any value must leave a sweep's
+// output unchanged — same point order, same CSV, the same bits as the
+// unbatched sweep and as one fresh walk per point — and the superframe
+// collapse, reached through the sweeps' kernel parameter, must agree
+// with the walk to well below reporting precision.  Plus the link
+// ranking against the per-path sensitivities it sums.
 #include "whart/hart/sweep.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,47 +18,64 @@
 #include <gtest/gtest.h>
 
 #include "whart/hart/link_probability.hpp"
+#include "whart/hart/path_analysis.hpp"
 #include "whart/hart/sensitivity.hpp"
 #include "whart/net/typical_network.hpp"
 
 namespace whart::hart {
 namespace {
 
-// Batched lanes agree with scalar refills to rounding; 1e-12 relative
-// leaves three orders of magnitude of slack.
-void expect_value_close(double batched, double baseline,
-                        const std::string& what) {
-  const double scale =
-      std::max({1.0, std::abs(batched), std::abs(baseline)});
-  EXPECT_LE(std::abs(batched - baseline), 1e-12 * scale) << what;
+void expect_measures_identical(const PathMeasures& a, const PathMeasures& b,
+                               const std::string& at) {
+  EXPECT_EQ(a.cycle_probabilities, b.cycle_probabilities) << at;
+  EXPECT_EQ(a.reachability, b.reachability) << at;
+  EXPECT_EQ(a.discard_probability, b.discard_probability) << at;
+  EXPECT_EQ(a.delays_ms, b.delays_ms) << at;
+  EXPECT_EQ(a.expected_delay_ms, b.expected_delay_ms) << at;
+  EXPECT_EQ(a.expected_transmissions, b.expected_transmissions) << at;
+  EXPECT_EQ(a.utilization, b.utilization) << at;
+  EXPECT_EQ(a.utilization_delivered, b.utilization_delivered) << at;
+  EXPECT_EQ(a.delay_jitter_ms, b.delay_jitter_ms) << at;
 }
 
-void expect_series_close(const SweepSeries& batched,
-                         const SweepSeries& baseline) {
+void expect_series_identical(const SweepSeries& batched,
+                             const SweepSeries& baseline) {
   EXPECT_EQ(batched.parameter_name, baseline.parameter_name);
   ASSERT_EQ(batched.points.size(), baseline.points.size());
   for (std::size_t i = 0; i < baseline.points.size(); ++i) {
     const std::string at = "point " + std::to_string(i);
     EXPECT_EQ(batched.points[i].parameter, baseline.points[i].parameter)
         << at;
-    const PathMeasures& b = batched.points[i].measures;
-    const PathMeasures& s = baseline.points[i].measures;
-    expect_value_close(b.reachability, s.reachability, at + " R");
-    expect_value_close(b.discard_probability, s.discard_probability,
+    expect_measures_identical(batched.points[i].measures,
+                              baseline.points[i].measures, at);
+  }
+}
+
+// The collapse agrees with the walk to rounding; 1e-12 relative leaves
+// three orders of magnitude of slack.
+void expect_value_close(double collapsed, double walked,
+                        const std::string& what) {
+  const double scale =
+      std::max({1.0, std::abs(collapsed), std::abs(walked)});
+  EXPECT_LE(std::abs(collapsed - walked), 1e-12 * scale) << what;
+}
+
+void expect_series_close(const SweepSeries& collapsed,
+                         const SweepSeries& walked) {
+  ASSERT_EQ(collapsed.points.size(), walked.points.size());
+  for (std::size_t i = 0; i < walked.points.size(); ++i) {
+    const std::string at = "point " + std::to_string(i);
+    const PathMeasures& c = collapsed.points[i].measures;
+    const PathMeasures& w = walked.points[i].measures;
+    expect_value_close(c.reachability, w.reachability, at + " R");
+    expect_value_close(c.discard_probability, w.discard_probability,
                        at + " discard");
-    expect_value_close(b.expected_delay_ms, s.expected_delay_ms,
+    expect_value_close(c.expected_delay_ms, w.expected_delay_ms,
                        at + " delay");
-    expect_value_close(b.expected_transmissions, s.expected_transmissions,
+    expect_value_close(c.expected_transmissions, w.expected_transmissions,
                        at + " transmissions");
-    expect_value_close(b.utilization, s.utilization, at + " U");
-    expect_value_close(b.utilization_delivered, s.utilization_delivered,
+    expect_value_close(c.utilization_delivered, w.utilization_delivered,
                        at + " Ud");
-    ASSERT_EQ(b.cycle_probabilities.size(), s.cycle_probabilities.size())
-        << at;
-    for (std::size_t k = 0; k < s.cycle_probabilities.size(); ++k)
-      expect_value_close(b.cycle_probabilities[k],
-                         s.cycle_probabilities[k],
-                         at + " g(" + std::to_string(k + 1) + ")");
   }
 }
 
@@ -67,162 +88,131 @@ PathModelConfig section6_config() {
   return config;
 }
 
-// Parse one CSV into its lines for structural comparison.
-std::vector<std::string> csv_lines(const SweepSeries& series) {
+std::string csv(const SweepSeries& series) {
   std::ostringstream out;
   write_series_csv(out, series);
-  std::vector<std::string> lines;
-  std::string line;
-  std::istringstream in(out.str());
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
+  return out.str();
 }
 
 TEST(SweepBatch, AvailabilitySweepMatchesUnbatchedGolden) {
   const PathModelConfig config = section6_config();
   const std::vector<double> grid = linspace(0.65, 0.99, 18);
-  // Three baselines: fresh per-point solves, scalar skeleton refills,
-  // and the batched path — all must tell the same story.
-  const SweepSeries fresh = sweep_availability(
-      config, grid, 1, TransientKernel::kSuperframeProduct, false);
-  const SweepSeries scalar = sweep_availability(
-      config, grid, 1, TransientKernel::kSuperframeProduct, true, 1);
+  // The golden: one fresh walk per point.
+  SweepSeries fresh;
+  fresh.parameter_name = "availability";
+  const PathModel model(config);
+  for (const double a : grid)
+    fresh.points.push_back(
+        {a, compute_path_measures(
+                model, SteadyStateLinks(config.hop_count(),
+                                        link::LinkModel::from_availability(
+                                            a)))});
+  const SweepSeries unbatched = sweep_availability(
+      config, grid, 1, TransientKernel::kPerSlot, false, 1);
   const SweepSeries batched = sweep_availability(
-      config, grid, 1, TransientKernel::kSuperframeProduct, true, 8);
-  expect_series_close(scalar, fresh);
-  expect_series_close(batched, fresh);
-
-  // Golden CSV: identical structure, and each line's fields round to
-  // the same printed digits unless the underlying values differ beyond
-  // reporting precision (which expect_series_close already forbids).
-  const std::vector<std::string> golden = csv_lines(fresh);
-  const std::vector<std::string> lines = csv_lines(batched);
-  ASSERT_EQ(lines.size(), golden.size());
-  EXPECT_EQ(lines.front(), golden.front());  // header
+      config, grid, 1, TransientKernel::kPerSlot, true, 8);
+  expect_series_identical(unbatched, fresh);
+  expect_series_identical(batched, fresh);
+  EXPECT_EQ(csv(batched), csv(fresh));
+  expect_series_close(
+      sweep_availability(config, grid, 1,
+                         TransientKernel::kSuperframeProduct, true, 8),
+      fresh);
 }
 
 TEST(SweepBatch, LaneCountBeyondGridStillWorks) {
   const PathModelConfig config = section6_config();
   const std::vector<double> grid = linspace(0.7, 0.9, 5);
   const SweepSeries baseline = sweep_availability(
-      config, grid, 1, TransientKernel::kSuperframeProduct, true, 1);
-  // More lanes than points: one short batch.
-  const SweepSeries batched = sweep_availability(
-      config, grid, 1, TransientKernel::kSuperframeProduct, true, 64);
-  expect_series_close(batched, baseline);
+      config, grid, 1, TransientKernel::kPerSlot, true, 1);
+  // More lanes than points.
+  expect_series_identical(
+      sweep_availability(config, grid, 1, TransientKernel::kPerSlot, true,
+                         64),
+      baseline);
 }
 
 TEST(SweepBatch, NonContiguousSameShapePointsShareABatch) {
   // Repeated reporting intervals are interleaved with other shapes, so
-  // same-shape points are NOT adjacent in the grid — the open-batch
-  // grouping must still collect them while preserving output order.
-  PathModelConfig base = section6_config();
+  // same-shape points are NOT adjacent in the grid: the output keeps the
+  // grid's order and every repeat of a shape gets the same answer.
+  const PathModelConfig base = section6_config();
   const std::vector<std::uint32_t> intervals = {16, 8, 16, 4, 8, 16, 16};
   const SweepSeries baseline = sweep_reporting_interval_series(
-      base, 0.85, intervals, 1, TransientKernel::kSuperframeProduct,
-      true, 1);
+      base, 0.85, intervals, 1, TransientKernel::kPerSlot, true, 1);
   const SweepSeries batched = sweep_reporting_interval_series(
-      base, 0.85, intervals, 1, TransientKernel::kSuperframeProduct,
-      true, 4);
+      base, 0.85, intervals, 4, TransientKernel::kPerSlot, true, 4);
   ASSERT_EQ(batched.points.size(), intervals.size());
-  for (std::size_t i = 0; i < intervals.size(); ++i)
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
     EXPECT_EQ(batched.points[i].parameter,
               static_cast<double>(intervals[i]));
-  expect_series_close(batched, baseline);
+    for (std::size_t j = 0; j < i; ++j)
+      if (intervals[j] == intervals[i])
+        expect_measures_identical(batched.points[i].measures,
+                                  batched.points[j].measures,
+                                  "points " + std::to_string(j) + " and " +
+                                      std::to_string(i));
+  }
+  expect_series_identical(batched, baseline);
 }
 
 TEST(SweepBatch, HopSweepDegeneratesToShapeSingletons) {
-  // Every hop count is its own shape: batching must quietly fall back
-  // to scalar refills and change nothing.
+  // Every hop count is its own shape; batch_lanes changes nothing.
   const SweepSeries baseline =
       sweep_hop_count(4, 0.85, net::SuperframeConfig::symmetric(10), 4, 1,
-                      TransientKernel::kSuperframeProduct, true, 1);
+                      TransientKernel::kPerSlot, true, 1);
   const SweepSeries batched =
       sweep_hop_count(4, 0.85, net::SuperframeConfig::symmetric(10), 4, 1,
-                      TransientKernel::kSuperframeProduct, true, 8);
-  expect_series_close(batched, baseline);
+                      TransientKernel::kPerSlot, true, 8);
+  ASSERT_EQ(batched.points.size(), 4u);
+  for (std::size_t i = 0; i < batched.points.size(); ++i)
+    EXPECT_EQ(batched.points[i].parameter, static_cast<double>(i + 1));
+  expect_series_identical(batched, baseline);
 }
 
 TEST(SweepBatch, BerSweepBatchesMatchScalar) {
   const PathModelConfig config = section6_config();
   const std::vector<double> bers = {1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 2e-3};
-  const SweepSeries baseline = sweep_ber(
-      config, bers, 1, TransientKernel::kSuperframeProduct, true, 1);
-  const SweepSeries batched = sweep_ber(
-      config, bers, 1, TransientKernel::kSuperframeProduct, true, 3);
-  expect_series_close(batched, baseline);
-}
-
-TEST(Linspace, CountOneIsASinglePoint) {
-  // Regression: count == 1 used to divide by (count - 1) and duplicate
-  // the endpoint; a degenerate grid must be exactly {first}.
-  const std::vector<double> single = linspace(0.8, 0.95, 1);
-  ASSERT_EQ(single.size(), 1u);
-  EXPECT_EQ(single.front(), 0.8);
-  const std::vector<double> flat = linspace(0.7, 0.7, 1);
-  ASSERT_EQ(flat.size(), 1u);
-  EXPECT_EQ(flat.front(), 0.7);
-}
-
-TEST(Linspace, EndpointsInclusiveForLargerCounts) {
-  const std::vector<double> grid = linspace(0.5, 0.9, 5);
-  ASSERT_EQ(grid.size(), 5u);
-  EXPECT_DOUBLE_EQ(grid.front(), 0.5);
-  EXPECT_DOUBLE_EQ(grid.back(), 0.9);
-  for (std::size_t i = 1; i < grid.size(); ++i)
-    EXPECT_GT(grid[i], grid[i - 1]);
-}
-
-TEST(SensitivityBatch, LanesMatchScalarAdjointSweeps) {
-  PathModelConfig config;
-  config.hop_slots = {3, 6, 7};
-  config.superframe = net::SuperframeConfig::symmetric(7);
-  config.reporting_interval = 4;
-  const PathModel model(config);
-  const PathModelSkeleton skeleton(config);
-
-  const std::vector<std::vector<double>> lanes = {
-      {0.9, 0.75, 0.85}, {0.8, 0.8, 0.8}, {0.95, 0.7, 0.92},
-      {0.7, 0.9, 0.6}, {0.85, 0.85, 0.99}};
-  std::vector<SteadyStateLinks> links;
-  links.reserve(lanes.size());
-  for (const std::vector<double>& availabilities : lanes)
-    links.emplace_back(availabilities);
-  std::vector<const LinkProbabilityProvider*> providers;
-  providers.reserve(links.size());
-  for (const SteadyStateLinks& provider : links)
-    providers.push_back(&provider);
-
-  const std::vector<std::vector<double>> batched =
-      reachability_sensitivity_batch(skeleton, providers,
-                                     TransientKernel::kSuperframeProduct);
-  ASSERT_EQ(batched.size(), lanes.size());
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const std::vector<double> scalar = reachability_sensitivity(
-        model, links[l], TransientKernel::kSuperframeProduct);
-    ASSERT_EQ(batched[l].size(), scalar.size());
-    for (std::size_t h = 0; h < scalar.size(); ++h)
-      expect_value_close(batched[l][h], scalar[h],
-                         "lane " + std::to_string(l) + " hop " +
-                             std::to_string(h));
-  }
+  const SweepSeries baseline =
+      sweep_ber(config, bers, 1, TransientKernel::kPerSlot, true, 1);
+  const SweepSeries batched =
+      sweep_ber(config, bers, 1, TransientKernel::kPerSlot, true, 3);
+  expect_series_identical(batched, baseline);
+  expect_series_close(
+      sweep_ber(config, bers, 1, TransientKernel::kSuperframeProduct, true,
+                3),
+      baseline);
 }
 
 TEST(RankLinkUpgradesBatch, RankingMatchesScalarPath) {
+  // The ranking is the per-path walk sensitivities summed per link, in
+  // path order, then sorted: rebuild it path by path and compare bitwise.
   const net::TypicalNetwork t = net::make_typical_network(
       link::LinkModel::from_availability(0.83));
-  const std::vector<LinkSensitivity> scalar =
-      rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe, 4, 1,
-                         TransientKernel::kSuperframeProduct, 1);
-  const std::vector<LinkSensitivity> batched =
-      rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe, 4, 1,
-                         TransientKernel::kSuperframeProduct, 4);
-  ASSERT_EQ(batched.size(), scalar.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(batched[i].link, scalar[i].link) << "rank " << i;
-    EXPECT_EQ(batched[i].paths_using, scalar[i].paths_using) << "rank " << i;
-    expect_value_close(batched[i].total_dR_dpi, scalar[i].total_dR_dpi,
-                       "rank " + std::to_string(i));
+  const std::vector<LinkSensitivity> ranking =
+      rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe, 4, 4);
+  std::vector<double> total(t.network.links().size(), 0.0);
+  std::vector<std::size_t> using_paths(t.network.links().size(), 0);
+  for (std::size_t p = 0; p < t.paths.size(); ++p) {
+    const PathModel model(
+        PathModelConfig::from_schedule(t.eta_a, p, t.superframe, 4));
+    const std::vector<double> per_hop = reachability_sensitivity(
+        model, SteadyStateLinks(t.paths[p].hop_models(t.network)));
+    const std::vector<net::LinkId> hops = t.paths[p].resolve_links(t.network);
+    ASSERT_EQ(per_hop.size(), hops.size());
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      total[hops[h].value] += per_hop[h];
+      ++using_paths[hops[h].value];
+    }
+  }
+  ASSERT_EQ(ranking.size(), total.size());
+  for (std::size_t i = 0; i < ranking.size(); ++i) {
+    SCOPED_TRACE("rank " + std::to_string(i));
+    EXPECT_EQ(ranking[i].total_dR_dpi, total[ranking[i].link.value]);
+    EXPECT_EQ(ranking[i].paths_using, using_paths[ranking[i].link.value]);
+    if (i > 0) {
+      EXPECT_GE(ranking[i - 1].total_dR_dpi, ranking[i].total_dR_dpi);
+    }
   }
 }
 

@@ -153,10 +153,11 @@ TEST(WhatIfEngine, DegenerateBaselineLinkFallsBackToFreshSolves) {
                fresh.per_path[p].reachability, 1e-12);
 }
 
-TEST(WhatIfEngine, DegenerateWhatIfsReWalkOneAffectedPath) {
+TEST(WhatIfEngine, DegenerateWhatIfsStayIncremental) {
   // Moving a link to availability 0 or 1 makes its firing probabilities
-  // degenerate.  Each query re-walks exactly the one path using the link
-  // and agrees with fresh solves of the modified network.
+  // degenerate.  Each query stays incremental — it re-walks exactly the
+  // one path using the link — and agrees with fresh solves of the
+  // modified network.
   common::obs::set_metrics_enabled(true);
   const auto count = [](const char* name) {
     const auto counters =

@@ -107,7 +107,9 @@ SweepSeries fresh_series(const std::string& name,
   return series;
 }
 
-TEST(WorkspacePool, PooledSweepIsThreadCountInvariantAndMatchesFreshWalks) {
+// The pooled-walk tests below keep the SkeletonPool suite name from when
+// the pools also shared skeletons, so their test ids stay stable.
+TEST(SkeletonPool, PooledSweepIsThreadCountInvariantAndMatchesFresh) {
   const PathModelConfig config = sweep_config();
   const std::vector<double> grid = linspace(0.6, 0.99, 33);
   std::vector<link::LinkModel> links;
@@ -119,7 +121,7 @@ TEST(WorkspacePool, PooledSweepIsThreadCountInvariantAndMatchesFreshWalks) {
     expect_identical(sweep_availability(config, grid, threads), fresh);
 }
 
-TEST(WorkspacePool, PooledBerAndIntervalSweepsMatchFreshWalks) {
+TEST(SkeletonPool, PooledBerAndIntervalSweepsMatchFresh) {
   const PathModelConfig config = sweep_config();
   const std::vector<double> bers{1e-5, 1e-4, 5e-4, 1e-3};
   std::vector<link::LinkModel> ber_links;
@@ -145,7 +147,9 @@ TEST(WorkspacePool, PooledBerAndIntervalSweepsMatchFreshWalks) {
               intervals.size(), link::LinkModel::from_availability(0.83))));
 }
 
-TEST(WorkspacePool, PooledNetworkAnalysisMatchesFreshWalks) {
+TEST(SkeletonPool, SharedSkeletonNetworkAnalysisMatchesFresh) {
+  // reuse_skeleton is read by nothing (it stays because e2ebench sets
+  // it); either way every path walks on a pooled workspace.
   const net::TypicalNetwork t = net::make_typical_network();
   std::vector<PathMeasures> fresh;
   for (std::size_t p = 0; p < t.paths.size(); ++p)
@@ -153,19 +157,22 @@ TEST(WorkspacePool, PooledNetworkAnalysisMatchesFreshWalks) {
         PathModel(PathModelConfig::from_schedule(t.eta_a, p, t.superframe, 4)),
         SteadyStateLinks(t.paths[p].hop_models(t.network))));
 
-  for (const unsigned threads : {1u, 4u}) {
-    AnalysisOptions options;
-    options.threads = threads;
-    const NetworkMeasures pooled = analyze_network(
-        t.network, t.paths, t.eta_a, t.superframe, 4, options);
-    ASSERT_EQ(pooled.per_path.size(), fresh.size());
-    for (std::size_t p = 0; p < fresh.size(); ++p) {
-      EXPECT_EQ(pooled.per_path[p].reachability, fresh[p].reachability);
-      EXPECT_EQ(pooled.per_path[p].expected_delay_ms,
-                fresh[p].expected_delay_ms);
-      EXPECT_EQ(pooled.per_path[p].utilization, fresh[p].utilization);
-      EXPECT_EQ(pooled.per_path[p].cycle_probabilities,
-                fresh[p].cycle_probabilities);
+  for (const bool reuse_skeleton : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      AnalysisOptions options;
+      options.threads = threads;
+      options.reuse_skeleton = reuse_skeleton;
+      const NetworkMeasures pooled = analyze_network(
+          t.network, t.paths, t.eta_a, t.superframe, 4, options);
+      ASSERT_EQ(pooled.per_path.size(), fresh.size());
+      for (std::size_t p = 0; p < fresh.size(); ++p) {
+        EXPECT_EQ(pooled.per_path[p].reachability, fresh[p].reachability);
+        EXPECT_EQ(pooled.per_path[p].expected_delay_ms,
+                  fresh[p].expected_delay_ms);
+        EXPECT_EQ(pooled.per_path[p].utilization, fresh[p].utilization);
+        EXPECT_EQ(pooled.per_path[p].cycle_probabilities,
+                  fresh[p].cycle_probabilities);
+      }
     }
   }
 }
