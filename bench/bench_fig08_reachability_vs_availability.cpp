@@ -1,6 +1,7 @@
 // Fig. 8: reachability of the example path as a function of the
 // stationary link availability (0.65..0.95).
 #include "bench_common.hpp"
+#include "whart/hart/sweep.hpp"
 
 int main() {
   using namespace whart;
@@ -29,16 +30,13 @@ int main() {
   table.print(std::cout);
 
   std::cout << "\nfull curve (availability sweep):\n";
+  std::vector<double> grid;
+  for (double pi = 0.65; pi <= 0.9501; pi += 0.025) grid.push_back(pi);
   Table curve({"pi(up)", "R"});
-  for (double pi = 0.65; pi <= 0.9501; pi += 0.025) {
-    const hart::PathModel model(bench::example_path(4));
-    const hart::SteadyStateLinks links(
-        3, link::LinkModel::from_availability(pi));
-    curve.add_row({Table::fixed(pi, 3),
-                   Table::fixed(compute_path_measures(model, links)
-                                    .reachability,
-                                5)});
-  }
+  for (const hart::SweepPoint& point :
+       hart::sweep_availability(bench::example_path(4), grid).points)
+    curve.add_row({Table::fixed(point.parameter, 3),
+                   Table::fixed(point.measures.reachability, 5)});
   curve.print(std::cout);
   return 0;
 }

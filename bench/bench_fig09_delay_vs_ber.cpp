@@ -1,6 +1,7 @@
 // Fig. 9: delay distributions of the example path for four bit error
 // rates (3e-4, 2e-4, 1e-4, 5e-5), i.e. availabilities 0.774..0.948.
 #include "bench_common.hpp"
+#include "whart/hart/sweep.hpp"
 
 int main() {
   using namespace whart;
@@ -11,22 +12,23 @@ int main() {
       "distribution",
       "3-hop example path, Is = 4; one column per BER curve");
 
-  const double bers[] = {3e-4, 2e-4, 1e-4, 5e-5};
+  const hart::SweepSeries series =
+      hart::sweep_ber(bench::example_path(4), {3e-4, 2e-4, 1e-4, 5e-5});
 
   std::vector<hart::PathMeasures> measures;
   Table header({"BER", "pi(up)", "tau(70)", "tau(210)", "tau(350)",
                 "tau(490)"});
-  for (double ber : bers) {
-    const link::LinkModel link = link::LinkModel::from_ber(ber);
-    const hart::PathModel model(bench::example_path(4));
-    const hart::SteadyStateLinks links(3, link);
-    const hart::PathMeasures m = compute_path_measures(model, links);
-    header.add_row({Table::scientific(ber, 0),
-                    Table::fixed(link.steady_state_availability(), 3),
-                    Table::fixed(m.delay_distribution[0], 4),
-                    Table::fixed(m.delay_distribution[1], 4),
-                    Table::fixed(m.delay_distribution[2], 4),
-                    Table::fixed(m.delay_distribution[3], 4)});
+  for (const hart::SweepPoint& point : series.points) {
+    const hart::PathMeasures& m = point.measures;
+    header.add_row(
+        {Table::scientific(point.parameter, 0),
+         Table::fixed(link::LinkModel::from_ber(point.parameter)
+                          .steady_state_availability(),
+                      3),
+         Table::fixed(m.delay_distribution[0], 4),
+         Table::fixed(m.delay_distribution[1], 4),
+         Table::fixed(m.delay_distribution[2], 4),
+         Table::fixed(m.delay_distribution[3], 4)});
     measures.push_back(m);
   }
   header.print(std::cout);

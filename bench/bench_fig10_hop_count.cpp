@@ -1,6 +1,7 @@
 // Fig. 10: influence of the path hop count (1..4) on reachability at
 // pi(up) = 0.83.
 #include "bench_common.hpp"
+#include "whart/hart/sweep.hpp"
 
 int main() {
   using namespace whart;
@@ -13,19 +14,15 @@ int main() {
 
   const double paper[] = {0.9992, 0.9964, 0.9907, 0.9812};
 
+  const hart::SweepSeries series = hart::sweep_hop_count(
+      4, bench::paper_link(0.83).steady_state_availability(),
+      net::SuperframeConfig::symmetric(7), 4);
+
   Table table({"hops", "R (paper)", "R (model)"});
-  for (std::uint32_t hops = 1; hops <= 4; ++hops) {
-    hart::PathModelConfig config;
-    for (std::uint32_t h = 0; h < hops; ++h)
-      config.hop_slots.push_back(h + 1);
-    config.superframe = net::SuperframeConfig::symmetric(7);
-    config.reporting_interval = 4;
-    const hart::PathModel model(config);
-    const hart::SteadyStateLinks links(hops, bench::paper_link(0.83));
-    const hart::PathMeasures m = compute_path_measures(model, links);
+  for (std::uint32_t hops = 1; hops <= 4; ++hops)
     table.add_row({std::to_string(hops), Table::fixed(paper[hops - 1], 4),
-                   Table::fixed(m.reachability, 4)});
-  }
+                   Table::fixed(series.points[hops - 1].measures.reachability,
+                                4)});
   table.print(std::cout);
   return 0;
 }

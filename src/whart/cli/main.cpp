@@ -46,7 +46,6 @@
 //                        sampler, then writes metrics.json, trace.json,
 //                        events.jsonl, metrics.prom and timeseries.csv
 //                        into <dir> (created if missing)
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -54,8 +53,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
 
+#include "whart/cli/parse_number.hpp"
 #include "whart/cli/spec_parser.hpp"
 #include "whart/common/obs.hpp"
 #include "whart/hart/energy.hpp"
@@ -73,6 +72,7 @@
 
 namespace {
 
+using whart::cli::parse_number;
 using whart::report::Table;
 
 /// A --what-if query: link <id> moves to per-slot failure probability
@@ -89,7 +89,7 @@ struct Options {
   double stability_target = 0.0;  // 0 = off
   std::string csv_path;
   std::string sweep_path;
-  std::uint64_t shards = 0;  // 0 = simulator default
+  std::uint32_t shards = 0;  // 0 = simulator default
   std::string channel_spec;  // empty = per-slot-independent links
   std::string metrics_path;
   std::string trace_path;
@@ -108,15 +108,6 @@ int usage(const std::string& complaint = "") {
                "[--metrics[=<file>]] [--trace[=<file>]] "
                "[--obs-dir=<dir>]\n";
   return 2;
-}
-
-/// A whole-token number: std::from_chars must read all of `text` — no
-/// sign on an unsigned type, no trailing characters, no overflow.
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, out);
-  return !text.empty() && error == std::errc() && stop == end;
 }
 
 /// "link=<id>:<pfl>", or nullopt when malformed.
@@ -344,8 +335,7 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
     sim_config.superframe = spec.superframe;
     sim_config.reporting_interval = spec.reporting_interval;
     sim_config.intervals = simulate_intervals;
-    if (options.shards > 0)
-      sim_config.shards = static_cast<std::uint32_t>(options.shards);
+    if (options.shards > 0) sim_config.shards = options.shards;
     if (channel.has_value()) {
       sim_config.regime = whart::sim::LinkRegime::kChannel;
       sim_config.channel = channel;

@@ -32,6 +32,10 @@
 //                        trace.json, events.jsonl, metrics.prom,
 //                        timeseries.csv) written into <dir>
 //
+// Numeric flag values are whole-token numbers of the option's own type
+// (--intervals and --shards at least 1); a bad one prints usage naming
+// the flag.
+//
 // Exit status: 0 when every scenario passes, 1 on any finding, 2 on
 // usage errors.  Reproduce any reported failure with --seed <seed>
 // --runs 1.
@@ -40,6 +44,7 @@
 #include <memory>
 #include <string>
 
+#include "whart/cli/parse_number.hpp"
 #include "whart/common/obs.hpp"
 #include "whart/report/metrics_export.hpp"
 #include "whart/report/obs_dir.hpp"
@@ -47,7 +52,8 @@
 
 namespace {
 
-int usage() {
+int usage(const std::string& complaint = "") {
+  if (!complaint.empty()) std::cerr << "whart_verify: " << complaint << "\n";
   std::cerr << "usage: whart_verify [--seed <s>] [--runs <n>] "
                "[--corpus <file>] [--no-shrink] [--no-sim] "
                "[--intervals <n>] [--shards <n>] [--threads <n>] "
@@ -58,9 +64,16 @@ int usage() {
   return 2;
 }
 
+/// A missing or malformed flag value: usage naming the flag and value.
+int bad_value(const std::string& flag, const char* value) {
+  if (value == nullptr) return usage();
+  return usage("invalid value '" + std::string(value) + "' for " + flag);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  using whart::cli::parse_number;
   whart::verify::VerifyConfig config;
   std::string metrics_path;
   std::string obs_dir;
@@ -71,75 +84,69 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
-    try {
-      if (arg == "--seed") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        config.seed = std::stoull(v);
-      } else if (arg == "--runs") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        config.runs = std::stoull(v);
-      } else if (arg == "--corpus") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        config.corpus_path = v;
-      } else if (arg == "--no-shrink") {
-        config.shrink = false;
-      } else if (arg == "--no-sim") {
-        config.oracle.run_simulation = false;
-      } else if (arg == "--intervals") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        config.oracle.sim_intervals = std::stoull(v);
-      } else if (arg == "--shards") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        config.oracle.sim_shards =
-            static_cast<std::uint32_t>(std::stoul(v));
-      } else if (arg == "--threads") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        config.threads = static_cast<unsigned>(std::stoul(v));
-      } else if (arg == "--channel-prob") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        const double p = std::stod(v);
-        if (p < 0.0 || p > 1.0) return usage();
-        config.limits.channel_probability = p;
-      } else if (arg == "--inject") {
-        const char* v = value();
-        if (v == nullptr) return usage();
-        const std::string fault = v;
-        if (fault == "link-bias")
-          config.oracle.injection = whart::verify::Injection::kLinkBias;
-        else if (fault == "discard-leak")
-          config.oracle.injection = whart::verify::Injection::kDiscardLeak;
-        else if (fault == "cycle-shift")
-          config.oracle.injection = whart::verify::Injection::kCycleShift;
-        else if (fault == "product-entry")
-          config.oracle.injection = whart::verify::Injection::kProductEntry;
-        else if (fault == "channel-state-leak")
-          config.oracle.injection =
-              whart::verify::Injection::kChannelStateLeak;
-        else if (fault == "channel-gap-shift")
-          config.oracle.injection =
-              whart::verify::Injection::kChannelGapShift;
-        else if (fault == "what-if-skip-path")
-          config.oracle.injection =
-              whart::verify::Injection::kWhatIfSkipPath;
-        else
-          return usage();
-      } else if (arg == "--metrics") {
-        metrics_path = "whart_verify_metrics.json";
-      } else if (arg.starts_with("--metrics=")) {
-        metrics_path = arg.substr(std::string("--metrics=").size());
-      } else if (arg.starts_with("--obs-dir=")) {
-        obs_dir = arg.substr(std::string("--obs-dir=").size());
-      } else {
+    if (arg == "--seed") {
+      const char* v = value();
+      if (v == nullptr || !parse_number(v, config.seed))
+        return bad_value(arg, v);
+    } else if (arg == "--runs") {
+      const char* v = value();
+      if (v == nullptr || !parse_number(v, config.runs))
+        return bad_value(arg, v);
+    } else if (arg == "--corpus") {
+      const char* v = value();
+      if (v == nullptr) return usage();
+      config.corpus_path = v;
+    } else if (arg == "--no-shrink") {
+      config.shrink = false;
+    } else if (arg == "--no-sim") {
+      config.oracle.run_simulation = false;
+    } else if (arg == "--intervals") {
+      const char* v = value();
+      if (v == nullptr || !parse_number(v, config.oracle.sim_intervals) ||
+          config.oracle.sim_intervals == 0)
+        return bad_value(arg, v);
+    } else if (arg == "--shards") {
+      const char* v = value();
+      if (v == nullptr || !parse_number(v, config.oracle.sim_shards) ||
+          config.oracle.sim_shards == 0)
+        return bad_value(arg, v);
+    } else if (arg == "--threads") {
+      const char* v = value();
+      if (v == nullptr || !parse_number(v, config.threads))
+        return bad_value(arg, v);
+    } else if (arg == "--channel-prob") {
+      const char* v = value();
+      double p = 0.0;
+      if (v == nullptr || !parse_number(v, p) || !(p >= 0.0 && p <= 1.0))
+        return bad_value(arg, v);
+      config.limits.channel_probability = p;
+    } else if (arg == "--inject") {
+      const char* v = value();
+      if (v == nullptr) return usage();
+      const std::string fault = v;
+      if (fault == "link-bias")
+        config.oracle.injection = whart::verify::Injection::kLinkBias;
+      else if (fault == "discard-leak")
+        config.oracle.injection = whart::verify::Injection::kDiscardLeak;
+      else if (fault == "cycle-shift")
+        config.oracle.injection = whart::verify::Injection::kCycleShift;
+      else if (fault == "product-entry")
+        config.oracle.injection = whart::verify::Injection::kProductEntry;
+      else if (fault == "channel-state-leak")
+        config.oracle.injection = whart::verify::Injection::kChannelStateLeak;
+      else if (fault == "channel-gap-shift")
+        config.oracle.injection = whart::verify::Injection::kChannelGapShift;
+      else if (fault == "what-if-skip-path")
+        config.oracle.injection = whart::verify::Injection::kWhatIfSkipPath;
+      else
         return usage();
-      }
-    } catch (const std::exception&) {
+    } else if (arg == "--metrics") {
+      metrics_path = "whart_verify_metrics.json";
+    } else if (arg.starts_with("--metrics=")) {
+      metrics_path = arg.substr(std::string("--metrics=").size());
+    } else if (arg.starts_with("--obs-dir=")) {
+      obs_dir = arg.substr(std::string("--obs-dir=").size());
+    } else {
       return usage();
     }
   }

@@ -22,7 +22,7 @@
 // Naming convention (see DESIGN.md §9): `<layer>.<component>.<metric>`,
 // lowercase, dot-separated; duration histograms end in `.ns` and record
 // nanoseconds; counters are monotonic; gauges hold "current value";
-// event kinds are snake_case verbs-in-the-past ("cache_hit",
+// event kinds are snake_case verbs-in-the-past ("solve_done",
 // "request_begin") and event names reuse the metric namespace of the
 // component that emitted them.
 #pragma once
@@ -232,8 +232,6 @@ enum class EventKind : std::uint16_t {
   kTaskSubmit,       // p0 = flow id
   kTaskStart,        // p0 = flow id
   kSolveDone,        // p0 = states, p1 = solve ns
-  kCacheHit,         // p0 = cache size
-  kCacheMiss,        // p0 = cache size
   kStage,            // p0 = stage ns
   kContractFailure,  // recorded just before the contract exception
   kSamplerTick,      // p0 = samples taken so far
@@ -692,7 +690,7 @@ class Sampler {
   } while (false)
 
 /// Record a flight-recorder event: `kind` is a bare EventKind
-/// enumerator (e.g. kCacheHit), `name` a string literal (interned once
+/// enumerator (e.g. kSolveDone), `name` a string literal (interned once
 /// per call site), p0/p1 the payload words.
 #define WHART_EVENT(kind, name, p0, p1)                                    \
   do {                                                                     \

@@ -57,10 +57,10 @@ ControlLoopMeasures analyze_symmetric_control_loop(
 /// `uplink` ages over the uplink half (superframe Fup/Fdown as usual);
 /// `downlink` is a PathModelConfig whose hop slots are numbered within
 /// the *downlink* half (1..Fdown) and whose superframe is the swapped
-/// (Fdown, Fup) — build it from net::build_downlink_schedule.  The loop
-/// is driven per cycle: a sample delivered in uplink cycle a enters the
-/// downlink in the same cycle's downlink half, so a loop taking a uplink
-/// and b downlink cycles closes in combined cycle a+b−1 at wall-clock
+/// (Fdown, Fup).  The loop is driven per cycle: a sample delivered in
+/// uplink cycle a enters the downlink in the same cycle's downlink half,
+/// so a loop taking a uplink and b downlink cycles closes in combined
+/// cycle a+b−1 at wall-clock
 ///   latency = (Fup + d0 + (a+b−2)·(Fup+Fdown)) · 10 ms + processing,
 /// where d0 is the downlink chain's last slot within its half.  This is
 /// exact where the symmetric shorthand approximates the latency.

@@ -7,29 +7,6 @@
 
 namespace whart::hart {
 
-std::vector<ReportingIntervalPoint> sweep_reporting_interval(
-    PathModelConfig base_config, double ps,
-    const std::vector<std::uint32_t>& reporting_intervals) {
-  expects(!reporting_intervals.empty(), "at least one reporting interval");
-  std::vector<ReportingIntervalPoint> points;
-  points.reserve(reporting_intervals.size());
-  for (std::uint32_t is : reporting_intervals) {
-    expects(is >= 1, "Is >= 1");
-    PathModelConfig config = base_config;
-    config.reporting_interval = is;
-    config.ttl.reset();
-    const PathModel model(config);
-    const SteadyStateLinks links(config.hop_count(),
-                                 link::LinkModel::from_availability(ps));
-    ReportingIntervalPoint point;
-    point.reporting_interval = is;
-    point.measures = compute_path_measures(model, links);
-    point.delivered_per_cycle = point.measures.reachability / is;
-    points.push_back(std::move(point));
-  }
-  return points;
-}
-
 std::vector<MessageBlock> one_hop_message_blocks(double ps,
                                                  std::uint32_t window_cycles,
                                                  std::uint32_t Is) {

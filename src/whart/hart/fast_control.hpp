@@ -1,32 +1,15 @@
 // Fast control (paper Section VI-D): shorter reporting intervals speed up
 // the control loop and deliver fresher data, but each individual message
 // gets fewer retry cycles and therefore a lower reachability.  These
-// helpers quantify the trade-off.
+// helpers quantify the trade-off; sweep_reporting_interval_series
+// (sweep.hpp) gives the full path measures per interval.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "whart/hart/path_analysis.hpp"
-#include "whart/hart/path_model.hpp"
-
 namespace whart::hart {
-
-/// Measures of one path at one reporting interval.
-struct ReportingIntervalPoint {
-  std::uint32_t reporting_interval = 0;
-  PathMeasures measures;
-  /// Messages delivered per superframe cycle: R / Is — the control loop's
-  /// effective update rate.
-  double delivered_per_cycle = 0.0;
-};
-
-/// Sweep the reporting interval of a path (same hop slots and superframe,
-/// steady-state homogeneous links with per-attempt success `ps`).
-std::vector<ReportingIntervalPoint> sweep_reporting_interval(
-    PathModelConfig base_config, double ps,
-    const std::vector<std::uint32_t>& reporting_intervals);
 
 /// One block of the paper's Fig. 18: a message born in cycle `born_cycle`
 /// (0-based, within an observation window) under reporting interval Is

@@ -37,7 +37,6 @@ LuDecomposition::LuDecomposition(Matrix a) : lu_(std::move(a)) {
       for (std::size_t j = 0; j < n; ++j)
         std::swap(lu_(k, j), lu_(pivot_row, j));
       std::swap(pivot_[k], pivot_[pivot_row]);
-      pivot_sign_ = -pivot_sign_;
     }
     const double diag = lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -83,19 +82,8 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
   return x;
 }
 
-double LuDecomposition::determinant() const noexcept {
-  double det = pivot_sign_;
-  for (std::size_t i = 0; i < order(); ++i) det *= lu_(i, i);
-  return det;
-}
-
 Vector solve(const Matrix& a, const Vector& b) {
   return LuDecomposition(a).solve(b);
-}
-
-Matrix inverse(const Matrix& a) {
-  expects(a.square(), "matrix is square");
-  return LuDecomposition(a).solve(Matrix::identity(a.rows()));
 }
 
 }  // namespace whart::linalg

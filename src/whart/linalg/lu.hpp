@@ -24,21 +24,14 @@ class LuDecomposition {
   /// Solve A X = B column-by-column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  /// Determinant of A (product of U diagonal, sign-adjusted for pivoting).
-  [[nodiscard]] double determinant() const noexcept;
-
   [[nodiscard]] std::size_t order() const noexcept { return lu_.rows(); }
 
  private:
   Matrix lu_;                       // packed L (unit diagonal) and U
   std::vector<std::size_t> pivot_;  // row permutation
-  int pivot_sign_ = 1;
 };
 
 /// Convenience one-shot solve of A x = b.
 Vector solve(const Matrix& a, const Vector& b);
-
-/// Matrix inverse via LU; throws for singular input.
-Matrix inverse(const Matrix& a);
 
 }  // namespace whart::linalg

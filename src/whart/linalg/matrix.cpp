@@ -91,13 +91,6 @@ Vector multiply(const Vector& x, const Matrix& a) {
   return result;
 }
 
-Matrix transpose(const Matrix& a) {
-  Matrix result(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) result(j, i) = a(i, j);
-  return result;
-}
-
 Matrix power(const Matrix& a, std::uint64_t exponent) {
   expects(a.square(), "matrix is square");
   Matrix result = Matrix::identity(a.rows());

@@ -69,9 +69,6 @@ Vector multiply(const Matrix& a, const Vector& x);
 /// Row-vector-matrix product x^T * A — the DTMC distribution update.
 Vector multiply(const Vector& x, const Matrix& a);
 
-/// Transpose.
-Matrix transpose(const Matrix& a);
-
 /// A^power via exponentiation by squaring; A must be square, power >= 0.
 Matrix power(const Matrix& a, std::uint64_t exponent);
 

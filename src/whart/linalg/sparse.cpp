@@ -99,18 +99,6 @@ Vector CsrMatrix::left_multiply(const Vector& x) const {
   return y;
 }
 
-Vector CsrMatrix::right_multiply(const Vector& x) const {
-  expects(x.size() == cols_, "dimensions agree");
-  Vector y(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k)
-      acc += values_[k] * x[col_index_[k]];
-    y[r] = acc;
-  }
-  return y;
-}
-
 double CsrMatrix::row_sum(std::size_t row) const {
   expects(row < rows_, "row in range");
   double acc = 0.0;

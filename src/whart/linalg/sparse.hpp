@@ -55,9 +55,6 @@ class CsrMatrix {
   /// y = x^T * A — one DTMC distribution step when A is a transition matrix.
   [[nodiscard]] Vector left_multiply(const Vector& x) const;
 
-  /// y = A * x.
-  [[nodiscard]] Vector right_multiply(const Vector& x) const;
-
   /// Sum of the entries in `row`.
   [[nodiscard]] double row_sum(std::size_t row) const;
 

@@ -46,20 +46,6 @@ double sum(const Vector& v) noexcept {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
-double norm1(const Vector& v) noexcept {
-  double result = 0.0;
-  for (double x : v) result += std::abs(x);
-  return result;
-}
-
-double norm_inf(const Vector& v) noexcept {
-  double result = 0.0;
-  for (double x : v) result = std::max(result, std::abs(x));
-  return result;
-}
-
-double norm2(const Vector& v) noexcept { return std::sqrt(dot(v, v)); }
-
 double max_abs_diff(const Vector& a, const Vector& b) {
   expects(a.size() == b.size(), "vector sizes match");
   double result = 0.0;

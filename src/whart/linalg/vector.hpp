@@ -69,15 +69,6 @@ double dot(const Vector& a, const Vector& b);
 /// Sum of entries.
 double sum(const Vector& v) noexcept;
 
-/// L1 norm (sum of absolute values).
-double norm1(const Vector& v) noexcept;
-
-/// L-infinity norm (max absolute value); 0 for the empty vector.
-double norm_inf(const Vector& v) noexcept;
-
-/// Euclidean norm.
-double norm2(const Vector& v) noexcept;
-
 /// Largest absolute difference between two vectors of equal size.
 double max_abs_diff(const Vector& a, const Vector& b);
 

@@ -90,11 +90,6 @@ ChannelModel ChannelModel::chain(std::vector<double> transition_row_major,
                       std::move(error_rates));
 }
 
-ChannelModel ChannelModel::from_link_model(const LinkModel& link) {
-  return gilbert_elliott(link.failure_probability(),
-                         link.recovery_probability(), 0.0, 1.0);
-}
-
 namespace {
 
 constexpr std::size_t kMaxParsedStates = 64;

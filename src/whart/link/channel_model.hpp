@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "whart/link/link_model.hpp"
 #include "whart/markov/dtmc.hpp"
 
 namespace whart::link {
@@ -52,10 +51,6 @@ class ChannelModel {
   /// matrix and k per-state error rates.
   static ChannelModel chain(std::vector<double> transition_row_major,
                             std::vector<double> error_rates);
-
-  /// The paper's UP/DOWN link DTMC as a channel: Gilbert-Elliott with
-  /// (pfl, prc) transitions, error 0 when UP and 1 when DOWN.
-  static ChannelModel from_link_model(const LinkModel& link);
 
   /// Parse a CLI spec: "iid" | "ge:pgb,pbg,eg,eb" | "chain:<file>".
   /// The chain file holds k (1..64) on the first line, then k rows of k

@@ -38,35 +38,6 @@ LinkModel LinkModel::from_availability(double availability,
   return LinkModel(pfl, recovery_probability);
 }
 
-LinkModel LinkModel::from_channel_failures(
-    std::span<const double> channel_failure_probs) {
-  expects(!channel_failure_probs.empty(), "at least one channel");
-  const std::size_t n = channel_failure_probs.size();
-  double mean = 0.0;
-  for (double f : channel_failure_probs) {
-    expects(f >= 0.0 && f <= 1.0, "0 <= channel failure prob <= 1");
-    mean += f;
-  }
-  mean /= static_cast<double>(n);
-  const double pfl = mean;
-
-  if (n == 1) return LinkModel(pfl, 1.0 - channel_failure_probs[0]);
-
-  // P(fail after the hop | current slot failed): the current channel i
-  // is distributed proportionally to f_i; the hop lands uniformly on one
-  // of the n-1 other channels.
-  double total_fail = 0.0;
-  double fail_after_hop = 0.0;
-  const double sum_f = mean * static_cast<double>(n);
-  for (double f : channel_failure_probs) {
-    total_fail += f;
-    fail_after_hop += f * (sum_f - f) / static_cast<double>(n - 1);
-  }
-  const double prc =
-      total_fail > 0.0 ? 1.0 - fail_after_hop / total_fail : 1.0;
-  return LinkModel(pfl, prc);
-}
-
 double LinkModel::steady_state_availability() const noexcept {
   return prc_ / (prc_ + pfl_);
 }

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "whart/markov/dtmc.hpp"
 #include "whart/phy/frame.hpp"
@@ -41,18 +40,6 @@ class LinkModel {
   /// given the recovery probability: pfl = prc (1 - pi) / pi.
   static LinkModel from_availability(
       double availability, double recovery_probability = kDefaultRecovery);
-
-  /// Derive (pfl, prc) from per-channel message-failure probabilities
-  /// under per-slot uniform pseudo-random hopping over the active
-  /// channels — the mechanism the paper invokes for "prc very close to
-  /// 1":
-  ///   pfl = E_i[f_i]                       (a uniformly-chosen channel fails)
-  ///   prc = 1 - E[f_j | hop j != i, weighted by P(current = i, failed)]
-  /// Blacklisting the bad channels (dropping their entries) demonstrably
-  /// pushes prc toward 1.  `channel_failure_probs` must be non-empty; a
-  /// single channel means no hop is possible and prc = 1 - f_0.
-  static LinkModel from_channel_failures(
-      std::span<const double> channel_failure_probs);
 
   [[nodiscard]] double failure_probability() const noexcept { return pfl_; }
   [[nodiscard]] double recovery_probability() const noexcept { return prc_; }

@@ -3,8 +3,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "whart/common/contracts.hpp"
-
 namespace whart::markov {
 
 namespace {
@@ -47,29 +45,6 @@ void write_dot(std::ostream& out, const Dtmc& chain,
     });
   }
   out << "}\n";
-}
-
-void write_prism_transitions(std::ostream& out, const Dtmc& chain) {
-  out << chain.num_states() << ' ' << chain.matrix().nonzeros() << '\n';
-  for (StateIndex s = 0; s < chain.num_states(); ++s) {
-    chain.matrix().for_each_in_row(s, [&](std::size_t to, double p) {
-      out << s << ' ' << to << ' ' << format_probability(p) << '\n';
-    });
-  }
-}
-
-void write_prism_labels(std::ostream& out, const Dtmc& chain,
-                        StateIndex initial) {
-  expects(initial < chain.num_states(), "initial state in range");
-  const std::vector<StateIndex> absorbing = chain.absorbing_states();
-  out << "0=\"init\"";
-  for (std::size_t i = 0; i < absorbing.size(); ++i)
-    out << ' ' << i + 1 << "=\""
-        << escape_quotes(chain.state_name(absorbing[i])) << '"';
-  out << '\n';
-  out << initial << ": 0\n";
-  for (std::size_t i = 0; i < absorbing.size(); ++i)
-    out << absorbing[i] << ": " << i + 1 << '\n';
 }
 
 }  // namespace whart::markov

@@ -1,7 +1,5 @@
-// DTMC export: Graphviz DOT for visual inspection and the PRISM explicit
-// format (.tra / .lab) so the constructed chains can be verified with an
-// external probabilistic model checker — the ecosystem the paper's
-// original (closed-source) Java tool lived in.
+// DTMC export: Graphviz DOT for visual inspection of the constructed
+// chains (the paper's Figs. 4-5).
 #pragma once
 
 #include <iosfwd>
@@ -26,15 +24,5 @@ struct DotOptions {
 /// Write the chain as a Graphviz digraph.
 void write_dot(std::ostream& out, const Dtmc& chain,
                const DotOptions& options = {});
-
-/// Write the PRISM explicit-engine transition file (.tra):
-/// header "num_states num_transitions", then one "src dst prob" per line,
-/// sources ascending.
-void write_prism_transitions(std::ostream& out, const Dtmc& chain);
-
-/// Write a PRISM label file (.lab) marking "init" (state `initial`) and
-/// one label per absorbing state (its state name, quoted).
-void write_prism_labels(std::ostream& out, const Dtmc& chain,
-                        StateIndex initial = 0);
 
 }  // namespace whart::markov

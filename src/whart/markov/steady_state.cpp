@@ -33,28 +33,4 @@ linalg::Vector steady_state_direct(const Dtmc& chain) {
   return pi;
 }
 
-linalg::Vector steady_state_power(const Dtmc& chain, double tolerance,
-                                  std::uint64_t max_iterations) {
-  const std::size_t n = chain.num_states();
-  expects(n > 0, "chain is non-empty");
-  linalg::Vector pi(n, 1.0 / static_cast<double>(n));
-  std::uint64_t iterations = 0;
-  double residual = 0.0;
-  for (std::uint64_t it = 0; it < max_iterations; ++it) {
-    // Lazy-chain step: pi' = (pi P + pi) / 2 — immune to periodicity.
-    linalg::Vector next = chain.step(pi);
-    next += pi;
-    next *= 0.5;
-    const double change = linalg::max_abs_diff(next, pi);
-    pi = std::move(next);
-    ++iterations;
-    residual = change;
-    if (change < tolerance) break;
-  }
-  WHART_COUNT("markov.steady_state.power.solves");
-  WHART_COUNT_N("markov.steady_state.power.iterations", iterations);
-  WHART_GAUGE_SET("markov.steady_state.power.last_residual", residual);
-  return pi;
-}
-
 }  // namespace whart::markov

@@ -1,9 +1,6 @@
-// Steady-state (stationary) distribution solvers: pi = pi P, sum(pi) = 1.
-// Two methods are provided — a direct linear solve (exact, O(n^3)) and
-// power iteration (matrix-free, for larger chains).
+// Steady-state (stationary) distribution solver: pi = pi P, sum(pi) = 1,
+// by a direct linear solve (exact, O(n^3)).
 #pragma once
-
-#include <cstdint>
 
 #include "whart/linalg/vector.hpp"
 #include "whart/markov/dtmc.hpp"
@@ -15,12 +12,5 @@ namespace whart::markov {
 /// chains (unique stationary distribution); throws whart::invariant_error
 /// when the system is singular beyond that replacement.
 linalg::Vector steady_state_direct(const Dtmc& chain);
-
-/// Power iteration from the uniform distribution until the L-inf change
-/// drops below `tolerance` or `max_iterations` is reached.  For periodic
-/// chains, iterates the lazy chain (P + I)/2, which has the same stationary
-/// distribution and always converges.
-linalg::Vector steady_state_power(const Dtmc& chain, double tolerance = 1e-13,
-                                  std::uint64_t max_iterations = 200000);
 
 }  // namespace whart::markov

@@ -17,31 +17,6 @@ linalg::Vector distribution_after(const Dtmc& chain,
   return p;
 }
 
-std::vector<linalg::Vector> distribution_trajectory(
-    const Dtmc& chain, const linalg::Vector& initial, std::uint64_t steps) {
-  expects(initial.size() == chain.num_states(),
-          "initial distribution matches state space");
-  std::vector<linalg::Vector> trajectory;
-  trajectory.reserve(steps + 1);
-  trajectory.push_back(initial);
-  for (std::uint64_t t = 0; t < steps; ++t)
-    trajectory.push_back(chain.step(trajectory.back()));
-  return trajectory;
-}
-
-linalg::Vector distribution_after_inhomogeneous(
-    const std::function<const linalg::CsrMatrix&(std::uint64_t step)>&
-        matrix_for_step,
-    linalg::Vector initial, std::uint64_t steps) {
-  for (std::uint64_t t = 1; t <= steps; ++t) {
-    const linalg::CsrMatrix& matrix = matrix_for_step(t);
-    expects(matrix.rows() == initial.size() && matrix.cols() == initial.size(),
-            "step matrix matches state space");
-    initial = matrix.left_multiply(initial);
-  }
-  return initial;
-}
-
 linalg::Vector distribution_after_periodic(const SuperframeKernel& kernel,
                                            const linalg::Vector& initial,
                                            std::uint64_t steps) {
@@ -56,12 +31,6 @@ linalg::Matrix distributions_after_periodic(const SuperframeKernel& kernel,
   WHART_COUNT("markov.transient.periodic_batch_solves");
   WHART_COUNT_N("markov.transient.steps", steps * initials.rows());
   return kernel.distributions_after(initials, steps);
-}
-
-double transient_probability(const Dtmc& chain, const linalg::Vector& initial,
-                             StateIndex state, std::uint64_t steps) {
-  expects(state < chain.num_states(), "state in range");
-  return distribution_after(chain, initial, steps)[state];
 }
 
 }  // namespace whart::markov

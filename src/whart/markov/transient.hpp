@@ -1,12 +1,10 @@
 // Transient analysis: the distribution of a DTMC after t steps, both for
-// time-homogeneous chains (paper Eq. 3 for links) and time-inhomogeneous
-// ones (paper Eq. 5 for paths, where per-slot transition probabilities
-// follow the link models).
+// time-homogeneous chains (paper Eq. 3 for links) and periodic
+// time-inhomogeneous ones (paper Eq. 5 for paths, where per-slot
+// transition probabilities follow the link models).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "whart/linalg/matrix.hpp"
 #include "whart/linalg/vector.hpp"
@@ -22,24 +20,12 @@ linalg::Vector distribution_after(const Dtmc& chain,
                                   const linalg::Vector& initial,
                                   std::uint64_t steps);
 
-/// Distributions after 0, 1, ..., steps steps (trajectory of Eq. 5).
-std::vector<linalg::Vector> distribution_trajectory(
-    const Dtmc& chain, const linalg::Vector& initial, std::uint64_t steps);
-
-/// Time-inhomogeneous transient analysis: the transition matrix for step t
-/// (1-based) is supplied by `matrix_for_step`.  Returns the distribution
-/// after `steps` steps.
-linalg::Vector distribution_after_inhomogeneous(
-    const std::function<const linalg::CsrMatrix&(std::uint64_t step)>&
-        matrix_for_step,
-    linalg::Vector initial, std::uint64_t steps);
-
 /// Time-inhomogeneous transient analysis for a *periodic* step sequence,
 /// answered through the superframe-product collapse: floor(steps /
 /// period) applications of the precomputed cycle matrix plus at most
-/// period - 1 per-slot tail steps.  Equivalent (to rounding) to
-/// distribution_after_inhomogeneous with matrix_for_step(t) =
-/// kernel.slot_matrix((t - 1) % kernel.period()).
+/// period - 1 per-slot tail steps.  Equivalent (to rounding) to stepping
+/// through kernel.slot_matrix((t - 1) % kernel.period()) for t = 1 ..
+/// steps.
 linalg::Vector distribution_after_periodic(const SuperframeKernel& kernel,
                                            const linalg::Vector& initial,
                                            std::uint64_t steps);
@@ -50,9 +36,5 @@ linalg::Vector distribution_after_periodic(const SuperframeKernel& kernel,
 linalg::Matrix distributions_after_periodic(const SuperframeKernel& kernel,
                                             const linalg::Matrix& initials,
                                             std::uint64_t steps);
-
-/// Probability of being in `state` after `steps` steps from `initial`.
-double transient_probability(const Dtmc& chain, const linalg::Vector& initial,
-                             StateIndex state, std::uint64_t steps);
 
 }  // namespace whart::markov

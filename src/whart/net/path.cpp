@@ -54,13 +54,4 @@ std::string Path::to_string(const Network& net) const {
   return result;
 }
 
-Path Path::concatenate(const Path& peer, const Path& existing) {
-  expects(peer.destination() == existing.source(),
-          "peer path ends where the existing path starts");
-  std::vector<NodeId> nodes = peer.nodes_;
-  nodes.insert(nodes.end(), existing.nodes_.begin() + 1,
-               existing.nodes_.end());
-  return Path(std::move(nodes));
-}
-
 }  // namespace whart::net

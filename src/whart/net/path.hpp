@@ -50,10 +50,6 @@ class Path {
   /// "n5 -> n1 -> G" style rendering.
   [[nodiscard]] std::string to_string(const Network& net) const;
 
-  /// Concatenation: `peer` (e.g. n5 -> n3) followed by `existing`
-  /// (n3 -> G); peer.destination() must equal existing.source().
-  static Path concatenate(const Path& peer, const Path& existing);
-
   friend bool operator==(const Path&, const Path&) = default;
 
  private:

@@ -57,10 +57,6 @@ void Network::set_link_model(LinkId id, link::LinkModel model) {
   links_[id.value].model = model;
 }
 
-void Network::set_all_link_models(link::LinkModel model) {
-  for (Link& l : links_) l.model = model;
-}
-
 std::vector<NodeId> Network::neighbors(NodeId node) const {
   check_node(node);
   std::vector<NodeId> result;

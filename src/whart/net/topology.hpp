@@ -62,9 +62,6 @@ class Network {
   /// Replace the model on one link (e.g. after a fresh SNR measurement).
   void set_link_model(LinkId id, link::LinkModel model);
 
-  /// Set every link to the same model — the paper's homogeneous sweeps.
-  void set_all_link_models(link::LinkModel model);
-
   /// Neighbors of `node`, ascending by id.
   [[nodiscard]] std::vector<NodeId> neighbors(NodeId node) const;
 

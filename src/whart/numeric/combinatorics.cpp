@@ -1,7 +1,5 @@
 #include "whart/numeric/combinatorics.hpp"
 
-#include <cmath>
-
 namespace whart::numeric {
 
 double binomial(std::uint32_t n, std::uint32_t k) noexcept {
@@ -13,13 +11,6 @@ double binomial(std::uint32_t n, std::uint32_t k) noexcept {
     result /= static_cast<double>(i);
   }
   return result;
-}
-
-double log_binomial(std::uint32_t n, std::uint32_t k) noexcept {
-  if (k > n) return -HUGE_VAL;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
 }
 
 double retry_placements(std::uint32_t failures, std::uint32_t hops) noexcept {

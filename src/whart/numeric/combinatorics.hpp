@@ -12,9 +12,6 @@ namespace whart::numeric {
 /// k > n.
 double binomial(std::uint32_t n, std::uint32_t k) noexcept;
 
-/// Natural log of the binomial coefficient via lgamma; valid for large n.
-double log_binomial(std::uint32_t n, std::uint32_t k) noexcept;
-
 /// Number of ways to place `failures` retries among `hops` hops of a path
 /// (stars and bars): C(failures + hops - 1, failures).
 double retry_placements(std::uint32_t failures, std::uint32_t hops) noexcept;

@@ -7,22 +7,6 @@
 
 namespace whart::numeric {
 
-Geometric::Geometric(double success_probability) : p_(success_probability) {
-  expects(p_ > 0.0 && p_ <= 1.0, "0 < p <= 1");
-}
-
-double Geometric::pmf(std::uint64_t k) const noexcept {
-  if (k == 0) return 0.0;
-  return std::pow(1.0 - p_, static_cast<double>(k - 1)) * p_;
-}
-
-double Geometric::cdf(std::uint64_t k) const noexcept {
-  if (k == 0) return 0.0;
-  return 1.0 - std::pow(1.0 - p_, static_cast<double>(k));
-}
-
-double Geometric::mean() const noexcept { return 1.0 / p_; }
-
 std::vector<double> negative_binomial_cycles(std::uint32_t hops, double ps,
                                              std::uint32_t max_cycles) {
   expects(hops >= 1, "hops >= 1");

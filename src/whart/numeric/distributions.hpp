@@ -1,35 +1,12 @@
-// Discrete distributions used by the models: geometric (time to first
-// message loss, random failure durations) and negative binomial (cycles
-// needed to traverse an n-hop path with i.i.d. per-attempt success).
+// Discrete distribution used by the models: the negative binomial
+// (cycles needed to traverse an n-hop path with i.i.d. per-attempt
+// success).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace whart::numeric {
-
-/// Geometric distribution on {1, 2, ...}: number of trials up to and
-/// including the first success, with success probability p per trial.
-class Geometric {
- public:
-  /// p must lie in (0, 1].
-  explicit Geometric(double success_probability);
-
-  /// P(N = k) for k >= 1.
-  [[nodiscard]] double pmf(std::uint64_t k) const noexcept;
-
-  /// P(N <= k).
-  [[nodiscard]] double cdf(std::uint64_t k) const noexcept;
-
-  /// E[N] = 1/p.  The paper uses this for the expected number of reporting
-  /// intervals until the first message loss: E[N] = 1 / (1 - R).
-  [[nodiscard]] double mean() const noexcept;
-
-  [[nodiscard]] double success_probability() const noexcept { return p_; }
-
- private:
-  double p_;
-};
 
 /// Negative-binomial cycle distribution for an n-hop path.
 ///

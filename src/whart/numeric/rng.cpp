@@ -56,23 +56,4 @@ std::uint64_t Xoshiro256::below(std::uint64_t bound) noexcept {
   }
 }
 
-void Xoshiro256::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t jump_word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump_word & (1ULL << b)) {
-        s[0] ^= state_[0];
-        s[1] ^= state_[1];
-        s[2] ^= state_[2];
-        s[3] ^= state_[3];
-      }
-      next();
-    }
-  }
-  state_ = s;
-}
-
 }  // namespace whart::numeric

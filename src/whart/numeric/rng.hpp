@@ -37,9 +37,6 @@ class Xoshiro256 {
   /// Uniform integer in [0, bound) using Lemire's rejection-free reduction.
   std::uint64_t below(std::uint64_t bound) noexcept;
 
-  /// Jump the generator state far ahead; used to derive independent streams.
-  void jump() noexcept;
-
  private:
   std::array<std::uint64_t, 4> state_{};
 };

@@ -14,8 +14,4 @@ double message_failure_probability(double bit_error_rate,
          std::pow(1.0 - bit_error_rate, static_cast<double>(message_bits));
 }
 
-double message_failure_from_snr(EbN0 ebn0, std::uint32_t message_bits) {
-  return message_failure_probability(oqpsk_ber(ebn0), message_bits);
-}
-
 }  // namespace whart::phy

@@ -4,9 +4,6 @@
 
 #include <cstdint>
 
-#include "whart/phy/modulation.hpp"
-#include "whart/phy/snr.hpp"
-
 namespace whart::phy {
 
 /// Duration of one TDMA slot: the standard fixes 10 ms slots.
@@ -27,10 +24,5 @@ inline constexpr std::uint32_t kMessageBits = kMaxPayloadBytes * 8;
 /// the given bit error rate: pfl = 1 - (1 - BER)^L.
 double message_failure_probability(double bit_error_rate,
                                    std::uint32_t message_bits = kMessageBits);
-
-/// Composition of Eq. 1 and Eq. 2: message failure probability of the
-/// OQPSK radio at the given Eb/N0.
-double message_failure_from_snr(EbN0 ebn0,
-                                std::uint32_t message_bits = kMessageBits);
 
 }  // namespace whart::phy

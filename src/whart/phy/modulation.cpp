@@ -6,44 +6,8 @@
 
 namespace whart::phy {
 
-std::string_view name(Modulation scheme) noexcept {
-  switch (scheme) {
-    case Modulation::kOqpsk:
-      return "OQPSK";
-    case Modulation::kBpsk:
-      return "BPSK";
-    case Modulation::kQpsk:
-      return "QPSK";
-    case Modulation::kDbpsk:
-      return "DBPSK";
-    case Modulation::kNcfsk:
-      return "NCFSK";
-  }
-  return "unknown";
-}
-
-double q_function(double x) noexcept {
-  return 0.5 * std::erfc(x / std::sqrt(2.0));
-}
-
 double oqpsk_ber(EbN0 ebn0) noexcept {
   return 0.5 * std::erfc(std::sqrt(ebn0.linear()));
-}
-
-double bit_error_rate(Modulation scheme, EbN0 ebn0) noexcept {
-  const double ratio = ebn0.linear();
-  switch (scheme) {
-    case Modulation::kOqpsk:
-    case Modulation::kBpsk:
-    case Modulation::kQpsk:
-      // Coherent (O)QPSK/BPSK with Gray mapping share the per-bit curve.
-      return 0.5 * std::erfc(std::sqrt(ratio));
-    case Modulation::kDbpsk:
-      return 0.5 * std::exp(-ratio);
-    case Modulation::kNcfsk:
-      return 0.5 * std::exp(-ratio / 2.0);
-  }
-  return 0.5;
 }
 
 EbN0 oqpsk_required_ebn0(double ber) {

@@ -1,33 +1,12 @@
-// Bit-error-rate curves over an AWGN channel for the modulation schemes
-// relevant to WirelessHART.  The standard's radio (IEEE 802.15.4, 2.4 GHz)
-// uses OQPSK; the others are provided for comparison studies.
+// The bit-error-rate curve over an AWGN channel of WirelessHART's radio
+// (IEEE 802.15.4, 2.4 GHz OQPSK) and its inverse.
 //
 // Paper Eq. 1: BER_OQPSK = 1/2 erfc(sqrt(Eb/N0)).
 #pragma once
 
-#include <string_view>
-
 #include "whart/phy/snr.hpp"
 
 namespace whart::phy {
-
-/// Supported modulation schemes.
-enum class Modulation {
-  kOqpsk,  ///< Offset QPSK — WirelessHART / IEEE 802.15.4 (coherent)
-  kBpsk,   ///< Binary PSK (same AWGN BER as coherent OQPSK)
-  kQpsk,   ///< Quadrature PSK (per-bit BER equals BPSK with Gray coding)
-  kDbpsk,  ///< Differentially-coherent BPSK: 1/2 e^{-Eb/N0}
-  kNcfsk,  ///< Non-coherent binary FSK: 1/2 e^{-Eb/(2 N0)}
-};
-
-/// Human-readable scheme name ("OQPSK", ...).
-std::string_view name(Modulation scheme) noexcept;
-
-/// Gaussian Q-function Q(x) = 1/2 erfc(x / sqrt(2)).
-double q_function(double x) noexcept;
-
-/// Bit error rate of `scheme` over AWGN at the given Eb/N0.
-double bit_error_rate(Modulation scheme, EbN0 ebn0) noexcept;
 
 /// The paper's Eq. 1 specialized to WirelessHART's OQPSK radio.
 double oqpsk_ber(EbN0 ebn0) noexcept;

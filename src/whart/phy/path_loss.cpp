@@ -6,31 +6,12 @@
 
 namespace whart::phy {
 
-namespace {
-
-/// Standard-normal draw (Box-Muller; one value per call is fine here).
-double standard_normal(numeric::Xoshiro256& rng) {
-  // Avoid log(0).
-  const double u1 = 1.0 - rng.uniform();
-  const double u2 = rng.uniform();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * 3.14159265358979323846 * u2);
-}
-
-}  // namespace
-
 double PathLossModel::path_loss_db(double distance_m) const {
   expects(distance_m > 0.0, "distance > 0");
   expects(reference_distance_m > 0.0, "reference distance > 0");
   const double clamped = std::max(distance_m, reference_distance_m);
   return reference_loss_db +
          10.0 * exponent * std::log10(clamped / reference_distance_m);
-}
-
-double PathLossModel::sampled_path_loss_db(double distance_m,
-                                           numeric::Xoshiro256& rng) const {
-  return path_loss_db(distance_m) +
-         shadowing_sigma_db * standard_normal(rng);
 }
 
 double LinkBudget::received_power_dbm(double path_loss_db) const {

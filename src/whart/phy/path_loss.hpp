@@ -1,13 +1,12 @@
 // Radio propagation for synthetic plant layouts: log-distance path loss
-// with optional log-normal shadowing, and the link budget that turns a
-// transmit power and a distance into the Eb/N0 the link model consumes
-// (the paper measures Eb/N0 with pilot packages; this module generates
-// physically-plausible values when no measurement exists).
+// and the link budget that turns a transmit power and a distance into the
+// Eb/N0 the link model consumes (the paper measures Eb/N0 with pilot
+// packages; this module generates physically-plausible values when no
+// measurement exists).
 #pragma once
 
 #include <cstdint>
 
-#include "whart/numeric/rng.hpp"
 #include "whart/phy/snr.hpp"
 
 namespace whart::phy {
@@ -24,15 +23,8 @@ struct PathLossModel {
   /// Reference distance, meters.
   double reference_distance_m = 1.0;
 
-  /// Standard deviation of log-normal shadowing, dB (0 = deterministic).
-  double shadowing_sigma_db = 0.0;
-
   /// Deterministic path loss at `distance_m` (> 0) in dB.
   [[nodiscard]] double path_loss_db(double distance_m) const;
-
-  /// Path loss with one shadowing draw.
-  [[nodiscard]] double sampled_path_loss_db(double distance_m,
-                                            numeric::Xoshiro256& rng) const;
 };
 
 /// Link budget of an IEEE 802.15.4 radio.
@@ -54,8 +46,7 @@ struct LinkBudget {
   /// Eb/N0 delivered to the demodulator for the given path loss.
   [[nodiscard]] EbN0 ebn0_for_loss(double path_loss_db) const;
 
-  /// Convenience: Eb/N0 at a distance under a propagation model
-  /// (deterministic part only).
+  /// Convenience: Eb/N0 at a distance under a propagation model.
   [[nodiscard]] EbN0 ebn0_at(double distance_m,
                              const PathLossModel& propagation) const;
 };

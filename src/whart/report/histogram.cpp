@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "whart/common/contracts.hpp"
 #include "whart/report/table.hpp"
@@ -32,14 +31,6 @@ void print_histogram(std::ostream& out, std::span<const std::string> labels,
     out << std::string(bar, '#');
     out << ' ' << Table::fixed(values[i], 4) << '\n';
   }
-}
-
-std::string histogram_to_string(std::span<const std::string> labels,
-                                std::span<const double> values,
-                                std::size_t width) {
-  std::ostringstream out;
-  print_histogram(out, labels, values, width);
-  return out.str();
 }
 
 }  // namespace whart::report

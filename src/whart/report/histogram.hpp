@@ -4,7 +4,6 @@
 #include <iosfwd>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace whart::report {
 
@@ -12,10 +11,5 @@ namespace whart::report {
 /// largest value spans `width` characters.  Values must be non-negative.
 void print_histogram(std::ostream& out, std::span<const std::string> labels,
                      std::span<const double> values, std::size_t width = 50);
-
-/// Convenience: render to a string.
-std::string histogram_to_string(std::span<const std::string> labels,
-                                std::span<const double> values,
-                                std::size_t width = 50);
 
 }  // namespace whart::report

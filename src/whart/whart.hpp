@@ -12,10 +12,10 @@
 //
 // Layer map (bottom to top):
 //   whart/common/*    contracts, thread pool, observability (metrics/spans)
-//   whart/numeric/*   probability, combinatorics, distributions, RNG
+//   whart/numeric/*   combinatorics, distributions, RNG
 //   whart/linalg/*    dense/sparse matrices, LU, convolution
-//   whart/phy/*       SNR, modulation BER curves, BSC, HART framing
-//   whart/markov/*    general DTMC machinery
+//   whart/phy/*       SNR, OQPSK BER curve, path loss, HART framing
+//   whart/markov/*    DTMCs: transient, steady-state, absorbing, DOT export
 //   whart/link/*      two-state link model, failure scripts, blacklist
 //   whart/net/*       topology, paths, routing, TDMA schedules
 //   whart/hart/*      the paper's contribution: path/network analysis
@@ -30,7 +30,6 @@
 
 #include "whart/numeric/combinatorics.hpp"
 #include "whart/numeric/distributions.hpp"
-#include "whart/numeric/probability.hpp"
 #include "whart/numeric/rng.hpp"
 
 #include "whart/linalg/convolution.hpp"
@@ -39,30 +38,22 @@
 #include "whart/linalg/sparse.hpp"
 #include "whart/linalg/vector.hpp"
 
-#include "whart/phy/bsc.hpp"
 #include "whart/phy/frame.hpp"
 #include "whart/phy/modulation.hpp"
 #include "whart/phy/path_loss.hpp"
-#include "whart/phy/pilot.hpp"
 #include "whart/phy/snr.hpp"
 
 #include "whart/markov/absorbing.hpp"
 #include "whart/markov/export.hpp"
 #include "whart/markov/dtmc.hpp"
-#include "whart/markov/hitting.hpp"
-#include "whart/markov/limiting.hpp"
-#include "whart/markov/simulate.hpp"
 #include "whart/markov/steady_state.hpp"
 #include "whart/markov/structure.hpp"
 #include "whart/markov/transient.hpp"
 
 #include "whart/link/blacklist.hpp"
 #include "whart/link/failure_script.hpp"
-#include "whart/link/fitting.hpp"
 #include "whart/link/link_model.hpp"
 
-#include "whart/net/downlink.hpp"
-#include "whart/net/export.hpp"
 #include "whart/net/ids.hpp"
 #include "whart/net/path.hpp"
 #include "whart/net/plant_generator.hpp"
@@ -90,7 +81,6 @@
 #include "whart/hart/sweep.hpp"
 #include "whart/hart/validation.hpp"
 
-#include "whart/sim/link_trace.hpp"
 #include "whart/sim/simulator.hpp"
 #include "whart/sim/stats.hpp"
 

@@ -25,7 +25,9 @@ TEST(Umbrella, EndToEndThroughTheUmbrellaHeader) {
   EXPECT_GT(stability.reachability, 0.99);
 
   const linalg::Matrix identity = linalg::Matrix::identity(3);
-  EXPECT_DOUBLE_EQ(linalg::LuDecomposition(identity).determinant(), 1.0);
+  const linalg::Vector x =
+      linalg::LuDecomposition(identity).solve(linalg::Vector{1.0, 2.0, 3.0});
+  EXPECT_DOUBLE_EQ(x[2], 3.0);
 
   numeric::Xoshiro256 rng(1);
   sim::RunningStat stat;

@@ -61,19 +61,6 @@ TEST(Matrix, MatrixVectorProducts) {
   EXPECT_DOUBLE_EQ(xa[1], 6.0);
 }
 
-TEST(Matrix, Transpose) {
-  const Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = transpose(a);
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(Matrix, TransposeIsInvolution) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_EQ(transpose(transpose(a)), a);
-}
-
 TEST(Matrix, PowerZeroIsIdentity) {
   const Matrix a{{2.0, 0.0}, {0.0, 2.0}};
   EXPECT_EQ(power(a, 0), Matrix::identity(2));

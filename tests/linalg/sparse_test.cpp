@@ -44,18 +44,9 @@ TEST(Csr, LeftMultiplyIsDistributionStep) {
   EXPECT_DOUBLE_EQ(next[1], 0.3);
 }
 
-TEST(Csr, RightMultiply) {
-  const CsrMatrix m(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 1, 3.0}});
-  const Vector x{1.0, 1.0};
-  const Vector y = m.right_multiply(x);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 3.0);
-}
-
 TEST(Csr, MultiplySizeMismatchThrows) {
   const CsrMatrix m(2, 3, {});
   EXPECT_THROW(m.left_multiply(Vector(3)), precondition_error);
-  EXPECT_THROW(m.right_multiply(Vector(2)), precondition_error);
 }
 
 TEST(Csr, RowSums) {

@@ -50,18 +50,6 @@ TEST(ChannelModel, MeanBadBurstLengthIsInverseRecovery) {
   EXPECT_NEAR(channel.mean_sojourn_slots(0), 1.0 / 0.2, 1e-15);
 }
 
-TEST(ChannelModel, FromLinkModelMirrorsTheUpDownChain) {
-  const LinkModel link(0.3, 0.7);
-  const ChannelModel channel = ChannelModel::from_link_model(link);
-  ASSERT_EQ(channel.state_count(), 2u);
-  EXPECT_DOUBLE_EQ(channel.transition(0, 1), 0.3);
-  EXPECT_DOUBLE_EQ(channel.transition(1, 0), 0.7);
-  EXPECT_DOUBLE_EQ(channel.error_rate(0), 0.0);
-  EXPECT_DOUBLE_EQ(channel.error_rate(1), 1.0);
-  EXPECT_NEAR(channel.marginal_success(),
-              link.steady_state_availability(), 1e-15);
-}
-
 TEST(ChannelModel, ChainStationarySolvesTheThreeStateChain) {
   const ChannelModel channel = ChannelModel::chain(
       {0.8, 0.15, 0.05,  //

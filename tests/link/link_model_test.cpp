@@ -99,55 +99,6 @@ TEST(LinkModel, ToDtmcSteadyStateMatchesEq4) {
   EXPECT_NEAR(pi[0], link.steady_state_availability(), 1e-12);
 }
 
-TEST(LinkModel, FromChannelFailuresUniformCase) {
-  // All channels equal: pfl = f and prc = 1 - f (hopping cannot help).
-  const std::vector<double> channels(16, 0.1);
-  const LinkModel link = LinkModel::from_channel_failures(channels);
-  EXPECT_NEAR(link.failure_probability(), 0.1, 1e-12);
-  EXPECT_NEAR(link.recovery_probability(), 0.9, 1e-12);
-}
-
-TEST(LinkModel, FromChannelFailuresHoppingHelpsWithFewBadChannels) {
-  // 3 jammed channels out of 16: a failure is probably on a bad channel
-  // and the hop probably lands on a clean one -> prc well above 1 - pfl.
-  std::vector<double> channels(16, 0.01);
-  channels[0] = channels[1] = channels[2] = 0.95;
-  const LinkModel link = LinkModel::from_channel_failures(channels);
-  EXPECT_GT(link.recovery_probability(), 0.75);
-  EXPECT_GT(link.recovery_probability(),
-            1.0 - link.failure_probability());
-}
-
-TEST(LinkModel, BlacklistingRaisesRecoveryTowardOne) {
-  // The paper's argument made quantitative: dropping the blacklisted
-  // channels from the hop set improves prc.
-  std::vector<double> all(16, 0.02);
-  all[0] = all[1] = all[2] = 0.9;
-  const LinkModel before = LinkModel::from_channel_failures(all);
-  const std::vector<double> active(all.begin() + 3, all.end());
-  const LinkModel after = LinkModel::from_channel_failures(active);
-  EXPECT_GT(after.recovery_probability(), before.recovery_probability());
-  EXPECT_LT(after.failure_probability(), before.failure_probability());
-  EXPECT_GT(after.recovery_probability(), 0.97);
-}
-
-TEST(LinkModel, FromChannelFailuresEdgeCases) {
-  // Single channel: no hop possible.
-  const std::vector<double> one{0.3};
-  const LinkModel single = LinkModel::from_channel_failures(one);
-  EXPECT_DOUBLE_EQ(single.failure_probability(), 0.3);
-  EXPECT_DOUBLE_EQ(single.recovery_probability(), 0.7);
-  // All channels perfect: prc defined as 1.
-  const std::vector<double> perfect(4, 0.0);
-  EXPECT_DOUBLE_EQ(
-      LinkModel::from_channel_failures(perfect).recovery_probability(),
-      1.0);
-  const std::vector<double> empty;
-  EXPECT_THROW(LinkModel::from_channel_failures(empty), precondition_error);
-  const std::vector<double> bad{1.5};
-  EXPECT_THROW(LinkModel::from_channel_failures(bad), precondition_error);
-}
-
 TEST(LinkModel, Equality) {
   EXPECT_EQ(LinkModel(0.1, 0.9), LinkModel(0.1, 0.9));
   EXPECT_NE(LinkModel(0.1, 0.9), LinkModel(0.2, 0.9));

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "whart/common/contracts.hpp"
 #include "whart/hart/path_model.hpp"
 
 namespace whart::markov {
@@ -38,26 +37,6 @@ TEST(ExportDot, MinProbabilityFiltersEdges) {
   EXPECT_NE(out.str().find("s0 -> s0"), std::string::npos);
 }
 
-TEST(ExportPrism, TransitionFileFormat) {
-  std::ostringstream out;
-  write_prism_transitions(out, small_chain());
-  EXPECT_EQ(out.str(),
-            "3 4\n0 0 0.7\n0 1 0.3\n1 1 1\n2 2 1\n");
-}
-
-TEST(ExportPrism, LabelFileMarksInitAndAbsorbing) {
-  std::ostringstream out;
-  write_prism_labels(out, small_chain());
-  EXPECT_EQ(out.str(),
-            "0=\"init\" 1=\"goal\" 2=\"sink\"\n0: 0\n1: 1\n2: 2\n");
-}
-
-TEST(ExportPrism, InitialOutOfRangeThrows) {
-  std::ostringstream out;
-  EXPECT_THROW(write_prism_labels(out, small_chain(), 5),
-               precondition_error);
-}
-
 TEST(Export, PathModelChainRoundTripsThroughBothFormats) {
   hart::PathModelConfig config;
   config.hop_slots = {3, 6, 7};
@@ -74,17 +53,14 @@ TEST(Export, PathModelChainRoundTripsThroughBothFormats) {
   EXPECT_NE(dot.str().find("R7"), std::string::npos);
   EXPECT_NE(dot.str().find("Discard"), std::string::npos);
 
-  std::ostringstream tra;
-  write_prism_transitions(tra, chain);
-  // Header announces the state and transition counts; count the lines.
-  std::istringstream lines(tra.str());
-  std::string first;
-  std::getline(lines, first);
-  EXPECT_EQ(first, std::to_string(chain.num_states()) + " " +
-                       std::to_string(chain.matrix().nonzeros()));
-  std::size_t count = 0;
-  for (std::string line; std::getline(lines, line);) ++count;
-  EXPECT_EQ(count, chain.matrix().nonzeros());
+  // Every transition but the absorbing self-loops becomes one edge.  (The
+  // suite name predates the removal of the PRISM writer.)
+  const std::size_t self_loops = chain.absorbing_states().size();
+  std::size_t edges = 0;
+  for (std::size_t at = dot.str().find(" -> "); at != std::string::npos;
+       at = dot.str().find(" -> ", at + 1))
+    ++edges;
+  EXPECT_EQ(edges, chain.matrix().nonzeros() - self_loops);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_model.hpp"
 #include "whart/link/link_model.hpp"
+#include "whart/markov/absorbing.hpp"
 
 namespace whart::markov {
 namespace {
@@ -18,64 +19,10 @@ Dtmc link_chain(double pfl, double prc) {
                   {1, 1, 1.0 - prc}});
 }
 
-TEST(Structure, LinkChainIsOneErgodicClass) {
-  const Dtmc chain = link_chain(0.2, 0.9);
-  EXPECT_TRUE(is_irreducible(chain));
-  EXPECT_EQ(period(chain, 0), 1u);
-  EXPECT_TRUE(is_ergodic(chain));
-  EXPECT_EQ(recurrent_states(chain), (std::vector<StateIndex>{0, 1}));
-  EXPECT_TRUE(transient_states(chain).empty());
-}
-
-TEST(Structure, TwoCycleHasPeriodTwo) {
-  const Dtmc chain(2, {{0, 1, 1.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(is_irreducible(chain));
-  EXPECT_EQ(period(chain, 0), 2u);
-  EXPECT_FALSE(is_ergodic(chain));
-}
-
-TEST(Structure, ThreeCyclePeriodThree) {
-  const Dtmc chain(3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
-  EXPECT_EQ(period(chain, 0), 3u);
-  EXPECT_EQ(period(chain, 1), 3u);
-}
-
-TEST(Structure, AbsorbingChainDecomposition) {
-  // 0 -> {1 absorbing, 2 absorbing}: three classes, two closed.
-  const Dtmc chain(3, {{0, 1, 0.5}, {0, 2, 0.5}, {1, 1, 1.0}, {2, 2, 1.0}});
-  const ClassDecomposition d = communicating_classes(chain);
-  EXPECT_EQ(d.class_count(), 3u);
-  EXPECT_FALSE(d.is_closed[d.class_of[0]]);
-  EXPECT_TRUE(d.is_closed[d.class_of[1]]);
-  EXPECT_TRUE(d.is_closed[d.class_of[2]]);
-  EXPECT_EQ(transient_states(chain), (std::vector<StateIndex>{0}));
-  EXPECT_EQ(recurrent_states(chain), (std::vector<StateIndex>{1, 2}));
-}
-
-TEST(Structure, MultiStateClassesDetected) {
-  // {0,1} open class feeding the closed class {2,3}.
-  const Dtmc chain(4, {{0, 1, 1.0},
-                       {1, 0, 0.5},
-                       {1, 2, 0.5},
-                       {2, 3, 1.0},
-                       {3, 2, 1.0}});
-  const ClassDecomposition d = communicating_classes(chain);
-  EXPECT_EQ(d.class_count(), 2u);
-  EXPECT_EQ(d.class_of[0], d.class_of[1]);
-  EXPECT_EQ(d.class_of[2], d.class_of[3]);
-  EXPECT_FALSE(d.is_closed[d.class_of[0]]);
-  EXPECT_TRUE(d.is_closed[d.class_of[2]]);
-}
-
-TEST(Structure, TransientStateWithoutCycleHasPeriodZero) {
-  const Dtmc chain(2, {{0, 1, 1.0}, {1, 1, 1.0}});
-  EXPECT_EQ(period(chain, 0), 0u);
-  EXPECT_EQ(period(chain, 1), 1u);
-}
-
 TEST(Structure, PathModelClassesMatchAbsorbingStructure) {
-  // The unrolled path DTMC: every transient state is its own singleton
-  // open class (the graph is a DAG); the goals and Discard are closed.
+  // The unrolled path DTMC is absorbing: the goals and Discard are its
+  // only closed states, and every other state reaches one of them
+  // (analyze_absorbing throws otherwise).
   hart::PathModelConfig config;
   config.hop_slots = {3, 6, 7};
   config.superframe = net::SuperframeConfig::symmetric(7);
@@ -85,10 +32,9 @@ TEST(Structure, PathModelClassesMatchAbsorbingStructure) {
       3, link::LinkModel::from_availability(0.75));
   const Dtmc chain = model.to_dtmc(links);
 
-  const std::vector<StateIndex> recurrent = recurrent_states(chain);
-  EXPECT_EQ(recurrent.size(), 3u);  // R7, R14, Discard
-  EXPECT_EQ(transient_states(chain).size(), chain.num_states() - 3);
-  EXPECT_FALSE(is_irreducible(chain));
+  const AbsorbingAnalysis analysis = analyze_absorbing(chain);
+  EXPECT_EQ(analysis.absorbing_states.size(), 3u);  // R7, R14, Discard
+  EXPECT_EQ(analysis.transient_states.size(), chain.num_states() - 3);
 }
 
 TEST(Structure, ResidualsMeasureDeviationFromStochastic) {
@@ -132,17 +78,6 @@ TEST(Structure, LargeChainResidualsStayBelow1em12) {
     worst = std::max(worst, distribution_mass_residual(distribution));
   }
   EXPECT_LE(worst, 1e-12);
-}
-
-TEST(Structure, IrreducibleRandomWalkOnARing) {
-  // 5-state lazy ring: irreducible and aperiodic (self-loops).
-  std::vector<linalg::Triplet> t;
-  for (StateIndex s = 0; s < 5; ++s) {
-    t.push_back({s, s, 0.5});
-    t.push_back({s, (s + 1) % 5, 0.5});
-  }
-  const Dtmc chain(5, std::move(t));
-  EXPECT_TRUE(is_ergodic(chain));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
-#include "whart/linalg/matrix.hpp"
 
 namespace whart::markov {
 namespace {
@@ -53,42 +52,10 @@ TEST(Transient, MatchesClosedFormEq3) {
   }
 }
 
-TEST(Transient, TrajectoryHasOneEntryPerStep) {
-  const Dtmc chain = link_chain(0.1, 0.9);
-  const auto traj = distribution_trajectory(chain, {1.0, 0.0}, 5);
-  ASSERT_EQ(traj.size(), 6u);
-  EXPECT_EQ(traj[0], (linalg::Vector{1.0, 0.0}));
-  EXPECT_EQ(traj[1], chain.step(traj[0]));
-  EXPECT_EQ(traj[5], chain.step(traj[4]));
-}
-
 TEST(Transient, SizeMismatchThrows) {
   const Dtmc chain = link_chain(0.1, 0.9);
   EXPECT_THROW(distribution_after(chain, linalg::Vector(3), 1),
                precondition_error);
-}
-
-TEST(Transient, TransientProbabilityOfState) {
-  const Dtmc chain = link_chain(0.5, 0.5);
-  EXPECT_DOUBLE_EQ(
-      transient_probability(chain, {1.0, 0.0}, 1, 1), 0.5);
-  EXPECT_THROW(transient_probability(chain, {1.0, 0.0}, 2, 1),
-               precondition_error);
-}
-
-TEST(Transient, InhomogeneousStepsApplyPerStepMatrices) {
-  // Step 1 uses a chain that always moves 0 -> 1, step 2 one that always
-  // moves 1 -> 0.
-  const linalg::CsrMatrix move01(2, 2, {{0, 1, 1.0}, {1, 1, 1.0}});
-  const linalg::CsrMatrix move10(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}});
-  const auto matrix_for_step =
-      [&](std::uint64_t step) -> const linalg::CsrMatrix& {
-    return step == 1 ? move01 : move10;
-  };
-  const linalg::Vector p =
-      distribution_after_inhomogeneous(matrix_for_step, {1.0, 0.0}, 2);
-  EXPECT_DOUBLE_EQ(p[0], 1.0);
-  EXPECT_DOUBLE_EQ(p[1], 0.0);
 }
 
 }  // namespace

@@ -87,24 +87,5 @@ TEST(Path, ToString) {
   EXPECT_EQ(path.to_string(network), "n1 -> n2 -> G");
 }
 
-TEST(Path, Concatenate) {
-  NodeId n[3];
-  three_hop_network(n);
-  const Path peer({n[0], n[1]});
-  const Path existing({n[1], n[2], kGateway});
-  const Path composed = Path::concatenate(peer, existing);
-  EXPECT_EQ(composed.nodes(),
-            (std::vector<NodeId>{n[0], n[1], n[2], kGateway}));
-  EXPECT_EQ(composed.hop_count(), 3u);
-}
-
-TEST(Path, ConcatenateMismatchThrows) {
-  NodeId n[3];
-  three_hop_network(n);
-  const Path peer({n[0], n[2]});
-  const Path existing({n[1], kGateway});
-  EXPECT_THROW(Path::concatenate(peer, existing), precondition_error);
-}
-
 }  // namespace
 }  // namespace whart::net

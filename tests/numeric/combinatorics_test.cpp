@@ -50,21 +50,6 @@ TEST(Binomial, RowSumsArePowersOfTwo) {
   }
 }
 
-TEST(LogBinomial, AgreesWithDirect) {
-  EXPECT_NEAR(std::exp(log_binomial(10, 4)), 210.0, 1e-9);
-  EXPECT_NEAR(std::exp(log_binomial(20, 10)), 184756.0, 1e-6);
-}
-
-TEST(LogBinomial, KGreaterThanNIsMinusInfinity) {
-  EXPECT_EQ(log_binomial(3, 4), -HUGE_VAL);
-}
-
-TEST(LogBinomial, LargeArgumentsFinite) {
-  const double log_c = log_binomial(1016, 508);
-  EXPECT_TRUE(std::isfinite(log_c));
-  EXPECT_GT(log_c, 0.0);
-}
-
 TEST(RetryPlacements, MatchesStarsAndBars) {
   // 1 failure over 3 hops: 3 placements; 2 failures over 3 hops: 6;
   // 3 failures over 3 hops: 10 (paper Section V-A pattern).

@@ -1,5 +1,6 @@
 #include "whart/numeric/distributions.hpp"
 
+#include <cmath>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -9,44 +10,14 @@
 namespace whart::numeric {
 namespace {
 
-TEST(Geometric, PmfAndCdf) {
-  const Geometric g(0.25);
-  EXPECT_DOUBLE_EQ(g.pmf(1), 0.25);
-  EXPECT_DOUBLE_EQ(g.pmf(2), 0.75 * 0.25);
-  EXPECT_DOUBLE_EQ(g.pmf(0), 0.0);
-  EXPECT_NEAR(g.cdf(2), 0.25 + 0.75 * 0.25, 1e-15);
-  EXPECT_DOUBLE_EQ(g.cdf(0), 0.0);
-}
-
-TEST(Geometric, MeanIsReciprocal) {
-  EXPECT_DOUBLE_EQ(Geometric(0.25).mean(), 4.0);
-  EXPECT_DOUBLE_EQ(Geometric(1.0).mean(), 1.0);
-}
-
-TEST(Geometric, PaperTimeToFirstLoss) {
-  // Paper Section V: R = 0.9624 => E[N] = 1/(1 - R) ~ 26.6 intervals.
-  const Geometric g(1.0 - 0.9624);
-  EXPECT_NEAR(g.mean(), 26.6, 0.05);
-}
-
-TEST(Geometric, InvalidProbabilityThrows) {
-  EXPECT_THROW(Geometric(0.0), precondition_error);
-  EXPECT_THROW(Geometric(1.5), precondition_error);
-}
-
-TEST(Geometric, PmfSumsToCdf) {
-  const Geometric g(0.4);
-  double sum = 0.0;
-  for (std::uint64_t k = 1; k <= 20; ++k) sum += g.pmf(k);
-  EXPECT_NEAR(sum, g.cdf(20), 1e-12);
-}
-
 TEST(NegativeBinomialCycles, SingleHopIsGeometric) {
+  // One hop: cycle m is the first success after m - 1 failures.
   const auto cycles = negative_binomial_cycles(1, 0.83, 4);
-  const Geometric g(0.83);
   ASSERT_EQ(cycles.size(), 4u);
   for (std::uint64_t m = 1; m <= 4; ++m)
-    EXPECT_NEAR(cycles[m - 1], g.pmf(m), 1e-15);
+    EXPECT_NEAR(cycles[m - 1],
+                std::pow(1.0 - 0.83, static_cast<double>(m - 1)) * 0.83,
+                1e-15);
 }
 
 TEST(NegativeBinomialCycles, PaperExamplePathProbabilities) {

@@ -75,16 +75,6 @@ TEST(Xoshiro, BelowCoversAllResidues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Xoshiro, JumpDecorrelatesStreams) {
-  Xoshiro256 a(42);
-  Xoshiro256 b(42);
-  b.jump();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (a.next() == b.next()) ++equal;
-  EXPECT_EQ(equal, 0);
-}
-
 TEST(SplitMix, KnownFirstValueIsStable) {
   std::uint64_t s1 = 0;
   std::uint64_t s2 = 0;

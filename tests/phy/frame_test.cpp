@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
+#include "whart/numeric/rng.hpp"
+#include "whart/phy/modulation.hpp"
 
 namespace whart::phy {
 namespace {
@@ -47,9 +49,30 @@ TEST(MessageFailure, InvalidArgumentsThrow) {
 
 TEST(MessageFailureFromSnr, ComposesEq1AndEq2) {
   // Eb/N0 = 7 -> BER = 9.14e-5 -> pfl ~ 0.089 (paper Section VI-E).
-  EXPECT_NEAR(message_failure_from_snr(EbN0::from_linear(7.0)), 0.089, 1e-3);
+  EXPECT_NEAR(
+      message_failure_probability(oqpsk_ber(EbN0::from_linear(7.0))), 0.089,
+      1e-3);
   // Eb/N0 = 6 -> pfl ~ 0.237.
-  EXPECT_NEAR(message_failure_from_snr(EbN0::from_linear(6.0)), 0.237, 2e-3);
+  EXPECT_NEAR(
+      message_failure_probability(oqpsk_ber(EbN0::from_linear(6.0))), 0.237,
+      2e-3);
+}
+
+TEST(Bsc, SimulatedFailureRateMatchesEquation2) {
+  // Cross-validate paper Eq. 2 by Monte Carlo over a binary symmetric
+  // channel: BER = 1e-3, L = 127 bits; a word fails when any bit flips.
+  numeric::Xoshiro256 rng(42);
+  const std::uint32_t trials = 50000;
+  std::uint32_t failures = 0;
+  for (std::uint32_t t = 0; t < trials; ++t) {
+    bool corrupted = false;
+    for (std::uint32_t b = 0; b < 127 && !corrupted; ++b)
+      corrupted = rng.bernoulli(1e-3);
+    if (corrupted) ++failures;
+  }
+  const double simulated =
+      static_cast<double>(failures) / static_cast<double>(trials);
+  EXPECT_NEAR(simulated, message_failure_probability(1e-3, 127), 0.01);
 }
 
 }  // namespace

@@ -1,27 +1,11 @@
 #include "whart/phy/modulation.hpp"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
 
 namespace whart::phy {
 namespace {
-
-TEST(Modulation, Names) {
-  EXPECT_EQ(name(Modulation::kOqpsk), "OQPSK");
-  EXPECT_EQ(name(Modulation::kBpsk), "BPSK");
-  EXPECT_EQ(name(Modulation::kQpsk), "QPSK");
-  EXPECT_EQ(name(Modulation::kDbpsk), "DBPSK");
-  EXPECT_EQ(name(Modulation::kNcfsk), "NCFSK");
-}
-
-TEST(QFunction, KnownValues) {
-  EXPECT_NEAR(q_function(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(q_function(1.0), 0.158655, 1e-6);
-  EXPECT_NEAR(q_function(3.0), 1.349898e-3, 1e-8);
-}
 
 TEST(OqpskBer, PaperTableIVValues) {
   // Paper Section VI-E: BER3 = 1/2 erfc(sqrt(7)) = 9.14e-5 and
@@ -41,26 +25,6 @@ TEST(OqpskBer, MonotoneDecreasingInSnr) {
     EXPECT_LT(ber, previous);
     previous = ber;
   }
-}
-
-TEST(BitErrorRate, CoherentSchemesShareCurve) {
-  const EbN0 snr = EbN0::from_linear(4.0);
-  const double oqpsk = bit_error_rate(Modulation::kOqpsk, snr);
-  EXPECT_DOUBLE_EQ(bit_error_rate(Modulation::kBpsk, snr), oqpsk);
-  EXPECT_DOUBLE_EQ(bit_error_rate(Modulation::kQpsk, snr), oqpsk);
-}
-
-TEST(BitErrorRate, NonCoherentSchemesAreWorse) {
-  const EbN0 snr = EbN0::from_linear(4.0);
-  const double coherent = bit_error_rate(Modulation::kOqpsk, snr);
-  EXPECT_GT(bit_error_rate(Modulation::kDbpsk, snr), coherent);
-  EXPECT_GT(bit_error_rate(Modulation::kNcfsk, snr),
-            bit_error_rate(Modulation::kDbpsk, snr));
-}
-
-TEST(BitErrorRate, DbpskClosedForm) {
-  EXPECT_NEAR(bit_error_rate(Modulation::kDbpsk, EbN0::from_linear(2.0)),
-              0.5 * std::exp(-2.0), 1e-15);
 }
 
 TEST(RequiredEbN0, InvertsTheBerCurve) {

@@ -43,24 +43,6 @@ TEST(PathLoss, BelowReferenceDistanceClamps) {
   EXPECT_THROW((void)model.path_loss_db(-1.0), precondition_error);
 }
 
-TEST(PathLoss, ShadowingAveragesToDeterministicLoss) {
-  PathLossModel model;
-  model.shadowing_sigma_db = 6.0;
-  numeric::Xoshiro256 rng(13);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  const int samples = 20000;
-  for (int i = 0; i < samples; ++i) {
-    const double loss = model.sampled_path_loss_db(50.0, rng);
-    sum += loss;
-    sum_sq += loss * loss;
-  }
-  const double mean = sum / samples;
-  const double variance = sum_sq / samples - mean * mean;
-  EXPECT_NEAR(mean, model.path_loss_db(50.0), 0.2);
-  EXPECT_NEAR(std::sqrt(variance), 6.0, 0.2);
-}
-
 TEST(LinkBudget, ReceivedPowerAndEbN0) {
   const LinkBudget budget;  // 0 dBm tx, -95 noise, +9 gain
   EXPECT_DOUBLE_EQ(budget.received_power_dbm(60.0), -60.0);

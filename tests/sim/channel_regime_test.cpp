@@ -13,7 +13,6 @@
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_analysis.hpp"
 #include "whart/hart/path_model.hpp"
-#include "whart/markov/simulate.hpp"
 #include "whart/numeric/rng.hpp"
 #include "whart/sim/simulator.hpp"
 #include "whart/verify/scenario.hpp"
@@ -161,13 +160,18 @@ TEST(ChannelRegime, MeanBadBurstLengthMatchesTheChain) {
   const link::ChannelModel channel =
       link::ChannelModel::gilbert_elliott(0.1, p_bg, 0.0, 1.0);
   numeric::Xoshiro256 rng(17);
-  const std::vector<markov::StateIndex> trajectory =
-      markov::sample_trajectory(channel.to_dtmc(), 0, 400000, rng);
+  // Two-state sampler: stay Good (0) or return to it with the chain's
+  // probability of a move to state 0, else go (or stay) Bad (1).
+  std::vector<std::size_t> trajectory{0};
+  for (int step = 0; step < 400000; ++step) {
+    const std::size_t state = trajectory.back();
+    trajectory.push_back(rng.uniform() < channel.transition(state, 0) ? 0 : 1);
+  }
 
   std::uint64_t bursts = 0;
   std::uint64_t bad_slots = 0;
   bool in_burst = false;
-  for (markov::StateIndex state : trajectory) {
+  for (std::size_t state : trajectory) {
     if (state == 1) {
       ++bad_slots;
       if (!in_burst) ++bursts;

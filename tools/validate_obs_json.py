@@ -25,8 +25,6 @@ EVENT_KINDS = {
     "task_submit",
     "task_start",
     "solve_done",
-    "cache_hit",
-    "cache_miss",
     "stage",
     "contract_failure",
     "sampler_tick",
