@@ -14,7 +14,8 @@ int main() {
   const hart::PathMeasures m = bench::example_measures(0.75);
 
   std::vector<std::string> labels;
-  for (double d : m.delays_ms) labels.push_back(Table::fixed(d, 0) + " ms");
+  for (std::size_t i = 0; i < m.cycle_probabilities.size(); ++i)
+    labels.push_back(Table::fixed(m.delay_ms(i), 0) + " ms");
   report::print_histogram(std::cout, labels, m.cycle_probabilities);
 
   std::cout << "\nE[tau] = " << Table::fixed(m.expected_delay_ms, 1)

@@ -25,10 +25,10 @@ int main() {
          Table::fixed(link::LinkModel::from_ber(point.parameter)
                           .steady_state_availability(),
                       3),
-         Table::fixed(m.delay_distribution[0], 4),
-         Table::fixed(m.delay_distribution[1], 4),
-         Table::fixed(m.delay_distribution[2], 4),
-         Table::fixed(m.delay_distribution[3], 4)});
+         Table::fixed(m.delay_probability(0), 4),
+         Table::fixed(m.delay_probability(1), 4),
+         Table::fixed(m.delay_probability(2), 4),
+         Table::fixed(m.delay_probability(3), 4)});
     measures.push_back(m);
   }
   header.print(std::cout);
@@ -40,14 +40,14 @@ int main() {
       << "paper narrative: at pi = 0.948, 98.5% of messages arrive within "
          "200 ms; at pi = 0.774 only 77.8%\n";
   const auto head2 = [](const hart::PathMeasures& m) {
-    return m.delay_distribution[0] + m.delay_distribution[1];
+    return m.delay_probability(0) + m.delay_probability(1);
   };
   std::cout << "model: P(delay <= 210ms | received) at pi = 0.948: "
             << Table::percent(head2(measures[3]), 1)
             << " (paper: 98.5%); at pi = 0.774: "
             << Table::percent(head2(measures[0]), 1) << "\n"
             << "model: tau(490ms) at pi = 0.774: "
-            << Table::percent(measures[0].delay_distribution[3], 1)
+            << Table::percent(measures[0].delay_probability(3), 1)
             << " (paper: \"more than 5.3%\")\n";
   return 0;
 }

@@ -48,9 +48,9 @@ int main() {
             << m.expected_intervals_to_first_loss << "\n";
 
   std::cout << "  delay pmf (over received messages):\n";
-  for (std::size_t i = 0; i < m.delays_ms.size(); ++i)
-    std::cout << "    " << m.delays_ms[i] << " ms : "
-              << m.delay_distribution[i] << "\n";
+  for (std::size_t i = 0; i < m.cycle_probabilities.size(); ++i)
+    std::cout << "    " << m.delay_ms(i) << " ms : "
+              << m.delay_probability(i) << "\n";
 
   // 4. The underlying DTMC is a first-class object, too.
   const markov::Dtmc dtmc = model.to_dtmc(links);

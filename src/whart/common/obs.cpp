@@ -182,8 +182,10 @@ namespace {
 /// Epoch shared by every span; advanced by TraceCollector::clear().
 std::atomic<std::int64_t> g_epoch_ns{0};
 
-/// Generation counter for epoch-guarded clear() (starts at 1 so a
-/// default-constructed TaskLink's epoch 0 never matches a live epoch).
+/// Generation counter bumped by TraceCollector::clear(): spans and task
+/// links stamped with an older epoch discard themselves instead of
+/// polluting the fresh buffers.  Starts at 1 so a default-constructed
+/// TaskLink's epoch 0 never matches a live epoch.
 std::atomic<std::uint64_t> g_clear_epoch{1};
 
 std::atomic<std::uint64_t> g_next_span_id{0};
@@ -203,10 +205,6 @@ constexpr const char* kPoolTaskSpanName = "pool_task";
 }  // namespace
 
 TraceContext current_trace_context() noexcept { return g_trace_context; }
-
-std::uint64_t trace_epoch() noexcept {
-  return g_clear_epoch.load(std::memory_order_relaxed);
-}
 
 std::uint64_t trace_now_ns() noexcept {
   std::int64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);

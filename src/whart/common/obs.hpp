@@ -365,11 +365,6 @@ struct TraceContext {
 /// Nanoseconds since the trace epoch (process start / last clear()).
 [[nodiscard]] std::uint64_t trace_now_ns() noexcept;
 
-/// Generation counter bumped by TraceCollector::clear(); spans and task
-/// links stamped with an older epoch discard themselves instead of
-/// polluting the fresh buffers.
-[[nodiscard]] std::uint64_t trace_epoch() noexcept;
-
 /// Owns the per-thread span buffers.  Buffers outlive their threads
 /// (shared ownership), so spans recorded by pool workers survive pool
 /// destruction.

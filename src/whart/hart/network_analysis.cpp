@@ -1,9 +1,7 @@
 #include "whart/hart/network_analysis.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <utility>
 
 #include "whart/common/contracts.hpp"
@@ -63,26 +61,29 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
   result.per_path = std::move(per_path);
 
   const double path_count = static_cast<double>(result.per_path.size());
-  // Mass is merged per 10 ms slot index, not per raw double delay: equal
-  // delays reached through different arithmetic (e.g. from paths solved
-  // via the canonical cache vs directly) must land in one bin.  Delays
-  // are bounded by the reporting interval, so the bins form a short
-  // dense range: accumulate into a flat array over [lowest, highest],
-  // adding in path order exactly as an ordered map would, and emit the
-  // touched bins ascending.
-  const auto bin_of = [](double delay_ms) {
-    return static_cast<std::int64_t>(
-        std::llround(delay_ms / phy::kSlotMilliseconds));
-  };
-  std::int64_t lowest = std::numeric_limits<std::int64_t>::max();
-  std::int64_t highest = std::numeric_limits<std::int64_t>::min();
-  for (const PathMeasures& m : result.per_path)
-    for (double delay_ms : m.delays_ms) {
-      lowest = std::min(lowest, bin_of(delay_ms));
-      highest = std::max(highest, bin_of(delay_ms));
-    }
-  const std::size_t bins =
-      lowest > highest ? 0 : static_cast<std::size_t>(highest - lowest) + 1;
+  // Gamma merges mass per 10 ms slot.  Delay i of a path sits in slot
+  // a0 + i (Fup + Fdown), and 1 <= a0 <= Fup <= Fup + Fdown, so the pair
+  // (cycle i, a0) names the slot and cycle-then-a0 order is slot order.
+  // Bin by (i, rank of a0 among the paths' distinct gateway slots): no
+  // rounding, and O(paths x Is) bins whatever the frame length.  Mass is
+  // added in path order exactly as an ordered map keyed by slot would,
+  // and the touched bins are emitted in slot order.
+  const std::uint32_t cycle_slots = result.per_path.front().cycle_slots;
+  std::vector<std::uint32_t> gateway_slots;
+  gateway_slots.reserve(result.per_path.size());
+  std::size_t cycles = 0;
+  for (const PathMeasures& m : result.per_path) {
+    expects(m.cycle_slots == cycle_slots, "every path shares one superframe");
+    expects(m.gateway_slot >= 1 && m.gateway_slot <= cycle_slots,
+            "gateway slot within the cycle");
+    gateway_slots.push_back(m.gateway_slot);
+    cycles = std::max(cycles, m.cycle_probabilities.size());
+  }
+  std::sort(gateway_slots.begin(), gateway_slots.end());
+  gateway_slots.erase(std::unique(gateway_slots.begin(), gateway_slots.end()),
+                      gateway_slots.end());
+  const std::size_t ranks = gateway_slots.size();
+  const std::size_t bins = cycles * ranks;
   std::vector<double> delay_mass(bins, 0.0);
   std::vector<char> touched(bins, 0);
   std::size_t touched_bins = 0;
@@ -91,10 +92,13 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
     result.mean_delay_ms += m.expected_delay_ms / path_count;
     result.network_utilization += m.utilization;
     result.network_utilization_delivered += m.utilization_delivered;
-    for (std::size_t i = 0; i < m.delays_ms.size(); ++i) {
-      const auto bin =
-          static_cast<std::size_t>(bin_of(m.delays_ms[i]) - lowest);
-      delay_mass[bin] += m.delay_distribution[i] / path_count;
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(gateway_slots.begin(), gateway_slots.end(),
+                         m.gateway_slot) -
+        gateway_slots.begin());
+    for (std::size_t i = 0; i < m.cycle_probabilities.size(); ++i) {
+      const std::size_t bin = i * ranks + rank;
+      delay_mass[bin] += m.delay_probability(i) / path_count;
       touched_bins += touched[bin] == 0;
       touched[bin] = 1;
     }
@@ -115,11 +119,14 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
   }
   result.overall_delay_distribution.reserve(touched_bins);
   for (std::size_t bin = 0; bin < bins; ++bin)
-    if (touched[bin] != 0)
+    if (touched[bin] != 0) {
+      const std::uint64_t slot =
+          gateway_slots[bin % ranks] +
+          std::uint64_t{bin / ranks} * std::uint64_t{cycle_slots};
       result.overall_delay_distribution.push_back(
-          {static_cast<double>(lowest + static_cast<std::int64_t>(bin)) *
-               phy::kSlotMilliseconds,
+          {static_cast<double>(slot) * phy::kSlotMilliseconds,
            delay_mass[bin]});
+    }
   return result;
 }
 

@@ -112,7 +112,9 @@ NetworkMeasures analyze_network(const net::Network& network,
                                 const AnalysisOptions& options = {});
 
 /// Aggregate precomputed per-path measures (used when paths were analyzed
-/// under non-steady regimes, e.g. failure scripts).
+/// under non-steady regimes, e.g. failure scripts).  The paths belong to
+/// one network: they share cycle_slots, and each gateway slot lies in
+/// [1, cycle_slots].
 NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path);
 
 }  // namespace whart::hart

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "whart/common/contracts.hpp"
-#include "whart/phy/frame.hpp"
 
 namespace whart::hart {
 
@@ -45,19 +44,10 @@ PathMeasures measures_from_cycles(const PathModelConfig& config,
   m.reachability = std::accumulate(m.cycle_probabilities.begin(),
                                    m.cycle_probabilities.end(), 0.0);
   m.discard_probability = 1.0 - m.reachability;
-
-  const double cycle_ms = config.superframe.cycle_milliseconds();
-  m.delays_ms.reserve(config.reporting_interval);
-  m.delay_distribution.reserve(config.reporting_interval);
-  for (std::uint32_t i = 0; i < config.reporting_interval; ++i) {
-    const double delay =
-        config.gateway_slot() * phy::kSlotMilliseconds + i * cycle_ms;
-    m.delays_ms.push_back(delay);
-    m.delay_distribution.push_back(
-        m.reachability > 0.0 ? m.cycle_probabilities[i] / m.reachability
-                             : 0.0);
-    m.expected_delay_ms += delay * m.delay_distribution.back();
-  }
+  m.gateway_slot = config.gateway_slot();
+  m.cycle_slots = config.superframe.cycle_slots();
+  for (std::uint32_t i = 0; i < config.reporting_interval; ++i)
+    m.expected_delay_ms += m.delay_ms(i) * m.delay_probability(i);
 
   const double schedule_slots =
       static_cast<double>(config.reporting_interval) *
@@ -75,8 +65,7 @@ PathMeasures measures_from_cycles(const PathModelConfig& config,
 
   double second_moment = 0.0;
   for (std::uint32_t i = 0; i < config.reporting_interval; ++i)
-    second_moment +=
-        m.delays_ms[i] * m.delays_ms[i] * m.delay_distribution[i];
+    second_moment += m.delay_ms(i) * m.delay_ms(i) * m.delay_probability(i);
   const double variance =
       second_moment - m.expected_delay_ms * m.expected_delay_ms;
   m.delay_jitter_ms = variance > 0.0 ? std::sqrt(variance) : 0.0;
@@ -85,18 +74,19 @@ PathMeasures measures_from_cycles(const PathModelConfig& config,
 
 double PathMeasures::delay_percentile_ms(double quantile) const {
   expects(quantile >= 0.0 && quantile <= 1.0, "0 <= quantile <= 1");
+  const std::size_t cycles = cycle_probabilities.size();
   double cumulative = 0.0;
-  for (std::size_t i = 0; i < delays_ms.size(); ++i) {
-    cumulative += delay_distribution[i];
-    if (cumulative >= quantile - 1e-12) return delays_ms[i];
+  for (std::size_t i = 0; i < cycles; ++i) {
+    cumulative += delay_probability(i);
+    if (cumulative >= quantile - 1e-12) return delay_ms(i);
   }
-  return delays_ms.empty() ? 0.0 : delays_ms.back();
+  return cycles == 0 ? 0.0 : delay_ms(cycles - 1);
 }
 
-double PathMeasures::delay_cdf(double delay_ms) const {
+double PathMeasures::delay_cdf(double delay) const {
   double cumulative = 0.0;
-  for (std::size_t i = 0; i < delays_ms.size(); ++i)
-    if (delays_ms[i] <= delay_ms + 1e-12) cumulative += delay_distribution[i];
+  for (std::size_t i = 0; i < cycle_probabilities.size(); ++i)
+    if (delay_ms(i) <= delay + 1e-12) cumulative += delay_probability(i);
   return cumulative;
 }
 

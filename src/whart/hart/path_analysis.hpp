@@ -4,11 +4,14 @@
 // intervals until the first message loss (geometric, E[N] = 1/(1-R)).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_model.hpp"
+#include "whart/phy/frame.hpp"
 
 namespace whart::hart {
 
@@ -23,13 +26,11 @@ struct PathMeasures {
   /// 1 - R: the message is discarded (TTL expiry / "package loss").
   double discard_probability = 0.0;
 
-  /// d_i = (a0 + (i-1) (Fup + Fdown)) * 10 ms  (Eq. 7: the age at the
-  /// gateway plus the downlink half of every elapsed superframe).
-  std::vector<double> delays_ms;
+  /// a0: the frame slot (1-based) of the path's gateway transmission.
+  std::uint32_t gateway_slot = 0;
 
-  /// tau(d_i) = g(i) / R: delay distribution over *received* messages
-  /// (Eq. 8).  All zeros when R = 0.
-  std::vector<double> delay_distribution;
+  /// Fup + Fdown: slots per superframe cycle.
+  std::uint32_t cycle_slots = 0;
 
   /// E[tau] = sum_i d_i tau(d_i)  (Eq. 9), in milliseconds.
   double expected_delay_ms = 0.0;
@@ -61,12 +62,28 @@ struct PathMeasures {
   /// probabilities.
   std::optional<SolverDiagnostics> diagnostics;
 
+  /// Delay of a cycle-(i+1) delivery, (a0 + i (Fup + Fdown)) * 10 ms for
+  /// the 0-based index i: the paper's d_{i+1} (Eq. 7: the age at the
+  /// gateway plus the downlink half of every elapsed superframe).
+  [[nodiscard]] double delay_ms(std::size_t i) const noexcept {
+    return static_cast<double>(gateway_slot * phy::kSlotMilliseconds) +
+           static_cast<double>(i) *
+               static_cast<double>(cycle_slots * phy::kSlotMilliseconds);
+  }
+
+  /// Probability of that delay among *received* messages,
+  /// cycle_probabilities[i] / R: the paper's tau(d_{i+1}) (Eq. 8).  0
+  /// when R = 0.
+  [[nodiscard]] double delay_probability(std::size_t i) const noexcept {
+    return reachability > 0.0 ? cycle_probabilities[i] / reachability : 0.0;
+  }
+
   /// Smallest delay d with P(delay <= d | received) >= q.  Returns the
   /// last delay when R = 0.  q in [0, 1].
   [[nodiscard]] double delay_percentile_ms(double quantile) const;
 
   /// P(delay <= d | received).
-  [[nodiscard]] double delay_cdf(double delay_ms) const;
+  [[nodiscard]] double delay_cdf(double delay) const;
 };
 
 /// Exact measures from the path DTMC under the given link regime.

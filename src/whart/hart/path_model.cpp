@@ -396,7 +396,6 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   WHART_COUNT("hart.path_solve.count");
   if (enlarged) WHART_COUNT("hart.path_solve.channel");
   WHART_OBSERVE("hart.path_solve.states", diagnostics.dtmc_states);
-  WHART_EVENT(kSolveDone, "hart.path_solve", diagnostics.dtmc_states, 0);
 #ifndef WHART_OBS_DISABLED
   if (timed) {
     const auto elapsed = std::chrono::steady_clock::now() - solve_start;
@@ -405,6 +404,8 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
     WHART_OBSERVE("hart.stage.walk.ns", diagnostics.solve_ns);
   }
 #endif
+  WHART_EVENT(kSolveDone, "hart.path_solve", diagnostics.dtmc_states,
+              diagnostics.solve_ns);
 }
 
 std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
@@ -634,7 +635,6 @@ PathTransientResult PathModel::analyze_superframe(
   WHART_COUNT("hart.path_solve.count");
   WHART_COUNT("hart.path_solve.superframe");
   WHART_OBSERVE("hart.path_solve.states", dim);
-  WHART_EVENT(kSolveDone, "hart.path_solve", dim, 0);
 #ifndef WHART_OBS_DISABLED
   if (timed)
     diagnostics.solve_ns = static_cast<std::uint64_t>(
@@ -642,6 +642,7 @@ PathTransientResult PathModel::analyze_superframe(
             std::chrono::steady_clock::now() - solve_start)
             .count());
 #endif
+  WHART_EVENT(kSolveDone, "hart.path_solve", dim, diagnostics.solve_ns);
   return result;
 }
 

@@ -96,8 +96,8 @@ void InvariantChecker::check_solution(
   // The delay distribution over received messages is a monotone,
   // normalized CDF (when anything is received at all).
   double cdf = 0.0;
-  for (std::size_t i = 0; i < measures.delay_distribution.size(); ++i) {
-    const double tau = measures.delay_distribution[i];
+  for (std::size_t i = 0; i < measures.cycle_probabilities.size(); ++i) {
+    const double tau = measures.delay_probability(i);
     if (tau < -options_.cdf_tolerance)
       out.push_back({"monotone-cdf", "tau(d_" + std::to_string(i + 1) +
                                          ") = " + format_double(tau)});

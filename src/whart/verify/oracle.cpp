@@ -165,6 +165,12 @@ OracleReport cross_validate(const Scenario& input_scenario,
       compare(("g(" + std::to_string(i + 1) + ")").c_str(),
               prod.measures.cycle_probabilities[i],
               ref.cycle_probabilities[i]);
+    for (std::size_t i = 0; i < ref.delays_ms.size(); ++i) {
+      compare(("d(" + std::to_string(i + 1) + ")").c_str(),
+              prod.measures.delay_ms(i), ref.delays_ms[i]);
+      compare(("tau(" + std::to_string(i + 1) + ")").c_str(),
+              prod.measures.delay_probability(i), ref.delay_distribution[i]);
+    }
     compare("reachability", prod.measures.reachability, ref.reachability);
     compare("discard", prod.discard, ref.discard_probability);
     compare("expected_delay_ms", prod.measures.expected_delay_ms,
@@ -406,8 +412,9 @@ OracleReport cross_validate(const Scenario& input_scenario,
     // Mean delay over delivered messages: Hoeffding, with the sample
     // range bounded by the delay spread of the Is possible cycles.
     if (delivered > 0 && prod.measures.reachability > 0.0) {
-      const double range = prod.measures.delays_ms.back() -
-                           prod.measures.delays_ms.front();
+      const std::size_t last = prod.measures.cycle_probabilities.size() - 1;
+      const double range =
+          prod.measures.delay_ms(last) - prod.measures.delay_ms(0);
       const double gap =
           std::abs(stats.delay_ms.mean() - prod.measures.expected_delay_ms);
       if (range > 0.0) {

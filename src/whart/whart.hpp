@@ -8,20 +8,25 @@
 // Monte-Carlo simulator for validation.
 //
 // Umbrella header: includes the whole public API.  Prefer the individual
-// headers in translation units that only need a slice.
+// headers in translation units that only need a slice.  The verification
+// harness (whart/verify/*: reference solvers, invariants, the
+// differential oracle) is not part of it; include its headers directly.
 //
 // Layer map (bottom to top):
 //   whart/common/*    contracts, thread pool, observability (metrics/spans)
 //   whart/numeric/*   combinatorics, distributions, RNG
 //   whart/linalg/*    dense/sparse matrices, LU, convolution
 //   whart/phy/*       SNR, OQPSK BER curve, path loss, HART framing
-//   whart/markov/*    DTMCs: transient, steady-state, absorbing, DOT export
-//   whart/link/*      two-state link model, failure scripts, blacklist
+//   whart/markov/*    DTMCs: transient, steady-state, absorbing, DOT
+//                     export, the superframe cycle-product kernel
+//   whart/link/*      two-state link model, burst-loss channels, failure
+//                     scripts, blacklist
 //   whart/net/*       topology, paths, routing, TDMA schedules
-//   whart/hart/*      the paper's contribution: path/network analysis
+//   whart/hart/*      the paper's contribution: path/network analysis,
+//                     single-link what-if
 //   whart/sim/*       Monte-Carlo simulator
-//   whart/report/*    tables, histograms, CSV
-//   whart/cli/*       network-spec parser for the whart_cli tool
+//   whart/report/*    tables, histograms, CSV, observability bundle
+//   whart/cli/*       network-spec parser and numeric flags of the tools
 #pragma once
 
 #include "whart/common/contracts.hpp"
@@ -48,9 +53,11 @@
 #include "whart/markov/dtmc.hpp"
 #include "whart/markov/steady_state.hpp"
 #include "whart/markov/structure.hpp"
+#include "whart/markov/superframe_kernel.hpp"
 #include "whart/markov/transient.hpp"
 
 #include "whart/link/blacklist.hpp"
+#include "whart/link/channel_model.hpp"
 #include "whart/link/failure_script.hpp"
 #include "whart/link/link_model.hpp"
 
@@ -80,6 +87,7 @@
 #include "whart/hart/stability.hpp"
 #include "whart/hart/sweep.hpp"
 #include "whart/hart/validation.hpp"
+#include "whart/hart/what_if.hpp"
 
 #include "whart/sim/simulator.hpp"
 #include "whart/sim/stats.hpp"
@@ -87,4 +95,8 @@
 #include "whart/report/csv.hpp"
 #include "whart/report/histogram.hpp"
 #include "whart/report/metrics_export.hpp"
+#include "whart/report/obs_dir.hpp"
 #include "whart/report/table.hpp"
+
+#include "whart/cli/parse_number.hpp"
+#include "whart/cli/spec_parser.hpp"

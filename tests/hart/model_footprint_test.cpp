@@ -4,15 +4,22 @@
 // Fup = 3,900,000 it requests the same heap bytes.  Its walk allocates
 // O(Is x opportunities), never O(Fup): a cold analyze requests the same
 // bytes at Fup = 390 and 39,000, and a walk on a warm workspace requests
-// only its result's vectors.  The test counts bytes by replacing the
-// global allocator, so it is a binary of its own.
+// only its result's vectors.  A path's measures store only g(i) on the
+// heap (the delays and their distribution are derived on read), and the
+// network's delay distribution Gamma bins by slot without an array
+// sized by the frame.  The test counts bytes by replacing the global
+// allocator, so it is a binary of its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "whart/common/obs.hpp"
+#include "whart/hart/network_analysis.hpp"
+#include "whart/hart/path_analysis.hpp"
 #include "whart/hart/path_model.hpp"
 
 // GCC pairs the replaced operator new with the library free() at inlined
@@ -116,6 +123,32 @@ TEST(PathModelFootprint, WarmWalkAllocatesOnlyItsResult) {
             4 * sizeof(double) + 4 * sizeof(double) + 4 * sizeof(Delivery))
       << "warm workspace, fresh result";
   EXPECT_EQ(fresh.cycle_probabilities, result.cycle_probabilities);
+}
+
+TEST(PathMeasuresFootprint, CopyRequestsOnlyTheCycleProbabilities) {
+  const PathMeasures measures =
+      measures_from_cycles(plant_path(390), {0.4, 0.3, 0.2, 0.05}, 5.0);
+  const std::size_t before = allocated();
+  const PathMeasures copy = measures;
+  EXPECT_EQ(allocated() - before, 4 * sizeof(double));
+  EXPECT_EQ(copy.delay_ms(3), measures.delay_ms(3));
+}
+
+TEST(NetworkMeasuresFootprint, AggregateBytesDoNotGrowWithTheFrame) {
+  // Two one-hop paths, Is = 2, on a frame of 2 uplink and a million
+  // downlink slots: their four delays span a million slots.
+  std::vector<PathMeasures> per_path;
+  for (const net::SlotNumber slot : {1u, 2u}) {
+    PathModelConfig config;
+    config.hop_slots = {slot};
+    config.superframe = net::SuperframeConfig{2, 1'000'000};
+    config.reporting_interval = 2;
+    per_path.push_back(measures_from_cycles(config, {0.5, 0.25}, 1.5));
+  }
+  const std::size_t before = allocated();
+  const NetworkMeasures network = aggregate_measures(std::move(per_path));
+  EXPECT_LT(allocated() - before, std::size_t{64} << 10);
+  EXPECT_EQ(network.overall_delay_distribution.size(), 4u);
 }
 
 }  // namespace

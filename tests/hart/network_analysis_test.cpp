@@ -6,6 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
@@ -156,26 +160,22 @@ TEST(NetworkAnalysis, DiagnosticsAccountForEveryPath) {
   }
 }
 
-TEST(NetworkAnalysis, AggregateMatchesAnOrderedMapReferenceBitwise) {
-  // Gamma accumulates in a flat array over the slot bins; an ordered map
-  // keyed by slot bin, filled in the same path order, must give the very
-  // same bins, doubles and (ascending) order.
-  net::PlantProfile profile;
-  profile.device_count = 200;
-  profile.seed = 2;
-  const net::GeneratedPlant plant = net::generate_plant(profile);
-  AnalysisOptions options;
-  options.kernel = TransientKernel::kSuperframeProduct;
-  const NetworkMeasures m = analyze_network(
-      plant.network, plant.paths, plant.schedule, plant.superframe, 4, options);
-
+/// Gamma must equal an ordered map keyed by slot, filled in path order:
+/// the very same bins, doubles and (ascending) order.  The map takes
+/// each delay's slot from the schedule, a0 + i (Fup + Fdown) with a0 the
+/// path's gateway slot, not from the measures.
+void expect_gamma_matches_slot_map(const NetworkMeasures& m,
+                                   const net::Schedule& schedule,
+                                   net::SuperframeConfig superframe) {
   const double path_count = static_cast<double>(m.per_path.size());
-  std::map<std::int64_t, double> reference;
-  for (const PathMeasures& path : m.per_path)
-    for (std::size_t i = 0; i < path.delays_ms.size(); ++i)
-      reference[static_cast<std::int64_t>(
-          std::llround(path.delays_ms[i] / phy::kSlotMilliseconds))] +=
-          path.delay_distribution[i] / path_count;
+  std::map<std::uint64_t, double> reference;
+  for (std::size_t p = 0; p < m.per_path.size(); ++p) {
+    const PathMeasures& path = m.per_path[p];
+    const std::uint64_t a0 = schedule.path_slots(p).hop_slots.back();
+    for (std::size_t i = 0; i < path.cycle_probabilities.size(); ++i)
+      reference[a0 + i * superframe.cycle_slots()] +=
+          path.delay_probability(i) / path_count;
+  }
   ASSERT_EQ(m.overall_delay_distribution.size(), reference.size());
   std::size_t k = 0;
   for (const auto& [slot, probability] : reference) {
@@ -186,20 +186,69 @@ TEST(NetworkAnalysis, AggregateMatchesAnOrderedMapReferenceBitwise) {
   }
 }
 
+TEST(NetworkAnalysis, AggregateMatchesAnOrderedMapReferenceBitwise) {
+  net::PlantProfile profile;
+  profile.device_count = 200;
+  profile.seed = 2;
+  const net::GeneratedPlant plant = net::generate_plant(profile);
+  AnalysisOptions options;
+  options.kernel = TransientKernel::kSuperframeProduct;
+  expect_gamma_matches_slot_map(
+      analyze_network(plant.network, plant.paths, plant.schedule,
+                      plant.superframe, 4, options),
+      plant.schedule, plant.superframe);
+
+  const net::TypicalNetwork t = net::make_typical_network(
+      link::LinkModel::from_availability(0.83));
+  for (const std::uint32_t is : {2u, 4u}) {
+    SCOPED_TRACE("eta_a, Is = " + std::to_string(is));
+    expect_gamma_matches_slot_map(
+        analyze_network(t.network, t.paths, t.eta_a, t.superframe, is),
+        t.eta_a, t.superframe);
+  }
+}
+
+/// Measures of one path built by hand: gateway slot a0 in a 6-slot
+/// cycle, cycle probabilities g.
+PathMeasures hand_built(std::uint32_t a0, std::vector<double> g) {
+  PathMeasures m;
+  m.gateway_slot = a0;
+  m.cycle_slots = 6;
+  m.reachability = std::accumulate(g.begin(), g.end(), 0.0);
+  m.cycle_probabilities = std::move(g);
+  return m;
+}
+
 TEST(NetworkAnalysis, AggregateKeepsTouchedZeroMassBins) {
   // A bin some path reaches with zero mass still appears in Gamma.
-  PathMeasures a;
-  a.delays_ms = {30.0, 90.0};
-  a.delay_distribution = {1.0, 0.0};
-  PathMeasures b;
-  b.delays_ms = {50.0};
-  b.delay_distribution = {1.0};
+  const PathMeasures a = hand_built(3, {1.0, 0.0});  // 30 and 90 ms
+  const PathMeasures b = hand_built(5, {1.0});       // 50 ms
   const NetworkMeasures m = aggregate_measures({a, b});
   ASSERT_EQ(m.overall_delay_distribution.size(), 3u);
   EXPECT_EQ(m.overall_delay_distribution[0].delay_ms, 30.0);
   EXPECT_EQ(m.overall_delay_distribution[1].delay_ms, 50.0);
   EXPECT_EQ(m.overall_delay_distribution[2].delay_ms, 90.0);
   EXPECT_EQ(m.overall_delay_distribution[2].probability, 0.0);
+
+  // A third path on a's gateway slot lands in a's bins, its mass added
+  // after a's.
+  const PathMeasures c = hand_built(3, {0.25, 0.5});
+  const NetworkMeasures shared = aggregate_measures({a, b, c});
+  const std::vector<DelayProbability> want{
+      {30.0, 1.0 / 3.0 + c.delay_probability(0) / 3.0},
+      {50.0, 1.0 / 3.0},
+      {90.0, 0.0 / 3.0 + c.delay_probability(1) / 3.0}};
+  EXPECT_EQ(shared.overall_delay_distribution, want);
+}
+
+TEST(NetworkAnalysis, AggregateRejectsPathsOutsideOneFrame) {
+  // Gamma's slot order needs one cycle length and 1 <= a0 <= it.
+  PathMeasures other_frame = hand_built(3, {1.0});
+  other_frame.cycle_slots = 8;
+  EXPECT_THROW(aggregate_measures({hand_built(3, {1.0}), other_frame}),
+               precondition_error);
+  EXPECT_THROW(aggregate_measures({hand_built(7, {1.0})}), precondition_error);
+  EXPECT_THROW(aggregate_measures({hand_built(0, {1.0})}), precondition_error);
 }
 
 TEST(NetworkAnalysis, AggregateRejectsEmptyInput) {

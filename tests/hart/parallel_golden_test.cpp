@@ -20,8 +20,8 @@ void expect_identical(const PathMeasures& a, const PathMeasures& b) {
   EXPECT_EQ(a.cycle_probabilities, b.cycle_probabilities);
   EXPECT_EQ(a.reachability, b.reachability);
   EXPECT_EQ(a.discard_probability, b.discard_probability);
-  EXPECT_EQ(a.delays_ms, b.delays_ms);
-  EXPECT_EQ(a.delay_distribution, b.delay_distribution);
+  EXPECT_EQ(a.gateway_slot, b.gateway_slot);
+  EXPECT_EQ(a.cycle_slots, b.cycle_slots);
   EXPECT_EQ(a.expected_delay_ms, b.expected_delay_ms);
   EXPECT_EQ(a.expected_transmissions, b.expected_transmissions);
   EXPECT_EQ(a.utilization, b.utilization);

@@ -26,11 +26,11 @@ TEST(PathMeasures, PaperExamplePath) {
 
   EXPECT_NEAR(m.reachability, 0.9624, 5e-5);
   EXPECT_NEAR(m.discard_probability, 0.0376, 5e-5);
-  ASSERT_EQ(m.delays_ms.size(), 4u);
-  EXPECT_DOUBLE_EQ(m.delays_ms[0], 70.0);
-  EXPECT_DOUBLE_EQ(m.delays_ms[1], 210.0);
-  EXPECT_DOUBLE_EQ(m.delays_ms[2], 350.0);
-  EXPECT_DOUBLE_EQ(m.delays_ms[3], 490.0);
+  ASSERT_EQ(m.cycle_probabilities.size(), 4u);
+  EXPECT_DOUBLE_EQ(m.delay_ms(0), 70.0);
+  EXPECT_DOUBLE_EQ(m.delay_ms(1), 210.0);
+  EXPECT_DOUBLE_EQ(m.delay_ms(2), 350.0);
+  EXPECT_DOUBLE_EQ(m.delay_ms(3), 490.0);
   EXPECT_NEAR(m.expected_delay_ms, 190.8, 0.05);
   // E[N] = 1 / (1 - R) ~ 26.6 reporting intervals to the first loss.
   EXPECT_NEAR(m.expected_intervals_to_first_loss, 26.6, 0.05);
@@ -41,10 +41,11 @@ TEST(PathMeasures, DelayDistributionNormalizedOverReceived) {
   const SteadyStateLinks links(3, link::LinkModel::from_availability(0.75));
   const PathMeasures m = compute_path_measures(model, links);
   double mass = 0.0;
-  for (double tau : m.delay_distribution) mass += tau;
+  for (std::size_t i = 0; i < m.cycle_probabilities.size(); ++i)
+    mass += m.delay_probability(i);
   EXPECT_NEAR(mass, 1.0, 1e-12);
   // First-cycle share: g(1)/R = 0.4219/0.9624.
-  EXPECT_NEAR(m.delay_distribution[0], 0.4219 / 0.9624, 1e-4);
+  EXPECT_NEAR(m.delay_probability(0), 0.4219 / 0.9624, 1e-4);
 }
 
 TEST(PathMeasures, PerfectLinkOneHop) {
@@ -71,7 +72,8 @@ TEST(PathMeasures, DeadLinksGiveZeroReachability) {
       1, link::LinkModel(1.0, 0.0));  // pi(up) = 0
   const PathMeasures m = compute_path_measures(model, links);
   EXPECT_DOUBLE_EQ(m.reachability, 0.0);
-  for (double tau : m.delay_distribution) EXPECT_DOUBLE_EQ(tau, 0.0);
+  for (std::size_t i = 0; i < m.cycle_probabilities.size(); ++i)
+    EXPECT_DOUBLE_EQ(m.delay_probability(i), 0.0);
   EXPECT_DOUBLE_EQ(m.expected_delay_ms, 0.0);
 }
 
@@ -96,10 +98,10 @@ TEST(PathMeasures, DelayPercentilesAndCdf) {
   EXPECT_THROW((void)m.delay_percentile_ms(1.5), precondition_error);
 
   EXPECT_DOUBLE_EQ(m.delay_cdf(0.0), 0.0);
-  EXPECT_NEAR(m.delay_cdf(70.0), m.delay_distribution[0], 1e-12);
+  EXPECT_NEAR(m.delay_cdf(70.0), m.delay_probability(0), 1e-12);
   EXPECT_NEAR(m.delay_cdf(10000.0), 1.0, 1e-12);
   // CDF is right-continuous at the atoms.
-  EXPECT_NEAR(m.delay_cdf(209.0), m.delay_distribution[0], 1e-12);
+  EXPECT_NEAR(m.delay_cdf(209.0), m.delay_probability(0), 1e-12);
 }
 
 TEST(PathMeasures, JitterIsZeroForDegenerateDelay) {

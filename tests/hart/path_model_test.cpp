@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
+#include "whart/common/obs.hpp"
 #include "whart/markov/transient.hpp"
 #include "whart/numeric/rng.hpp"
 
@@ -326,6 +327,37 @@ TEST(PathModel, ProviderWithTooFewHopsThrows) {
   const PathModel model(example_config(1));
   const SteadyStateLinks links(2, link::LinkModel::from_availability(0.9));
   EXPECT_THROW(model.analyze(links), precondition_error);
+}
+
+TEST(PathModel, SolveDoneEventCarriesTheSolveTime) {
+  // The flight recorder's solve_done event reports the solve's own
+  // wall-clock (p1) next to its state count (p0), for the walk and for
+  // the superframe collapse.
+  namespace obs = common::obs;
+  const bool metrics = obs::metrics_enabled();
+  const bool events = obs::events_enabled();
+  obs::set_metrics_enabled(true);
+  obs::set_events_enabled(true);
+  const PathModel model(example_config(4));
+  const SteadyStateLinks links(3, link::LinkModel::from_availability(0.75));
+  for (const TransientKernel kernel :
+       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
+    obs::EventLog& log = obs::EventLog::instance();
+    log.clear();
+    PathAnalysisOptions options;
+    options.kernel = kernel;
+    const PathTransientResult result = model.analyze(links, options);
+    ASSERT_EQ(result.diagnostics.kernel, kernel);
+    std::vector<obs::EventRecord> solves;
+    for (const obs::EventRecord& event : log.events())
+      if (event.kind == obs::EventKind::kSolveDone) solves.push_back(event);
+    ASSERT_EQ(solves.size(), 1u);
+    EXPECT_EQ(solves[0].payload0, result.diagnostics.dtmc_states);
+    EXPECT_EQ(solves[0].payload1, result.diagnostics.solve_ns);
+    EXPECT_GT(solves[0].payload1, 0u);
+  }
+  obs::set_metrics_enabled(metrics);
+  obs::set_events_enabled(events);
 }
 
 }  // namespace

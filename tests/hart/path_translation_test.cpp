@@ -104,8 +104,8 @@ TEST(PathAnalysisCache, DelaysFollowTheCallerGatewaySlot) {
   EXPECT_EQ(first.cycle_probabilities, shifted.cycle_probabilities);
   EXPECT_EQ(first.reachability, shifted.reachability);
   // ...but each path's delays use its own gateway slot.
-  EXPECT_DOUBLE_EQ(first.delays_ms[0], 10.0);
-  EXPECT_DOUBLE_EQ(shifted.delays_ms[0], 70.0);
+  EXPECT_DOUBLE_EQ(first.delay_ms(0), 10.0);
+  EXPECT_DOUBLE_EQ(shifted.delay_ms(0), 70.0);
   EXPECT_GT(shifted.expected_delay_ms, first.expected_delay_ms);
 }
 

@@ -30,7 +30,8 @@ void expect_measures_identical(const PathMeasures& a, const PathMeasures& b,
   EXPECT_EQ(a.cycle_probabilities, b.cycle_probabilities) << at;
   EXPECT_EQ(a.reachability, b.reachability) << at;
   EXPECT_EQ(a.discard_probability, b.discard_probability) << at;
-  EXPECT_EQ(a.delays_ms, b.delays_ms) << at;
+  EXPECT_EQ(a.gateway_slot, b.gateway_slot) << at;
+  EXPECT_EQ(a.cycle_slots, b.cycle_slots) << at;
   EXPECT_EQ(a.expected_delay_ms, b.expected_delay_ms) << at;
   EXPECT_EQ(a.expected_transmissions, b.expected_transmissions) << at;
   EXPECT_EQ(a.utilization, b.utilization) << at;

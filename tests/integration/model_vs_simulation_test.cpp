@@ -144,7 +144,8 @@ TEST(ModelVsSimulationDetail, CycleDistributionOfExamplePath) {
 
   // Mean delay over delivered messages: range bounded by the delay
   // spread of the four possible delivery cycles.
-  const double delay_range = path.delays_ms.back() - path.delays_ms.front();
+  const double delay_range =
+      path.delay_ms(path.cycle_probabilities.size() - 1) - path.delay_ms(0);
   EXPECT_NEAR(stats.delay_ms.mean(), path.expected_delay_ms,
               verify::hoeffding_radius(delivered, kPerCheckDelta,
                                        delay_range));
@@ -164,7 +165,8 @@ TEST(ModelVsSimulationDetail, EtaBDelaysMatch) {
     for (std::uint64_t d : report.per_path[p].delivered_per_cycle)
       delivered += d;
     ASSERT_GT(delivered, 0u) << "path " << p + 1;
-    const double range = path.delays_ms.back() - path.delays_ms.front();
+    const double range =
+        path.delay_ms(path.cycle_probabilities.size() - 1) - path.delay_ms(0);
     EXPECT_NEAR(report.per_path[p].delay_ms.mean(), path.expected_delay_ms,
                 verify::hoeffding_radius(delivered, kPerCheckDelta, range))
         << "path " << p + 1;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace whart {
 namespace {
 
@@ -15,6 +17,19 @@ TEST(Umbrella, EndToEndThroughTheUmbrellaHeader) {
   const hart::NetworkMeasures measures = hart::analyze_network(
       t.network, t.paths, t.eta_a, t.superframe, 4);
   EXPECT_EQ(measures.per_path.size(), 10u);
+
+  // A what-if back to a link's own availability re-walks its paths and
+  // reproduces the network view bit for bit.
+  hart::WhatIfEngine engine(t.network, t.paths, t.eta_a, t.superframe, 4);
+  const net::LinkId changed = engine.links().front();
+  hart::WhatIfResult what_if =
+      engine.what_if(changed, engine.baseline_availability(changed));
+  EXPECT_GT(what_if.paths_resolved, 0u);
+  const hart::NetworkMeasures replayed =
+      hart::aggregate_measures(std::move(what_if.per_path));
+  EXPECT_EQ(replayed.overall_delay_distribution,
+            measures.overall_delay_distribution);
+  EXPECT_EQ(replayed.mean_delay_ms, measures.mean_delay_ms);
 
   const auto energies = hart::estimate_node_energy(
       t.network, t.paths, t.eta_a, t.superframe, 4);

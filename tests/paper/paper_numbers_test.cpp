@@ -75,8 +75,10 @@ TEST(PaperFig6, GoalProbabilitiesFillOnlyAtGatewaySlots) {
 // ---------------------------------------------------------------- Fig. 7
 TEST(PaperFig7, DelayDistributionOfExamplePath) {
   const auto m = example_measures(0.75);
-  EXPECT_EQ(m.delays_ms,
-            (std::vector<double>{70.0, 210.0, 350.0, 490.0}));
+  const std::vector<double> delays{70.0, 210.0, 350.0, 490.0};
+  ASSERT_EQ(m.cycle_probabilities.size(), delays.size());
+  for (std::size_t i = 0; i < delays.size(); ++i)
+    EXPECT_EQ(m.delay_ms(i), delays[i]);
   EXPECT_NEAR(m.expected_delay_ms, 190.8, 0.05);
   // "It reaches the gateway after 70 ms with probability 0.4219."
   EXPECT_NEAR(m.cycle_probabilities[0], 0.4219, 5e-5);
@@ -111,8 +113,8 @@ TEST(PaperFig9, BerDrivenDelayDistributions) {
   // head probability at 70 ms dominates for good links.
   const auto good = example_measures(0.948);
   const auto bad = example_measures(0.774);
-  EXPECT_GT(good.delay_distribution[0], bad.delay_distribution[0]);
-  EXPECT_LT(good.delay_distribution[3], bad.delay_distribution[3]);
+  EXPECT_GT(good.delay_probability(0), bad.delay_probability(0));
+  EXPECT_LT(good.delay_probability(3), bad.delay_probability(3));
 }
 
 // --------------------------------------------------------------- Table I
