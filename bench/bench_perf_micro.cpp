@@ -5,9 +5,6 @@
 // observability subsystem's own overhead (enabled vs runtime-disabled).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <optional>
-
 #include "whart/common/obs.hpp"
 #include "whart/hart/analytic.hpp"
 #include "whart/hart/composition.hpp"
@@ -208,17 +205,14 @@ void BM_MonteCarloPerIntervalSharded(benchmark::State& state) {
 BENCHMARK(BM_MonteCarloPerIntervalSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Observability overhead on a real workload: the forward solve under
-// each layer of the subsystem.  Args are {metrics, event_log, sampler}:
-// {0,0,0} everything runtime-disabled (one relaxed atomic load per
-// instrumented event), {1,0,0} counters/histograms only, {1,1,0} adds
-// the flight recorder's per-thread ring writes, {1,1,1} additionally
-// runs a background Sampler snapshotting the registry while the solve
-// loop is hot.  All four must stay within noise of each other; CI
-// gates the ratios against BENCH_obs.json.
+// each layer of the subsystem.  Args are {metrics, event_log}: {0,0}
+// everything runtime-disabled (one relaxed atomic load per
+// instrumented event), {1,0} counters/histograms only, {1,1} adds the
+// flight recorder's per-thread ring writes.  All three must stay within
+// noise of each other; CI gates the ratios against BENCH_obs.json.
 void BM_ObsOverheadForwardAnalysis(benchmark::State& state) {
   const bool metrics = state.range(0) != 0;
   const bool events = state.range(1) != 0;
-  const bool sampler_on = state.range(2) != 0;
   const bool was_metrics = common::obs::metrics_enabled();
   const bool was_events = common::obs::events_enabled();
   common::obs::set_metrics_enabled(metrics);
@@ -226,17 +220,8 @@ void BM_ObsOverheadForwardAnalysis(benchmark::State& state) {
   const hart::PathModel model(path_config(4, 20, 16));
   const hart::SteadyStateLinks links(
       4, link::LinkModel::from_availability(0.83));
-  {
-    std::optional<common::obs::Sampler> sampler;
-    if (sampler_on) sampler.emplace(std::chrono::milliseconds(5));
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(model.analyze(links).cycle_probabilities);
-    }
-    if (sampler) {
-      sampler->stop();
-      state.counters["sampler_ticks"] =
-          benchmark::Counter(static_cast<double>(sampler->samples()));
-    }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.analyze(links).cycle_probabilities);
   }
   common::obs::set_metrics_enabled(was_metrics);
   common::obs::set_events_enabled(was_events);
@@ -248,10 +233,9 @@ void BM_ObsOverheadForwardAnalysis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsOverheadForwardAnalysis)
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->Args({1, 1, 0})
-    ->Args({1, 1, 1});
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 }  // namespace
 

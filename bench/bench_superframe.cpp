@@ -11,9 +11,7 @@
 
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_model.hpp"
-#include "whart/linalg/matrix.hpp"
 #include "whart/markov/superframe_kernel.hpp"
-#include "whart/markov/transient.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/typical_network.hpp"
 #include "whart/verify/full_chain.hpp"
@@ -114,38 +112,6 @@ void BM_KernelBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelBuild)->Arg(3)->Arg(8);
-
-// Batched multi-initial-state transient: Args are (batch rows, kernel
-// 0 = row-by-row distribution_after, 1 = cache-blocked batch).
-void BM_BatchedTransient(benchmark::State& state) {
-  const hart::PathModel model(path_config(4, 20, 4));
-  const hart::SteadyStateLinks links(
-      4, link::LinkModel::from_availability(0.83));
-  const markov::SuperframeKernel kernel(
-      verify::full_chain_slot_matrices(model, links));
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = kernel.dimension();
-  linalg::Matrix initials(rows, dim);
-  for (std::size_t r = 0; r < rows; ++r) initials(r, r % dim) = 1.0;
-  const std::uint64_t steps = 3 * kernel.period() + 5;
-  if (state.range(1) != 0) {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(
-          markov::distributions_after_periodic(kernel, initials, steps));
-    }
-  } else {
-    for (auto _ : state) {
-      double sink = 0.0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        linalg::Vector row(dim);
-        for (std::size_t c = 0; c < dim; ++c) row[c] = initials(r, c);
-        sink += markov::distribution_after_periodic(kernel, row, steps)[0];
-      }
-      benchmark::DoNotOptimize(sink);
-    }
-  }
-}
-BENCHMARK(BM_BatchedTransient)->Args({64, 0})->Args({64, 1});
 
 }  // namespace
 

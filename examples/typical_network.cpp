@@ -4,11 +4,14 @@
 //
 // Optional flags: --metrics=<file> dumps the metrics-registry snapshot
 // as JSON; --trace=<file> records spans and dumps Chrome trace_event
-// JSON; --obs-dir=<dir> writes the full five-artifact observability
-// bundle.  Without flags the behaviour is unchanged.
+// JSON; --obs-dir=<dir> writes the full observability bundle
+// (metrics.json, trace.json, events.jsonl).  Without flags the
+// behaviour is unchanged.  An output path that cannot be written exits
+// 1 with a message naming it.
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "whart/common/obs.hpp"
@@ -45,8 +48,13 @@ int main(int argc, char** argv) {
     common::obs::TraceCollector::instance().clear();
   }
   std::unique_ptr<report::ObsDirSession> obs_session;
-  if (!obs_dir.empty())
-    obs_session = std::make_unique<report::ObsDirSession>(obs_dir);
+  try {
+    if (!obs_dir.empty())
+      obs_session = std::make_unique<report::ObsDirSession>(obs_dir);
+  } catch (const std::runtime_error& error) {
+    std::cerr << "typical_network: " << error.what() << "\n";
+    return 1;
+  }
 
   const net::TypicalNetwork plant =
       net::make_typical_network(link::LinkModel::from_ber(2e-4));
@@ -128,6 +136,11 @@ int main(int argc, char** argv) {
                                     collector.flows());
     std::cout << "wrote Chrome trace to " << trace_path << "\n";
   }
-  if (obs_session) obs_session->finish();
+  try {
+    if (obs_session) obs_session->finish();
+  } catch (const std::runtime_error& error) {
+    std::cerr << "typical_network: " << error.what() << "\n";
+    return 1;
+  }
   return 0;
 }

@@ -42,10 +42,9 @@
 //                        JSON (default file: whart_trace.json); also
 //                        prints the aggregate span table
 //   --obs-dir=<dir>      full observability bundle: enables metrics,
-//                        tracing, the flight recorder and a background
-//                        sampler, then writes metrics.json, trace.json,
-//                        events.jsonl, metrics.prom and timeseries.csv
-//                        into <dir> (created if missing)
+//                        tracing and the flight recorder, then writes
+//                        metrics.json, trace.json and events.jsonl into
+//                        <dir> (created if missing)
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -473,7 +472,7 @@ int main(int argc, char** argv) {
 
   try {
     // The bundle session turns every surface on before the analysis and
-    // writes the five artifacts when it goes out of scope (or earlier,
+    // writes the three artifacts when it goes out of scope (or earlier,
     // at the explicit finish() below).
     std::unique_ptr<whart::report::ObsDirSession> obs_session;
     if (!options.obs_dir.empty())

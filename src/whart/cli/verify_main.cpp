@@ -29,19 +29,20 @@
 //   --metrics[=<file>]   dump the obs metrics snapshot as JSON
 //                        (default file: whart_verify_metrics.json)
 //   --obs-dir=<dir>      full observability bundle (metrics.json,
-//                        trace.json, events.jsonl, metrics.prom,
-//                        timeseries.csv) written into <dir>
+//                        trace.json, events.jsonl) written into <dir>
 //
 // Numeric flag values are whole-token numbers of the option's own type
 // (--intervals and --shards at least 1); a bad one prints usage naming
 // the flag.
 //
 // Exit status: 0 when every scenario passes, 1 on any finding, 2 on
-// usage errors.  Reproduce any reported failure with --seed <seed>
-// --runs 1.
+// usage errors and on output paths (--corpus, --metrics, --obs-dir)
+// that cannot be written.  Reproduce any reported failure with --seed
+// <seed> --runs 1.
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "whart/cli/parse_number.hpp"
@@ -152,13 +153,17 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) whart::common::obs::set_metrics_enabled(true);
-  std::unique_ptr<whart::report::ObsDirSession> obs_session;
-  if (!obs_dir.empty())
-    obs_session = std::make_unique<whart::report::ObsDirSession>(obs_dir);
-
-  const whart::verify::VerifyReport report =
-      whart::verify::run_verification(config);
-  if (obs_session) obs_session->finish();
+  whart::verify::VerifyReport report;
+  try {
+    std::unique_ptr<whart::report::ObsDirSession> obs_session;
+    if (!obs_dir.empty())
+      obs_session = std::make_unique<whart::report::ObsDirSession>(obs_dir);
+    report = whart::verify::run_verification(config);
+    if (obs_session) obs_session->finish();
+  } catch (const std::runtime_error& error) {
+    std::cerr << "whart_verify: " << error.what() << "\n";
+    return 2;
+  }
 
   std::cout << "scenarios: " << report.scenarios_run << " ("
             << report.corpus_replayed << " from corpus), simulated "
@@ -174,7 +179,7 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     std::ofstream file(metrics_path);
     if (!file) {
-      std::cerr << "cannot write '" << metrics_path << "'\n";
+      std::cerr << "whart_verify: cannot write '" << metrics_path << "'\n";
       return 2;
     }
     whart::report::write_metrics_json(

@@ -232,9 +232,7 @@ const char* event_kind_name(EventKind kind) noexcept {
     case EventKind::kTaskSubmit: return "task_submit";
     case EventKind::kTaskStart: return "task_start";
     case EventKind::kSolveDone: return "solve_done";
-    case EventKind::kStage: return "stage";
     case EventKind::kContractFailure: return "contract_failure";
-    case EventKind::kSamplerTick: return "sampler_tick";
     case EventKind::kTraceClear: return "trace_clear";
   }
   return "unknown";
@@ -740,67 +738,6 @@ ScopedTimer::~ScopedTimer() {
   histogram_->record(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
           .count()));
-}
-
-// ---------------------------------------------------------------------
-// Sampler.
-// ---------------------------------------------------------------------
-
-Sampler::Sampler(std::chrono::milliseconds interval, std::size_t capacity)
-    : interval_(interval), capacity_(capacity == 0 ? 1 : capacity) {
-  thread_ = std::thread([this] { loop(); });
-}
-
-Sampler::~Sampler() { stop(); }
-
-void Sampler::take_sample() {
-  TimedMetricsSnapshot sample;
-  sample.t_ns = trace_now_ns();
-  sample.metrics = Registry::instance().snapshot();
-  std::size_t taken = 0;
-  {
-    const std::lock_guard lock(mutex_);
-    ring_.push_back(std::move(sample));
-    while (ring_.size() > capacity_) ring_.pop_front();
-    taken = ++samples_;
-  }
-  WHART_EVENT(kSamplerTick, "obs.sampler", taken, 0);
-  WHART_COUNT("obs.sampler.ticks");
-}
-
-void Sampler::loop() {
-  take_sample();  // the t=0 baseline
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    cv_.wait_for(lock, interval_, [this] { return stopping_; });
-    if (stopping_) return;
-    lock.unlock();
-    take_sample();
-    lock.lock();
-  }
-}
-
-void Sampler::stop() {
-  {
-    const std::lock_guard lock(mutex_);
-    if (stopped_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  take_sample();  // the final state, so short runs still get a series
-  const std::lock_guard lock(mutex_);
-  stopped_ = true;
-}
-
-std::vector<TimedMetricsSnapshot> Sampler::series() const {
-  const std::lock_guard lock(mutex_);
-  return {ring_.begin(), ring_.end()};
-}
-
-std::size_t Sampler::samples() const {
-  const std::lock_guard lock(mutex_);
-  return samples_;
 }
 
 }  // namespace whart::common::obs

@@ -1,14 +1,13 @@
 // Observability subsystem: a process-wide metrics registry (counters,
 // gauges, log-bucketed histograms with quantile estimation), scoped
 // trace spans with cross-thread causality (span ids, parent links, flow
-// records across ThreadPool boundaries), a flight recorder (EventLog —
-// fixed-size structured events in per-thread rings, dumped from the
-// contracts.hpp failure path), and a background Sampler that turns the
-// registry into a timestamped time series.  The analysis engine's hot
-// paths (path solves, the thread pool, the cache, the Monte-Carlo
-// shards) report through the macros at the bottom of this header;
-// `report/metrics_export` turns snapshots into JSON / Chrome trace /
-// Prometheus text / CSV and `whart_cli --obs-dir` writes the bundle.
+// records across ThreadPool boundaries), and a flight recorder
+// (EventLog — fixed-size structured events in per-thread rings, dumped
+// from the contracts.hpp failure path).  The analysis engine's hot
+// paths (path solves, the thread pool, the what-if engine, the
+// Monte-Carlo shards) report through the macros at the bottom of this
+// header; `report/metrics_export` turns snapshots into JSON and Chrome
+// trace files and `whart_cli --obs-dir` writes the bundle.
 //
 // Cost model: metric handles are resolved once per call site (static
 // reference behind a magic-static), so the hot path is a single relaxed
@@ -30,16 +29,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace whart::common::obs {
@@ -63,19 +59,11 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Current value: last-write-wins set() plus lock-free add() deltas (a
-/// CAS loop on the double bits), so producers that only know "one more"
-/// / "one less" (e.g. the thread-pool queue depth) need no lock.
+/// Current value: last write wins.
 class Gauge {
  public:
   void set(double value) noexcept {
     value_.store(value, std::memory_order_relaxed);
-  }
-  void add(double delta) noexcept {
-    double seen = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(seen, seen + delta,
-                                         std::memory_order_relaxed)) {
-    }
   }
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -169,14 +157,6 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramSnapshot> histograms;
 };
 
-/// One registry snapshot with the trace-clock timestamp it was taken at
-/// (what the Sampler accumulates; `report/metrics_export` renders a
-/// vector of these as the time-series CSV).
-struct TimedMetricsSnapshot {
-  std::uint64_t t_ns = 0;  // trace_now_ns() at sampling time
-  MetricsSnapshot metrics;
-};
-
 // ---------------------------------------------------------------------
 // Registry.
 // ---------------------------------------------------------------------
@@ -223,8 +203,8 @@ void set_events_enabled(bool enabled) noexcept;
 // Flight recorder: fixed-size structured events in per-thread rings.
 // ---------------------------------------------------------------------
 
-/// What happened; the name identifies where.  Rendered in JSONL via
-/// event_kind_name().  Extend at the end to keep dumps comparable.
+/// What happened; the name identifies where.  Dumps carry the kind's
+/// event_kind_name(), never the enumerator's value.
 enum class EventKind : std::uint16_t {
   kGeneric = 0,
   kRequestBegin,     // p0 = request id
@@ -232,9 +212,7 @@ enum class EventKind : std::uint16_t {
   kTaskSubmit,       // p0 = flow id
   kTaskStart,        // p0 = flow id
   kSolveDone,        // p0 = states, p1 = solve ns
-  kStage,            // p0 = stage ns
   kContractFailure,  // recorded just before the contract exception
-  kSamplerTick,      // p0 = samples taken so far
   kTraceClear,
 };
 
@@ -524,49 +502,6 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_{};
 };
 
-// ---------------------------------------------------------------------
-// Continuous metrics surface.
-// ---------------------------------------------------------------------
-
-/// Background thread snapshotting the registry every `interval` into a
-/// bounded timestamped ring (oldest samples dropped past `capacity`).
-/// Samples once at start and once at stop, so even runs shorter than
-/// one interval produce a two-point series.  The ring is rendered by
-/// `report::write_timeseries_csv` and the final snapshot by
-/// `report::write_prometheus_text`.
-class Sampler {
- public:
-  explicit Sampler(std::chrono::milliseconds interval,
-                   std::size_t capacity = 512);
-  ~Sampler();
-
-  Sampler(const Sampler&) = delete;
-  Sampler& operator=(const Sampler&) = delete;
-
-  /// Stop the background thread (idempotent) after one final sample.
-  void stop();
-
-  /// The accumulated series, oldest first.
-  [[nodiscard]] std::vector<TimedMetricsSnapshot> series() const;
-
-  /// Samples taken so far (monotonic; may exceed capacity).
-  [[nodiscard]] std::size_t samples() const;
-
- private:
-  void loop();
-  void take_sample();
-
-  std::chrono::milliseconds interval_;
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  bool stopped_ = false;
-  std::size_t samples_ = 0;
-  std::deque<TimedMetricsSnapshot> ring_;
-  std::thread thread_;
-};
-
 }  // namespace whart::common::obs
 
 // ---------------------------------------------------------------------
@@ -597,12 +532,6 @@ class Sampler {
   do {                               \
     if (false) {                     \
       (void)(value);                 \
-    }                                \
-  } while (false)
-#define WHART_GAUGE_ADD(name, delta) \
-  do {                               \
-    if (false) {                     \
-      (void)(delta);                 \
     }                                \
   } while (false)
 #define WHART_OBSERVE(name, value) \
@@ -662,16 +591,6 @@ class Sampler {
       static ::whart::common::obs::Gauge& whart_obs_gauge =             \
           ::whart::common::obs::Registry::instance().gauge(name);       \
       whart_obs_gauge.set(static_cast<double>(value));                  \
-    }                                                                   \
-  } while (false)
-
-/// Apply a +/- delta to gauge `name` (lock-free CAS on the double).
-#define WHART_GAUGE_ADD(name, delta)                                    \
-  do {                                                                  \
-    if (::whart::common::obs::metrics_enabled()) {                      \
-      static ::whart::common::obs::Gauge& whart_obs_gauge =             \
-          ::whart::common::obs::Registry::instance().gauge(name);       \
-      whart_obs_gauge.add(static_cast<double>(delta));                  \
     }                                                                   \
   } while (false)
 

@@ -85,7 +85,6 @@ void ThreadPool::submit(std::function<void()> task) {
     ++in_flight_;
   }
   WHART_COUNT("parallel.tasks");
-  WHART_GAUGE_ADD("parallel.queue.depth", 1);
   work_available_.notify_one();
 }
 
@@ -107,10 +106,6 @@ void ThreadPool::worker_loop() {
       if (next_task_ >= queue_.size()) return;  // stopping, queue drained
       task = std::move(queue_[next_task_++]);
     }
-    // Depth counts submitted-but-not-yet-started tasks; the inc/dec
-    // deltas are lock-free (Gauge::add) where the old set() needed the
-    // queue size under the pool mutex.
-    WHART_GAUGE_ADD("parallel.queue.depth", -1);
     WHART_EVENT(kTaskStart, "parallel.pool", 0, 0);
     {
       WHART_TIMER("parallel.task.ns");

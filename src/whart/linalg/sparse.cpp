@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "whart/common/contracts.hpp"
-#include "whart/linalg/matrix.hpp"
 
 namespace whart::linalg {
 
@@ -178,22 +177,6 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b,
 CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b) {
   SparseProductArena arena;
   return multiply(a, b, arena);
-}
-
-Matrix left_multiply_batch(const Matrix& x, const CsrMatrix& a,
-                           std::size_t block_rows) {
-  expects(x.cols() == a.rows(), "dimensions agree");
-  expects(block_rows >= 1, "at least one row per block");
-  Matrix y(x.rows(), a.cols());
-  for (std::size_t begin = 0; begin < x.rows(); begin += block_rows) {
-    const std::size_t end = std::min(begin + block_rows, x.rows());
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-      a.for_each_in_row(r, [&](std::size_t c, double v) {
-        for (std::size_t i = begin; i < end; ++i) y(i, c) += x(i, r) * v;
-      });
-    }
-  }
-  return y;
 }
 
 }  // namespace whart::linalg

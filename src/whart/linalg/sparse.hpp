@@ -11,8 +11,6 @@
 
 namespace whart::linalg {
 
-class Matrix;  // dense counterpart (matrix.hpp); used by the batched kernels
-
 /// One (row, col, value) entry used to assemble a sparse matrix.
 struct Triplet {
   std::size_t row = 0;
@@ -120,14 +118,5 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b,
 
 /// Convenience overload with a throwaway arena.
 CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Batched distribution step Y = X * A for a dense row-major batch of
-/// row distributions X (one initial state per row).  The CSR matrix is
-/// traversed once per block of `block_rows` batch rows, so its
-/// row_start/col_index/value streams are amortized over the whole block
-/// while the active slices of X and Y stay cache-resident — the
-/// cache-blocked kernel behind SuperframeKernel's batched solves.
-Matrix left_multiply_batch(const Matrix& x, const CsrMatrix& a,
-                           std::size_t block_rows = 32);
 
 }  // namespace whart::linalg

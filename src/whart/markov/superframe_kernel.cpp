@@ -50,41 +50,6 @@ const linalg::CsrMatrix& SuperframeKernel::slot_matrix(
   return slot_matrices_[position];
 }
 
-linalg::Vector SuperframeKernel::distribution_after(
-    const linalg::Vector& initial, std::uint64_t steps) const {
-  expects(initial.size() == dimension(),
-          "initial distribution matches state space");
-  const std::uint64_t cycles = steps / period();
-  const std::uint64_t tail = steps % period();
-  WHART_COUNT_N("markov.superframe.cycles", cycles);
-  WHART_COUNT_N("markov.superframe.tail_steps", tail);
-  WHART_COUNT_N("markov.superframe.steps_collapsed",
-                cycles * (period() - 1));
-  linalg::Vector p = initial;
-  for (std::uint64_t c = 0; c < cycles; ++c) p = product_.left_multiply(p);
-  for (std::uint64_t t = 0; t < tail; ++t)
-    p = slot_matrices_[t].left_multiply(p);
-  return p;
-}
-
-linalg::Matrix SuperframeKernel::distributions_after(
-    const linalg::Matrix& initials, std::uint64_t steps,
-    std::size_t block_rows) const {
-  expects(initials.cols() == dimension(),
-          "initial distributions match state space");
-  const std::uint64_t cycles = steps / period();
-  const std::uint64_t tail = steps % period();
-  WHART_COUNT_N("markov.superframe.cycles",
-                cycles * initials.rows());
-  WHART_COUNT_N("markov.superframe.tail_steps", tail * initials.rows());
-  linalg::Matrix p = initials;
-  for (std::uint64_t c = 0; c < cycles; ++c)
-    p = linalg::left_multiply_batch(p, product_, block_rows);
-  for (std::uint64_t t = 0; t < tail; ++t)
-    p = linalg::left_multiply_batch(p, slot_matrices_[t], block_rows);
-  return p;
-}
-
 double SuperframeKernel::product_row_sum_residual() const {
   double worst = 0.0;
   for (std::size_t r = 0; r < product_.rows(); ++r)

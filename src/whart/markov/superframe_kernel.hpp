@@ -6,26 +6,17 @@
 //
 //   P = M_1 * M_2 * ... * M_F      (F = period)
 //
-// and then answers "distribution after t slots" with floor(t / F)
-// applications of P plus a tail of at most F - 1 per-slot steps — the
-// dominant cost drops from O(t) sequential SpMVs to O(t / F) products
-// through one precomputed matrix.  P is row-stochastic whenever every
+// so a t-slot transient is floor(t / F) applications of P plus a tail
+// of at most F - 1 per-slot steps.  P is row-stochastic whenever every
 // M_i is (a product of stochastic matrices is stochastic), so the
 // collapsed chain is a DTMC in its own right; see DESIGN.md §11 for the
-// math and the tail handling.
-//
-// A batched entry point advances a whole linalg::Matrix of row
-// distributions together through the collapsed chain, traversing the
-// product matrix once per cache-sized block of states instead of once
-// per state.
+// math and the tail handling.  hart::PathModel's reference collapse
+// reads the product and the per-slot matrices.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "whart/linalg/matrix.hpp"
 #include "whart/linalg/sparse.hpp"
-#include "whart/linalg/vector.hpp"
 
 namespace whart::markov {
 
@@ -56,21 +47,6 @@ class SuperframeKernel {
   /// Per-slot matrix of cycle position `position` (0-based).
   [[nodiscard]] const linalg::CsrMatrix& slot_matrix(
       std::size_t position) const;
-
-  /// Distribution after `steps` slots from `initial`: full cycles
-  /// through the product matrix plus a tail of steps % period() per-slot
-  /// steps.  steps == 0 returns the initial distribution unchanged.
-  [[nodiscard]] linalg::Vector distribution_after(
-      const linalg::Vector& initial, std::uint64_t steps) const;
-
-  /// Batched transient solve: every row of `initials` is an independent
-  /// initial distribution; all rows are advanced `steps` slots together,
-  /// blocked for cache (see linalg::left_multiply_batch).  Row i of the
-  /// result equals distribution_after(row i, steps) exactly — the same
-  /// products in the same order, just interleaved across rows.
-  [[nodiscard]] linalg::Matrix distributions_after(
-      const linalg::Matrix& initials, std::uint64_t steps,
-      std::size_t block_rows = 32) const;
 
   /// Largest |1 - row sum| over the product matrix — the numeric health
   /// of the collapse (exact arithmetic gives 0 for stochastic slots).

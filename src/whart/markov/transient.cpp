@@ -17,20 +17,4 @@ linalg::Vector distribution_after(const Dtmc& chain,
   return p;
 }
 
-linalg::Vector distribution_after_periodic(const SuperframeKernel& kernel,
-                                           const linalg::Vector& initial,
-                                           std::uint64_t steps) {
-  WHART_COUNT("markov.transient.periodic_solves");
-  WHART_COUNT_N("markov.transient.steps", steps);
-  return kernel.distribution_after(initial, steps);
-}
-
-linalg::Matrix distributions_after_periodic(const SuperframeKernel& kernel,
-                                            const linalg::Matrix& initials,
-                                            std::uint64_t steps) {
-  WHART_COUNT("markov.transient.periodic_batch_solves");
-  WHART_COUNT_N("markov.transient.steps", steps * initials.rows());
-  return kernel.distributions_after(initials, steps);
-}
-
 }  // namespace whart::markov

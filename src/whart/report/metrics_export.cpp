@@ -1,6 +1,5 @@
 #include "whart/report/metrics_export.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <ostream>
 #include <string>
@@ -61,25 +60,6 @@ void write_histogram(std::ostream& out,
         << ", \"count\": " << bucket.count << "}";
   }
   out << "]}";
-}
-
-/// Prometheus metric-name sanitization: `whart_` prefix, every
-/// character outside [a-zA-Z0-9_] becomes '_'.
-std::string prom_name(std::string_view name) {
-  std::string out = "whart_";
-  out.reserve(out.size() + name.size());
-  for (const char c : name) {
-    const auto uc = static_cast<unsigned char>(c);
-    out += (std::isalnum(uc) != 0) ? c : '_';
-  }
-  return out;
-}
-
-/// Prometheus sample values: text format spells non-finite values out.
-std::string prom_number(double value) {
-  if (std::isnan(value)) return "NaN";
-  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-  return std::to_string(value);
 }
 
 }  // namespace
@@ -180,60 +160,6 @@ void write_chrome_trace_json(
     first = false;
   }
   out << (first ? "" : "\n") << "]}\n";
-}
-
-void write_prometheus_text(std::ostream& out,
-                           const common::obs::MetricsSnapshot& snapshot) {
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string prom = prom_name(name) + "_total";
-    out << "# HELP " << prom << " whart counter " << name << "\n";
-    out << "# TYPE " << prom << " counter\n";
-    out << prom << " " << value << "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string prom = prom_name(name);
-    out << "# HELP " << prom << " whart gauge " << name << "\n";
-    out << "# TYPE " << prom << " gauge\n";
-    out << prom << " " << prom_number(value) << "\n";
-  }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    const std::string prom = prom_name(name);
-    out << "# HELP " << prom << " whart histogram " << name << "\n";
-    out << "# TYPE " << prom << " summary\n";
-    out << prom << "{quantile=\"0.5\"} " << prom_number(histogram.p50())
-        << "\n";
-    out << prom << "{quantile=\"0.9\"} " << prom_number(histogram.p90())
-        << "\n";
-    out << prom << "{quantile=\"0.99\"} " << prom_number(histogram.p99())
-        << "\n";
-    out << prom << "_sum " << histogram.sum << "\n";
-    out << prom << "_count " << histogram.count << "\n";
-  }
-}
-
-void write_timeseries_csv(
-    std::ostream& out,
-    const std::vector<common::obs::TimedMetricsSnapshot>& series) {
-  out << "t_ms,name,value\n";
-  for (const auto& sample : series) {
-    const std::string t_ms =
-        Table::fixed(static_cast<double>(sample.t_ns) / 1e6, 3);
-    for (const auto& [name, value] : sample.metrics.counters)
-      out << t_ms << "," << name << "," << value << "\n";
-    for (const auto& [name, value] : sample.metrics.gauges)
-      out << t_ms << "," << name << "," << json_number(value) << "\n";
-    for (const auto& [name, histogram] : sample.metrics.histograms) {
-      out << t_ms << "," << name << ".count," << histogram.count << "\n";
-      out << t_ms << "," << name << ".mean,"
-          << json_number(histogram.mean()) << "\n";
-      out << t_ms << "," << name << ".p50," << json_number(histogram.p50())
-          << "\n";
-      out << t_ms << "," << name << ".p90," << json_number(histogram.p90())
-          << "\n";
-      out << t_ms << "," << name << ".p99," << json_number(histogram.p99())
-          << "\n";
-    }
-  }
 }
 
 void print_span_table(std::ostream& out,

@@ -4,7 +4,9 @@
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <system_error>
 
+#include "whart/common/obs.hpp"
 #include "whart/report/metrics_export.hpp"
 
 namespace whart::report {
@@ -24,10 +26,12 @@ std::ofstream open_artifact(const std::filesystem::path& dir,
 
 }  // namespace
 
-ObsDirSession::ObsDirSession(std::string dir,
-                             std::chrono::milliseconds sample_interval)
-    : dir_(std::move(dir)) {
-  std::filesystem::create_directories(dir_);
+ObsDirSession::ObsDirSession(std::string dir) : dir_(std::move(dir)) {
+  std::error_code error;
+  std::filesystem::create_directories(dir_, error);
+  if (error)
+    throw std::runtime_error("cannot create directory '" + dir_ +
+                             "': " + error.message());
   obs::set_metrics_enabled(true);
   obs::set_trace_enabled(true);
   obs::set_events_enabled(true);
@@ -35,7 +39,6 @@ ObsDirSession::ObsDirSession(std::string dir,
   obs::EventLog::instance().clear();
   obs::set_contract_dump_path(
       (std::filesystem::path(dir_) / "events_crash.jsonl").string());
-  sampler_ = std::make_unique<obs::Sampler>(sample_interval);
 }
 
 ObsDirSession::~ObsDirSession() {
@@ -50,15 +53,13 @@ ObsDirSession::~ObsDirSession() {
 void ObsDirSession::finish() {
   if (finished_) return;
   finished_ = true;
-  sampler_->stop();
 
   const std::filesystem::path dir(dir_);
-  obs::TraceCollector& collector = obs::TraceCollector::instance();
-  const obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
-
+  const obs::TraceCollector& collector = obs::TraceCollector::instance();
   {
     std::ofstream file = open_artifact(dir, "metrics.json");
-    write_metrics_json(file, snapshot, collector.aggregate());
+    write_metrics_json(file, obs::Registry::instance().snapshot(),
+                       collector.aggregate());
   }
   {
     std::ofstream file = open_artifact(dir, "trace.json");
@@ -68,16 +69,8 @@ void ObsDirSession::finish() {
     std::ofstream file = open_artifact(dir, "events.jsonl");
     obs::EventLog::instance().write_jsonl(file);
   }
-  {
-    std::ofstream file = open_artifact(dir, "metrics.prom");
-    write_prometheus_text(file, snapshot);
-  }
-  {
-    std::ofstream file = open_artifact(dir, "timeseries.csv");
-    write_timeseries_csv(file, sampler_->series());
-  }
   std::cout << "wrote observability bundle (metrics.json, trace.json, "
-               "events.jsonl, metrics.prom, timeseries.csv) to "
+               "events.jsonl) to "
             << dir_ << "\n";
 }
 

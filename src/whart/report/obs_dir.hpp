@@ -1,37 +1,29 @@
 // The engine side of `--obs-dir=<dir>`: one RAII session that turns on
-// every observability surface (metrics, tracing, the flight recorder,
-// the background Sampler), points the contract-failure crash dump into
-// the directory, and on finish() writes the five-artifact bundle:
+// every observability surface (metrics, tracing, the flight recorder),
+// points the contract-failure crash dump into the directory, and on
+// finish() writes the three-artifact bundle:
 //
-//   metrics.json    registry snapshot + span aggregates + derived
-//   trace.json      Chrome trace_event spans + cross-thread flow arrows
-//   events.jsonl    flight-recorder drain, one JSON object per line
-//   metrics.prom    Prometheus text exposition of the final snapshot
-//   timeseries.csv  the Sampler ring as long-format CSV
+//   metrics.json   registry snapshot + span aggregates + derived
+//   trace.json     Chrome trace_event spans + cross-thread flow arrows
+//   events.jsonl   flight-recorder drain, one JSON object per line
 //
 // Both CLIs (whart_cli, whart_verify) and examples/typical_network
 // drive their `--obs-dir` flag through this class so the bundle layout
 // stays identical everywhere.
 #pragma once
 
-#include <chrono>
-#include <memory>
 #include <string>
-
-#include "whart/common/obs.hpp"
 
 namespace whart::report {
 
 class ObsDirSession {
  public:
   /// Creates `dir` (and parents), enables metrics/trace/events, clears
-  /// the trace and event buffers, redirects the contract crash dump to
-  /// `<dir>/events_crash.jsonl` and starts sampling every
-  /// `sample_interval`.
-  explicit ObsDirSession(
-      std::string dir,
-      std::chrono::milliseconds sample_interval =
-          std::chrono::milliseconds(200));
+  /// the trace and event buffers and redirects the contract crash dump
+  /// to `<dir>/events_crash.jsonl`.  Throws std::runtime_error naming
+  /// `dir` when the directory cannot be created; nothing is enabled
+  /// then.
+  explicit ObsDirSession(std::string dir);
 
   /// finish()es if the caller did not.
   ~ObsDirSession();
@@ -39,14 +31,12 @@ class ObsDirSession {
   ObsDirSession(const ObsDirSession&) = delete;
   ObsDirSession& operator=(const ObsDirSession&) = delete;
 
-  /// Stop the sampler and write the five artifacts (idempotent).
+  /// Write the three artifacts (idempotent).  Throws std::runtime_error
+  /// naming the first artifact it cannot write.
   void finish();
-
-  [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
  private:
   std::string dir_;
-  std::unique_ptr<common::obs::Sampler> sampler_;
   bool finished_ = false;
 };
 

@@ -49,7 +49,7 @@ bool has_findings(const VerifyFailure& failure) {
 }
 
 VerifyReport run_verification(const VerifyConfig& config) {
-  WHART_SPAN("verify_run");
+  WHART_REQUEST_SPAN("verify_run");
 
   // Seed schedule: corpus first, then a splitmix64 stream off the base
   // seed (the base seed itself is the first fresh seed).

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "whart/common/contracts.hpp"
 #include "whart/numeric/rng.hpp"
@@ -283,7 +284,7 @@ void append_corpus(const std::string& path, std::uint64_t seed) {
   if (std::find(existing.begin(), existing.end(), seed) != existing.end())
     return;
   std::ofstream file(path, std::ios::app);
-  expects(static_cast<bool>(file), "corpus file is writable");
+  if (!file) throw std::runtime_error("cannot write corpus '" + path + "'");
   file << seed << "\n";
 }
 

@@ -149,7 +149,8 @@ class ScenarioGenerator {
 /// missing file is an empty corpus.
 std::vector<std::uint64_t> load_corpus(const std::string& path);
 
-/// Append `seed` to the corpus file unless already present.
+/// Append `seed` to the corpus file unless already present.  Throws
+/// std::runtime_error naming `path` when the file cannot be written.
 void append_corpus(const std::string& path, std::uint64_t seed);
 
 }  // namespace whart::verify

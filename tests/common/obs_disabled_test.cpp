@@ -26,7 +26,6 @@ TEST(ObsDisabled, MacrosCompileToNoOpsAndNeverEvaluateArguments) {
   WHART_COUNT("disabled.counter");
   WHART_COUNT_N("disabled.counter", count_me());
   WHART_GAUGE_SET("disabled.gauge", count_me());
-  WHART_GAUGE_ADD("disabled.gauge", count_me());
   WHART_OBSERVE("disabled.hist", count_me());
   WHART_REQUEST_SPAN("disabled_request");
   WHART_EVENT(kGeneric, "disabled.event", count_me(), count_me());
@@ -43,7 +42,7 @@ TEST(ObsDisabled, MacrosAreStatementSafe) {
   if (true)
     WHART_EVENT(kGeneric, "disabled.branch_event", 1, 2);
   else
-    WHART_GAUGE_ADD("disabled.branch_gauge", 1.0);
+    WHART_GAUGE_SET("disabled.branch_gauge", 1.0);
   SUCCEED();
 }
 

@@ -90,31 +90,6 @@ TEST(Histogram, RecordsCountSumMinMax) {
   EXPECT_EQ(h.max(), 0u);
 }
 
-TEST(Gauge, AddAccumulatesDeltas) {
-  Gauge g;
-  g.set(1.0);
-  g.add(2.5);
-  g.add(-0.5);
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
-}
-
-TEST(Gauge, AddIsAtomicUnderContention) {
-  Gauge g;
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&g] {
-      for (int i = 0; i < kIncrements; ++i) g.add(1.0);
-      for (int i = 0; i < kIncrements / 2; ++i) g.add(-1.0);
-    });
-  for (std::thread& t : threads) t.join();
-  // Integers this small are exact in a double, so lost updates show up
-  // as an exact-count mismatch.
-  EXPECT_DOUBLE_EQ(g.value(), kThreads * (kIncrements / 2.0));
-}
-
 TEST(HistogramQuantile, ExactWhenOneValuePerBucket) {
   Registry& reg = Registry::instance();
   Histogram& h = reg.histogram("test.obs.quantile.single");
@@ -184,7 +159,7 @@ TEST(EventLogTest, RecordsAndDrains) {
   EventLog& log = EventLog::instance();
   log.clear();
   WHART_EVENT(kSolveDone, "test.obs.events.solve", 7, 9);
-  WHART_EVENT(kStage, "test.obs.events.stage", 1, 0);
+  WHART_EVENT(kGeneric, "test.obs.events.generic", 1, 0);
   const std::vector<EventRecord> events = log.events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, EventKind::kSolveDone);
@@ -197,7 +172,7 @@ TEST(EventLogTest, RecordsAndDrains) {
   log.write_jsonl(jsonl);
   const std::string text = jsonl.str();
   EXPECT_NE(text.find("\"kind\": \"solve_done\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"test.obs.events.stage\""),
+  EXPECT_NE(text.find("\"name\": \"test.obs.events.generic\""),
             std::string::npos);
   log.clear();
   EXPECT_TRUE(log.events().empty());

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
-#include "whart/linalg/matrix.hpp"
 
 namespace whart::linalg {
 namespace {
@@ -157,27 +156,6 @@ TEST(Csr, FromPartsValidatesShape) {
   EXPECT_THROW(
       (void)CsrMatrix::from_parts(1, 3, {0, 2}, {1, 1}, {1.0, 2.0}),
       precondition_error);
-}
-
-TEST(Csr, LeftMultiplyBatchMatchesRowWiseLeftMultiply) {
-  const CsrMatrix a(3, 3,
-                    {{0, 0, 0.5}, {0, 1, 0.5}, {1, 2, 1.0}, {2, 2, 1.0}});
-  // 70 rows exercises several 32-row blocks plus a partial tail block.
-  Matrix x(70, 3);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    x(r, r % 3) = 0.25 + 0.5 * static_cast<double>(r) / 70.0;
-    x(r, (r + 1) % 3) = 1.0 - x(r, r % 3);
-  }
-  const Matrix y = left_multiply_batch(x, a);
-  ASSERT_EQ(y.rows(), x.rows());
-  ASSERT_EQ(y.cols(), 3u);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    Vector row(3);
-    for (std::size_t c = 0; c < 3; ++c) row[c] = x(r, c);
-    const Vector expect = a.left_multiply(row);
-    for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_EQ(y(r, c), expect[c]) << "row " << r << " col " << c;
-  }
 }
 
 }  // namespace

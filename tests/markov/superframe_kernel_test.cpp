@@ -6,6 +6,7 @@
 // that are not a multiple of the superframe.
 #include "whart/markov/superframe_kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -14,8 +15,6 @@
 #include "whart/common/contracts.hpp"
 #include "whart/hart/link_probability.hpp"
 #include "whart/hart/path_model.hpp"
-#include "whart/linalg/matrix.hpp"
-#include "whart/markov/transient.hpp"
 #include "whart/verify/full_chain.hpp"
 #include "whart/verify/scenario.hpp"
 
@@ -164,69 +163,31 @@ TEST(SuperframeKernel, ProductIsRowStochastic) {
   EXPECT_LE(kernel.product_row_sum_residual(), 1e-15);
 }
 
-TEST(SuperframeKernel, StepsNotMultipleOfPeriodUseTail) {
-  const std::vector<linalg::CsrMatrix> slots = small_slot_matrices();
-  const SuperframeKernel kernel(slots);
-  linalg::Vector initial(kernel.dimension());
-  initial[0] = 1.0;
-  // 2 full cycles + 4 tail slots: compare against the naive per-slot
-  // product over the periodic sequence.
-  const std::uint64_t steps = 2 * kernel.period() + 4;
-  const linalg::Vector collapsed =
-      distribution_after_periodic(kernel, initial, steps);
-  linalg::Vector naive = initial;
-  for (std::uint64_t t = 0; t < steps; ++t)
-    naive = slots[t % slots.size()].left_multiply(naive);
-  ASSERT_EQ(collapsed.size(), naive.size());
-  for (std::size_t i = 0; i < naive.size(); ++i)
-    EXPECT_NEAR(collapsed[i], naive[i], kTol);
-}
-
-TEST(SuperframeKernel, ZeroStepsReturnsInitialUnchanged) {
-  const SuperframeKernel kernel(small_slot_matrices());
-  linalg::Vector initial(kernel.dimension());
-  initial[1] = 0.25;
-  initial[2] = 0.75;
-  const linalg::Vector after = distribution_after_periodic(kernel, initial, 0);
-  EXPECT_EQ(after, initial);
-}
-
-TEST(SuperframeKernel, BatchedSolveMatchesSequentialRows) {
-  const SuperframeKernel kernel(small_slot_matrices());
-  const std::size_t dim = kernel.dimension();
-  linalg::Matrix initials(dim + 3, dim);
-  for (std::size_t r = 0; r < initials.rows(); ++r)
-    for (std::size_t c = 0; c < dim; ++c)
-      initials(r, c) = (r + c) % dim == 0 ? 0.4 : 0.6 / double(dim - 1);
-  const std::uint64_t steps = kernel.period() + 2;
-  const linalg::Matrix batched =
-      distributions_after_periodic(kernel, initials, steps);
-  ASSERT_EQ(batched.rows(), initials.rows());
-  for (std::size_t r = 0; r < initials.rows(); ++r) {
-    linalg::Vector row(dim);
-    for (std::size_t c = 0; c < dim; ++c) row[c] = initials(r, c);
-    const linalg::Vector single =
-        distribution_after_periodic(kernel, row, steps);
-    for (std::size_t c = 0; c < dim; ++c)
-      // Identical accumulation order — bitwise, not just near.
-      EXPECT_EQ(batched(r, c), single[c]) << "row " << r << " col " << c;
-  }
-}
-
 TEST(SuperframeKernel, PerturbedProductEntryChangesTheSolve) {
-  SuperframeKernel kernel(small_slot_matrices());
-  linalg::Vector initial(kernel.dimension());
-  initial[0] = 1.0;
-  const linalg::Vector clean =
-      kernel.distribution_after(initial, 2 * kernel.period());
-  kernel.perturb_product_entry(0, 0, 1e-3);
-  const linalg::Vector corrupt =
-      kernel.distribution_after(initial, 2 * kernel.period());
+  // The oracle's kernel arm perturbs the collapse through this seam; a
+  // corrupted product entry must move the collapsed solve well past the
+  // arm's 1e-12 tolerance.
+  hart::PathModelConfig config;
+  config.hop_slots = {1, 2};
+  config.superframe = net::SuperframeConfig{3, 3};
+  config.reporting_interval = 2;
+  const hart::PathModel model(config);
+  const hart::SteadyStateLinks links{std::vector<double>{0.8, 0.6}};
+  hart::PathAnalysisOptions corrupted = superframe_options();
+  corrupted.inject_product_error = 1e-3;
+  const hart::PathTransientResult clean =
+      model.analyze(links, superframe_options());
+  const hart::PathTransientResult corrupt = model.analyze(links, corrupted);
+  ASSERT_EQ(corrupt.diagnostics.kernel,
+            hart::TransientKernel::kSuperframeProduct);
+  ASSERT_EQ(clean.cycle_probabilities.size(),
+            corrupt.cycle_probabilities.size());
   double max_diff = 0.0;
-  for (std::size_t i = 0; i < clean.size(); ++i)
-    max_diff = std::max(max_diff, std::abs(clean[i] - corrupt[i]));
+  for (std::size_t i = 0; i < clean.cycle_probabilities.size(); ++i)
+    max_diff = std::max(max_diff, std::abs(clean.cycle_probabilities[i] -
+                                           corrupt.cycle_probabilities[i]));
   EXPECT_GT(max_diff, 1e-5);
-  EXPECT_GT(kernel.product_row_sum_residual(), 1e-5);
+  EXPECT_GT(corrupt.diagnostics.mass_residual, 1e-5);
 }
 
 TEST(SuperframeKernel, RejectsEmptyAndMismatchedMatrices) {

@@ -21,7 +21,6 @@ using common::obs::HistogramSnapshot;
 using common::obs::MetricsSnapshot;
 using common::obs::SpanAggregate;
 using common::obs::SpanRecord;
-using common::obs::TimedMetricsSnapshot;
 
 /// Minimal structural JSON validator: tracks bracket/brace nesting and
 /// string/escape state.  Catches unbalanced structure, raw control
@@ -212,58 +211,6 @@ TEST(ChromeTrace, FlowEventsPairStartAndFinish) {
   const std::size_t f_pos = text.find("\"ph\": \"f\"");
   EXPECT_NE(text.find("\"bp\": \"e\"", f_pos), std::string::npos);
   EXPECT_EQ(text.find("\"bp\": \"e\""), text.find("\"bp\": \"e\"", f_pos));
-}
-
-TEST(PrometheusText, RendersCountersGaugesAndSummaries) {
-  std::ostringstream out;
-  write_prometheus_text(out, sample_snapshot());
-  const std::string text = out.str();
-  EXPECT_NE(text.find("# TYPE whart_hart_path_cache_hits_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("whart_hart_path_cache_hits_total 30"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE whart_parallel_pool_size gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE whart_hart_path_solve_ns summary"),
-            std::string::npos);
-  EXPECT_NE(text.find("whart_hart_path_solve_ns{quantile=\"0.5\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("whart_hart_path_solve_ns_sum 12"), std::string::npos);
-  EXPECT_NE(text.find("whart_hart_path_solve_ns_count 2"),
-            std::string::npos);
-}
-
-TEST(PrometheusText, SanitizesNamesAndSpellsNonFinite) {
-  MetricsSnapshot snapshot;
-  snapshot.gauges["weird-name.with/slash"] =
-      std::numeric_limits<double>::infinity();
-  std::ostringstream out;
-  write_prometheus_text(out, snapshot);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("whart_weird_name_with_slash +Inf"),
-            std::string::npos);
-}
-
-TEST(TimeseriesCsv, LongFormatWithHistogramExpansion) {
-  TimedMetricsSnapshot sample;
-  sample.t_ns = 2'000'000;  // 2 ms
-  sample.metrics = sample_snapshot();
-  std::ostringstream out;
-  write_timeseries_csv(out, {sample});
-  const std::string text = out.str();
-  EXPECT_NE(text.find("t_ms,name,value\n"), std::string::npos);
-  EXPECT_NE(text.find("2.000,parallel.tasks,4"), std::string::npos);
-  EXPECT_NE(text.find("2.000,parallel.pool.size,8"), std::string::npos);
-  EXPECT_NE(text.find("2.000,hart.path_solve.ns.count,2"),
-            std::string::npos);
-  EXPECT_NE(text.find("hart.path_solve.ns.p50,"), std::string::npos);
-  EXPECT_NE(text.find("hart.path_solve.ns.p99,"), std::string::npos);
-}
-
-TEST(TimeseriesCsv, EmptySeriesIsJustTheHeader) {
-  std::ostringstream out;
-  write_timeseries_csv(out, {});
-  EXPECT_EQ(out.str(), "t_ms,name,value\n");
 }
 
 TEST(SpanTable, PrintsQuantileColumns) {

@@ -3,9 +3,9 @@
 
 Usage: obs_report.py <obs-dir>
 
-Reads the five artifacts written by `whart_cli --obs-dir=<dir>` (only
-metrics.json is required; the rest enrich the report when present) and
-prints:
+Reads the three artifacts written by `whart_cli --obs-dir=<dir>` (only
+metrics.json is required; trace.json and events.jsonl enrich the report
+when present) and prints:
 
   * the top spans by total wall time, with exact p50/p99,
   * stage-level latency attribution (the hart.stage.* histograms, as a
@@ -146,22 +146,6 @@ def report_events(path: str) -> None:
     print(f"flight recorder: {count} events ({summary})")
 
 
-def report_timeseries(path: str) -> None:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError:
-        return
-    rows = [line for line in lines[1:] if line]
-    if not rows:
-        return
-    t_values = sorted({row.split(",", 1)[0] for row in rows})
-    print(
-        f"timeseries: {len(rows)} points across {len(t_values)} samples "
-        f"({t_values[0]} ms .. {t_values[-1]} ms)"
-    )
-
-
 def main() -> None:
     if len(sys.argv) != 2:
         print("usage: obs_report.py <obs-dir>", file=sys.stderr)
@@ -189,7 +173,6 @@ def main() -> None:
     if trace is not None:
         report_trace(trace)
     report_events(os.path.join(obs_dir, "events.jsonl"))
-    report_timeseries(os.path.join(obs_dir, "timeseries.csv"))
 
 
 if __name__ == "__main__":

@@ -25,9 +25,7 @@ EVENT_KINDS = {
     "task_submit",
     "task_start",
     "solve_done",
-    "stage",
     "contract_failure",
-    "sampler_tick",
     "trace_clear",
 }
 
