@@ -1,5 +1,5 @@
-// Whole-token numeric command-line values, shared by whart_cli and
-// whart_verify.
+// Whole-token numeric values, shared by whart_cli, whart_verify and
+// the verify corpus reader.
 #pragma once
 
 #include <charconv>

@@ -6,6 +6,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace whart {
 
@@ -30,10 +31,10 @@ namespace detail {
 void notify_contract_failure(const char* what) noexcept;
 
 [[noreturn]] inline void contract_failure(const char* kind, const char* expr,
-                                          const std::string& message,
+                                          std::string_view message,
                                           const std::source_location& loc) {
   std::string what = std::string(kind) + " violated: (" + expr + ")";
-  if (!message.empty()) what += " — " + message;
+  if (!message.empty()) what.append(" — ").append(message);
   what += " at ";
   what += loc.file_name();
   what += ':';
@@ -45,9 +46,10 @@ void notify_contract_failure(const char* what) noexcept;
 
 }  // namespace detail
 
-/// Check a precondition; throws precondition_error on failure.
+/// Check a precondition; throws precondition_error on failure.  The
+/// message is a view, so a passing check builds no string.
 inline void expects(bool condition, const char* expr,
-                    const std::string& message = {},
+                    std::string_view message = {},
                     const std::source_location& loc =
                         std::source_location::current()) {
   if (!condition) detail::contract_failure("precondition", expr, message, loc);
@@ -55,7 +57,7 @@ inline void expects(bool condition, const char* expr,
 
 /// Check a postcondition/invariant; throws invariant_error on failure.
 inline void ensures(bool condition, const char* expr,
-                    const std::string& message = {},
+                    std::string_view message = {},
                     const std::source_location& loc =
                         std::source_location::current()) {
   if (!condition) detail::contract_failure("invariant", expr, message, loc);

@@ -211,7 +211,7 @@ enum class EventKind : std::uint16_t {
   kRequestEnd,       // p0 = request id, p1 = duration ns
   kTaskSubmit,       // p0 = flow id
   kTaskStart,        // p0 = flow id
-  kSolveDone,        // p0 = states, p1 = solve ns
+  kSolveDone,        // a path loop: p0 = walks, p1 = loop ns
   kContractFailure,  // recorded just before the contract exception
   kTraceClear,
 };

@@ -19,7 +19,8 @@ SteadyStateLinks::SteadyStateLinks(std::vector<double> availabilities)
 }
 
 SteadyStateLinks::SteadyStateLinks(std::size_t hops, link::LinkModel model)
-    : SteadyStateLinks(std::vector<link::LinkModel>(hops, model)) {}
+    : SteadyStateLinks(
+          std::vector<double>(hops, model.steady_state_availability())) {}
 
 double SteadyStateLinks::up_probability(std::size_t hop,
                                         std::uint64_t) const {
@@ -32,7 +33,7 @@ std::size_t SteadyStateLinks::hop_count() const {
 }
 
 ChannelLinks::ChannelLinks(std::vector<link::ChannelModel> channels)
-    : channels_(std::move(channels)) {
+    : channels_(std::move(channels)), hops_(channels_.size()) {
   expects(!channels_.empty(), "at least one link");
   marginal_.reserve(channels_.size());
   for (const link::ChannelModel& c : channels_)
@@ -40,18 +41,21 @@ ChannelLinks::ChannelLinks(std::vector<link::ChannelModel> channels)
 }
 
 ChannelLinks::ChannelLinks(std::size_t hops, link::ChannelModel channel)
-    : ChannelLinks(std::vector<link::ChannelModel>(hops, channel)) {}
-
-double ChannelLinks::up_probability(std::size_t hop, std::uint64_t) const {
-  expects(hop < marginal_.size(), "hop in range");
-  return marginal_[hop];
+    : marginal_{channel.marginal_success()}, hops_(hops) {
+  expects(hops > 0, "at least one link");
+  channels_.push_back(std::move(channel));
 }
 
-std::size_t ChannelLinks::hop_count() const { return channels_.size(); }
+double ChannelLinks::up_probability(std::size_t hop, std::uint64_t) const {
+  expects(hop < hops_, "hop in range");
+  return marginal_[channels_.size() == 1 ? 0 : hop];
+}
+
+std::size_t ChannelLinks::hop_count() const { return hops_; }
 
 const link::ChannelModel* ChannelLinks::channel_model(std::size_t hop) const {
-  expects(hop < channels_.size(), "hop in range");
-  return &channels_[hop];
+  expects(hop < hops_, "hop in range");
+  return &channels_[channels_.size() == 1 ? 0 : hop];
 }
 
 bool channel_enlarged(const LinkProbabilityProvider& links,

@@ -59,7 +59,7 @@ class ChannelLinks final : public LinkProbabilityProvider {
  public:
   explicit ChannelLinks(std::vector<link::ChannelModel> channels);
 
-  /// Homogeneous shorthand: `hops` copies of the same channel.
+  /// Homogeneous shorthand: `hops` hops sharing one channel, held once.
   ChannelLinks(std::size_t hops, link::ChannelModel channel);
 
   [[nodiscard]] double up_probability(std::size_t hop,
@@ -74,8 +74,10 @@ class ChannelLinks final : public LinkProbabilityProvider {
       std::size_t hop) const override;
 
  private:
+  /// One channel per hop, or the one channel every hop shares.
   std::vector<link::ChannelModel> channels_;
-  std::vector<double> marginal_;  ///< cached marginal_success per hop
+  std::vector<double> marginal_;  ///< cached marginal_success per channel
+  std::size_t hops_ = 0;
 };
 
 /// Paper Eq. 4: all links have reached steady state — each attempt on hop

@@ -26,32 +26,35 @@ NetworkMeasures analyze_network(const net::Network& network,
   common::WorkspacePool<SolveWorkspace> workspaces;
 
   std::vector<PathMeasures> per_path(paths.size());
-  common::parallel_for(
-      paths.size(),
-      [&](std::size_t p) {
-        const PathModel model(PathModelConfig::from_schedule(
-            schedule, p, superframe, reporting_interval));
-        std::vector<double> availability;
-        availability.reserve(model.config().hop_count());
-        for (const link::LinkModel& link : paths[p].hop_models(network))
-          availability.push_back(link.steady_state_availability());
-        auto workspace = workspaces.acquire();
-        PathTransientResult& transient = workspace->scratch_result;
-        if (options.channel.has_value()) {
-          // Each hop runs the overlay rescaled to its own availability.
-          std::vector<link::ChannelModel> channels;
-          channels.reserve(availability.size());
-          for (double a : availability)
-            channels.push_back(options.channel->with_marginal_success(a));
-          model.analyze_into(ChannelLinks(std::move(channels)), path_options,
-                             *workspace, transient);
-        } else {
-          model.analyze_into(SteadyStateLinks(std::move(availability)),
-                             path_options, *workspace, transient);
-        }
-        per_path[p] = measures_from_transient(model.config(), transient);
-      },
-      options.threads);
+  {
+    const WalkLoopTimer timer(paths.size());
+    common::parallel_for(
+        paths.size(),
+        [&](std::size_t p) {
+          const PathModel model(PathModelConfig::from_schedule(
+              schedule, p, superframe, reporting_interval));
+          std::vector<double> availability;
+          availability.reserve(model.config().hop_count());
+          for (const link::LinkModel& link : paths[p].hop_models(network))
+            availability.push_back(link.steady_state_availability());
+          auto workspace = workspaces.acquire();
+          PathTransientResult& transient = workspace->scratch_result;
+          if (options.channel.has_value()) {
+            // Each hop runs the overlay rescaled to its own availability.
+            std::vector<link::ChannelModel> channels;
+            channels.reserve(availability.size());
+            for (double a : availability)
+              channels.push_back(options.channel->with_marginal_success(a));
+            model.analyze_into(ChannelLinks(std::move(channels)), path_options,
+                               *workspace, transient);
+          } else {
+            model.analyze_into(SteadyStateLinks(std::move(availability)),
+                               path_options, *workspace, transient);
+          }
+          per_path[p] = measures_from_transient(model.config(), transient);
+        },
+        options.threads);
+  }
   return aggregate_measures(std::move(per_path));
 }
 
@@ -112,7 +115,6 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
       const SolverDiagnostics& d = *m.diagnostics;
       ++result.diagnostics.dtmc_solves;
       result.diagnostics.states_solved += d.dtmc_states;
-      result.diagnostics.solve_ns_total += d.solve_ns;
       result.diagnostics.max_mass_residual =
           std::max(result.diagnostics.max_mass_residual, d.mass_residual);
     }

@@ -66,9 +66,6 @@ struct NetworkDiagnostics {
   /// Total chain states across the solves.
   std::uint64_t states_solved = 0;
 
-  /// Wall-clock summed over the solves, ns (0 when metrics are off).
-  std::uint64_t solve_ns_total = 0;
-
   /// Worst probability-mass residual seen across all solves.
   double max_mass_residual = 0.0;
 };

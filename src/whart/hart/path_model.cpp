@@ -144,36 +144,57 @@ std::vector<std::vector<double>> goal_trajectory(
 namespace {
 
 /// P^n of a channel's transition matrix (k x k, row-major) by repeated
-/// squaring.
-std::vector<double> channel_power(const link::ChannelModel& channel,
-                                  std::uint64_t n) {
+/// squaring, written to `out`; `scratch` holds 3 k^2 doubles.
+void channel_power(const link::ChannelModel& channel, std::uint64_t n,
+                   double* out, double* scratch) {
   const std::size_t k = channel.state_count();
-  std::vector<double> power(k * k, 0.0);
-  std::vector<double> base(k * k);
-  std::vector<double> product(k * k);
+  double* power = scratch;
+  double* base = power + k * k;
+  double* product = base + k * k;
+  std::fill(power, base, 0.0);
   for (std::size_t r = 0; r < k; ++r) {
     power[r * k + r] = 1.0;
     for (std::size_t c = 0; c < k; ++c)
       base[r * k + c] = channel.transition(r, c);
   }
-  const auto multiply_into = [&](const std::vector<double>& a,
-                                 const std::vector<double>& b,
-                                 std::vector<double>& out) {
-    std::fill(product.begin(), product.end(), 0.0);
+  const auto multiply_into = [&](const double* a, const double* b,
+                                 double*& result) {
+    std::fill(product, product + k * k, 0.0);
     for (std::size_t r = 0; r < k; ++r)
       for (std::size_t m = 0; m < k; ++m)
         for (std::size_t c = 0; c < k; ++c)
           product[r * k + c] += a[r * k + m] * b[m * k + c];
-    out.swap(product);
+    std::swap(result, product);
   };
   for (; n > 0; n >>= 1) {
     if ((n & 1) != 0) multiply_into(power, base, power);
     if (n > 1) multiply_into(base, base, base);
   }
-  return power;
+  std::copy(power, power + k * k, out);
 }
 
 }  // namespace
+
+WalkLoopTimer::WalkLoopTimer(std::size_t walks) noexcept : walks_(walks) {
+#ifndef WHART_OBS_DISABLED
+  if (common::obs::metrics_enabled())
+    start_ = std::chrono::steady_clock::now();
+#endif
+}
+
+WalkLoopTimer::~WalkLoopTimer() {
+  if (walks_ == 0) return;
+  std::uint64_t loop_ns = 0;
+#ifndef WHART_OBS_DISABLED
+  if (start_ != std::chrono::steady_clock::time_point{}) {
+    loop_ns = static_cast<std::uint64_t>(
+        (std::chrono::steady_clock::now() - start_) /
+        std::chrono::nanoseconds{1});
+    WHART_OBSERVE("hart.stage.walk.ns", loop_ns);
+  }
+#endif
+  WHART_EVENT(kSolveDone, "hart.path_loop", walks_, loop_ns);
+}
 
 void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
                      SolveWorkspace& ws, PathTransientResult& result,
@@ -183,20 +204,16 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   expects(links.hop_count() >= hops, "provider covers every hop");
   expects(sensitivity.empty() || sensitivity.size() == hops,
           "one sensitivity entry per hop");
-#ifndef WHART_OBS_DISABLED
-  const bool timed = common::obs::metrics_enabled();
-  const auto solve_start = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-#endif
   const net::SuperframeConfig& superframe = config_.superframe;
   const std::uint32_t frame = superframe.uplink_slots;
+  const std::uint64_t cycle_slots = superframe.cycle_slots();
   const std::uint32_t ttl = config_.effective_ttl();
-  const std::uint32_t horizon = config_.horizon();
 
   // Block layout: hop h owns states [offset, offset + k_h) of the mass
   // and delivery vectors, k_h > 1 only for a multi-state channel.
   ws.walk_hops.resize(hops);
   std::size_t states = 0;
+  std::size_t widest = 1;
   for (std::size_t h = 0; h < hops; ++h) {
     WalkHop& hop = ws.walk_hops[h];
     const link::ChannelModel* channel = links.channel_model(h);
@@ -205,22 +222,26 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
     hop.states = hop.channel != nullptr ? hop.channel->state_count() : 1;
     hop.offset = states;
     states += hop.states;
+    widest = std::max(widest, hop.states);
   }
   const bool enlarged = states > hops;
 
   // P_h^gap, computed once per distinct (hop, gap) of this solve.
-  struct Power {
-    std::size_t hop;
-    std::uint64_t gap;
-    std::vector<double> values;
-  };
-  std::vector<Power> powers;
+  const std::size_t block = widest * widest;
+  ws.power_keys.clear();
   const auto power = [&](std::size_t h, std::uint64_t gap) -> const double* {
     if (fault == ChannelFault::kGapShift) ++gap;
-    for (const Power& p : powers)
-      if (p.hop == h && p.gap == gap) return p.values.data();
-    powers.push_back({h, gap, channel_power(*ws.walk_hops[h].channel, gap)});
-    return powers.back().values.data();
+    const std::pair key{h, gap};
+    std::size_t b = 0;
+    while (b < ws.power_keys.size() && ws.power_keys[b] != key) ++b;
+    if (b == ws.power_keys.size()) {
+      ws.power_keys.push_back(key);
+      ws.powers.resize(ws.power_keys.size() * block);
+      ws.scratch.resize(3 * block);
+      channel_power(*ws.walk_hops[h].channel, gap,
+                    ws.powers.data() + b * block, ws.scratch.data());
+    }
+    return ws.powers.data() + b * block;
   };
   // A hop's stationary law and per-state success probability; a one-
   // state hop has pi = (1) and reads ps from its firing record.
@@ -242,24 +263,25 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
     return dot;
   };
 
-  // The firings up to the TTL: firing j is opportunity j % count of
-  // cycle j / count, and the TTL keeps a prefix of them.  Counted per
+  // The firings up to the TTL, enumerated by cycle c and opportunity i:
+  // uplink slot c Fup + slot_i, absolute slot c (Fup + Fdown) + slot_i -
+  // 1.  The TTL keeps `full` whole cycles and the `tail` opportunities of
+  // the next that lie within its first `cut` slots.  Counted per
   // opportunity with the record doubles and the last hop's deliveries,
   // so both buffers are sized once.
   const std::size_t count = opportunities_.size();
-  std::size_t firings = 0;
+  const std::uint32_t full = ttl / frame;
+  const std::uint32_t cut = ttl % frame;
+  std::size_t tail = 0;
+  while (tail < count && opportunities_[tail].slot <= cut) ++tail;
   std::size_t record_doubles = 0;
   std::size_t deliveries = 0;
-  for (const Opportunity& o : opportunities_) {
-    const std::size_t occurrences = ttl / frame + (o.slot <= ttl % frame);
-    firings += occurrences;
-    record_doubles += occurrences * (1 + 2 * ws.walk_hops[o.hop].states);
-    if (o.hop + 1 == hops) deliveries += occurrences;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t h = opportunities_[i].hop;
+    const std::size_t occurrences = full + (i < tail);
+    record_doubles += occurrences * (1 + 2 * ws.walk_hops[h].states);
+    if (h + 1 == hops) deliveries += occurrences;
   }
-  const auto global_slot = [&](std::size_t j) {
-    return static_cast<std::uint32_t>(j / count) * frame +
-           opportunities_[j % count].slot;
-  };
 
   // Backward pass: each firing's delivery vector beta (per channel state
   // s of the firing hop: P(delivery | at the hop in state s just before
@@ -268,46 +290,46 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   // (success).  A record holds ps, beta[k_h], gain[k_h].
   ws.next_beta.assign(states, 0.0);
   for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
-  ws.firings.clear();
-  ws.firings.reserve(record_doubles);
-  for (std::size_t j = firings; j-- > 0;) {
-    const std::size_t h = opportunities_[j % count].hop;
-    WalkHop& hop = ws.walk_hops[h];
-    const std::uint64_t slot =
-        superframe.absolute_slot_of_uplink(global_slot(j));
-    const double success =
-        h + 1 == hops ? 1.0 : stationary_dot(h + 1, ws.next_beta.data());
-    const std::size_t at = ws.firings.size();
-    ws.firings.resize(at + 1 + 2 * hop.states);
-    double* record = ws.firings.data() + at;
-    record[0] = hop.channel != nullptr ? 0.0 : links.up_probability(h, slot);
-    double* beta = record + 1;
-    double* gain = beta + hop.states;
-    double* next = ws.next_beta.data() + hop.offset;
-    // gain <- beta_failure: the next firing's vector carried back across
-    // the gap (the failing slot included).
-    if (!hop.fired.has_value()) {
-      std::fill(gain, gain + hop.states, 0.0);
-    } else if (hop.channel == nullptr) {
-      gain[0] = next[0];
-    } else if (fault == ChannelFault::kStateLeak) {
-      std::fill(gain, gain + hop.states,
-                stationary_dot(h, ws.next_beta.data()));
-    } else {
-      const double* p = power(h, *hop.fired - slot);
-      for (std::size_t s = 0; s < hop.states; ++s) {
-        gain[s] = 0.0;
-        for (std::size_t s2 = 0; s2 < hop.states; ++s2)
-          gain[s] += p[s * hop.states + s2] * next[s2];
+  ws.firings.resize(record_doubles);
+  std::size_t record_at = 0;
+  for (std::uint32_t c = full + 1; c-- > 0;) {
+    for (std::size_t i = c < full ? count : tail; i-- > 0;) {
+      const std::size_t h = opportunities_[i].hop;
+      WalkHop& hop = ws.walk_hops[h];
+      const std::uint64_t slot = c * cycle_slots + opportunities_[i].slot - 1;
+      const double success =
+          h + 1 == hops ? 1.0 : stationary_dot(h + 1, ws.next_beta.data());
+      double* record = ws.firings.data() + record_at;
+      record_at += 1 + 2 * hop.states;
+      record[0] = hop.channel != nullptr ? 0.0 : links.up_probability(h, slot);
+      double* beta = record + 1;
+      double* gain = beta + hop.states;
+      double* next = ws.next_beta.data() + hop.offset;
+      // gain <- beta_failure: the next firing's vector carried back across
+      // the gap (the failing slot included).
+      if (!hop.fired.has_value()) {
+        std::fill(gain, gain + hop.states, 0.0);
+      } else if (hop.channel == nullptr) {
+        gain[0] = next[0];
+      } else if (fault == ChannelFault::kStateLeak) {
+        std::fill(gain, gain + hop.states,
+                  stationary_dot(h, ws.next_beta.data()));
+      } else {
+        const double* p = power(h, *hop.fired - slot);
+        for (std::size_t s = 0; s < hop.states; ++s) {
+          gain[s] = 0.0;
+          for (std::size_t s2 = 0; s2 < hop.states; ++s2)
+            gain[s] += p[s * hop.states + s2] * next[s2];
+        }
       }
+      for (std::size_t s = 0; s < hop.states; ++s) {
+        const double ps = success_in(hop, s, record);
+        beta[s] = ps * success + (1.0 - ps) * gain[s];
+        gain[s] = success - gain[s];
+        next[s] = beta[s];
+      }
+      hop.fired = slot;
     }
-    for (std::size_t s = 0; s < hop.states; ++s) {
-      const double ps = success_in(hop, s, record);
-      beta[s] = ps * success + (1.0 - ps) * gain[s];
-      gain[s] = success - gain[s];
-      next[s] = beta[s];
-    }
-    hop.fired = slot;
   }
 
   result.cycle_probabilities.assign(config_.reporting_interval, 0.0);
@@ -326,53 +348,53 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   for (std::size_t s = 0; s < ws.walk_hops[0].states; ++s)
     ws.mass[s] = pi(ws.walk_hops[0], s);
   for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
-  std::vector<double> mixed;
-  std::size_t record_end = ws.firings.size();
-  for (std::size_t j = 0; j < firings; ++j) {
-    const std::size_t h = opportunities_[j % count].hop;
-    WalkHop& hop = ws.walk_hops[h];
-    const std::uint32_t global = global_slot(j);
-    const std::uint64_t slot = superframe.absolute_slot_of_uplink(global);
-    record_end -= 1 + 2 * hop.states;
-    const double* record = ws.firings.data() + record_end;
-    const double* beta = record + 1;
-    const double* gain = beta + hop.states;
-    double* m = ws.mass.data() + hop.offset;
-    if (hop.channel != nullptr && hop.fired.has_value()) {
-      const double* p = power(h, slot - *hop.fired);
-      mixed.assign(hop.states, 0.0);
-      for (std::size_t s = 0; s < hop.states; ++s)
-        for (std::size_t s2 = 0; s2 < hop.states; ++s2)
-          mixed[s2] += m[s] * p[s * hop.states + s2];
-      std::copy(mixed.begin(), mixed.end(), m);
-    }
-    hop.fired = slot;
-    double moved = 0.0;
-    for (std::size_t s = 0; s < hop.states; ++s) {
-      if (!(m[s] > 0.0)) continue;
-      const double ps = success_in(hop, s, record);
-      result.expected_transmissions += m[s];
-      result.expected_transmissions_per_hop[h] += m[s];
-      result.expected_transmissions_delivered += m[s] * beta[s];
-      if (!sensitivity.empty()) sensitivity[h] += m[s] * gain[s];
-      const double success = m[s] * ps;
-      m[s] -= success;
-      moved += success;
-    }
-    if (hop.channel != nullptr && fault == ChannelFault::kStateLeak) {
-      double failed = 0.0;
-      for (std::size_t s = 0; s < hop.states; ++s) failed += m[s];
-      for (std::size_t s = 0; s < hop.states; ++s)
-        m[s] = failed * pi(hop, s);
-    }
-    if (h + 1 == hops) {
-      const auto cycle = static_cast<std::uint32_t>(j / count);
-      result.cycle_probabilities[cycle] += moved;
-      result.deliveries.push_back({global, cycle, moved});
-    } else {
-      const WalkHop& next = ws.walk_hops[h + 1];
-      for (std::size_t s = 0; s < next.states; ++s)
-        ws.mass[next.offset + s] += moved * pi(next, s);
+  for (std::uint32_t c = 0; c <= full; ++c) {
+    for (std::size_t i = 0; i < (c < full ? count : tail); ++i) {
+      const std::size_t h = opportunities_[i].hop;
+      WalkHop& hop = ws.walk_hops[h];
+      const std::uint64_t slot = c * cycle_slots + opportunities_[i].slot - 1;
+      record_at -= 1 + 2 * hop.states;
+      const double* record = ws.firings.data() + record_at;
+      const double* beta = record + 1;
+      const double* gain = beta + hop.states;
+      double* m = ws.mass.data() + hop.offset;
+      if (hop.channel != nullptr && hop.fired.has_value()) {
+        const double* p = power(h, slot - *hop.fired);
+        double* mixed = ws.scratch.data();
+        std::fill(mixed, mixed + hop.states, 0.0);
+        for (std::size_t s = 0; s < hop.states; ++s)
+          for (std::size_t s2 = 0; s2 < hop.states; ++s2)
+            mixed[s2] += m[s] * p[s * hop.states + s2];
+        std::copy(mixed, mixed + hop.states, m);
+      }
+      hop.fired = slot;
+      double moved = 0.0;
+      for (std::size_t s = 0; s < hop.states; ++s) {
+        if (!(m[s] > 0.0)) continue;
+        const double ps = success_in(hop, s, record);
+        result.expected_transmissions += m[s];
+        result.expected_transmissions_per_hop[h] += m[s];
+        result.expected_transmissions_delivered += m[s] * beta[s];
+        if (!sensitivity.empty()) sensitivity[h] += m[s] * gain[s];
+        const double success = m[s] * ps;
+        m[s] -= success;
+        moved += success;
+      }
+      if (hop.channel != nullptr && fault == ChannelFault::kStateLeak) {
+        double failed = 0.0;
+        for (std::size_t s = 0; s < hop.states; ++s) failed += m[s];
+        for (std::size_t s = 0; s < hop.states; ++s)
+          m[s] = failed * pi(hop, s);
+      }
+      if (h + 1 == hops) {
+        result.cycle_probabilities[c] += moved;
+        result.deliveries.push_back(
+            {c * frame + opportunities_[i].slot, c, moved});
+      } else {
+        const WalkHop& next = ws.walk_hops[h + 1];
+        for (std::size_t s = 0; s < next.states; ++s)
+          ws.mass[next.offset + s] += moved * pi(next, s);
+      }
     }
   }
   // TTL expired: every in-flight message is discarded (lazy mixing
@@ -387,7 +409,7 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   diagnostics.transient_states = enlarged ? states : transient_count_;
   diagnostics.absorbing_states =
       enlarged ? 2 : std::size_t{config_.reporting_interval} + 1;
-  diagnostics.forward_steps = horizon;
+  diagnostics.forward_steps = config_.horizon();
   const double goal_mass =
       std::accumulate(result.cycle_probabilities.begin(),
                       result.cycle_probabilities.end(), 0.0);
@@ -396,16 +418,6 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   WHART_COUNT("hart.path_solve.count");
   if (enlarged) WHART_COUNT("hart.path_solve.channel");
   WHART_OBSERVE("hart.path_solve.states", diagnostics.dtmc_states);
-#ifndef WHART_OBS_DISABLED
-  if (timed) {
-    const auto elapsed = std::chrono::steady_clock::now() - solve_start;
-    diagnostics.solve_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    WHART_OBSERVE("hart.stage.walk.ns", diagnostics.solve_ns);
-  }
-#endif
-  WHART_EVENT(kSolveDone, "hart.path_solve", diagnostics.dtmc_states,
-              diagnostics.solve_ns);
 }
 
 std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
@@ -444,11 +456,6 @@ std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
 PathTransientResult PathModel::analyze_superframe(
     const LinkProbabilityProvider& links, double inject) const {
   WHART_SPAN("path_solve");
-#ifndef WHART_OBS_DISABLED
-  const bool timed = common::obs::metrics_enabled();
-  const auto solve_start = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-#endif
   markov::SuperframeKernel kernel(opportunity_matrices(links));
   if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
   const linalg::CsrMatrix& product = kernel.cycle_product();
@@ -635,14 +642,6 @@ PathTransientResult PathModel::analyze_superframe(
   WHART_COUNT("hart.path_solve.count");
   WHART_COUNT("hart.path_solve.superframe");
   WHART_OBSERVE("hart.path_solve.states", dim);
-#ifndef WHART_OBS_DISABLED
-  if (timed)
-    diagnostics.solve_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - solve_start)
-            .count());
-#endif
-  WHART_EVENT(kSolveDone, "hart.path_solve", dim, diagnostics.solve_ns);
   return result;
 }
 

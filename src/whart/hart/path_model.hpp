@@ -16,10 +16,12 @@
 // absolute slot before querying the link probability provider.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "whart/hart/link_probability.hpp"
@@ -139,8 +141,8 @@ struct PathModelConfig {
 
 /// Numeric provenance of one path solve — the observability block
 /// attached to PathMeasures (and aggregated into NetworkMeasures) so a
-/// run can report where its DTMC work went.  Structural fields are
-/// deterministic; `solve_ns` is wall-clock (0 when metrics are off).
+/// run can report where its DTMC work went.  Every field is
+/// deterministic: wall-clock is timed per path loop (WalkLoopTimer).
 struct SolverDiagnostics {
   /// States of the unrolled chain (transient + Is goals + Discard).
   std::size_t dtmc_states = 0;
@@ -154,9 +156,6 @@ struct SolverDiagnostics {
   /// health of the solve (exact arithmetic would give 0).
   double mass_residual = 0.0;
 
-  /// Wall-clock of the forward/backward passes, ns.
-  std::uint64_t solve_ns = 0;
-
   /// Solver that actually produced this result.  kSuperframeProduct only
   /// when the collapse ran; a fallback to the walk reports kPerSlot.  For
   /// kSuperframeProduct the state-count fields above describe the compact
@@ -164,6 +163,9 @@ struct SolverDiagnostics {
   /// for a channel-enlarged walk the enlarged chain (sum of k_h + Goal +
   /// Discard), not the unrolled chain.
   TransientKernel kernel = TransientKernel::kPerSlot;
+
+  friend bool operator==(const SolverDiagnostics&,
+                         const SolverDiagnostics&) = default;
 };
 
 /// One firing of a path's last hop, as the walk recorded it: the firing
@@ -206,7 +208,7 @@ struct PathTransientResult {
   /// expected_transmissions.
   double expected_transmissions_delivered = 0.0;
 
-  /// Numeric provenance of this solve (sizes, residual, wall-clock).
+  /// Numeric provenance of this solve (sizes, residual, kernel).
   SolverDiagnostics diagnostics;
 };
 
@@ -235,8 +237,8 @@ struct WalkHop {
 /// Reusable scratch of the firing-table walk (DESIGN.md §12): every
 /// buffer grows to its high-water mark on the first walk of a shape and
 /// is only rewritten afterwards, so a warm workspace makes the walk
-/// allocation-free.  One workspace per thread; pool with
-/// common::WorkspacePool.
+/// allocation-free, on i.i.d. and channel paths alike.  One workspace
+/// per thread; pool with common::WorkspacePool.
 struct SolveWorkspace {
   // `firings` holds one record per firing, last firing first: its
   // success probability, the k_h-entry delivery vector beta and the
@@ -247,10 +249,31 @@ struct SolveWorkspace {
   std::vector<double> firings;
   std::vector<double> mass;
   std::vector<double> next_beta;
+  // Channel walks: block b of `powers` is P_h^gap (DESIGN.md §14) for
+  // (h, gap) = power_keys[b]; `scratch` serves squaring and lazy mixes.
+  std::vector<std::pair<std::size_t, std::uint64_t>> power_keys;
+  std::vector<double> powers;
+  std::vector<double> scratch;
 
   /// Reusable transient output for callers that immediately reduce it to
   /// measures (network analysis, sweeps, what-if) and do not keep it.
   PathTransientResult scratch_result;
+};
+
+/// Times one loop of path walks (DESIGN.md §9) as one hart.stage.walk.ns
+/// sample and one solve_done event (p0 = `walks`, p1 = the loop's ns, 0
+/// when metrics are off; nothing when `walks` is 0): no walk reads a clock.
+class WalkLoopTimer {
+ public:
+  explicit WalkLoopTimer(std::size_t walks) noexcept;
+  ~WalkLoopTimer();
+
+  WalkLoopTimer(const WalkLoopTimer&) = delete;
+  WalkLoopTimer& operator=(const WalkLoopTimer&) = delete;
+
+ private:
+  std::size_t walks_;
+  std::chrono::steady_clock::time_point start_{};  ///< epoch: untimed
 };
 
 /// The path DTMC of one schedule shape, held as its firing table plus

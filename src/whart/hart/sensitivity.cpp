@@ -32,15 +32,18 @@ std::vector<LinkSensitivity> rank_link_upgrades(
   // Paths fan out across threads; the accumulation over shared links
   // stays serial and in path order so the sums are reproducible.
   std::vector<std::vector<double>> per_hop_all(paths.size());
-  common::parallel_for(
-      paths.size(),
-      [&](std::size_t p) {
-        const PathModel model(PathModelConfig::from_schedule(
-            schedule, p, superframe, reporting_interval));
-        per_hop_all[p] = reachability_sensitivity(
-            model, SteadyStateLinks(paths[p].hop_models(network)));
-      },
-      threads);
+  {
+    const WalkLoopTimer timer(paths.size());
+    common::parallel_for(
+        paths.size(),
+        [&](std::size_t p) {
+          const PathModel model(PathModelConfig::from_schedule(
+              schedule, p, superframe, reporting_interval));
+          per_hop_all[p] = reachability_sensitivity(
+              model, SteadyStateLinks(paths[p].hop_models(network)));
+        },
+        threads);
+  }
   for (std::size_t p = 0; p < paths.size(); ++p) {
     const std::vector<net::LinkId> hop_links =
         paths[p].resolve_links(network);

@@ -1,5 +1,6 @@
 #include "whart/hart/sweep.hpp"
 
+#include <deque>
 #include <ostream>
 #include <string>
 
@@ -12,39 +13,32 @@ namespace whart::hart {
 
 namespace {
 
-/// One grid point of any sweep: the swept parameter, the model shape it
-/// evaluates, and the link model supplying its availabilities.
+/// One grid point of any sweep: the swept parameter, the shared model
+/// shape it evaluates, and the link model supplying its availabilities.
 struct PointSpec {
   double parameter = 0.0;
-  PathModelConfig config;
+  const PathModel* shape = nullptr;
   link::LinkModel model;
 };
 
 /// Shared sweep runner: walks every spec (in parallel across points,
 /// each worker on a pooled SolveWorkspace) and returns SweepPoints in
-/// spec order.  Consecutive points of one shape share their PathModel.
-/// `channel`, when non-null, rescales the overlay to each point's
-/// availability and walks the channel-enlarged chain.
+/// spec order.  `channel`, when non-null, rescales the overlay to each
+/// point's availability and walks the channel-enlarged chain.
 std::vector<SweepPoint> solve_points(const std::vector<PointSpec>& specs,
                                      unsigned threads, TransientKernel kernel,
                                      const link::ChannelModel* channel) {
-  std::vector<PathModel> models;
-  std::vector<std::size_t> model_of(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (i == 0 || !(specs[i].config == specs[i - 1].config))
-      models.emplace_back(specs[i].config);
-    model_of[i] = models.size() - 1;
-  }
   PathAnalysisOptions options;
   options.kernel = kernel;
   std::vector<SweepPoint> points(specs.size());
   common::WorkspacePool<SolveWorkspace> workspaces;
+  const WalkLoopTimer timer(specs.size());
   common::parallel_for(
       specs.size(),
       [&](std::size_t i) {
         const PointSpec& spec = specs[i];
-        const PathModel& model = models[model_of[i]];
-        const std::size_t hops = spec.config.hop_count();
+        const PathModel& model = *spec.shape;
+        const std::size_t hops = model.config().hop_count();
         auto workspace = workspaces.acquire();
         PathTransientResult& transient = workspace->scratch_result;
         if (channel != nullptr)
@@ -56,7 +50,7 @@ std::vector<SweepPoint> solve_points(const std::vector<PointSpec>& specs,
           model.analyze_into(SteadyStateLinks(hops, spec.model), options,
                              *workspace, transient);
         points[i] = {spec.parameter,
-                     measures_from_transient(spec.config, transient)};
+                     measures_from_transient(model.config(), transient)};
       },
       threads);
   return points;
@@ -86,10 +80,11 @@ SweepSeries sweep_availability(const PathModelConfig& config,
   WHART_COUNT_N("hart.sweep.points", availabilities.size());
   SweepSeries series;
   series.parameter_name = "availability";
+  const PathModel shape(config);
   std::vector<PointSpec> specs;
   specs.reserve(availabilities.size());
   for (double pi : availabilities)
-    specs.push_back({pi, config, link::LinkModel::from_availability(pi)});
+    specs.push_back({pi, &shape, link::LinkModel::from_availability(pi)});
   series.points = solve_points(specs, threads, kernel, channel);
   return series;
 }
@@ -104,10 +99,11 @@ SweepSeries sweep_ber(const PathModelConfig& config,
   WHART_COUNT_N("hart.sweep.points", bit_error_rates.size());
   SweepSeries series;
   series.parameter_name = "ber";
+  const PathModel shape(config);
   std::vector<PointSpec> specs;
   specs.reserve(bit_error_rates.size());
   for (double ber : bit_error_rates)
-    specs.push_back({ber, config, link::LinkModel::from_ber(ber)});
+    specs.push_back({ber, &shape, link::LinkModel::from_ber(ber)});
   series.points = solve_points(specs, threads, kernel, channel);
   return series;
 }
@@ -127,6 +123,7 @@ SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
   series.parameter_name = "hops";
   const link::LinkModel model =
       link::LinkModel::from_availability(availability);
+  std::deque<PathModel> shapes;  // stable addresses: specs point into it
   std::vector<PointSpec> specs;
   specs.reserve(max_hops);
   for (std::uint32_t hops = 1; hops <= max_hops; ++hops) {
@@ -135,8 +132,8 @@ SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
       config.hop_slots.push_back(h + 1);
     config.superframe = superframe;
     config.reporting_interval = reporting_interval;
-    specs.push_back(
-        {static_cast<double>(hops), std::move(config), model});
+    specs.push_back({static_cast<double>(hops),
+                     &shapes.emplace_back(std::move(config)), model});
   }
   series.points = solve_points(specs, threads, kernel, channel);
   return series;
@@ -154,13 +151,15 @@ SweepSeries sweep_reporting_interval_series(
   series.parameter_name = "reporting_interval";
   const link::LinkModel model =
       link::LinkModel::from_availability(availability);
+  std::deque<PathModel> shapes;  // stable addresses: specs point into it
   std::vector<PointSpec> specs;
   specs.reserve(intervals.size());
   for (std::uint32_t is : intervals) {
     PathModelConfig config = base_config;
     config.reporting_interval = is;
     config.ttl.reset();
-    specs.push_back({static_cast<double>(is), std::move(config), model});
+    specs.push_back({static_cast<double>(is),
+                     &shapes.emplace_back(std::move(config)), model});
   }
   series.points = solve_points(specs, threads, kernel, channel);
   return series;

@@ -39,6 +39,7 @@ WhatIfEngine::WhatIfEngine(const net::Network& network,
   // availability reproduces these measures bitwise.
   baseline_.resize(paths.size());
   common::WorkspacePool<SolveWorkspace> workspaces;
+  const WalkLoopTimer timer(paths.size());
   common::parallel_for(
       paths.size(),
       [&](std::size_t p) {
@@ -74,12 +75,11 @@ WhatIfResult WhatIfEngine::what_if(net::LinkId link, double availability) {
           "availability in [0, 1]");
   WhatIfResult result;
   result.per_path = baseline_;
-  const auto it = paths_of_link_.find(link);
-  if (it != paths_of_link_.end()) {
-    for (std::size_t p : it->second)
-      resolve_path(p, link, availability, result.per_path[p]);
-    result.paths_resolved = it->second.size();
-  }
+  const std::span<const std::size_t> affected = affected_paths(link);
+  const WalkLoopTimer timer(affected.size());
+  for (std::size_t p : affected)
+    resolve_path(p, link, availability, result.per_path[p]);
+  result.paths_resolved = affected.size();
   result.paths_reused = baseline_.size() - result.paths_resolved;
   WHART_COUNT("hart.whatif.queries");
   WHART_COUNT_N("hart.whatif.paths_resolved", result.paths_resolved);
@@ -93,15 +93,13 @@ WhatIfDelta WhatIfEngine::what_if_delta(net::LinkId link,
   expects(availability >= 0.0 && availability <= 1.0,
           "availability in [0, 1]");
   WhatIfDelta delta;
-  const auto it = paths_of_link_.find(link);
   // Affected path indices are ascending by construction, so the
   // worst-delay scan below can merge them against the baseline in one
   // pass.
-  static const std::vector<std::size_t> kNone;
-  const std::vector<std::size_t>& affected =
-      it != paths_of_link_.end() ? it->second : kNone;
+  const std::span<const std::size_t> affected = affected_paths(link);
   std::vector<double> new_delays;
   new_delays.reserve(affected.size());
+  const WalkLoopTimer timer(affected.size());
   for (std::size_t p : affected) {
     resolve_path(p, link, availability, scratch_measures_);
     delta.reachability_delta +=

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "whart/cli/parse_number.hpp"
 #include "whart/common/contracts.hpp"
 #include "whart/numeric/rng.hpp"
 
@@ -271,10 +272,17 @@ std::vector<std::uint64_t> load_corpus(const std::string& path) {
   std::ifstream file(path);
   if (!file) return seeds;
   std::string line;
-  while (std::getline(file, line)) {
-    const std::size_t start = line.find_first_not_of(" \t");
+  for (std::size_t number = 1; std::getline(file, line); ++number) {
+    const std::size_t start = line.find_first_not_of(" \t\r");
     if (start == std::string::npos || line[start] == '#') continue;
-    seeds.push_back(std::stoull(line.substr(start)));
+    const std::string token =
+        line.substr(start, line.find_last_not_of(" \t\r") + 1 - start);
+    std::uint64_t seed = 0;
+    if (!cli::parse_number(token, seed))
+      throw std::runtime_error("corpus '" + path + "' line " +
+                               std::to_string(number) + ": '" + token +
+                               "' is not an unsigned 64-bit seed");
+    seeds.push_back(seed);
   }
   return seeds;
 }

@@ -146,7 +146,8 @@ class ScenarioGenerator {
 };
 
 /// Load a seed corpus (one decimal seed per line, '#' comments).  A
-/// missing file is an empty corpus.
+/// missing file is an empty corpus; a line that is not a whole unsigned
+/// 64-bit number throws std::runtime_error naming the file and line.
 std::vector<std::uint64_t> load_corpus(const std::string& path);
 
 /// Append `seed` to the corpus file unless already present.  Throws

@@ -7,8 +7,11 @@
 // only its result's vectors.  A path's measures store only g(i) on the
 // heap (the delays and their distribution are derived on read), and the
 // network's delay distribution Gamma bins by slot without an array
-// sized by the frame.  The test counts bytes by replacing the global
-// allocator, so it is a binary of its own.
+// sized by the frame.  Warm walks and sweep points keep to allocation
+// budgets: a link model builds no string, a warm walk allocates nothing
+// on i.i.d. and channel paths alike, and a sweep point allocates its
+// links and its measures.  The test counts bytes and calls by replacing
+// the global allocator, so it is a binary of its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +24,8 @@
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_analysis.hpp"
 #include "whart/hart/path_model.hpp"
+#include "whart/hart/sweep.hpp"
+#include "whart/link/channel_model.hpp"
 
 // GCC pairs the replaced operator new with the library free() at inlined
 // call sites and reports a mismatch; the replacement below routes every
@@ -32,11 +37,13 @@
 namespace {
 
 std::atomic<std::size_t> g_alloc_bytes{0};
+std::atomic<std::size_t> g_alloc_calls{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -51,6 +58,10 @@ namespace {
 
 std::size_t allocated() {
   return g_alloc_bytes.load(std::memory_order_relaxed);
+}
+
+std::size_t allocations() {
+  return g_alloc_calls.load(std::memory_order_relaxed);
 }
 
 /// Four hops (hop 0 and hop 2 with a retry slot) over `frame` uplink
@@ -123,6 +134,73 @@ TEST(PathModelFootprint, WarmWalkAllocatesOnlyItsResult) {
             4 * sizeof(double) + 4 * sizeof(double) + 4 * sizeof(Delivery))
       << "warm workspace, fresh result";
   EXPECT_EQ(fresh.cycle_probabilities, result.cycle_probabilities);
+}
+
+TEST(AllocationBudget, LinkModelsBuildNoString) {
+  std::size_t before = allocations();
+  const link::LinkModel model(0.1, 0.9);
+  EXPECT_EQ(allocations() - before, 0u) << "LinkModel(0.1, 0.9)";
+  before = allocations();
+  const link::LinkModel derived = link::LinkModel::from_availability(0.8);
+  EXPECT_EQ(allocations() - before, 0u) << "from_availability(0.8)";
+  EXPECT_DOUBLE_EQ(model.steady_state_availability(), 0.9);
+  EXPECT_DOUBLE_EQ(derived.steady_state_availability(), 0.8);
+}
+
+/// A Gilbert-Elliott overlay: short bad bursts that lose most attempts.
+link::ChannelModel bursty_channel() {
+  return link::ChannelModel::gilbert_elliott(0.05, 0.3, 0.02, 0.6);
+}
+
+TEST(AllocationBudget, WarmWalksAllocateNothing) {
+  const PathModel model(plant_path(390));
+  const SteadyStateLinks iid(4, link::LinkModel::from_availability(0.83));
+  const ChannelLinks bursty(4, bursty_channel().with_marginal_success(0.83));
+  for (const LinkProbabilityProvider* links :
+       {static_cast<const LinkProbabilityProvider*>(&iid),
+        static_cast<const LinkProbabilityProvider*>(&bursty)}) {
+    SolveWorkspace workspace;
+    PathTransientResult result;
+    model.analyze_into(*links, {}, workspace, result);  // sizes both
+    const std::size_t before = allocations();
+    model.analyze_into(*links, {}, workspace, result);
+    EXPECT_EQ(allocations() - before, 0u)
+        << (links == &iid ? "i.i.d." : "Gilbert-Elliott") << " walk";
+  }
+}
+
+/// Allocations of a single-threaded availability sweep of `points` grid
+/// points, after one identical sweep has built the call sites' statics.
+std::size_t sweep_allocations(std::size_t points,
+                              const link::ChannelModel* channel) {
+  const PathModelConfig config = plant_path(20);
+  const std::vector<double> grid = linspace(0.65, 0.99, points);
+  const auto sweep = [&] {
+    return sweep_availability(config, grid, 1, TransientKernel::kPerSlot,
+                              true, 1, channel);
+  };
+  (void)sweep();
+  const std::size_t before = allocations();
+  const SweepSeries series = sweep();
+  const std::size_t calls = allocations() - before;
+  EXPECT_EQ(series.points.size(), points);
+  return calls;
+}
+
+TEST(AllocationBudget, SweepPointsAllocateTheirLinksAndMeasures) {
+  // The 64 points a 128-point sweep adds to a 64-point one: the fixed
+  // cost (buffers, the shape, the cold first walk) cancels.  The flight
+  // recorder's ring grows on use up to its capacity, so it is off.
+  common::obs::set_events_enabled(false);
+  const link::ChannelModel channel = bursty_channel();
+  const double iid =
+      static_cast<double>(sweep_allocations(128, nullptr) -
+                          sweep_allocations(64, nullptr)) / 64.0;
+  const double bursty =
+      static_cast<double>(sweep_allocations(128, &channel) -
+                          sweep_allocations(64, &channel)) / 64.0;
+  EXPECT_LE(iid, 2.0) << "i.i.d. sweep, allocations per point";
+  EXPECT_LE(bursty, 10.0) << "Gilbert-Elliott sweep, allocations per point";
 }
 
 TEST(PathMeasuresFootprint, CopyRequestsOnlyTheCycleProbabilities) {

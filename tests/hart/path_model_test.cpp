@@ -5,14 +5,20 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
+#include "whart/hart/network_analysis.hpp"
+#include "whart/hart/sweep.hpp"
+#include "whart/hart/what_if.hpp"
 #include "whart/markov/transient.hpp"
+#include "whart/net/typical_network.hpp"
 #include "whart/numeric/rng.hpp"
 
 namespace whart::hart {
@@ -329,32 +335,214 @@ TEST(PathModel, ProviderWithTooFewHopsThrows) {
   EXPECT_THROW(model.analyze(links), precondition_error);
 }
 
-TEST(PathModel, SolveDoneEventCarriesTheSolveTime) {
-  // The flight recorder's solve_done event reports the solve's own
-  // wall-clock (p1) next to its state count (p0), for the walk and for
-  // the superframe collapse.
+/// Records every (hop, absolute slot) the walk asks about; hop h
+/// succeeds with 0.6 + 0.1 h.
+class RecordingLinks final : public LinkProbabilityProvider {
+ public:
+  explicit RecordingLinks(std::size_t hops) : hops_(hops) {}
+  double up_probability(std::size_t hop,
+                        std::uint64_t absolute_slot) const override {
+    asked.emplace_back(hop, absolute_slot);
+    return 0.6 + 0.1 * static_cast<double>(hop);
+  }
+  std::size_t hop_count() const override { return hops_; }
+
+  mutable std::vector<std::pair<std::size_t, std::uint64_t>> asked;
+
+ private:
+  std::size_t hops_;
+};
+
+struct Firing {
+  std::size_t hop = 0;
+  std::uint32_t slot = 0;  // uplink slot, counted across cycles
+  std::uint32_t cycle = 0;
+};
+
+/// The firings up to the TTL as the j / count, j % count enumeration
+/// over opportunities() finds them.
+std::vector<Firing> enumerate_firings(const PathModel& model) {
+  const std::span<const PathModel::Opportunity> opportunities =
+      model.opportunities();
+  const std::size_t count = opportunities.size();
+  const std::uint32_t frame = model.config().superframe.uplink_slots;
+  std::vector<Firing> firings;
+  for (std::size_t j = 0;; ++j) {
+    const auto cycle = static_cast<std::uint32_t>(j / count);
+    const PathModel::Opportunity& o = opportunities[j % count];
+    const std::uint32_t slot = cycle * frame + o.slot;
+    if (slot > model.config().effective_ttl()) return firings;
+    firings.push_back({o.hop, slot, cycle});
+  }
+}
+
+/// The walk's deliveries are the last hop's firings in order, and it
+/// reads each firing of an i.i.d. hop at that firing's absolute slot.
+void expect_walk_enumerates(const PathModelConfig& config,
+                            const link::ChannelModel* channel = nullptr) {
+  const PathModel model(config);
+  const std::size_t hops = config.hop_count();
+  const std::vector<Firing> firings = enumerate_firings(model);
+  RecordingLinks iid(hops);
+  const PathTransientResult result =
+      channel != nullptr ? model.analyze(ChannelLinks(hops, *channel))
+                         : model.analyze(iid);
+  std::vector<Firing> delivered;
+  std::vector<std::pair<std::size_t, std::uint64_t>> reads;
+  for (const Firing& f : firings) {
+    if (f.hop + 1 == hops) delivered.push_back(f);
+    reads.emplace_back(f.hop,
+                       config.superframe.absolute_slot_of_uplink(f.slot));
+  }
+  ASSERT_EQ(result.deliveries.size(), delivered.size());
+  for (std::size_t d = 0; d < delivered.size(); ++d) {
+    EXPECT_EQ(result.deliveries[d].slot, delivered[d].slot) << d;
+    EXPECT_EQ(result.deliveries[d].cycle, delivered[d].cycle) << d;
+  }
+  if (channel != nullptr) return;
+  std::sort(reads.begin(), reads.end());
+  std::sort(iid.asked.begin(), iid.asked.end());
+  EXPECT_EQ(iid.asked, reads);
+}
+
+TEST(PathModelWalk, TtlCutMidCycle) {
+  PathModelConfig config = example_config(4);
+  config.ttl = 17;  // cycle 2 keeps its slot-3 firing only
+  expect_walk_enumerates(config);
+}
+
+TEST(PathModelWalk, TtlAtACycleBoundary) {
+  PathModelConfig config = example_config(4);
+  config.ttl = 14;
+  expect_walk_enumerates(config);
+  expect_walk_enumerates(example_config(4));  // the horizon, Is x Fup
+}
+
+TEST(PathModelWalk, TtlOfOneSlot) {
+  PathModelConfig config = example_config(2);
+  config.ttl = 1;  // before the first firing
+  expect_walk_enumerates(config);
+  config.hop_slots = {1, 4};
+  expect_walk_enumerates(config);  // hop 0's slot-1 firing only
+}
+
+TEST(PathModelWalk, RetrySlots) {
+  PathModelConfig config = example_config(3);
+  config.retry_slots = {1, 4, 2};
+  expect_walk_enumerates(config);
+  config.ttl = 16;
+  expect_walk_enumerates(config);
+}
+
+TEST(PathModelWalk, OutOfOrderHops) {
+  PathModelConfig config = example_config(4);
+  config.hop_slots = {6, 2, 4};
+  expect_walk_enumerates(config);
+  config.ttl = 23;
+  expect_walk_enumerates(config);
+}
+
+TEST(PathModelWalk, OneSlotFrame) {
+  PathModelConfig config;
+  config.hop_slots = {1};
+  config.superframe = net::SuperframeConfig{1, 3};
+  config.reporting_interval = 5;
+  expect_walk_enumerates(config);
+  config.ttl = 3;
+  expect_walk_enumerates(config);
+}
+
+TEST(PathModelWalk, GilbertElliottPath) {
+  const link::ChannelModel channel =
+      link::ChannelModel::gilbert_elliott(0.05, 0.3, 0.02, 0.6);
+  PathModelConfig config = example_config(4);
+  config.retry_slots = {1, 0, 2};
+  expect_walk_enumerates(config, &channel);
+  config.ttl = 17;
+  expect_walk_enumerates(config, &channel);
+}
+
+TEST(PathModel, SolveDoneEventTimesEachPathLoop) {
+  // A loop of walks — analyze_network's paths, a sweep's grid points, a
+  // what-if query's affected paths — records one solve_done event (p0 =
+  // its walks, p1 = its ns) and one hart.stage.walk.ns sample.  Each
+  // walk still bumps hart.path_solve.count, and reads no clock, so two
+  // identical walks report equal diagnostics.
   namespace obs = common::obs;
   const bool metrics = obs::metrics_enabled();
   const bool events = obs::events_enabled();
   obs::set_metrics_enabled(true);
   obs::set_events_enabled(true);
+  struct Loops {
+    std::vector<obs::EventRecord> solve_done;
+    std::uint64_t walk_samples = 0;
+    std::uint64_t walks = 0;
+  };
+  const auto observe = [](const auto& run) {
+    const auto read = [](std::uint64_t& samples, std::uint64_t& walks) {
+      const obs::MetricsSnapshot s = obs::Registry::instance().snapshot();
+      const auto h = s.histograms.find("hart.stage.walk.ns");
+      const auto c = s.counters.find("hart.path_solve.count");
+      samples = h == s.histograms.end() ? 0 : h->second.count;
+      walks = c == s.counters.end() ? 0 : c->second;
+    };
+    obs::EventLog::instance().clear();
+    std::uint64_t samples = 0;
+    std::uint64_t walks = 0;
+    read(samples, walks);
+    run();
+    Loops loops;
+    read(loops.walk_samples, loops.walks);
+    loops.walk_samples -= samples;
+    loops.walks -= walks;
+    for (const obs::EventRecord& event : obs::EventLog::instance().events())
+      if (event.kind == obs::EventKind::kSolveDone)
+        loops.solve_done.push_back(event);
+    return loops;
+  };
+
+  const net::TypicalNetwork t = net::make_typical_network();
+  Loops loops = observe([&] {
+    (void)analyze_network(t.network, t.paths, t.eta_a, t.superframe,
+                          net::kTypicalReportingInterval);
+  });
+  ASSERT_EQ(loops.solve_done.size(), 1u);
+  EXPECT_EQ(loops.solve_done[0].payload0, 10u);
+  EXPECT_GT(loops.solve_done[0].payload1, 0u);
+  EXPECT_EQ(loops.walk_samples, 1u);
+  EXPECT_EQ(loops.walks, 10u);
+
+  loops = observe([] {
+    (void)sweep_availability(example_config(4), linspace(0.7, 0.95, 8));
+  });
+  ASSERT_EQ(loops.solve_done.size(), 1u);
+  EXPECT_EQ(loops.solve_done[0].payload0, 8u);
+  EXPECT_EQ(loops.walk_samples, 1u);
+  EXPECT_EQ(loops.walks, 8u);
+
+  WhatIfEngine engine(t.network, t.paths, t.eta_a, t.superframe,
+                      net::kTypicalReportingInterval);
+  const net::LinkId link = t.paths[9].resolve_links(t.network).back();
+  const std::size_t affected = engine.paths_using(link);
+  ASSERT_GT(affected, 1u);
+  loops = observe([&] { (void)engine.what_if(link, 0.9); });
+  ASSERT_EQ(loops.solve_done.size(), 1u);
+  EXPECT_EQ(loops.solve_done[0].payload0, affected);
+  EXPECT_EQ(loops.walk_samples, 1u);
+  EXPECT_EQ(loops.walks, affected);
+
+  loops = observe([] { const WalkLoopTimer idle(0); });
+  EXPECT_TRUE(loops.solve_done.empty()) << "a loop of no walks";
+  EXPECT_EQ(loops.walk_samples, 0u);
+
   const PathModel model(example_config(4));
   const SteadyStateLinks links(3, link::LinkModel::from_availability(0.75));
   for (const TransientKernel kernel :
        {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    obs::EventLog& log = obs::EventLog::instance();
-    log.clear();
     PathAnalysisOptions options;
     options.kernel = kernel;
-    const PathTransientResult result = model.analyze(links, options);
-    ASSERT_EQ(result.diagnostics.kernel, kernel);
-    std::vector<obs::EventRecord> solves;
-    for (const obs::EventRecord& event : log.events())
-      if (event.kind == obs::EventKind::kSolveDone) solves.push_back(event);
-    ASSERT_EQ(solves.size(), 1u);
-    EXPECT_EQ(solves[0].payload0, result.diagnostics.dtmc_states);
-    EXPECT_EQ(solves[0].payload1, result.diagnostics.solve_ns);
-    EXPECT_GT(solves[0].payload1, 0u);
+    EXPECT_EQ(model.analyze(links, options).diagnostics,
+              model.analyze(links, options).diagnostics);
   }
   obs::set_metrics_enabled(metrics);
   obs::set_events_enabled(events);

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "whart/common/contracts.hpp"
 
@@ -137,6 +140,28 @@ TEST(Corpus, RoundTripsAndDeduplicates) {
   append_corpus(path, 42);  // duplicate is dropped
   const std::vector<std::uint64_t> seeds = load_corpus(path);
   EXPECT_EQ(seeds, (std::vector<std::uint64_t>{42, 7}));
+  std::remove(path.c_str());
+}
+
+TEST(Corpus, MalformedLinesThrowNamingTheLine) {
+  const std::string path =
+      ::testing::TempDir() + "/whart_verify_bad_corpus_test.txt";
+  for (const char* bad : {"abc", "18446744073709551616", "12x", "-5"}) {
+    std::ofstream(path) << "# seeds\n12\n  " << bad << "\n7\n";
+    try {
+      (void)load_corpus(path);
+      ADD_FAILURE() << "'" << bad << "' was read as a seed";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("line 3: '" +
+                                               std::string(bad) + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // Surrounding blanks (and a CRLF line end) are not part of the token.
+  std::ofstream(path) << "12 \r\n\t18446744073709551615\n";
+  EXPECT_EQ(load_corpus(path),
+            (std::vector<std::uint64_t>{12, 18446744073709551615u}));
   std::remove(path.c_str());
 }
 

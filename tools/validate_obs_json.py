@@ -5,8 +5,9 @@ and the flight-recorder drain from --obs-dir.
 Usage: validate_obs_json.py <metrics.json> <trace.json> [events.jsonl]
 
 Checks that the metrics snapshot parses, contains the counters the
-instrumented analysis engine must have bumped (path solves), the walk's
-stage timer (hart.stage.walk.ns) and well-formed histograms with
+instrumented analysis engine must have bumped (path solves), the path
+loops' stage timer (hart.stage.walk.ns, one sample per loop of walks,
+so never more samples than walks) and well-formed histograms with
 quantile estimates; that the
 trace file is a valid Chrome trace_event dump — complete ("X") spans
 with causality args plus paired flow ("s"/"f") events linking every
@@ -75,12 +76,21 @@ def validate_metrics(path: str) -> None:
                 )
 
     # Stage-level latency attribution: every path solve of a default run
-    # is a firing-table walk, and each walk reports its time as
-    # hart.stage.walk.ns.
+    # is a firing-table walk, and each loop of walks (analyze_network's
+    # paths, a sweep's grid points, the what-if baseline and each query,
+    # rank_link_upgrades) reports its wall-clock as one
+    # hart.stage.walk.ns sample, while every walk counts itself in
+    # hart.path_solve.count.  A loop of no walks records nothing, so
+    # there are never more samples than walks.
     stages = [n for n in data["histograms"] if n.startswith("hart.stage.")]
     walk = data["histograms"].get("hart.stage.walk.ns")
     if walk is None or walk["count"] <= 0:
         fail(f"{path}: no hart.stage.walk.ns latency histogram recorded")
+    if walk["count"] > counters["hart.path_solve.count"]:
+        fail(
+            f"{path}: {walk['count']} hart.stage.walk.ns samples but only "
+            f"{counters['hart.path_solve.count']} path solves"
+        )
 
     print(
         f"validate_obs_json: {path}: OK "
