@@ -204,12 +204,14 @@ void BM_MonteCarloPerIntervalSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloPerIntervalSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Observability overhead on a real workload: the forward solve under
-// each layer of the subsystem.  Args are {metrics, event_log}: {0,0}
-// everything runtime-disabled (one relaxed atomic load per
-// instrumented event), {1,0} counters/histograms only, {1,1} adds the
-// flight recorder's per-thread ring writes.  All three must stay within
-// noise of each other; CI gates the ratios against BENCH_obs.json.
+// Observability overhead on a real workload: one analyze_network loop
+// over the typical network (eta_a, Is = 4, one thread) under each layer
+// of the subsystem.  Args are {metrics, event_log}: {0,0} everything
+// runtime-disabled (one relaxed atomic load per instrumented event),
+// {1,0} counters, histograms and the loop's hart.stage.walk.ns sample,
+// {1,1} adds the flight recorder's per-thread ring writes, the loop's
+// solve_done event among them.  All three must stay within noise of
+// each other; CI gates the ratios against BENCH_obs.json.
 void BM_ObsOverheadForwardAnalysis(benchmark::State& state) {
   const bool metrics = state.range(0) != 0;
   const bool events = state.range(1) != 0;
@@ -217,11 +219,15 @@ void BM_ObsOverheadForwardAnalysis(benchmark::State& state) {
   const bool was_events = common::obs::events_enabled();
   common::obs::set_metrics_enabled(metrics);
   common::obs::set_events_enabled(events);
-  const hart::PathModel model(path_config(4, 20, 16));
-  const hart::SteadyStateLinks links(
-      4, link::LinkModel::from_availability(0.83));
+  const net::TypicalNetwork t = net::make_typical_network(
+      link::LinkModel::from_availability(0.83));
+  hart::AnalysisOptions options;
+  options.threads = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.analyze(links).cycle_probabilities);
+    benchmark::DoNotOptimize(
+        hart::analyze_network(t.network, t.paths, t.eta_a, t.superframe,
+                              net::kTypicalReportingInterval, options)
+            .mean_delay_ms);
   }
   common::obs::set_metrics_enabled(was_metrics);
   common::obs::set_events_enabled(was_events);

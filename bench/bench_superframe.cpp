@@ -1,9 +1,7 @@
-// The firing-table walk vs the superframe-product collapse
-// (google-benchmark).  Every workload runs under both kernels with the
-// kernel selector as the LAST benchmark argument (0 = kPerSlot, the
-// walk; 1 = kSuperframeProduct, the reference collapse), so
-// tools/check_bench_regression.py can pair .../1 against .../0 and
-// assert the walk's speedup, and compare runs against the committed
+// The firing-table walk, the one path solver (google-benchmark): a
+// single Section VI path at three sizes, the paper's typical network and
+// the 200-device generated plant, each compared by
+// tools/check_bench_regression.py against the committed
 // BENCH_superframe.json baseline.  Network solves run on one thread.
 #include <benchmark/benchmark.h>
 
@@ -11,10 +9,8 @@
 
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_model.hpp"
-#include "whart/markov/superframe_kernel.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/typical_network.hpp"
-#include "whart/verify/full_chain.hpp"
 
 namespace {
 
@@ -29,39 +25,26 @@ hart::PathModelConfig path_config(std::uint32_t hops, std::uint32_t fup,
   return config;
 }
 
-// One Section VI path solve: Args are (hops, Is, kernel).
+// One Section VI path solve: Args are (hops, Is).
 void BM_PathSolve(benchmark::State& state) {
   const auto hops = static_cast<std::uint32_t>(state.range(0));
   const auto is = static_cast<std::uint32_t>(state.range(1));
   const hart::PathModel model(path_config(hops, 20, is));
   const hart::SteadyStateLinks links(
       hops, link::LinkModel::from_availability(0.83));
-  hart::PathAnalysisOptions options;
-  options.kernel = state.range(2) != 0
-                       ? hart::TransientKernel::kSuperframeProduct
-                       : hart::TransientKernel::kPerSlot;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.analyze(links, options).cycle_probabilities);
+    benchmark::DoNotOptimize(model.analyze(links).cycle_probabilities);
   }
 }
-BENCHMARK(BM_PathSolve)
-    ->Args({3, 4, 0})
-    ->Args({3, 4, 1})
-    ->Args({4, 64, 0})
-    ->Args({4, 64, 1})
-    ->Args({8, 256, 0})
-    ->Args({8, 256, 1});
+BENCHMARK(BM_PathSolve)->Args({3, 4})->Args({4, 64})->Args({8, 256});
 
 // The paper's 10-path typical network at its Is = 4 operating point and
-// at a long-horizon Is = 64: Args are (Is, kernel).
+// at a long-horizon Is = 64: Arg is Is.
 void BM_TypicalNetworkSolve(benchmark::State& state) {
   const auto is = static_cast<std::uint32_t>(state.range(0));
   const net::TypicalNetwork t = net::make_typical_network();
   hart::AnalysisOptions options;
   options.threads = 1;
-  options.kernel = state.range(1) != 0
-                       ? hart::TransientKernel::kSuperframeProduct
-                       : hart::TransientKernel::kPerSlot;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         hart::analyze_network(t.network, t.paths, t.eta_a, t.superframe, is,
@@ -69,13 +52,9 @@ void BM_TypicalNetworkSolve(benchmark::State& state) {
             .mean_delay_ms);
   }
 }
-BENCHMARK(BM_TypicalNetworkSolve)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_TypicalNetworkSolve)->Arg(4)->Arg(64);
 
-// 200-device generated plant: Args are (Is, kernel).
+// 200-device generated plant: Arg is Is.
 void BM_GeneratedPlantSolve(benchmark::State& state) {
   net::PlantProfile profile;
   profile.device_count = 200;
@@ -83,9 +62,6 @@ void BM_GeneratedPlantSolve(benchmark::State& state) {
   const net::GeneratedPlant plant = net::generate_plant(profile);
   hart::AnalysisOptions options;
   options.threads = 1;
-  options.kernel = state.range(1) != 0
-                       ? hart::TransientKernel::kSuperframeProduct
-                       : hart::TransientKernel::kPerSlot;
   const auto is = static_cast<std::uint32_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -94,24 +70,7 @@ void BM_GeneratedPlantSolve(benchmark::State& state) {
             .mean_delay_ms);
   }
 }
-BENCHMARK(BM_GeneratedPlantSolve)->Args({64, 0})->Args({64, 1});
-
-// Product build cost in isolation: what the kernel amortizes.  Builds
-// the full Fup + Fdown chain (identity slots included), the verify/
-// reference, so this calibration stays independent of the production
-// opportunity collapse.
-void BM_KernelBuild(benchmark::State& state) {
-  const auto hops = static_cast<std::uint32_t>(state.range(0));
-  const hart::PathModel model(path_config(hops, 20, 4));
-  const hart::SteadyStateLinks links(
-      hops, link::LinkModel::from_availability(0.83));
-  for (auto _ : state) {
-    markov::SuperframeKernel kernel(
-        verify::full_chain_slot_matrices(model, links));
-    benchmark::DoNotOptimize(kernel.cycle_product().nonzeros());
-  }
-}
-BENCHMARK(BM_KernelBuild)->Arg(3)->Arg(8);
+BENCHMARK(BM_GeneratedPlantSolve)->Arg(64);
 
 }  // namespace
 

@@ -23,9 +23,9 @@
 //                        the GE row of the CI fuzz matrix)
 //   --inject <fault>     corrupt the production leg on purpose:
 //                        link-bias | discard-leak | cycle-shift |
-//                        product-entry | channel-state-leak |
-//                        channel-gap-shift | what-if-skip-path (a
-//                        healthy harness must then FAIL)
+//                        channel-state-leak | channel-gap-shift |
+//                        what-if-skip-path (a healthy harness must
+//                        then FAIL)
 //   --metrics[=<file>]   dump the obs metrics snapshot as JSON
 //                        (default file: whart_verify_metrics.json)
 //   --obs-dir=<dir>      full observability bundle (metrics.json,
@@ -59,7 +59,7 @@ int usage(const std::string& complaint = "") {
                "[--corpus <file>] [--no-shrink] [--no-sim] "
                "[--intervals <n>] [--shards <n>] [--threads <n>] "
                "[--channel-prob <p>] "
-               "[--inject link-bias|discard-leak|cycle-shift|product-entry|"
+               "[--inject link-bias|discard-leak|cycle-shift|"
                "channel-state-leak|channel-gap-shift|what-if-skip-path] "
                "[--metrics[=<file>]] [--obs-dir=<dir>]\n";
   return 2;
@@ -131,8 +131,6 @@ int main(int argc, char** argv) {
         config.oracle.injection = whart::verify::Injection::kDiscardLeak;
       else if (fault == "cycle-shift")
         config.oracle.injection = whart::verify::Injection::kCycleShift;
-      else if (fault == "product-entry")
-        config.oracle.injection = whart::verify::Injection::kProductEntry;
       else if (fault == "channel-state-leak")
         config.oracle.injection = whart::verify::Injection::kChannelStateLeak;
       else if (fault == "channel-gap-shift")

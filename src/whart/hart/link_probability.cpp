@@ -58,15 +58,6 @@ const link::ChannelModel* ChannelLinks::channel_model(std::size_t hop) const {
   return &channels_[channels_.size() == 1 ? 0 : hop];
 }
 
-bool channel_enlarged(const LinkProbabilityProvider& links,
-                      std::size_t hops) {
-  for (std::size_t h = 0; h < hops; ++h) {
-    const link::ChannelModel* channel = links.channel_model(h);
-    if (channel != nullptr && channel->state_count() > 1) return true;
-  }
-  return false;
-}
-
 TransientLinks::TransientLinks(std::vector<link::LinkModel> links,
                                std::vector<double> initial_up)
     : links_(std::move(links)), initial_up_(std::move(initial_up)) {

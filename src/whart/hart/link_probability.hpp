@@ -29,14 +29,6 @@ class LinkProbabilityProvider {
   /// Number of hops this provider serves.
   [[nodiscard]] virtual std::size_t hop_count() const = 0;
 
-  /// True when up_probability is independent of the absolute slot, so
-  /// every superframe cycle sees identical per-slot transition matrices
-  /// — the precondition of the superframe-product transient kernel
-  /// (markov::SuperframeKernel).  Providers whose probabilities evolve
-  /// over time (transient links, scripted failures) must keep the
-  /// default false; PathModel then walks the firing table.
-  [[nodiscard]] virtual bool cycle_stationary() const { return false; }
-
   /// The finite-state Markov channel behind hop `hop`, or nullptr when
   /// the hop is per-slot independent.  When any hop returns a channel
   /// with more than one state, PathModel's firing-table walk enlarges the
@@ -67,9 +59,6 @@ class ChannelLinks final : public LinkProbabilityProvider {
       const override;
   [[nodiscard]] std::size_t hop_count() const override;
 
-  /// Stationary-start channels have slot-independent marginals.
-  [[nodiscard]] bool cycle_stationary() const override { return true; }
-
   [[nodiscard]] const link::ChannelModel* channel_model(
       std::size_t hop) const override;
 
@@ -97,9 +86,6 @@ class SteadyStateLinks final : public LinkProbabilityProvider {
       const override;
   [[nodiscard]] std::size_t hop_count() const override;
 
-  /// Steady-state probabilities are slot-independent by construction.
-  [[nodiscard]] bool cycle_stationary() const override { return true; }
-
  private:
   std::vector<double> availability_;
 };
@@ -126,13 +112,6 @@ class TransientLinks final : public LinkProbabilityProvider {
 /// Links with scripted failure windows (Section VI-C): forced DOWN inside
 /// each window, steady state before the first window, transient recovery
 /// from DOWN afterwards.
-/// True when any of the first `hops` hops of `links` carries a
-/// multi-state channel — the condition under which PathModel enlarges
-/// its DTMC state space (and the superframe collapse gives way to the
-/// walk).
-[[nodiscard]] bool channel_enlarged(const LinkProbabilityProvider& links,
-                                    std::size_t hops);
-
 class ScriptedLinks final : public LinkProbabilityProvider {
  public:
   explicit ScriptedLinks(std::vector<link::ScriptedLink> links);

@@ -21,8 +21,6 @@ NetworkMeasures analyze_network(const net::Network& network,
   expects(!paths.empty(), "at least one path");
   WHART_COUNT("hart.network.analyses");
   WHART_GAUGE_SET("hart.network.paths", static_cast<double>(paths.size()));
-  PathAnalysisOptions path_options;
-  path_options.kernel = options.kernel.value_or(TransientKernel::kPerSlot);
   common::WorkspacePool<SolveWorkspace> workspaces;
 
   std::vector<PathMeasures> per_path(paths.size());
@@ -45,11 +43,11 @@ NetworkMeasures analyze_network(const net::Network& network,
             channels.reserve(availability.size());
             for (double a : availability)
               channels.push_back(options.channel->with_marginal_success(a));
-            model.analyze_into(ChannelLinks(std::move(channels)), path_options,
-                               *workspace, transient);
+            model.analyze_into(ChannelLinks(std::move(channels)),
+                               PathAnalysisOptions{}, *workspace, transient);
           } else {
             model.analyze_into(SteadyStateLinks(std::move(availability)),
-                               path_options, *workspace, transient);
+                               PathAnalysisOptions{}, *workspace, transient);
           }
           per_path[p] = measures_from_transient(model.config(), transient);
         },

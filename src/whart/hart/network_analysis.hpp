@@ -23,19 +23,14 @@ struct AnalysisOptions {
   /// and falls back to the hardware concurrency, 1 runs serially.
   unsigned threads = 0;
 
-  /// Read by nothing: every path walks its own firing table.  Declared
-  /// only because the end-to-end benchmark harness (e2ebench/) sets it.
+  /// Read by nothing; declared only because e2ebench/ sets it.  Every
+  /// path walks its own firing table (DESIGN.md §11).
   bool use_cache = true;
 
-  /// Transient solver for the per-path solves.  Unset (the default) and
-  /// kPerSlot walk every path's firing table (DESIGN.md §11).
-  /// kSuperframeProduct forces the reference collapse on every i.i.d.
-  /// path (the goldens' seam); channel paths still walk, counted as a
-  /// kernel fallback.  The two agree on every measure to ~1e-12.
+  /// Read by nothing; declared only because e2ebench/ sets it.
   std::optional<TransientKernel> kernel;
 
-  /// Read by nothing, like use_cache: declared only because the
-  /// end-to-end benchmark harness (e2ebench/) sets it.
+  /// Read by nothing; declared only because e2ebench/ sets it.
   bool reuse_skeleton = true;
 
   /// Correlated-channel overlay.  When set, every hop of every path runs

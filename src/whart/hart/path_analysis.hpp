@@ -90,8 +90,8 @@ struct PathMeasures {
 PathMeasures compute_path_measures(const PathModel& model,
                                    const LinkProbabilityProvider& links);
 
-/// Exact measures with solver selection (PathAnalysisOptions::kernel);
-/// both kernels agree on every measure to rounding.
+/// Exact measures with the verification harness's walk fault
+/// (PathAnalysisOptions::inject_channel_fault).
 PathMeasures compute_path_measures(const PathModel& model,
                                    const LinkProbabilityProvider& links,
                                    const PathAnalysisOptions& options);

@@ -9,7 +9,6 @@
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
-#include "whart/markov/superframe_kernel.hpp"
 
 namespace whart::hart {
 
@@ -115,14 +114,6 @@ void PathModel::analyze_into(const LinkProbabilityProvider& links,
                              const PathAnalysisOptions& options,
                              SolveWorkspace& workspace,
                              PathTransientResult& result) const {
-  if (options.kernel == TransientKernel::kSuperframeProduct) {
-    if (links.cycle_stationary() &&
-        !channel_enlarged(links, config_.hop_count())) {
-      result = analyze_superframe(links, options.inject_product_error);
-      return;
-    }
-    WHART_COUNT("hart.path_solve.kernel_fallback");
-  }
   walk(links, options.inject_channel_fault, workspace, result);
 }
 
@@ -418,231 +409,6 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   WHART_COUNT("hart.path_solve.count");
   if (enlarged) WHART_COUNT("hart.path_solve.channel");
   WHART_OBSERVE("hart.path_solve.states", diagnostics.dtmc_states);
-}
-
-std::vector<linalg::CsrMatrix> PathModel::opportunity_matrices(
-    const LinkProbabilityProvider& links) const {
-  expects(links.hop_count() >= config_.hop_count(),
-          "provider covers every hop");
-  const std::size_t hops = config_.hop_count();
-  const std::size_t dim = hops + 2;
-  const std::size_t goal = hops;
-  const std::size_t discard = hops + 1;
-  std::vector<linalg::CsrMatrix> matrices;
-  matrices.reserve(opportunities_.size());
-  // Success probabilities are frozen from the first cycle; with a
-  // cycle-stationary provider every later cycle sees the same values.
-  for (const Opportunity& o : opportunities_) {
-    std::vector<linalg::Triplet> entries;
-    entries.reserve(dim + 1);
-    for (std::size_t h = 0; h < hops; ++h) {
-      if (o.hop == h) {
-        const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(o.slot));
-        const std::size_t target = h + 1 == hops ? goal : h + 1;
-        if (ps > 0.0) entries.push_back({h, target, ps});
-        if (ps < 1.0) entries.push_back({h, h, 1.0 - ps});
-      } else {
-        entries.push_back({h, h, 1.0});
-      }
-    }
-    entries.push_back({goal, goal, 1.0});
-    entries.push_back({discard, discard, 1.0});
-    matrices.emplace_back(dim, dim, std::move(entries));
-  }
-  return matrices;
-}
-
-PathTransientResult PathModel::analyze_superframe(
-    const LinkProbabilityProvider& links, double inject) const {
-  WHART_SPAN("path_solve");
-  markov::SuperframeKernel kernel(opportunity_matrices(links));
-  if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
-  const linalg::CsrMatrix& product = kernel.cycle_product();
-  const std::size_t hops = config_.hop_count();
-  const std::size_t dim = hops + 2;
-  const std::size_t goal = hops;
-  const std::size_t count = opportunities_.size();
-  const std::uint32_t frame = config_.superframe.uplink_slots;
-  const std::uint32_t ttl = config_.effective_ttl();
-  const std::uint32_t interval = config_.reporting_interval;
-  // Success probabilities are frozen from the first cycle; the provider
-  // is cycle-stationary.
-  std::vector<double> ps(count);
-  for (std::size_t i = 0; i < count; ++i)
-    ps[i] = links.up_probability(
-        opportunities_[i].hop,
-        config_.superframe.absolute_slot_of_uplink(opportunities_[i].slot));
-  const auto target_of = [&](std::size_t h) {
-    return h + 1 == hops ? goal : h + 1;
-  };
-
-  // One-cycle accounting matrices from a dense prefix/suffix sweep over
-  // the transmission opportunities (identity slots leave both unchanged).
-  //
-  //   attempts(x, h): expected transmissions of hop h during a full cycle
-  //     entered in state x — the prefix column of state h summed over the
-  //     slots where h fires, so a whole cycle's attempt bookkeeping is one
-  //     dot product against the entry distribution.
-  //
-  //   delivered_kernel K: with b = eventual-delivery probabilities at the
-  //     cycle's end and u = delivered-attempt mass accrued after it, one
-  //     cycle folds backward as u <- K b + P u, b <- P b, where
-  //     K = sum over firing slots j of
-  //         (column x_j of Prefix_{j-1}) (row x_j of Suffix_j),
-  //     Prefix_{j-1} = M_1..M_{j-1} and Suffix_j = M_j..M_F.
-  std::vector<double> prefix(dim * dim, 0.0);
-  for (std::size_t i = 0; i < dim; ++i) prefix[i * dim + i] = 1.0;
-  std::vector<double> next(dim * dim);
-  std::vector<double> attempts(dim * hops, 0.0);
-  std::vector<double> prefix_columns(count * dim);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t hop = opportunities_[i].hop;
-    double* column = prefix_columns.data() + i * dim;
-    for (std::size_t r = 0; r < dim; ++r) {
-      column[r] = prefix[r * dim + hop];
-      attempts[r * hops + hop] += column[r];
-    }
-    // prefix <- prefix * M_i, accumulating ascending over M_i's rows.
-    const linalg::CsrMatrix& step = kernel.slot_matrix(i);
-    std::fill(next.begin(), next.end(), 0.0);
-    for (std::size_t k = 0; k < dim; ++k)
-      for (std::size_t idx = step.row_start()[k];
-           idx < step.row_start()[k + 1]; ++idx)
-        for (std::size_t r = 0; r < dim; ++r)
-          next[r * dim + step.col_index()[idx]] +=
-              prefix[r * dim + k] * step.values()[idx];
-    std::swap(prefix, next);
-  }
-  std::vector<double> delivered_kernel(dim * dim, 0.0);
-  std::vector<double>& suffix = prefix;
-  std::fill(suffix.begin(), suffix.end(), 0.0);
-  for (std::size_t i = 0; i < dim; ++i) suffix[i * dim + i] = 1.0;
-  for (std::size_t i = count; i-- > 0;) {
-    const std::size_t hop = opportunities_[i].hop;
-    const linalg::CsrMatrix& step = kernel.slot_matrix(i);
-    std::fill(next.begin(), next.end(), 0.0);
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t idx = step.row_start()[r];
-           idx < step.row_start()[r + 1]; ++idx)
-        for (std::size_t c = 0; c < dim; ++c)
-          next[r * dim + c] +=
-              step.values()[idx] * suffix[step.col_index()[idx] * dim + c];
-    std::swap(suffix, next);
-    const double* column = prefix_columns.data() + i * dim;
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c)
-        delivered_kernel[r * dim + c] += column[r] * suffix[hop * dim + c];
-  }
-
-  PathTransientResult result;
-  result.cycle_probabilities.assign(interval, 0.0);
-  result.expected_transmissions_per_hop.assign(hops, 0.0);
-  std::vector<double> p(dim, 0.0);
-  p[0] = 1.0;
-  std::vector<double> p_next(dim);
-  double goal_seen = 0.0;
-  for (std::uint32_t cycle = 0; cycle < interval; ++cycle) {
-    if (static_cast<std::uint64_t>(cycle + 1) * frame <= ttl) {
-      // Full pre-TTL cycle: attempts via the accounting matrix, then one
-      // product advance in place of `frame` per-slot steps.
-      for (std::size_t h = 0; h < hops; ++h) {
-        double cycle_attempts = 0.0;
-        for (std::size_t x = 0; x < dim; ++x)
-          cycle_attempts += p[x] * attempts[x * hops + h];
-        result.expected_transmissions_per_hop[h] += cycle_attempts;
-        result.expected_transmissions += cycle_attempts;
-      }
-      std::fill(p_next.begin(), p_next.end(), 0.0);
-      for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product.row_start()[r];
-             idx < product.row_start()[r + 1]; ++idx)
-          p_next[product.col_index()[idx]] += p[r] * product.values()[idx];
-      std::swap(p, p_next);
-    } else if (cycle * frame < ttl) {
-      // The cycle the TTL cuts through fires its opportunities one by one
-      // so the discard lands on the exact slot; cycles past the TTL fall
-      // straight through.
-      for (std::size_t i = 0; i < count; ++i) {
-        if (cycle * frame + opportunities_[i].slot > ttl) break;
-        const std::size_t h = opportunities_[i].hop;
-        result.expected_transmissions += p[h];
-        result.expected_transmissions_per_hop[h] += p[h];
-        const double moved = p[h] * ps[i];
-        p[h] -= moved;
-        p[target_of(h)] += moved;
-      }
-      for (std::size_t h = 0; h < hops; ++h) {
-        result.discard_probability += p[h];
-        p[h] = 0.0;
-      }
-    }
-    result.cycle_probabilities[cycle] = p[goal] - goal_seen;
-    goal_seen = p[goal];
-  }
-  // When the TTL coincides with a product-advanced cycle boundary the
-  // expired mass never passed a per-slot discard; sweep it now.
-  for (std::size_t h = 0; h < hops; ++h) {
-    result.discard_probability += p[h];
-    p[h] = 0.0;
-  }
-
-  // Delivered-attempt accounting, folded backward cycle-by-cycle.  b
-  // starts as the goal indicator at the TTL slot (transient mass there is
-  // lost, so its delivery probability is already 0); the TTL cycle runs
-  // per-slot, every earlier cycle collapses through K and the product.
-  {
-    WHART_TIMER("hart.stage.tail_solve.ns");
-    std::vector<double> b(dim, 0.0);
-    b[goal] = 1.0;
-    std::vector<double> u(dim, 0.0);
-    const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-    for (std::size_t i = count; i-- > 0;) {
-      if (ttl_cycle * frame + opportunities_[i].slot > ttl) continue;
-      const std::size_t h = opportunities_[i].hop;
-      const std::size_t target = target_of(h);
-      const double b_before = ps[i] * b[target] + (1.0 - ps[i]) * b[h];
-      u[h] = ps[i] * u[target] + (1.0 - ps[i]) * u[h] + b_before;
-      b[h] = b_before;
-    }
-    std::vector<double> u_next(dim);
-    std::vector<double> b_next(dim);
-    for (std::uint32_t cycle = ttl_cycle; cycle-- > 0;) {
-      std::fill(b_next.begin(), b_next.end(), 0.0);
-      for (std::size_t r = 0; r < dim; ++r) {
-        double folded = 0.0;
-        for (std::size_t c = 0; c < dim; ++c)
-          folded += delivered_kernel[r * dim + c] * b[c];
-        u_next[r] = folded;
-      }
-      for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product.row_start()[r];
-             idx < product.row_start()[r + 1]; ++idx) {
-          const std::size_t c = product.col_index()[idx];
-          u_next[r] += product.values()[idx] * u[c];
-          b_next[r] += product.values()[idx] * b[c];
-        }
-      std::swap(u, u_next);
-      std::swap(b, b_next);
-    }
-    result.expected_transmissions_delivered = u[0];
-  }
-
-  SolverDiagnostics& diagnostics = result.diagnostics;
-  diagnostics.dtmc_states = dim;
-  diagnostics.transient_states = hops;
-  diagnostics.absorbing_states = 2;
-  diagnostics.forward_steps = config_.horizon();
-  diagnostics.kernel = TransientKernel::kSuperframeProduct;
-  const double goal_mass =
-      std::accumulate(result.cycle_probabilities.begin(),
-                      result.cycle_probabilities.end(), 0.0);
-  diagnostics.mass_residual =
-      std::abs(1.0 - goal_mass - result.discard_probability);
-  WHART_COUNT("hart.path_solve.count");
-  WHART_COUNT("hart.path_solve.superframe");
-  WHART_OBSERVE("hart.path_solve.states", dim);
-  return result;
 }
 
 markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {

@@ -25,35 +25,16 @@
 #include <vector>
 
 #include "whart/hart/link_probability.hpp"
-#include "whart/linalg/matrix.hpp"
-#include "whart/linalg/sparse.hpp"
 #include "whart/markov/dtmc.hpp"
 #include "whart/net/schedule.hpp"
 #include "whart/net/superframe.hpp"
 
 namespace whart::hart {
 
-/// Which transient solver answers PathModel::analyze.
+/// Read by nothing; declared only because e2ebench/ sets it: every path
+/// solve is the firing-table walk (DESIGN.md §11).
 enum class TransientKernel {
-  /// The firing-table walk (DESIGN.md §11), the production solver of
-  /// every path: the paper's Eq. 5 stepped over the path's transmission
-  /// opportunities only, since message mass moves nowhere else.  Works
-  /// under every link regime, channel-enlarged paths included, and
-  /// records one Delivery per firing of the last hop.
   kPerSlot,
-
-  /// Superframe-product collapse (markov::SuperframeKernel), kept as an
-  /// independent reference that production never selects: the per-slot
-  /// matrices of one cycle are premultiplied into the cycle matrix once,
-  /// and the reporting interval advances cycle-by-cycle through it (plus
-  /// a per-slot tail when the TTL cuts a cycle).  Requires i.i.d.
-  /// attempts from a cycle-stationary provider (steady-state links);
-  /// time-varying and channel-enlarged providers walk the firing table
-  /// instead (counted as hart.path_solve.kernel_fallback).  Results agree
-  /// with kPerSlot to rounding (~1e-15 relative; the products
-  /// reassociate the same arithmetic), not bitwise, and carry no
-  /// Delivery records.
-  kSuperframeProduct,
 };
 
 /// Verification-harness fault of the channel-enlarged walk (see
@@ -70,15 +51,6 @@ enum class ChannelFault {
 
 /// Per-solve knobs of PathModel::analyze and compute_path_measures.
 struct PathAnalysisOptions {
-  TransientKernel kernel = TransientKernel::kPerSlot;
-
-  /// Verification-harness fault injection: when nonzero, this delta is
-  /// added to entry (0, 0) of the superframe collapse's cycle product
-  /// before solving (kSuperframeProduct only).  It deliberately breaks
-  /// the collapse so the differential oracle can prove it catches a bad
-  /// product build.  Always 0 in production.
-  double inject_product_error = 0.0;
-
   /// Verification-harness fault injection: a deliberate bug in the
   /// channel-enlarged firing-table walk, mirrored in both its passes so
   /// the solve stays self-consistent and only the oracle's channel arm
@@ -144,7 +116,9 @@ struct PathModelConfig {
 /// run can report where its DTMC work went.  Every field is
 /// deterministic: wall-clock is timed per path loop (WalkLoopTimer).
 struct SolverDiagnostics {
-  /// States of the unrolled chain (transient + Is goals + Discard).
+  /// States of the unrolled chain (transient + Is goals + Discard); for
+  /// a channel-enlarged walk, of the enlarged chain (sum of k_h + Goal +
+  /// Discard).
   std::size_t dtmc_states = 0;
   std::size_t transient_states = 0;
   std::size_t absorbing_states = 0;
@@ -155,14 +129,6 @@ struct SolverDiagnostics {
   /// |1 - (goal mass + discard mass)| after absorption — the numeric
   /// health of the solve (exact arithmetic would give 0).
   double mass_residual = 0.0;
-
-  /// Solver that actually produced this result.  kSuperframeProduct only
-  /// when the collapse ran; a fallback to the walk reports kPerSlot.  For
-  /// kSuperframeProduct the state-count fields above describe the compact
-  /// message chain (hops + Goal + Discard) the collapse operates on, and
-  /// for a channel-enlarged walk the enlarged chain (sum of k_h + Goal +
-  /// Discard), not the unrolled chain.
-  TransientKernel kernel = TransientKernel::kPerSlot;
 
   friend bool operator==(const SolverDiagnostics&,
                          const SolverDiagnostics&) = default;
@@ -189,9 +155,7 @@ struct PathTransientResult {
   /// The walk's record of every firing of the last hop up to the TTL, in
   /// firing order: O(Is x last-hop opportunities) entries, and each
   /// cycle probability is its cycle's masses summed in this order.
-  /// goal_trajectory rebuilds the paper's Fig. 6 from them.  Empty for
-  /// the superframe collapse, which never visits the firings of a full
-  /// cycle.
+  /// goal_trajectory rebuilds the paper's Fig. 6 from them.
   std::vector<Delivery> deliveries;
 
   /// Expected number of transmission attempts during the interval (the
@@ -208,7 +172,7 @@ struct PathTransientResult {
   /// expected_transmissions.
   double expected_transmissions_delivered = 0.0;
 
-  /// Numeric provenance of this solve (sizes, residual, kernel).
+  /// Numeric provenance of this solve (sizes, residual).
   SolverDiagnostics diagnostics;
 };
 
@@ -296,10 +260,8 @@ class PathModel {
   [[nodiscard]] PathTransientResult analyze(
       const LinkProbabilityProvider& links) const;
 
-  /// Transient analysis with solver selection.  kSuperframeProduct
-  /// collapses full cycles through markov::SuperframeKernel when `links`
-  /// is cycle-stationary with i.i.d. attempts and otherwise falls back to
-  /// the walk (recorded in diagnostics.kernel and an obs counter).
+  /// Transient analysis with the verification harness's channel fault
+  /// (PathAnalysisOptions::inject_channel_fault).
   [[nodiscard]] PathTransientResult analyze(
       const LinkProbabilityProvider& links,
       const PathAnalysisOptions& options) const;
@@ -311,20 +273,6 @@ class PathModel {
                     const PathAnalysisOptions& options,
                     SolveWorkspace& workspace,
                     PathTransientResult& result) const;
-
-  /// One transition matrix per transmission opportunity, in
-  /// opportunities() order, over the compact message chain: states
-  /// 0..n-1 are "waiting at hop h", followed by Goal and Discard.  Each
-  /// moves its hop's mass forward with that slot's success probability
-  /// (frozen from the first cycle).  Every other slot of a cycle is the
-  /// identity, so these are the whole cycle chain: their product equals
-  /// the Fup + Fdown slot product (verify::full_chain_slot_matrices)
-  /// bitwise, because in Gustavson's pass an identity factor contributes
-  /// exactly one product av * 1.0 == av to each output entry.  Valid
-  /// input to markov::SuperframeKernel whenever `links` is
-  /// cycle-stationary.
-  [[nodiscard]] std::vector<linalg::CsrMatrix> opportunity_matrices(
-      const LinkProbabilityProvider& links) const;
 
   /// Materialize the underlying DTMC (the output of the paper's
   /// Algorithm 1) with transition probabilities frozen from `links`.
@@ -363,14 +311,6 @@ class PathModel {
  private:
   friend std::vector<double> reachability_sensitivity(
       const PathModel& model, const LinkProbabilityProvider& links);
-
-  /// The superframe collapse (DESIGN.md §11), a reference solver: the
-  /// opportunity chain collapsed through markov::SuperframeKernel, full
-  /// pre-TTL cycles advanced through the cycle product, the cycle the TTL
-  /// cuts fired opportunity by opportunity, and the delivered attempts
-  /// folded backward through a one-cycle accounting kernel.
-  [[nodiscard]] PathTransientResult analyze_superframe(
-      const LinkProbabilityProvider& links, double inject) const;
 
   /// The firing-table walk (DESIGN.md §11, §14), the solve of every
   /// production path.  Message mass moves only at firings, so both passes

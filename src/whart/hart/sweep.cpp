@@ -26,10 +26,8 @@ struct PointSpec {
 /// spec order.  `channel`, when non-null, rescales the overlay to each
 /// point's availability and walks the channel-enlarged chain.
 std::vector<SweepPoint> solve_points(const std::vector<PointSpec>& specs,
-                                     unsigned threads, TransientKernel kernel,
+                                     unsigned threads,
                                      const link::ChannelModel* channel) {
-  PathAnalysisOptions options;
-  options.kernel = kernel;
   std::vector<SweepPoint> points(specs.size());
   common::WorkspacePool<SolveWorkspace> workspaces;
   const WalkLoopTimer timer(specs.size());
@@ -45,10 +43,10 @@ std::vector<SweepPoint> solve_points(const std::vector<PointSpec>& specs,
           model.analyze_into(
               ChannelLinks(hops, channel->with_marginal_success(
                                      spec.model.steady_state_availability())),
-              options, *workspace, transient);
+              PathAnalysisOptions{}, *workspace, transient);
         else
-          model.analyze_into(SteadyStateLinks(hops, spec.model), options,
-                             *workspace, transient);
+          model.analyze_into(SteadyStateLinks(hops, spec.model),
+                             PathAnalysisOptions{}, *workspace, transient);
         points[i] = {spec.parameter,
                      measures_from_transient(model.config(), transient)};
       },
@@ -71,7 +69,7 @@ std::vector<double> linspace(double first, double last, std::size_t count) {
 
 SweepSeries sweep_availability(const PathModelConfig& config,
                                const std::vector<double>& availabilities,
-                               unsigned threads, TransientKernel kernel,
+                               unsigned threads, TransientKernel /*kernel*/,
                                bool /*reuse_skeleton*/,
                                std::size_t /*batch_lanes*/,
                                const link::ChannelModel* channel) {
@@ -85,13 +83,13 @@ SweepSeries sweep_availability(const PathModelConfig& config,
   specs.reserve(availabilities.size());
   for (double pi : availabilities)
     specs.push_back({pi, &shape, link::LinkModel::from_availability(pi)});
-  series.points = solve_points(specs, threads, kernel, channel);
+  series.points = solve_points(specs, threads, channel);
   return series;
 }
 
 SweepSeries sweep_ber(const PathModelConfig& config,
                       const std::vector<double>& bit_error_rates,
-                      unsigned threads, TransientKernel kernel,
+                      unsigned threads, TransientKernel /*kernel*/,
                       bool /*reuse_skeleton*/, std::size_t /*batch_lanes*/,
                       const link::ChannelModel* channel) {
   expects(!bit_error_rates.empty(), "at least one sample");
@@ -104,14 +102,14 @@ SweepSeries sweep_ber(const PathModelConfig& config,
   specs.reserve(bit_error_rates.size());
   for (double ber : bit_error_rates)
     specs.push_back({ber, &shape, link::LinkModel::from_ber(ber)});
-  series.points = solve_points(specs, threads, kernel, channel);
+  series.points = solve_points(specs, threads, channel);
   return series;
 }
 
 SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
                             net::SuperframeConfig superframe,
                             std::uint32_t reporting_interval,
-                            unsigned threads, TransientKernel kernel,
+                            unsigned threads, TransientKernel /*kernel*/,
                             bool /*reuse_skeleton*/,
                             std::size_t /*batch_lanes*/,
                             const link::ChannelModel* channel) {
@@ -135,14 +133,14 @@ SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
     specs.push_back({static_cast<double>(hops),
                      &shapes.emplace_back(std::move(config)), model});
   }
-  series.points = solve_points(specs, threads, kernel, channel);
+  series.points = solve_points(specs, threads, channel);
   return series;
 }
 
 SweepSeries sweep_reporting_interval_series(
     const PathModelConfig& base_config, double availability,
     const std::vector<std::uint32_t>& intervals, unsigned threads,
-    TransientKernel kernel, bool /*reuse_skeleton*/,
+    TransientKernel /*kernel*/, bool /*reuse_skeleton*/,
     std::size_t /*batch_lanes*/, const link::ChannelModel* channel) {
   expects(!intervals.empty(), "at least one interval");
   WHART_REQUEST_SPAN("sweep_reporting_interval");
@@ -161,7 +159,7 @@ SweepSeries sweep_reporting_interval_series(
     specs.push_back({static_cast<double>(is),
                      &shapes.emplace_back(std::move(config)), model});
   }
-  series.points = solve_points(specs, threads, kernel, channel);
+  series.points = solve_points(specs, threads, channel);
   return series;
 }
 

@@ -3,11 +3,8 @@
 // for CSV export — the programmatic counterpart of the bench binaries.
 //
 // Every grid point walks its path's firing table (DESIGN.md §11) on a
-// pooled SolveWorkspace; kSuperframeProduct, the reference collapse,
-// stays reachable through the `kernel` parameter (measures agree to
-// ~1e-12).  `reuse_skeleton` and `batch_lanes` are read by nothing:
-// they are declared only because the end-to-end benchmark harness
-// (e2ebench/) passes them.
+// pooled SolveWorkspace.  `kernel`, `reuse_skeleton` and `batch_lanes`
+// are read by nothing; declared only because e2ebench/ sets them.
 #pragma once
 
 #include <cstdint>

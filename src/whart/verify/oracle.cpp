@@ -187,49 +187,6 @@ OracleReport cross_validate(const Scenario& input_scenario,
               prod.transmissions_per_hop[h],
               ref.expected_transmissions_per_hop[h]);
 
-    // Kernel leg: the superframe-product collapse on the TRUE
-    // availabilities, against the same reference.  Steady-state links are
-    // cycle-stationary, so the collapse must actually run — a per-slot
-    // fallback here would silently bypass the arm under test.
-    {
-      hart::PathAnalysisOptions kernel_options;
-      kernel_options.kernel = hart::TransientKernel::kSuperframeProduct;
-      if (config.injection == Injection::kProductEntry)
-        kernel_options.inject_product_error = 1e-3;
-      const hart::PathModel model(path_config);
-      const hart::SteadyStateLinks links{availabilities};
-      const hart::PathTransientResult kern =
-          model.analyze(links, kernel_options);
-      if (kern.diagnostics.kernel !=
-          hart::TransientKernel::kSuperframeProduct)
-        add_finding(p, "closure:kernel-dispatch",
-                    "superframe kernel fell back to per-slot on "
-                    "cycle-stationary links");
-      const auto compare_kernel = [&](const std::string& field,
-                                      double kern_value, double ref_value) {
-        if (!close(kern_value, ref_value, config.deterministic_tolerance))
-          add_finding(p, "kernel:" + field,
-                      "kernel " + format_double(kern_value) +
-                          " vs reference " + format_double(ref_value));
-      };
-      for (std::size_t i = 0; i < ref.cycle_probabilities.size(); ++i)
-        compare_kernel("g(" + std::to_string(i + 1) + ")",
-                       kern.cycle_probabilities[i],
-                       ref.cycle_probabilities[i]);
-      compare_kernel("discard", kern.discard_probability,
-                     ref.discard_probability);
-      compare_kernel("expected_transmissions", kern.expected_transmissions,
-                     ref.expected_transmissions);
-      compare_kernel("transmissions_delivered",
-                     kern.expected_transmissions_delivered,
-                     ref.expected_transmissions_delivered);
-      for (std::size_t h = 0; h < ref.expected_transmissions_per_hop.size();
-           ++h)
-        compare_kernel("transmissions_hop" + std::to_string(h),
-                       kern.expected_transmissions_per_hop[h],
-                       ref.expected_transmissions_per_hop[h]);
-    }
-
     // Channel leg: the enlarged-state-space walk under the scenario's
     // correlated-channel overlay, against the independent channel
     // reference.  The channel faults corrupt only this leg.

@@ -3,20 +3,16 @@
 //       the firing-table walk the rest of the system uses;
 //   (2) the reference leg — verify::reference_solve, an independent
 //       dense implementation of the same math;
-//   (3) the kernel leg — the superframe-product collapse
-//       (PathAnalysisOptions::kernel = kSuperframeProduct), a second
-//       solver compared against the reference to prove the cycle
-//       collapse is faithful;
-//   (4) the simulator leg — sim::NetworkSimulator in the kIndependent
+//   (3) the simulator leg — sim::NetworkSimulator in the kIndependent
 //       regime, whose empirical frequencies converge to the analytic
 //       probabilities exactly;
-//   (5) the channel leg — when the scenario carries a correlated-channel
+//   (4) the channel leg — when the scenario carries a correlated-channel
 //       overlay, the channel-enlarged walk is compared against
 //       verify::reference_solve_channel, an independent solver over the
 //       full (t, hop, channel-state) grid, and the simulator leg
 //       switches to the kChannel regime so the empirical draws come from
 //       the very chains the analytics solve;
-//   (6) the what-if leg — hart::WhatIfEngine, which re-walks only the
+//   (5) the what-if leg — hart::WhatIfEngine, which re-walks only the
 //       paths using a changed link, against a fresh analyze_network of a
 //       network copy with that link moved, for every link in turn, to
 //       1e-12 relative.
@@ -32,9 +28,8 @@
 // leg (and only that leg) to prove the harness catches real bugs —
 // kLinkBias biases the availabilities the production solver sees,
 // kDiscardLeak leaks discard mass, kCycleShift rotates the per-cycle
-// delivery probabilities, kProductEntry corrupts one entry of the
-// superframe-product matrix the kernel leg solves through,
-// kChannelStateLeak and kChannelGapShift corrupt the channel leg's walk,
+// delivery probabilities, kChannelStateLeak and kChannelGapShift
+// corrupt the channel leg's walk,
 // and kWhatIfSkipPath leaves one affected path of each what-if answer at
 // its baseline measures.  A healthy harness reports findings for every
 // injection and none for kNone.
@@ -58,9 +53,6 @@ enum class Injection {
   kDiscardLeak,
   /// Production cycle probabilities rotated by one cycle.
   kCycleShift,
-  /// One entry of the kernel leg's cycle-product matrix perturbed by
-  /// 1e-3 — a stand-in for a buggy sparse-sparse product build.
-  kProductEntry,
   /// The channel leg's walk redraws failed mass at the *stationary*
   /// distribution instead of keeping the state it failed in — the
   /// signature of dropping the channel-state memory between retry
@@ -105,7 +97,7 @@ struct OracleConfig {
 struct OracleFinding {
   /// Path (0-based) the finding concerns.
   std::size_t path_index = 0;
-  /// "<leg>:<field>" for a deterministic miss (reference, kernel,
+  /// "<leg>:<field>" for a deterministic miss (reference,
   /// channel-per-slot, what-if), "simulator:<field>" (CI-bound miss) or
   /// "closure:<invariant>".
   std::string check;

@@ -53,7 +53,6 @@
 #include "whart/markov/dtmc.hpp"
 #include "whart/markov/steady_state.hpp"
 #include "whart/markov/structure.hpp"
-#include "whart/markov/superframe_kernel.hpp"
 #include "whart/markov/transient.hpp"
 
 #include "whart/link/blacklist.hpp"

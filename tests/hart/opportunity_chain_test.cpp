@@ -1,19 +1,21 @@
-// A path's opportunity chain and the reuse of its solve storage
-// (DESIGN.md §11, §12).  The chain has one factor per transmission
-// opportunity, never one per slot of the frame, and collapsed through
-// markov::SuperframeKernel it gives the full Fup + Fdown slot chain's
-// cycle product bit for bit.  PathModel::analyze_into refills a warm
-// workspace and result in place and must reproduce a fresh
-// PathModel::analyze bit for bit — for both kernels, on cold and warm
-// workspaces, across a generated scenario corpus, with degenerate (0 or
-// 1) firing probabilities, and over a batch of grid points walked one
-// after another through one workspace, as a pooled sweep walks them.
+// A path's firing table and the reuse of its solve storage (DESIGN.md
+// §11, §12).  The table holds one entry per transmission opportunity,
+// never one per slot of the frame.  PathModel::analyze_into refills a
+// warm workspace and result in place and must reproduce a fresh
+// PathModel::analyze bit for bit — on cold and warm workspaces, across a
+// generated scenario corpus, with degenerate (0 or 1) firing
+// probabilities, and over a batch of grid points walked one after
+// another through one workspace, as a pooled sweep walks them.  On
+// explicit shapes the walk is also held to verify::reference_solve, the
+// dense solver of the full unrolled chain.
 //
 // The PathSkeleton and BatchSolve suites keep the names they had when a
-// separate skeleton refilled the collapse and solved batches of lanes,
-// so their test ids stay stable.
+// separate skeleton refilled a cycle-product collapse and solved batches
+// of lanes, so their test ids stay stable.
 #include "whart/hart/path_model.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -21,12 +23,10 @@
 
 #include <gtest/gtest.h>
 
-#include "whart/common/obs.hpp"
 #include "whart/hart/link_probability.hpp"
-#include "whart/markov/superframe_kernel.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/superframe.hpp"
-#include "whart/verify/full_chain.hpp"
+#include "whart/verify/reference_solver.hpp"
 #include "whart/verify/scenario.hpp"
 
 namespace whart::hart {
@@ -49,63 +49,22 @@ void expect_identical(const PathTransientResult& fresh,
             fresh.expected_transmissions_per_hop);
   EXPECT_EQ(refilled.expected_transmissions_delivered,
             fresh.expected_transmissions_delivered);
-  EXPECT_EQ(refilled.diagnostics.kernel, fresh.diagnostics.kernel);
-}
-
-// Entry-for-entry equality of two cycle products (same sparsity, same
-// bits).
-void expect_same_product(const linalg::CsrMatrix& actual,
-                         const linalg::CsrMatrix& expected) {
-  ASSERT_EQ(actual.rows(), expected.rows());
-  ASSERT_EQ(actual.nonzeros(), expected.nonzeros());
-  for (std::size_t r = 0; r < expected.rows(); ++r) {
-    std::vector<std::pair<std::size_t, double>> want;
-    std::vector<std::pair<std::size_t, double>> got;
-    expected.for_each_in_row(
-        r, [&](std::size_t c, double v) { want.emplace_back(c, v); });
-    actual.for_each_in_row(
-        r, [&](std::size_t c, double v) { got.emplace_back(c, v); });
-    EXPECT_EQ(got, want) << "row " << r;
-  }
-}
-
-// The collapse folds only the opportunity factors; the verify/ full
-// chain (identity slots included) must give the same cycle product
-// bitwise.
-void expect_opportunity_collapse_matches_full_chain(
-    const PathModel& model, const LinkProbabilityProvider& links) {
-  const markov::SuperframeKernel full(
-      verify::full_chain_slot_matrices(model, links));
-  ASSERT_EQ(full.period(), model.config().superframe.cycle_slots());
-  const markov::SuperframeKernel collapsed(model.opportunity_matrices(links));
-  expect_same_product(collapsed.cycle_product(), full.cycle_product());
+  EXPECT_EQ(refilled.diagnostics, fresh.diagnostics);
 }
 
 void expect_refill_matches_fresh(const PathModelConfig& config,
                                  const std::vector<double>& availabilities) {
   const PathModel model(config);
   const SteadyStateLinks links{availabilities};
-  expect_opportunity_collapse_matches_full_chain(model, links);
+  const PathTransientResult fresh = model.analyze(links);
   SolveWorkspace workspace;
   PathTransientResult refilled;
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    PathAnalysisOptions options;
-    options.kernel = kernel;
-    const PathTransientResult fresh = model.analyze(links, options);
-    // Cold pass primes the workspace; the warm pass reuses it — both
-    // must match the fresh solve exactly.
-    model.analyze_into(links, options, workspace, refilled);
-    expect_identical(fresh, refilled);
-    model.analyze_into(links, options, workspace, refilled);
-    expect_identical(fresh, refilled);
-  }
-}
-
-std::uint64_t counter(const char* name) {
-  const auto counters = common::obs::Registry::instance().snapshot().counters;
-  const auto it = counters.find(name);
-  return it == counters.end() ? std::uint64_t{0} : it->second;
+  // Cold pass primes the workspace; the warm pass reuses it — both must
+  // match the fresh solve exactly.
+  model.analyze_into(links, PathAnalysisOptions{}, workspace, refilled);
+  expect_identical(fresh, refilled);
+  model.analyze_into(links, PathAnalysisOptions{}, workspace, refilled);
+  expect_identical(fresh, refilled);
 }
 
 TEST(PathSkeleton, RefillMatchesFreshAcrossScenarioCorpus) {
@@ -129,27 +88,18 @@ TEST(PathSkeleton, WarmWorkspaceSurvivesChangingAvailabilities) {
   const PathModel model(config);
   SolveWorkspace workspace;  // shared across every point below
   PathTransientResult refilled;
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    PathAnalysisOptions options;
-    options.kernel = kernel;
-    for (const double availability : {0.55, 0.7, 0.83, 0.91, 0.99}) {
-      const SteadyStateLinks links(config.hop_count(),
-                                   link::LinkModel::from_availability(
-                                       availability));
-      model.analyze_into(links, options, workspace, refilled);
-      expect_identical(model.analyze(links, options), refilled);
-    }
+  for (const double availability : {0.55, 0.7, 0.83, 0.91, 0.99}) {
+    const SteadyStateLinks links(config.hop_count(),
+                                 link::LinkModel::from_availability(
+                                     availability));
+    model.analyze_into(links, PathAnalysisOptions{}, workspace, refilled);
+    expect_identical(model.analyze(links), refilled);
   }
 }
 
 TEST(PathSkeleton, DegenerateProbabilitiesRefillBitwiseEqual) {
-  // ps of 0 or 1 drops an entry from the opportunity factors; the
-  // collapse still equals the full chain bitwise, a warm refill still
-  // equals a fresh solve, and the collapse never falls back to the walk
-  // for it.
-  common::obs::set_metrics_enabled(true);
-  const std::uint64_t fallbacks = counter("hart.path_solve.kernel_fallback");
+  // ps of 0 or 1 makes a firing deterministic; a warm refill still
+  // equals a fresh solve.
   PathModelConfig config;
   config.hop_slots = {1, 3};
   config.superframe = net::SuperframeConfig::symmetric(5);
@@ -159,14 +109,7 @@ TEST(PathSkeleton, DegenerateProbabilitiesRefillBitwiseEqual) {
         std::vector<double>{0.8, 0.0}}) {
     SCOPED_TRACE(::testing::PrintToString(availabilities));
     expect_refill_matches_fresh(config, availabilities);
-    PathAnalysisOptions options;
-    options.kernel = TransientKernel::kSuperframeProduct;
-    const PathTransientResult collapsed =
-        PathModel(config).analyze(SteadyStateLinks{availabilities}, options);
-    EXPECT_EQ(collapsed.diagnostics.kernel,
-              TransientKernel::kSuperframeProduct);
   }
-  EXPECT_EQ(counter("hart.path_solve.kernel_fallback"), fallbacks);
 }
 
 /// Transmission opportunities of a config: its hops plus its nonzero
@@ -179,38 +122,24 @@ std::size_t opportunity_count(const PathModelConfig& config) {
 
 void expect_one_factor_per_opportunity(const PathModelConfig& config) {
   const PathModel model(config);
-  const SteadyStateLinks links(config.hop_count(),
-                               link::LinkModel::from_availability(0.8));
   const std::size_t expected = opportunity_count(config);
-  const std::vector<linalg::CsrMatrix> factors =
-      model.opportunity_matrices(links);
-  ASSERT_EQ(factors.size(), expected);
   ASSERT_EQ(model.opportunities().size(), expected);
   for (std::size_t i = 0; i < expected; ++i) {
     const PathModel::Opportunity& o = model.opportunities()[i];
-    // Each opportunity is its hop's dedicated or retry slot...
+    // Each opportunity is its hop's dedicated or retry slot, in slot
+    // order.
     EXPECT_TRUE(o.slot == config.hop_slots[o.hop] ||
                 (!config.retry_slots.empty() &&
                  o.slot == config.retry_slots[o.hop]));
     if (i > 0) {
       EXPECT_LT(model.opportunities()[i - 1].slot, o.slot);
     }
-    // ...and its factor moves that hop's mass alone: every other row is
-    // the identity.
-    for (std::size_t r = 0; r < factors[i].rows(); ++r) {
-      if (r == o.hop) continue;
-      std::vector<std::pair<std::size_t, double>> row;
-      factors[i].for_each_in_row(
-          r, [&](std::size_t c, double v) { row.emplace_back(c, v); });
-      EXPECT_EQ(row, (std::vector<std::pair<std::size_t, double>>{{r, 1.0}}))
-          << "factor " << i << " row " << r;
-    }
   }
 }
 
 TEST(PathSkeleton, ChainHasOneFactorPerTransmissionOpportunity) {
-  // The identity slots of a cycle are not chain factors: the chain's
-  // cost tracks transmissions, not Fup + Fdown.
+  // The idle slots of a cycle are not in the table: the walk's cost
+  // tracks transmissions, not Fup + Fdown.
   PathModelConfig config;
   config.hop_slots = {2, 5, 7};
   config.superframe = net::SuperframeConfig::symmetric(9);
@@ -220,7 +149,7 @@ TEST(PathSkeleton, ChainHasOneFactorPerTransmissionOpportunity) {
   config.retry_slots = {4, 0, 9};  // two retries, one hop without
   expect_one_factor_per_opportunity(config);
 
-  // The 200-device plant's frame: 780 slots per cycle, 3 factors.
+  // The 200-device plant's frame: 780 slots per cycle, 3 opportunities.
   config = PathModelConfig{};
   config.hop_slots = {17, 203, 388};
   config.superframe = net::SuperframeConfig::symmetric(390);
@@ -241,7 +170,6 @@ TEST(PathSkeleton, GeneratedPlantChainsTrackHopsNotFrameLength) {
     const PathModel model(config);
     const SteadyStateLinks links(plant.paths[p].hop_models(plant.network));
     EXPECT_EQ(model.opportunities().size(), config.hop_count());
-    EXPECT_EQ(model.opportunity_matrices(links).size(), config.hop_count());
     // The walk records one delivery per firing of the last hop: one per
     // cycle, whatever the frame length.
     EXPECT_EQ(model.analyze(links).deliveries.size(),
@@ -249,19 +177,32 @@ TEST(PathSkeleton, GeneratedPlantChainsTrackHopsNotFrameLength) {
   }
 }
 
-/// Refill vs fresh on one explicit shape, plus the product itself: the
-/// collapsed opportunity-only chain against SuperframeKernel's full
-/// Fup + Fdown chain, entry for entry.
+/// Refill vs fresh on one explicit shape, plus the walk against the
+/// dense reference solver of the full Fup + Fdown chain.
 void expect_explicit_case(const PathModelConfig& config,
                           const std::vector<double>& availabilities) {
   expect_refill_matches_fresh(config, availabilities);
-  const PathModel model(config);
-  const SteadyStateLinks links{availabilities};
-  const markov::SuperframeKernel full(
-      verify::full_chain_slot_matrices(model, links));
-  ASSERT_EQ(full.period(), config.superframe.cycle_slots());
-  const markov::SuperframeKernel collapsed(model.opportunity_matrices(links));
-  expect_same_product(collapsed.cycle_product(), full.cycle_product());
+  const PathTransientResult walked =
+      PathModel(config).analyze(SteadyStateLinks{availabilities});
+  const verify::ReferenceResult reference =
+      verify::reference_solve(config, availabilities);
+  const auto expect_close = [](double got, double want, const char* what) {
+    EXPECT_LE(std::abs(got - want),
+              1e-12 * std::max({1.0, std::abs(got), std::abs(want)}))
+        << what << ": walk " << got << " vs reference " << want;
+  };
+  ASSERT_EQ(walked.cycle_probabilities.size(),
+            reference.cycle_probabilities.size());
+  for (std::size_t i = 0; i < reference.cycle_probabilities.size(); ++i)
+    expect_close(walked.cycle_probabilities[i],
+                 reference.cycle_probabilities[i], "g(i)");
+  expect_close(walked.discard_probability, reference.discard_probability,
+               "discard");
+  expect_close(walked.expected_transmissions,
+               reference.expected_transmissions, "transmissions");
+  expect_close(walked.expected_transmissions_delivered,
+               reference.expected_transmissions_delivered,
+               "delivered transmissions");
 }
 
 TEST(PathSkeleton, OpportunityChainRefillMatchesFullChainOnExplicitShapes) {
@@ -321,20 +262,15 @@ void expect_batch_solve_matches_scalar(
     const PathModelConfig& config,
     const std::vector<std::vector<double>>& lane_availabilities) {
   const PathModel model(config);
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    PathAnalysisOptions options;
-    options.kernel = kernel;
-    SolveWorkspace workspace;
-    PathTransientResult batched;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t l = 0; l < lane_availabilities.size(); ++l) {
-        SCOPED_TRACE("pass " + std::to_string(pass) + " lane " +
-                     std::to_string(l));
-        const SteadyStateLinks links{lane_availabilities[l]};
-        model.analyze_into(links, options, workspace, batched);
-        expect_identical(model.analyze(links, options), batched);
-      }
+  SolveWorkspace workspace;
+  PathTransientResult batched;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t l = 0; l < lane_availabilities.size(); ++l) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " lane " +
+                   std::to_string(l));
+      const SteadyStateLinks links{lane_availabilities[l]};
+      model.analyze_into(links, PathAnalysisOptions{}, workspace, batched);
+      expect_identical(model.analyze(links), batched);
     }
   }
 }

@@ -537,13 +537,8 @@ TEST(PathModel, SolveDoneEventTimesEachPathLoop) {
 
   const PathModel model(example_config(4));
   const SteadyStateLinks links(3, link::LinkModel::from_availability(0.75));
-  for (const TransientKernel kernel :
-       {TransientKernel::kPerSlot, TransientKernel::kSuperframeProduct}) {
-    PathAnalysisOptions options;
-    options.kernel = kernel;
-    EXPECT_EQ(model.analyze(links, options).diagnostics,
-              model.analyze(links, options).diagnostics);
-  }
+  EXPECT_EQ(model.analyze(links).diagnostics,
+            model.analyze(links).diagnostics);
   obs::set_metrics_enabled(metrics);
   obs::set_events_enabled(events);
 }

@@ -6,8 +6,9 @@
 // correlated, so the expected delivery ratios drop well below the
 // i.i.d. goldens of section6_golden_test.cpp (three-hop paths:
 // 0.9906 -> 0.9538) — pinning these values guards the channel-enlarged
-// solver end to end (enlarged matrix assembly, both transient kernels,
-// Eq. 6-11 aggregation over the enlarged chain).
+// walk end to end (per-hop channel blocks, lazy mixing, Eq. 6-11
+// aggregation over the enlarged chain), and the dense channel reference
+// must land on the same rows.
 //
 // Tolerances as in section6_golden_test.cpp: 1e-9 absolute for
 // probabilities, 1e-6 ms for delays.  If a deliberate change moves
@@ -16,9 +17,12 @@
 // table in the same commit.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "whart/hart/network_analysis.hpp"
 #include "whart/net/typical_network.hpp"
 #include "whart/sim/simulator.hpp"
+#include "whart/verify/reference_solver.hpp"
 
 namespace whart {
 namespace {
@@ -42,34 +46,50 @@ void expect_golden(const net::Schedule& schedule,
                    const net::TypicalNetwork& t,
                    const std::vector<PathGolden>& golden,
                    double mean_delay_ms, std::size_t bottleneck) {
-  for (hart::TransientKernel kernel :
-       {hart::TransientKernel::kPerSlot,
-        hart::TransientKernel::kSuperframeProduct}) {
-    hart::AnalysisOptions options;
-    options.kernel = kernel;
-    options.channel = bursty_channel();
-    const hart::NetworkMeasures m = hart::analyze_network(
-        t.network, t.paths, schedule, t.superframe, 4, options);
-    ASSERT_EQ(m.per_path.size(), golden.size());
-    for (std::size_t p = 0; p < golden.size(); ++p) {
-      EXPECT_EQ(t.paths[p].hop_count(), golden[p].hop_count)
-          << "path " << p + 1;
-      EXPECT_NEAR(m.per_path[p].reachability, golden[p].reachability,
-                  kProbabilityTolerance)
-          << "path " << p + 1;
-      EXPECT_NEAR(m.per_path[p].expected_delay_ms,
-                  golden[p].expected_delay_ms, kDelayToleranceMs)
-          << "path " << p + 1;
-    }
-    EXPECT_NEAR(m.mean_delay_ms, mean_delay_ms, kDelayToleranceMs);
-    EXPECT_EQ(m.bottleneck_by_delay, bottleneck);
-    // More attempts per delivery than i.i.d. (0.28536 / 0.28286): bursts
-    // waste retries while every delivery still charges its n + i - 1.
-    EXPECT_NEAR(m.network_utilization, 0.29584239293112324,
-                kProbabilityTolerance);
-    EXPECT_NEAR(m.network_utilization_delivered, 0.28119847563711081,
-                kProbabilityTolerance);
+  hart::AnalysisOptions options;
+  options.channel = bursty_channel();
+  const hart::NetworkMeasures m = hart::analyze_network(
+      t.network, t.paths, schedule, t.superframe, 4, options);
+  ASSERT_EQ(m.per_path.size(), golden.size());
+  // The same rows through a second, independent solver: the dense
+  // channel reference of verify/ over every absolute slot, on the
+  // per-hop channels rescaled as analyze_network rescales them, with
+  // E[Gamma] (Eq. 13) as the mean of its per-path delays.
+  double reference_delay_sum = 0.0;
+  for (std::size_t p = 0; p < golden.size(); ++p) {
+    EXPECT_EQ(t.paths[p].hop_count(), golden[p].hop_count)
+        << "path " << p + 1;
+    EXPECT_NEAR(m.per_path[p].reachability, golden[p].reachability,
+                kProbabilityTolerance)
+        << "path " << p + 1;
+    EXPECT_NEAR(m.per_path[p].expected_delay_ms,
+                golden[p].expected_delay_ms, kDelayToleranceMs)
+        << "path " << p + 1;
+    std::vector<link::ChannelModel> channels;
+    for (const link::LinkModel& link : t.paths[p].hop_models(t.network))
+      channels.push_back(bursty_channel().with_marginal_success(
+          link.steady_state_availability()));
+    const verify::ReferenceResult reference = verify::reference_solve_channel(
+        hart::PathModelConfig::from_schedule(schedule, p, t.superframe, 4),
+        channels);
+    EXPECT_NEAR(reference.reachability, golden[p].reachability,
+                kProbabilityTolerance)
+        << "reference, path " << p + 1;
+    EXPECT_NEAR(reference.expected_delay_ms, golden[p].expected_delay_ms,
+                kDelayToleranceMs)
+        << "reference, path " << p + 1;
+    reference_delay_sum += reference.expected_delay_ms;
   }
+  EXPECT_NEAR(m.mean_delay_ms, mean_delay_ms, kDelayToleranceMs);
+  EXPECT_NEAR(reference_delay_sum / static_cast<double>(golden.size()),
+              mean_delay_ms, kDelayToleranceMs);
+  EXPECT_EQ(m.bottleneck_by_delay, bottleneck);
+  // More attempts per delivery than i.i.d. (0.28536 / 0.28286): bursts
+  // waste retries while every delivery still charges its n + i - 1.
+  EXPECT_NEAR(m.network_utilization, 0.29584239293112324,
+              kProbabilityTolerance);
+  EXPECT_NEAR(m.network_utilization_delivered, 0.28119847563711081,
+              kProbabilityTolerance);
 }
 
 TEST(PaperSection6Bursty, EtaASchedule) {

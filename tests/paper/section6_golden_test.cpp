@@ -18,8 +18,11 @@
 // hart::analyze_network and update the table in the same commit.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "whart/hart/network_analysis.hpp"
 #include "whart/net/typical_network.hpp"
+#include "whart/verify/reference_solver.hpp"
 
 namespace whart {
 namespace {
@@ -33,16 +36,17 @@ struct PathGolden {
 constexpr double kProbabilityTolerance = 1e-9;
 constexpr double kDelayToleranceMs = 1e-6;
 
-void expect_golden_with_kernel(const net::Schedule& schedule,
-                               const net::TypicalNetwork& t,
-                               const std::vector<PathGolden>& golden,
-                               double mean_delay_ms, std::size_t bottleneck,
-                               hart::TransientKernel kernel) {
-  hart::AnalysisOptions options;
-  options.kernel = kernel;
-  const hart::NetworkMeasures m = hart::analyze_network(
-      t.network, t.paths, schedule, t.superframe, 4, options);
+void expect_golden(const net::Schedule& schedule,
+                   const net::TypicalNetwork& t,
+                   const std::vector<PathGolden>& golden,
+                   double mean_delay_ms, std::size_t bottleneck) {
+  const hart::NetworkMeasures m =
+      hart::analyze_network(t.network, t.paths, schedule, t.superframe, 4);
   ASSERT_EQ(m.per_path.size(), golden.size());
+  // The same rows through a second, independent solver: the dense
+  // reference of verify/, path by path, with E[Gamma] (Eq. 13) as the
+  // mean of its per-path delays.
+  double reference_delay_sum = 0.0;
   for (std::size_t p = 0; p < golden.size(); ++p) {
     EXPECT_EQ(t.paths[p].hop_count(), golden[p].hop_count) << "path " << p + 1;
     EXPECT_NEAR(m.per_path[p].reachability, golden[p].reachability,
@@ -51,27 +55,29 @@ void expect_golden_with_kernel(const net::Schedule& schedule,
     EXPECT_NEAR(m.per_path[p].expected_delay_ms, golden[p].expected_delay_ms,
                 kDelayToleranceMs)
         << "path " << p + 1;
+    std::vector<double> availabilities;
+    for (const link::LinkModel& link : t.paths[p].hop_models(t.network))
+      availabilities.push_back(link.steady_state_availability());
+    const verify::ReferenceResult reference = verify::reference_solve(
+        hart::PathModelConfig::from_schedule(schedule, p, t.superframe, 4),
+        availabilities);
+    EXPECT_NEAR(reference.reachability, golden[p].reachability,
+                kProbabilityTolerance)
+        << "reference, path " << p + 1;
+    EXPECT_NEAR(reference.expected_delay_ms, golden[p].expected_delay_ms,
+                kDelayToleranceMs)
+        << "reference, path " << p + 1;
+    reference_delay_sum += reference.expected_delay_ms;
   }
-  // E[Gamma] (Eq. 13) and the slot utilization (Eq. 10-11) are pinned
-  // through BOTH transient kernels: the superframe-product collapse must
-  // land on the same paper numbers as the per-slot recursion.
   EXPECT_NEAR(m.mean_delay_ms, mean_delay_ms, kDelayToleranceMs);
+  EXPECT_NEAR(reference_delay_sum / static_cast<double>(golden.size()),
+              mean_delay_ms, kDelayToleranceMs);
   EXPECT_EQ(m.bottleneck_by_delay, bottleneck);
   // Utilization is schedule-independent (same attempts, same frame).
   EXPECT_NEAR(m.network_utilization, 0.28535643692500007,
               kProbabilityTolerance);
   EXPECT_NEAR(m.network_utilization_delivered, 0.28286262514650007,
               kProbabilityTolerance);
-}
-
-void expect_golden(const net::Schedule& schedule,
-                   const net::TypicalNetwork& t,
-                   const std::vector<PathGolden>& golden,
-                   double mean_delay_ms, std::size_t bottleneck) {
-  expect_golden_with_kernel(schedule, t, golden, mean_delay_ms, bottleneck,
-                            hart::TransientKernel::kPerSlot);
-  expect_golden_with_kernel(schedule, t, golden, mean_delay_ms, bottleneck,
-                            hart::TransientKernel::kSuperframeProduct);
 }
 
 TEST(PaperSection6Golden, HopMixIs30_50_20) {

@@ -2,7 +2,7 @@
 // the correlated-channel feature): the generator must emit seeded
 // channel overlays into the fuzz stream, a 40+-seed corpus of channel
 // scenarios must pass the full deterministic oracle (channel-enlarged
-// production vs the independent dense channel reference, both kernels),
+// production vs the independent dense channel reference),
 // a sampled subset must also pass the statistical simulator leg in the
 // kChannel regime, and the channel-state-leak injection must be caught
 // — a battery that cannot fail verifies nothing.

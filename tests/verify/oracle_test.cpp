@@ -101,40 +101,6 @@ TEST(Oracle, CatchesAnInjectedCycleShift) {
   EXPECT_TRUE(cycle_finding);
 }
 
-TEST(Oracle, CatchesAnInjectedProductEntry) {
-  OracleConfig config = fast_config();
-  config.injection = Injection::kProductEntry;
-  config.run_simulation = false;
-  const OracleReport report = cross_validate(two_hop_scenario(), config);
-  ASSERT_FALSE(report.ok());
-  bool kernel_finding = false;
-  for (const OracleFinding& finding : report.findings) {
-    kernel_finding = kernel_finding || finding.check.starts_with("kernel:");
-    // The corruption lives in the kernel leg only; the production and
-    // reference legs still agree with each other.
-    EXPECT_FALSE(finding.check.starts_with("reference:")) << finding.check;
-  }
-  EXPECT_TRUE(kernel_finding);
-}
-
-TEST(Oracle, ProductionInjectionsDoNotTripTheKernelArm) {
-  // kLinkBias and kCycleShift corrupt the production leg; the kernel leg
-  // solves the true chain and must keep matching the reference.
-  for (const Injection injection :
-       {Injection::kLinkBias, Injection::kDiscardLeak,
-        Injection::kCycleShift}) {
-    OracleConfig config = fast_config();
-    config.injection = injection;
-    config.run_simulation = false;
-    const OracleReport report = cross_validate(two_hop_scenario(), config);
-    ASSERT_FALSE(report.ok());
-    for (const OracleFinding& finding : report.findings)
-      EXPECT_FALSE(finding.check.starts_with("kernel:"))
-          << "injection " << static_cast<int>(injection) << " tripped "
-          << finding.check;
-  }
-}
-
 TEST(Oracle, SimulatorLegIsSeededDeterministically) {
   const Scenario scenario = two_hop_scenario();
   const OracleConfig config = fast_config();

@@ -1,5 +1,5 @@
-// Seeded batteries of the firing-table walk (hart::PathModel under
-// kPerSlot) against the independent references: the dense grid solver
+// Seeded batteries of the firing-table walk (hart::PathModel::analyze)
+// against the independent references: the dense grid solver
 // under time-varying providers (steady-state, transient and scripted
 // links), and the channel grid solver under Gilbert-Elliott and
 // three-state chains.  Shapes cover retries, out-of-order hops, a TTL

@@ -10,11 +10,11 @@ run's times are divided by its calibration time, so only *relative*
 regressions against the rest of the suite count.
 
 It can also assert speedup invariants within a single run — e.g. that
-the firing-table walk (.../0) beats the superframe collapse (.../1) by
-at least 1.5x on the tagged workload:
+the Gilbert-Elliott arm of the channel sweep (.../2) costs at most 4x
+the i.i.d. arm (.../1), a fractional speedup of at least 0.25:
 
     tools/check_bench_regression.py --current out.json \
-        --require-speedup 'BM_TypicalNetworkSolve/64/1:BM_TypicalNetworkSolve/64/0:1.5'
+        --require-speedup 'BM_ChannelAvailabilitySweep/64/1:BM_ChannelAvailabilitySweep/64/2:0.25'
 
 and bound a benchmark's user counter — e.g. that a benchmark reporting
 an `allocated_bytes` counter allocates nothing:
