@@ -17,9 +17,13 @@
 //                                --require-speedup with a fractional
 //                                factor (iid/ge >= 0.25).
 //
-// Every arm walks the firing table (the i.i.d. arm one state per hop),
-// so the gate compares like against like, pure solve cost per point.
-// Single-threaded: the point is the per-solve cost, not the fan-out.
+// Every arm walks the firing table, each at its own block width
+// (DESIGN.md §11): the gate compares the walk's two-state instantiation
+// (the GE arm) against its scalar one (the i.i.d. arm, one state per
+// hop), and the three-state arm takes the runtime width.  Each GE point
+// rescales one template, so its four hops share one transition matrix
+// and each P^gap is computed once per point.  Single-threaded: the point
+// is the per-solve cost, not the fan-out.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

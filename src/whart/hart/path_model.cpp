@@ -164,6 +164,237 @@ void channel_power(const link::ChannelModel& channel, std::uint64_t n,
   std::copy(power, power + k * k, out);
 }
 
+/// Both passes of PathModel::walk at block width K (DESIGN.md §11): K = 1
+/// when every hop is i.i.d., K = 2 when every hop is a two-state channel,
+/// and K = 0 for the runtime width of the hops' own state counts.  One
+/// body serves every width: `if constexpr` drops what a width cannot
+/// reach (the channel branches and lookups at K = 1) and a fixed K fixes
+/// the per-state loops' trip count, while every addition stays the
+/// runtime width's, in its order, so each width gives the same bits.
+template <std::size_t K>
+void walk_firings(const PathModelConfig& config,
+                  std::span<const PathModel::Opportunity> opportunities,
+                  const LinkProbabilityProvider& links, ChannelFault fault,
+                  SolveWorkspace& ws, PathTransientResult& result,
+                  std::span<double> sensitivity) {
+  const std::size_t hops = config.hop_count();
+  const std::uint32_t frame = config.superframe.uplink_slots;
+  const std::uint64_t cycle_slots = config.superframe.cycle_slots();
+  const std::uint32_t ttl = config.effective_ttl();
+
+  // Block layout: hop h owns states [offset(h), offset(h) + width(hop))
+  // of the mass and delivery vectors.
+  const auto width = [](const WalkHop& hop) -> std::size_t {
+    if constexpr (K > 0) return K;
+    else return hop.states;
+  };
+  const auto offset = [&ws](std::size_t h) -> std::size_t {
+    if constexpr (K > 0) return K * h;
+    else return ws.walk_hops[h].offset;
+  };
+  const auto is_channel = [](const WalkHop& hop) {
+    if constexpr (K == 1) return false;
+    else if constexpr (K == 2) return true;
+    else return hop.channel != nullptr;
+  };
+  const std::size_t states = offset(hops - 1) + width(ws.walk_hops.back());
+  // A hop's stationary law and per-state success probability; a one-
+  // state hop has pi = (1) and reads ps from its firing record.
+  const auto pi = [&](const WalkHop& hop, std::size_t s) {
+    return is_channel(hop) ? hop.channel->stationary()[s] : 1.0;
+  };
+  const auto success_in = [&](const WalkHop& hop, std::size_t s,
+                              const double* record) {
+    return is_channel(hop) ? hop.channel->success_in_state(s) : record[0];
+  };
+  // pi . v over hop `h`'s block: the delivery probability of an arrival,
+  // arrivals being stationary draws.
+  const auto stationary_dot = [&](std::size_t h, const double* v) {
+    const WalkHop& hop = ws.walk_hops[h];
+    double dot = 0.0;
+    for (std::size_t s = 0; s < width(hop); ++s)
+      dot += pi(hop, s) * v[offset(h) + s];
+    return dot;
+  };
+
+  // P^gap of a hop's transition matrix, computed once per distinct
+  // (matrix, gap) of this walk: hops that share a channel's dynamics share
+  // its powers.
+  std::size_t block = K * K;
+  if constexpr (K == 0)
+    for (const WalkHop& hop : ws.walk_hops)
+      block = std::max(block, hop.states * hop.states);
+  ws.power_keys.clear();
+  const auto power = [&](const WalkHop& hop,
+                         std::uint64_t gap) -> const double* {
+    if (fault == ChannelFault::kGapShift) ++gap;
+    const std::pair key{hop.channel->transition_matrix().data(), gap};
+    std::size_t b = 0;
+    while (b < ws.power_keys.size() && ws.power_keys[b] != key) ++b;
+    if (b == ws.power_keys.size()) {
+      ws.power_keys.push_back(key);
+      ws.powers.resize(ws.power_keys.size() * block);
+      ws.scratch.resize(3 * block);
+      channel_power(*hop.channel, gap, ws.powers.data() + b * block,
+                    ws.scratch.data());
+    }
+    return ws.powers.data() + b * block;
+  };
+
+  // The firings up to the TTL, enumerated by cycle c and opportunity i:
+  // uplink slot c Fup + slot_i, absolute slot c (Fup + Fdown) + slot_i -
+  // 1.  The TTL keeps `full` whole cycles and the `tail` opportunities of
+  // the next that lie within its first `cut` slots.  Counted per
+  // opportunity with the record doubles and the last hop's deliveries,
+  // so both buffers are sized once.
+  const std::size_t count = opportunities.size();
+  const std::uint32_t full = ttl / frame;
+  const std::uint32_t cut = ttl % frame;
+  std::size_t tail = 0;
+  while (tail < count && opportunities[tail].slot <= cut) ++tail;
+  std::size_t record_doubles = 0;
+  std::size_t deliveries = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t h = opportunities[i].hop;
+    const std::size_t occurrences = full + (i < tail);
+    record_doubles += occurrences * (1 + 2 * width(ws.walk_hops[h]));
+    if (h + 1 == hops) deliveries += occurrences;
+  }
+
+  // Backward pass: each firing's delivery vector beta (per channel state
+  // s of the firing hop: P(delivery | at the hop in state s just before
+  // the firing)) and gain beta_success - beta_failure, from the delivery
+  // vector of the same hop's next firing (failure) and the next hop's
+  // (success).  A record holds ps, beta[k_h], gain[k_h].
+  ws.next_beta.assign(states, 0.0);
+  if constexpr (K != 1)
+    for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
+  ws.firings.resize(record_doubles);
+  std::size_t record_at = 0;
+  for (std::uint32_t c = full + 1; c-- > 0;) {
+    for (std::size_t i = c < full ? count : tail; i-- > 0;) {
+      const std::size_t h = opportunities[i].hop;
+      WalkHop& hop = ws.walk_hops[h];
+      const std::size_t k = width(hop);
+      const std::uint64_t slot = c * cycle_slots + opportunities[i].slot - 1;
+      const double success =
+          h + 1 == hops ? 1.0 : stationary_dot(h + 1, ws.next_beta.data());
+      double* record = ws.firings.data() + record_at;
+      record_at += 1 + 2 * k;
+      record[0] = is_channel(hop) ? 0.0 : links.up_probability(h, slot);
+      double* beta = record + 1;
+      double* gain = beta + k;
+      double* next = ws.next_beta.data() + offset(h);
+      // gain <- beta_failure: the next firing's vector carried back across
+      // the gap (the failing slot included), 0 when the TTL comes first.
+      if constexpr (K == 1) {
+        gain[0] = next[0];  // still 0.0 before the hop's last firing
+      } else if (!hop.fired.has_value()) {
+        std::fill(gain, gain + k, 0.0);
+      } else if (!is_channel(hop)) {
+        gain[0] = next[0];
+      } else if (fault == ChannelFault::kStateLeak) {
+        std::fill(gain, gain + k, stationary_dot(h, ws.next_beta.data()));
+      } else {
+        const double* p = power(hop, *hop.fired - slot);
+        for (std::size_t s = 0; s < k; ++s) {
+          gain[s] = 0.0;
+          for (std::size_t s2 = 0; s2 < k; ++s2)
+            gain[s] += p[s * k + s2] * next[s2];
+        }
+      }
+      for (std::size_t s = 0; s < k; ++s) {
+        const double ps = success_in(hop, s, record);
+        beta[s] = ps * success + (1.0 - ps) * gain[s];
+        gain[s] = success - gain[s];
+        next[s] = beta[s];
+      }
+      if constexpr (K != 1) hop.fired = slot;
+    }
+  }
+
+  // Forward pass: the message starts at hop 0 with its channel
+  // stationary.  A block is brought up to date only when its hop fires;
+  // until its first firing it holds stationary arrivals alone.  The
+  // totals accumulate in firing order, in locals written once (the
+  // per-hop attempts straight into the result).
+  result.cycle_probabilities.assign(config.reporting_interval, 0.0);
+  result.expected_transmissions_per_hop.assign(hops, 0.0);
+  result.deliveries.clear();
+  result.deliveries.reserve(deliveries);
+  double* per_hop = result.expected_transmissions_per_hop.data();
+  double transmissions = 0.0;
+  double delivered = 0.0;
+  ws.mass.assign(states, 0.0);
+  for (std::size_t s = 0; s < width(ws.walk_hops[0]); ++s)
+    ws.mass[s] = pi(ws.walk_hops[0], s);
+  if constexpr (K != 1)
+    for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
+  for (std::uint32_t c = 0; c <= full; ++c) {
+    double goal = 0.0;
+    for (std::size_t i = 0; i < (c < full ? count : tail); ++i) {
+      const std::size_t h = opportunities[i].hop;
+      WalkHop& hop = ws.walk_hops[h];
+      const std::size_t k = width(hop);
+      record_at -= 1 + 2 * k;
+      const double* record = ws.firings.data() + record_at;
+      const double* beta = record + 1;
+      const double* gain = beta + k;
+      double* m = ws.mass.data() + offset(h);
+      if constexpr (K != 1) {
+        const std::uint64_t slot =
+            c * cycle_slots + opportunities[i].slot - 1;
+        if (is_channel(hop) && hop.fired.has_value()) {
+          const double* p = power(hop, slot - *hop.fired);
+          double local[K > 0 ? K : 1] = {};
+          double* mixed = K > 0 ? local : ws.scratch.data();
+          std::fill(mixed, mixed + k, 0.0);
+          for (std::size_t s = 0; s < k; ++s)
+            for (std::size_t s2 = 0; s2 < k; ++s2)
+              mixed[s2] += m[s] * p[s * k + s2];
+          std::copy(mixed, mixed + k, m);
+        }
+        hop.fired = slot;
+      }
+      double moved = 0.0;
+      for (std::size_t s = 0; s < k; ++s) {
+        if (!(m[s] > 0.0)) continue;
+        const double ps = success_in(hop, s, record);
+        transmissions += m[s];
+        per_hop[h] += m[s];
+        delivered += m[s] * beta[s];
+        if (!sensitivity.empty()) sensitivity[h] += m[s] * gain[s];
+        const double success = m[s] * ps;
+        m[s] -= success;
+        moved += success;
+      }
+      if (is_channel(hop) && fault == ChannelFault::kStateLeak) {
+        double failed = 0.0;
+        for (std::size_t s = 0; s < k; ++s) failed += m[s];
+        for (std::size_t s = 0; s < k; ++s) m[s] = failed * pi(hop, s);
+      }
+      if (h + 1 == hops) {
+        goal += moved;
+        result.deliveries.push_back(
+            {c * frame + opportunities[i].slot, c, moved});
+      } else {
+        const WalkHop& next = ws.walk_hops[h + 1];
+        double* arrivals = ws.mass.data() + offset(h + 1);
+        for (std::size_t s = 0; s < width(next); ++s)
+          arrivals[s] += moved * pi(next, s);
+      }
+    }
+    if (c < config.reporting_interval) result.cycle_probabilities[c] = goal;
+  }
+  result.expected_transmissions = transmissions;
+  result.expected_transmissions_delivered = delivered;
+  // TTL expired: every in-flight message is discarded (lazy mixing
+  // moves mass between channel states, never out of a block).
+  double discard = 0.0;
+  for (const double m : ws.mass) discard += m;
+  result.discard_probability = discard;
+}
+
 }  // namespace
 
 WalkLoopTimer::WalkLoopTimer(std::size_t walks) noexcept : walks_(walks) {
@@ -195,16 +426,12 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
   expects(links.hop_count() >= hops, "provider covers every hop");
   expects(sensitivity.empty() || sensitivity.size() == hops,
           "one sensitivity entry per hop");
-  const net::SuperframeConfig& superframe = config_.superframe;
-  const std::uint32_t frame = superframe.uplink_slots;
-  const std::uint64_t cycle_slots = superframe.cycle_slots();
-  const std::uint32_t ttl = config_.effective_ttl();
 
   // Block layout: hop h owns states [offset, offset + k_h) of the mass
   // and delivery vectors, k_h > 1 only for a multi-state channel.
   ws.walk_hops.resize(hops);
   std::size_t states = 0;
-  std::size_t widest = 1;
+  bool two_state = true;
   for (std::size_t h = 0; h < hops; ++h) {
     WalkHop& hop = ws.walk_hops[h];
     const link::ChannelModel* channel = links.channel_model(h);
@@ -213,187 +440,21 @@ void PathModel::walk(const LinkProbabilityProvider& links, ChannelFault fault,
     hop.states = hop.channel != nullptr ? hop.channel->state_count() : 1;
     hop.offset = states;
     states += hop.states;
-    widest = std::max(widest, hop.states);
+    two_state = two_state && hop.states == 2;
   }
   const bool enlarged = states > hops;
 
-  // P_h^gap, computed once per distinct (hop, gap) of this solve.
-  const std::size_t block = widest * widest;
-  ws.power_keys.clear();
-  const auto power = [&](std::size_t h, std::uint64_t gap) -> const double* {
-    if (fault == ChannelFault::kGapShift) ++gap;
-    const std::pair key{h, gap};
-    std::size_t b = 0;
-    while (b < ws.power_keys.size() && ws.power_keys[b] != key) ++b;
-    if (b == ws.power_keys.size()) {
-      ws.power_keys.push_back(key);
-      ws.powers.resize(ws.power_keys.size() * block);
-      ws.scratch.resize(3 * block);
-      channel_power(*ws.walk_hops[h].channel, gap,
-                    ws.powers.data() + b * block, ws.scratch.data());
-    }
-    return ws.powers.data() + b * block;
-  };
-  // A hop's stationary law and per-state success probability; a one-
-  // state hop has pi = (1) and reads ps from its firing record.
-  const auto pi = [](const WalkHop& hop, std::size_t s) {
-    return hop.channel != nullptr ? hop.channel->stationary()[s] : 1.0;
-  };
-  const auto success_in = [](const WalkHop& hop, std::size_t s,
-                             const double* record) {
-    return hop.channel != nullptr ? hop.channel->success_in_state(s)
-                                  : record[0];
-  };
-  // pi . v over hop `h`'s block: the delivery probability of an arrival,
-  // arrivals being stationary draws.
-  const auto stationary_dot = [&](std::size_t h, const double* v) {
-    const WalkHop& hop = ws.walk_hops[h];
-    double dot = 0.0;
-    for (std::size_t s = 0; s < hop.states; ++s)
-      dot += pi(hop, s) * v[hop.offset + s];
-    return dot;
-  };
-
-  // The firings up to the TTL, enumerated by cycle c and opportunity i:
-  // uplink slot c Fup + slot_i, absolute slot c (Fup + Fdown) + slot_i -
-  // 1.  The TTL keeps `full` whole cycles and the `tail` opportunities of
-  // the next that lie within its first `cut` slots.  Counted per
-  // opportunity with the record doubles and the last hop's deliveries,
-  // so both buffers are sized once.
-  const std::size_t count = opportunities_.size();
-  const std::uint32_t full = ttl / frame;
-  const std::uint32_t cut = ttl % frame;
-  std::size_t tail = 0;
-  while (tail < count && opportunities_[tail].slot <= cut) ++tail;
-  std::size_t record_doubles = 0;
-  std::size_t deliveries = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t h = opportunities_[i].hop;
-    const std::size_t occurrences = full + (i < tail);
-    record_doubles += occurrences * (1 + 2 * ws.walk_hops[h].states);
-    if (h + 1 == hops) deliveries += occurrences;
-  }
-
-  // Backward pass: each firing's delivery vector beta (per channel state
-  // s of the firing hop: P(delivery | at the hop in state s just before
-  // the firing)) and gain beta_success - beta_failure, from the delivery
-  // vector of the same hop's next firing (failure) and the next hop's
-  // (success).  A record holds ps, beta[k_h], gain[k_h].
-  ws.next_beta.assign(states, 0.0);
-  for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
-  ws.firings.resize(record_doubles);
-  std::size_t record_at = 0;
-  for (std::uint32_t c = full + 1; c-- > 0;) {
-    for (std::size_t i = c < full ? count : tail; i-- > 0;) {
-      const std::size_t h = opportunities_[i].hop;
-      WalkHop& hop = ws.walk_hops[h];
-      const std::uint64_t slot = c * cycle_slots + opportunities_[i].slot - 1;
-      const double success =
-          h + 1 == hops ? 1.0 : stationary_dot(h + 1, ws.next_beta.data());
-      double* record = ws.firings.data() + record_at;
-      record_at += 1 + 2 * hop.states;
-      record[0] = hop.channel != nullptr ? 0.0 : links.up_probability(h, slot);
-      double* beta = record + 1;
-      double* gain = beta + hop.states;
-      double* next = ws.next_beta.data() + hop.offset;
-      // gain <- beta_failure: the next firing's vector carried back across
-      // the gap (the failing slot included).
-      if (!hop.fired.has_value()) {
-        std::fill(gain, gain + hop.states, 0.0);
-      } else if (hop.channel == nullptr) {
-        gain[0] = next[0];
-      } else if (fault == ChannelFault::kStateLeak) {
-        std::fill(gain, gain + hop.states,
-                  stationary_dot(h, ws.next_beta.data()));
-      } else {
-        const double* p = power(h, *hop.fired - slot);
-        for (std::size_t s = 0; s < hop.states; ++s) {
-          gain[s] = 0.0;
-          for (std::size_t s2 = 0; s2 < hop.states; ++s2)
-            gain[s] += p[s * hop.states + s2] * next[s2];
-        }
-      }
-      for (std::size_t s = 0; s < hop.states; ++s) {
-        const double ps = success_in(hop, s, record);
-        beta[s] = ps * success + (1.0 - ps) * gain[s];
-        gain[s] = success - gain[s];
-        next[s] = beta[s];
-      }
-      hop.fired = slot;
-    }
-  }
-
-  result.cycle_probabilities.assign(config_.reporting_interval, 0.0);
-  result.expected_transmissions_per_hop.assign(hops, 0.0);
-  result.discard_probability = 0.0;
-  result.expected_transmissions = 0.0;
-  result.expected_transmissions_delivered = 0.0;
-  result.deliveries.clear();
-  result.deliveries.reserve(deliveries);
+  // The block width, chosen once per walk from the hops' state counts.
   result.diagnostics = SolverDiagnostics{};
-
-  // Forward pass: the message starts at hop 0 with its channel
-  // stationary.  A block is brought up to date only when its hop fires;
-  // until its first firing it holds stationary arrivals alone.
-  ws.mass.assign(states, 0.0);
-  for (std::size_t s = 0; s < ws.walk_hops[0].states; ++s)
-    ws.mass[s] = pi(ws.walk_hops[0], s);
-  for (WalkHop& hop : ws.walk_hops) hop.fired.reset();
-  for (std::uint32_t c = 0; c <= full; ++c) {
-    for (std::size_t i = 0; i < (c < full ? count : tail); ++i) {
-      const std::size_t h = opportunities_[i].hop;
-      WalkHop& hop = ws.walk_hops[h];
-      const std::uint64_t slot = c * cycle_slots + opportunities_[i].slot - 1;
-      record_at -= 1 + 2 * hop.states;
-      const double* record = ws.firings.data() + record_at;
-      const double* beta = record + 1;
-      const double* gain = beta + hop.states;
-      double* m = ws.mass.data() + hop.offset;
-      if (hop.channel != nullptr && hop.fired.has_value()) {
-        const double* p = power(h, slot - *hop.fired);
-        double* mixed = ws.scratch.data();
-        std::fill(mixed, mixed + hop.states, 0.0);
-        for (std::size_t s = 0; s < hop.states; ++s)
-          for (std::size_t s2 = 0; s2 < hop.states; ++s2)
-            mixed[s2] += m[s] * p[s * hop.states + s2];
-        std::copy(mixed, mixed + hop.states, m);
-      }
-      hop.fired = slot;
-      double moved = 0.0;
-      for (std::size_t s = 0; s < hop.states; ++s) {
-        if (!(m[s] > 0.0)) continue;
-        const double ps = success_in(hop, s, record);
-        result.expected_transmissions += m[s];
-        result.expected_transmissions_per_hop[h] += m[s];
-        result.expected_transmissions_delivered += m[s] * beta[s];
-        if (!sensitivity.empty()) sensitivity[h] += m[s] * gain[s];
-        const double success = m[s] * ps;
-        m[s] -= success;
-        moved += success;
-      }
-      if (hop.channel != nullptr && fault == ChannelFault::kStateLeak) {
-        double failed = 0.0;
-        for (std::size_t s = 0; s < hop.states; ++s) failed += m[s];
-        for (std::size_t s = 0; s < hop.states; ++s)
-          m[s] = failed * pi(hop, s);
-      }
-      if (h + 1 == hops) {
-        result.cycle_probabilities[c] += moved;
-        result.deliveries.push_back(
-            {c * frame + opportunities_[i].slot, c, moved});
-      } else {
-        const WalkHop& next = ws.walk_hops[h + 1];
-        for (std::size_t s = 0; s < next.states; ++s)
-          ws.mass[next.offset + s] += moved * pi(next, s);
-      }
-    }
-  }
-  // TTL expired: every in-flight message is discarded (lazy mixing
-  // moves mass between channel states, never out of a block).
-  for (double& m : ws.mass) {
-    result.discard_probability += m;
-    m = 0.0;
-  }
+  if (!enlarged)
+    walk_firings<1>(config_, opportunities_, links, fault, ws, result,
+                    sensitivity);
+  else if (two_state)
+    walk_firings<2>(config_, opportunities_, links, fault, ws, result,
+                    sensitivity);
+  else
+    walk_firings<0>(config_, opportunities_, links, fault, ws, result,
+                    sensitivity);
 
   SolverDiagnostics& diagnostics = result.diagnostics;
   diagnostics.dtmc_states = enlarged ? states + 2 : state_count();

@@ -194,7 +194,8 @@ struct WalkHop {
   std::size_t states = 1;
   std::size_t offset = 0;
   /// Absolute slot of the hop's adjacent firing in the current pass (its
-  /// previous firing going forward, its next one going backward).
+  /// previous firing going forward, its next one going backward); kept
+  /// only by walks with a channel hop, which mix across the gap.
   std::optional<std::uint64_t> fired;
 };
 
@@ -213,9 +214,10 @@ struct SolveWorkspace {
   std::vector<double> firings;
   std::vector<double> mass;
   std::vector<double> next_beta;
-  // Channel walks: block b of `powers` is P_h^gap (DESIGN.md §14) for
-  // (h, gap) = power_keys[b]; `scratch` serves squaring and lazy mixes.
-  std::vector<std::pair<std::size_t, std::uint64_t>> power_keys;
+  // Channel walks: block b of `powers` is P^gap (DESIGN.md §14) of the
+  // transition matrix stored at power_keys[b].first, gap =
+  // power_keys[b].second; `scratch` serves squaring and lazy mixes.
+  std::vector<std::pair<const double*, std::uint64_t>> power_keys;
   std::vector<double> powers;
   std::vector<double> scratch;
 
@@ -322,7 +324,11 @@ class PathModel {
   /// block mixes lazily: it advances by P_h^gap only when its hop fires,
   /// gap being the absolute slots since the hop last fired, because
   /// arrivals enter at the stationary law pi and pi P = pi.  On i.i.d.
-  /// paths the arithmetic is the unrolled chain's, step for step.  When
+  /// paths the arithmetic is the unrolled chain's, step for step.  The
+  /// passes are one template over the block width, instantiated once per
+  /// walk from the hops' state counts: 1 when every hop is i.i.d., 2 when
+  /// every hop is a two-state channel, the hops' own k_h otherwise; every
+  /// width adds in the same order, so the choice moves no bit.  When
   /// `sensitivity` is non-empty (one entry per hop) it accumulates
   /// dR/dps_h: mass x (beta_success - beta_failure) over hop h's firings,
   /// for a channel hop the derivative by a uniform shift of its per-state

@@ -41,27 +41,32 @@ std::vector<double> solve_stationary(std::size_t states,
 ChannelModel::ChannelModel(std::size_t states,
                            std::vector<double> transition_row_major,
                            std::vector<double> error_rates)
-    : states_(states),
-      transition_(std::move(transition_row_major)),
-      error_(std::move(error_rates)) {
-  expects(states_ >= 1, "at least one channel state");
-  expects(transition_.size() == states_ * states_,
+    : error_(std::move(error_rates)) {
+  expects(states >= 1, "at least one channel state");
+  expects(transition_row_major.size() == states * states,
           "transition matrix is k x k");
-  expects(error_.size() == states_, "one error rate per state");
+  expects(error_.size() == states, "one error rate per state");
   for (double e : error_)
     expects(e >= 0.0 && e <= 1.0, "0 <= error rate <= 1");
-  for (std::size_t r = 0; r < states_; ++r) {
+  for (std::size_t r = 0; r < states; ++r) {
     double row = 0.0;
-    for (std::size_t c = 0; c < states_; ++c) {
-      const double p = transition_[r * states_ + c];
+    for (std::size_t c = 0; c < states; ++c) {
+      const double p = transition_row_major[r * states + c];
       expects(p >= 0.0 && p <= 1.0, "0 <= transition probability <= 1");
       row += p;
     }
     expects(std::abs(row - 1.0) <= kRowTolerance,
             "channel transition rows must sum to 1");
   }
-  stationary_ = solve_stationary(states_, transition_);
+  std::vector<double> stationary =
+      solve_stationary(states, transition_row_major);
+  dynamics_ = std::make_shared<const Dynamics>(
+      Dynamics{std::move(transition_row_major), std::move(stationary)});
 }
+
+ChannelModel::ChannelModel(std::shared_ptr<const Dynamics> dynamics,
+                           std::vector<double> error_rates)
+    : dynamics_(std::move(dynamics)), error_(std::move(error_rates)) {}
 
 ChannelModel ChannelModel::iid(double success_probability) {
   expects(success_probability >= 0.0 && success_probability <= 1.0,
@@ -204,20 +209,21 @@ ChannelModel ChannelModel::parse(const std::string& spec) {
 
 double ChannelModel::marginal_success() const noexcept {
   double expected_error = 0.0;
-  for (std::size_t s = 0; s < states_; ++s)
-    expected_error += stationary_[s] * error_[s];
+  for (std::size_t s = 0; s < state_count(); ++s)
+    expected_error += stationary()[s] * error_[s];
   return 1.0 - expected_error;
 }
 
 double ChannelModel::mean_sojourn_slots(std::size_t state) const {
-  expects(state < states_, "state < k");
-  const double stay = transition_[state * states_ + state];
+  expects(state < state_count(), "state < k");
+  const double stay = transition(state, state);
   expects(stay < 1.0, "state must be leavable");
   return 1.0 / (1.0 - stay);
 }
 
 double ChannelModel::mean_bad_burst_length() const {
-  expects(states_ == 2, "burst length is a Gilbert-Elliott notion (k = 2)");
+  expects(state_count() == 2,
+          "burst length is a Gilbert-Elliott notion (k = 2)");
   return mean_sojourn_slots(1);
 }
 
@@ -225,57 +231,61 @@ ChannelModel ChannelModel::with_marginal_success(double availability) const {
   expects(availability >= 0.0 && availability <= 1.0,
           "0 <= availability <= 1");
   const double current_error = 1.0 - marginal_success();
-  std::vector<double> error(states_);
+  std::vector<double> error(state_count());
   if (current_error <= 0.0) {
     // An error-free template carries burst structure in its transitions
     // only; give every state the uniform error that hits the target.
     for (double& e : error) e = 1.0 - availability;
   } else {
     const double scale = (1.0 - availability) / current_error;
-    for (std::size_t s = 0; s < states_; ++s) {
+    for (std::size_t s = 0; s < error.size(); ++s) {
       const double e = scale * error_[s];
       error[s] = e < 0.0 ? 0.0 : (e > 1.0 ? 1.0 : e);
     }
   }
-  return ChannelModel(states_, transition_, std::move(error));
+  // Only the error rates change: the validated chain and its stationary
+  // law are shared, not copied and re-solved.
+  return ChannelModel(dynamics_, std::move(error));
 }
 
 markov::Dtmc ChannelModel::to_dtmc() const {
+  const std::size_t states = state_count();
   std::vector<linalg::Triplet> triplets;
   std::vector<std::string> names;
-  triplets.reserve(states_ * states_);
-  names.reserve(states_);
-  for (std::size_t r = 0; r < states_; ++r) {
+  triplets.reserve(states * states);
+  names.reserve(states);
+  for (std::size_t r = 0; r < states; ++r) {
     names.push_back("C" + std::to_string(r));
-    for (std::size_t c = 0; c < states_; ++c)
-      if (transition_[r * states_ + c] != 0.0)
-        triplets.push_back({r, c, transition_[r * states_ + c]});
+    for (std::size_t c = 0; c < states; ++c)
+      if (transition(r, c) != 0.0)
+        triplets.push_back({r, c, transition(r, c)});
   }
-  return markov::Dtmc(states_, std::move(triplets), std::move(names));
+  return markov::Dtmc(states, std::move(triplets), std::move(names));
 }
 
 std::string ChannelModel::to_string() const {
+  const std::size_t states = state_count();
   std::ostringstream out;
-  if (states_ == 1) {
+  if (states == 1) {
     if (error_[0] == 0.0) return "iid";
     out << "iid(success=" << 1.0 - error_[0] << ")";
     return out.str();
   }
-  if (states_ == 2) {
-    out << "ge:" << transition_[1] << ',' << transition_[2] << ','
+  if (states == 2) {
+    out << "ge:" << transition(0, 1) << ',' << transition(1, 0) << ','
         << error_[0] << ',' << error_[1];
     return out.str();
   }
-  out << "chain(" << states_ << ")[";
-  for (std::size_t r = 0; r < states_; ++r) {
+  out << "chain(" << states << ")[";
+  for (std::size_t r = 0; r < states; ++r) {
     if (r > 0) out << "; ";
-    for (std::size_t c = 0; c < states_; ++c) {
+    for (std::size_t c = 0; c < states; ++c) {
       if (c > 0) out << ' ';
-      out << transition_[r * states_ + c];
+      out << transition(r, c);
     }
   }
   out << " | e:";
-  for (std::size_t s = 0; s < states_; ++s) out << ' ' << error_[s];
+  for (std::size_t s = 0; s < states; ++s) out << ' ' << error_[s];
   out << ']';
   return out.str();
 }

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,7 +35,9 @@ class channel_spec_error : public std::runtime_error {
 ///
 /// Immutable value type.  The transition matrix is row-stochastic; the
 /// stationary distribution is solved at construction (closed form for
-/// k <= 2, direct linear solve otherwise) and cached.
+/// k <= 2, direct linear solve otherwise) and cached.  Both are the
+/// chain's dynamics, held once and shared by every copy and every
+/// with_marginal_success rescale; equality compares contents.
 class ChannelModel {
  public:
   /// Per-slot-independent channel: one state, every attempt succeeds
@@ -62,14 +66,23 @@ class ChannelModel {
   static ChannelModel parse(const std::string& spec);
 
   /// Number of channel states k (1 for iid, 2 for Gilbert-Elliott).
-  [[nodiscard]] std::size_t state_count() const noexcept { return states_; }
+  [[nodiscard]] std::size_t state_count() const noexcept {
+    return dynamics_->stationary.size();
+  }
 
   /// True when the channel carries no slot-to-slot memory (k == 1).
-  [[nodiscard]] bool is_iid() const noexcept { return states_ == 1; }
+  [[nodiscard]] bool is_iid() const noexcept { return state_count() == 1; }
 
   /// Transition probability from state `from` to state `to`.
   [[nodiscard]] double transition(std::size_t from, std::size_t to) const {
-    return transition_[from * states_ + to];
+    return dynamics_->transition[from * state_count() + to];
+  }
+
+  /// The k x k transition matrix, row-major.  Its storage is shared by
+  /// every copy and rescale of one channel, so the address names the
+  /// dynamics: the path walk keys its matrix powers by it.
+  [[nodiscard]] std::span<const double> transition_matrix() const noexcept {
+    return dynamics_->transition;
   }
 
   /// Message error rate while the channel sits in `state`.
@@ -84,7 +97,7 @@ class ChannelModel {
 
   /// Stationary distribution of the channel chain (size k).
   [[nodiscard]] const std::vector<double>& stationary() const noexcept {
-    return stationary_;
+    return dynamics_->stationary;
   }
 
   /// Stationary per-attempt success probability
@@ -104,8 +117,10 @@ class ChannelModel {
   /// `availability`: error rates are multiplied by
   /// (1 - availability) / sum_s pi(s) e_s (clamped to [0, 1]); the
   /// transition matrix — hence the stationary distribution and burst
-  /// lengths — is unchanged.  A channel with zero error everywhere and
-  /// availability < 1 gets the uniform error rate 1 - availability.
+  /// lengths — is unchanged, and shared with this channel rather than
+  /// copied, re-validated and re-solved.  A channel with zero error
+  /// everywhere and availability < 1 gets the uniform error rate
+  /// 1 - availability.
   /// This is how a channel *template* (--channel) combines with each
   /// link's engineered availability.
   [[nodiscard]] ChannelModel with_marginal_success(double availability) const;
@@ -117,16 +132,28 @@ class ChannelModel {
   /// otherwise "ge:..." / "chain(k)[...]").
   [[nodiscard]] std::string to_string() const;
 
-  friend bool operator==(const ChannelModel&, const ChannelModel&) = default;
+  /// Value equality, whether or not the dynamics are shared: the same
+  /// error rates and transition matrix (the stationary law is solved
+  /// from the matrix).
+  friend bool operator==(const ChannelModel& a, const ChannelModel& b) {
+    return a.error_ == b.error_ &&
+           a.dynamics_->transition == b.dynamics_->transition;
+  }
 
  private:
+  /// What a rescale keeps: the chain and its stationary law.
+  struct Dynamics {
+    std::vector<double> transition;  ///< k x k, row-major
+    std::vector<double> stationary;  ///< k, solved at construction
+  };
+
   ChannelModel(std::size_t states, std::vector<double> transition_row_major,
                std::vector<double> error_rates);
+  ChannelModel(std::shared_ptr<const Dynamics> dynamics,
+               std::vector<double> error_rates);
 
-  std::size_t states_;
-  std::vector<double> transition_;  ///< k x k, row-major
-  std::vector<double> error_;      ///< k
-  std::vector<double> stationary_;  ///< k, solved at construction
+  std::shared_ptr<const Dynamics> dynamics_;
+  std::vector<double> error_;  ///< k
 };
 
 }  // namespace whart::link

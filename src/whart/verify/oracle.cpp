@@ -1,8 +1,10 @@
 #include "whart/verify/oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <sstream>
 
@@ -11,6 +13,7 @@
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_analysis.hpp"
 #include "whart/hart/path_model.hpp"
+#include "whart/hart/sensitivity.hpp"
 #include "whart/hart/what_if.hpp"
 #include "whart/numeric/rng.hpp"
 #include "whart/sim/stats.hpp"
@@ -42,6 +45,8 @@ struct ProductionLeg {
   double discard = 0.0;
   std::vector<double> transmissions_per_hop;
   double transmissions_delivered = 0.0;
+  /// The walk's delivery records.
+  std::vector<hart::Delivery> deliveries;
 };
 
 ProductionLeg solve_production(const hart::PathModelConfig& config,
@@ -65,6 +70,7 @@ ProductionLeg solve_production(const hart::PathModelConfig& config,
                 (injection == Injection::kDiscardLeak ? 0.875 : 1.0);
   leg.transmissions_per_hop = transient.expected_transmissions_per_hop;
   leg.transmissions_delivered = transient.expected_transmissions_delivered;
+  leg.deliveries = std::move(transient.deliveries);
   leg.measures =
       measures_from_cycles(config, std::move(transient.cycle_probabilities),
                            transient.expected_transmissions);
@@ -102,6 +108,61 @@ ProductionLeg solve_production_channel(
        config.superframe.uplink_slots);
   leg.measures.diagnostics = transient.diagnostics;
   return leg;
+}
+
+/// What is wrong with a leg's delivery records, or "" when nothing is:
+/// each record sits at c Fup plus a slot where the path's last hop fires,
+/// c being its own cycle, and per cycle the records' masses, summed in
+/// record order, are g(i) bit for bit.
+std::string delivery_record_fault(const hart::PathModelConfig& config,
+                                  const ProductionLeg& leg) {
+  const std::size_t last = config.hop_count() - 1;
+  const std::uint64_t frame = config.superframe.uplink_slots;
+  const std::vector<double>& g = leg.measures.cycle_probabilities;
+  std::vector<double> sums(g.size(), 0.0);
+  for (const hart::Delivery& record : leg.deliveries) {
+    const std::uint64_t start = record.cycle * frame;
+    const std::uint64_t in_frame = record.slot - start;
+    const bool fires =
+        record.slot > start &&
+        (in_frame == config.hop_slots[last] ||
+         (!config.retry_slots.empty() && config.retry_slots[last] != 0 &&
+          in_frame == config.retry_slots[last]));
+    if (record.cycle >= g.size() || !fires)
+      return "record at slot " + std::to_string(record.slot) + " of cycle " +
+             std::to_string(record.cycle) +
+             " is no firing of the last hop in that cycle";
+    sums[record.cycle] += record.mass;
+  }
+  for (std::size_t i = 0; i < g.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(sums[i]) !=
+        std::bit_cast<std::uint64_t>(g[i]))
+      return "cycle " + std::to_string(i + 1) + " records sum to " +
+             format_double(sums[i]) + ", g = " + format_double(g[i]);
+  return "";
+}
+
+/// dR/dps_h by finite differences of the walk's reachability: central
+/// where the stencil stays in [0, 1], second-order one-sided at the
+/// edges (availability 0 or 1).
+double reachability_difference(const hart::PathModel& model,
+                               std::vector<double> availabilities,
+                               std::size_t hop) {
+  constexpr double kStep = 1e-6;
+  const double a = availabilities[hop];
+  const auto reachability = [&](double value) {
+    availabilities[hop] = value;
+    const hart::PathTransientResult walked =
+        model.analyze(hart::SteadyStateLinks{availabilities});
+    return std::accumulate(walked.cycle_probabilities.begin(),
+                           walked.cycle_probabilities.end(), 0.0);
+  };
+  if (a - kStep >= 0.0 && a + kStep <= 1.0)
+    return (reachability(a + kStep) - reachability(a - kStep)) / (2 * kStep);
+  const double step = a - kStep < 0.0 ? kStep : -kStep;
+  return (-3 * reachability(a) + 4 * reachability(a + step) -
+          reachability(a + 2 * step)) /
+         (2 * step);
 }
 
 }  // namespace
@@ -186,6 +247,27 @@ OracleReport cross_validate(const Scenario& input_scenario,
       compare(("transmissions_hop" + std::to_string(h)).c_str(),
               prod.transmissions_per_hop[h],
               ref.expected_transmissions_per_hop[h]);
+
+    // The walk's own outputs beyond the measures: its delivery records
+    // (the data of Fig. 6) and its adjoint, reachability_sensitivity,
+    // against finite differences of the R just held to the reference.
+    const std::string records = delivery_record_fault(path_config, prod);
+    if (!records.empty()) add_finding(p, "reference:deliveries", records);
+    {
+      constexpr double kSensitivityTolerance = 1e-6;
+      const hart::PathModel model(path_config);
+      const std::vector<double> gradient = hart::reachability_sensitivity(
+          model, hart::SteadyStateLinks{availabilities});
+      for (std::size_t h = 0; h < gradient.size(); ++h) {
+        const double difference =
+            reachability_difference(model, availabilities, h);
+        if (!close(gradient[h], difference, kSensitivityTolerance))
+          add_finding(p, "reference:dR/dps_hop" + std::to_string(h),
+                      "sensitivity " + format_double(gradient[h]) +
+                          " vs finite difference " +
+                          format_double(difference));
+      }
+    }
 
     // Channel leg: the enlarged-state-space walk under the scenario's
     // correlated-channel overlay, against the independent channel

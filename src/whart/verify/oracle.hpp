@@ -2,7 +2,10 @@
 //   (1) the production leg — hart::PathModel / compute_path_measures,
 //       the firing-table walk the rest of the system uses;
 //   (2) the reference leg — verify::reference_solve, an independent
-//       dense implementation of the same math;
+//       dense implementation of the same math; the same arm holds the
+//       walk's delivery records to its g(i) (bitwise, per cycle, each
+//       record at a last-hop firing of its own cycle) and its adjoint,
+//       hart::reachability_sensitivity, to finite differences of its R;
 //   (3) the simulator leg — sim::NetworkSimulator in the kIndependent
 //       regime, whose empirical frequencies converge to the analytic
 //       probabilities exactly;

@@ -9,9 +9,10 @@
 // network's delay distribution Gamma bins by slot without an array
 // sized by the frame.  Warm walks and sweep points keep to allocation
 // budgets: a link model builds no string, a warm walk allocates nothing
-// on i.i.d. and channel paths alike, and a sweep point allocates its
-// links and its measures.  The test counts bytes and calls by replacing
-// the global allocator, so it is a binary of its own.
+// at any block width (i.i.d., Gilbert-Elliott, a three-state chain), and
+// a sweep point allocates its links and its measures.  The test counts
+// bytes and calls by replacing the global allocator, so it is a binary
+// of its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -152,20 +153,30 @@ link::ChannelModel bursty_channel() {
   return link::ChannelModel::gilbert_elliott(0.05, 0.3, 0.02, 0.6);
 }
 
+/// A three-state fading chain: the walk's runtime block width.
+link::ChannelModel fading_channel() {
+  return link::ChannelModel::chain({0.8, 0.15, 0.05,  //
+                                    0.2, 0.7, 0.1,    //
+                                    0.1, 0.3, 0.6},
+                                   {0.01, 0.3, 0.9});
+}
+
 TEST(AllocationBudget, WarmWalksAllocateNothing) {
+  // One walk per block width: i.i.d. (1), Gilbert-Elliott (2) and a
+  // three-state chain (the runtime width).
   const PathModel model(plant_path(390));
   const SteadyStateLinks iid(4, link::LinkModel::from_availability(0.83));
   const ChannelLinks bursty(4, bursty_channel().with_marginal_success(0.83));
-  for (const LinkProbabilityProvider* links :
-       {static_cast<const LinkProbabilityProvider*>(&iid),
-        static_cast<const LinkProbabilityProvider*>(&bursty)}) {
+  const ChannelLinks fading(4, fading_channel().with_marginal_success(0.83));
+  const std::pair<const LinkProbabilityProvider*, const char*> walks[] = {
+      {&iid, "i.i.d."}, {&bursty, "Gilbert-Elliott"}, {&fading, "3-state"}};
+  for (const auto& [links, name] : walks) {
     SolveWorkspace workspace;
     PathTransientResult result;
     model.analyze_into(*links, {}, workspace, result);  // sizes both
     const std::size_t before = allocations();
     model.analyze_into(*links, {}, workspace, result);
-    EXPECT_EQ(allocations() - before, 0u)
-        << (links == &iid ? "i.i.d." : "Gilbert-Elliott") << " walk";
+    EXPECT_EQ(allocations() - before, 0u) << name << " walk";
   }
 }
 
@@ -199,8 +210,11 @@ TEST(AllocationBudget, SweepPointsAllocateTheirLinksAndMeasures) {
   const double bursty =
       static_cast<double>(sweep_allocations(128, &channel) -
                           sweep_allocations(64, &channel)) / 64.0;
+  // i.i.d.: the point's availabilities and its measures.  Gilbert-
+  // Elliott: the rescaled channel's error rates (its dynamics are the
+  // template's), ChannelLinks' channel and marginal, the measures.
   EXPECT_LE(iid, 2.0) << "i.i.d. sweep, allocations per point";
-  EXPECT_LE(bursty, 10.0) << "Gilbert-Elliott sweep, allocations per point";
+  EXPECT_LE(bursty, 4.0) << "Gilbert-Elliott sweep, allocations per point";
 }
 
 TEST(PathMeasuresFootprint, CopyRequestsOnlyTheCycleProbabilities) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "whart/common/contracts.hpp"
 #include "whart/link/channel_model.hpp"
@@ -169,6 +170,34 @@ TEST(ChannelModel, WithMarginalSuccessHitsTheTargetKeepingBursts) {
     EXPECT_DOUBLE_EQ(scaled.mean_bad_burst_length(),
                      base.mean_bad_burst_length());
   }
+}
+
+TEST(ChannelModel, RescalesShareTheTemplatesDynamicsAndCompareByValue) {
+  const ChannelModel base =
+      ChannelModel::chain({0.8, 0.15, 0.05, 0.2, 0.7, 0.1, 0.1, 0.3, 0.6},
+                          {0.01, 0.3, 0.9});
+  const ChannelModel scaled = base.with_marginal_success(0.83);
+  // The transition matrix and stationary law are the template's storage,
+  // so the walk's P^gap cache (keyed by that storage) serves both.
+  EXPECT_EQ(scaled.transition_matrix().data(),
+            base.transition_matrix().data());
+  EXPECT_EQ(&scaled.stationary(), &base.stationary());
+  EXPECT_NE(scaled, base);  // the error rates differ
+  // Equality compares contents: the same chain built afresh, with the
+  // rescale's error rates, equals the rescale, bit for bit down to the
+  // stationary law it re-solves.
+  std::vector<double> transition;
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 3; ++c)
+      transition.push_back(base.transition(r, c));
+  const ChannelModel rebuilt = ChannelModel::chain(
+      transition,
+      {scaled.error_rate(0), scaled.error_rate(1), scaled.error_rate(2)});
+  EXPECT_NE(rebuilt.transition_matrix().data(),
+            base.transition_matrix().data());
+  EXPECT_EQ(rebuilt, scaled);
+  EXPECT_EQ(rebuilt.stationary(), scaled.stationary());
+  EXPECT_EQ(rebuilt.marginal_success(), scaled.marginal_success());
 }
 
 TEST(ChannelModel, WithMarginalSuccessClampsWhenTheTargetIsUnreachable) {
