@@ -62,7 +62,6 @@
 #include "whart/hart/sweep.hpp"
 #include "whart/hart/what_if.hpp"
 #include "whart/net/typical_network.hpp"
-#include "whart/report/csv.hpp"
 #include "whart/report/histogram.hpp"
 #include "whart/report/metrics_export.hpp"
 #include "whart/report/obs_dir.hpp"
@@ -176,20 +175,7 @@ void write_csv(const whart::cli::ParsedSpec& spec,
                const std::string& path) {
   std::ofstream file(path);
   if (!file) throw std::runtime_error("cannot write '" + path + "'");
-  whart::report::CsvWriter csv(file);
-  csv.write_row({"path", "hops", "reachability", "expected_delay_ms",
-                 "utilization", "utilization_delivered",
-                 "expected_intervals_to_first_loss"});
-  for (std::size_t p = 0; p < spec.paths.size(); ++p) {
-    const auto& m = measures.per_path[p];
-    csv.write_row({spec.paths[p].to_string(spec.network),
-                   std::to_string(spec.paths[p].hop_count()),
-                   std::to_string(m.reachability),
-                   std::to_string(m.expected_delay_ms),
-                   std::to_string(m.utilization),
-                   std::to_string(m.utilization_delivered),
-                   std::to_string(m.expected_intervals_to_first_loss)});
-  }
+  whart::hart::write_paths_csv(file, spec.network, spec.paths, measures);
   std::cout << "\nwrote " << spec.paths.size() << " rows to " << path
             << "\n";
 }

@@ -1,6 +1,7 @@
 #include "whart/cli/spec_parser.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -23,25 +24,77 @@ constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   throw parse_error("spec line " + std::to_string(line) + ": " + message);
 }
 
-/// The characters `std::istream >> std::string` splits words on in the
-/// classic locale.
-constexpr bool is_space(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-         c == '\r';
+/// What a byte does to the tokenizer.
+enum class CharClass : unsigned char { kWord, kSpace, kNewline, kComment };
+
+/// Per byte: '\n' ends a line, '#' ends it early, and the other five
+/// characters `std::istream >> std::string` splits words on in the
+/// classic locale separate words.
+constexpr std::array<CharClass, 256> kCharClass = [] {
+  std::array<CharClass, 256> table{};
+  for (const char c : {' ', '\t', '\v', '\f', '\r'})
+    table[static_cast<unsigned char>(c)] = CharClass::kSpace;
+  table[static_cast<unsigned char>('\n')] = CharClass::kNewline;
+  table[static_cast<unsigned char>('#')] = CharClass::kComment;
+  return table;
+}();
+
+CharClass char_class(char c) noexcept {
+  return kCharClass[static_cast<unsigned char>(c)];
 }
 
-/// Split one line into its words, dropping everything from '#' on.
-void tokenize(std::string_view line, std::vector<std::string_view>& words) {
+/// Split the line starting at `begin` into its words, dropping everything
+/// from '#' on; returns the offset just past the line's '\n' (or past the
+/// end of the text).
+std::size_t tokenize_line(std::string_view text, std::size_t begin,
+                          std::vector<std::string_view>& words) {
   words.clear();
-  line = line.substr(0, line.find('#'));
-  std::size_t i = 0;
-  while (true) {
-    while (i < line.size() && is_space(line[i])) ++i;
-    if (i == line.size()) return;
-    const std::size_t start = i;
-    while (i < line.size() && !is_space(line[i])) ++i;
-    words.push_back(line.substr(start, i - start));
+  std::size_t i = begin;
+  while (i < text.size()) {
+    switch (char_class(text[i])) {
+      case CharClass::kSpace:
+        ++i;
+        break;
+      case CharClass::kNewline:
+        return i + 1;
+      case CharClass::kComment:
+        return std::min(text.find('\n', i), text.size()) + 1;
+      case CharClass::kWord: {
+        const std::size_t start = i;
+        while (i < text.size() && char_class(text[i]) == CharClass::kWord)
+          ++i;
+        words.push_back(text.substr(start, i - start));
+        break;
+      }
+    }
   }
+  return i + 1;
+}
+
+/// Upper bounds on the `node`, `link` and `path` lines of `text`: the
+/// lines whose first word starts with the directive, so one reserve
+/// covers the parse.
+struct DirectiveCounts {
+  std::size_t nodes = 0;
+  std::size_t links = 0;
+  std::size_t paths = 0;
+};
+
+DirectiveCounts count_directives(std::string_view text) {
+  DirectiveCounts counts;
+  for (std::size_t begin = 0; begin < text.size();) {
+    while (begin < text.size() &&
+           char_class(text[begin]) == CharClass::kSpace)
+      ++begin;
+    const std::string_view head = text.substr(begin, 4);
+    counts.nodes += head == "node";
+    counts.links += head == "link";
+    counts.paths += head == "path";
+    const std::size_t end = text.find('\n', begin);
+    if (end == std::string_view::npos) break;
+    begin = end + 1;
+  }
+  return counts;
 }
 
 /// A whole-token number under std::stod's rules.
@@ -155,11 +208,16 @@ ParsedSpec parse_spec_string(std::string_view text) {
   std::vector<std::size_t> path_lines;
   std::size_t line_number = 0;
 
+  // Every device ends up with one path, pinned or routed.
+  const DirectiveCounts counts = count_directives(text);
+  spec.network.reserve(counts.nodes + 1, counts.links);
+  spec.paths.reserve(counts.nodes);
+  pinned_on_line.reserve(counts.nodes + 1);
+  path_lines.reserve(counts.paths);
+
   for (std::size_t begin = 0; begin < text.size();) {
-    const std::size_t end = std::min(text.find('\n', begin), text.size());
     ++line_number;
-    tokenize(text.substr(begin, end - begin), words);
-    begin = end + 1;
+    begin = tokenize_line(text, begin, words);
     if (words.empty()) continue;
 
     const std::string_view directive = words[0];

@@ -2,7 +2,10 @@
 // counterpart of the paper's "tool to automatically derive the underlying
 // model of a fully specified network".
 //
-// Format (one directive per line, '#' starts a comment):
+// Format (one directive per line, '#' starts a comment).  Words are
+// split on spaces, tabs, '\v', '\f' and '\r', so CRLF line ends read as
+// LF; a '#' ends the line even inside a word, and every other byte
+// belongs to a word:
 //
 //   superframe <Fup> <Fdown>        # optional; default: fitted symmetric
 //   interval <Is>                   # optional; default 4
@@ -58,9 +61,11 @@ struct ParsedSpec {
 /// with parse_spec_string.
 ParsedSpec parse_spec(std::istream& in);
 
-/// Parse spec text in one pass over its lines; applies the documented
-/// defaults (paths via shortest-path routing when none are given;
-/// superframe fitted to the paths when not specified).
+/// Parse spec text in one pass over its lines, after a prescan that
+/// counts the `node`, `link` and `path` lines so the network and the
+/// path list are sized once; applies the documented defaults (paths via
+/// shortest-path routing when none are given; superframe fitted to the
+/// paths when not specified).
 ParsedSpec parse_spec_string(std::string_view text);
 
 /// Model time counts uplink slots in 32 bits, so the horizon Is * Fup

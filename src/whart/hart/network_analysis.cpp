@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
 #include "whart/common/parallel.hpp"
 #include "whart/phy/frame.hpp"
+#include "whart/report/csv.hpp"
 
 namespace whart::hart {
 
@@ -32,9 +34,10 @@ NetworkMeasures analyze_network(const net::Network& network,
           const PathModel model(PathModelConfig::from_schedule(
               schedule, p, superframe, reporting_interval));
           std::vector<double> availability;
-          availability.reserve(model.config().hop_count());
-          for (const link::LinkModel& link : paths[p].hop_models(network))
-            availability.push_back(link.steady_state_availability());
+          availability.reserve(paths[p].hop_count());
+          for (std::size_t h = 0; h < paths[p].hop_count(); ++h)
+            availability.push_back(network.link(paths[p].hop_link(network, h))
+                                       .model.steady_state_availability());
           auto workspace = workspaces.acquire();
           PathTransientResult& transient = workspace->scratch_result;
           if (options.channel.has_value()) {
@@ -118,16 +121,36 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
     }
   }
   result.overall_delay_distribution.reserve(touched_bins);
-  for (std::size_t bin = 0; bin < bins; ++bin)
-    if (touched[bin] != 0) {
-      const std::uint64_t slot =
-          gateway_slots[bin % ranks] +
-          std::uint64_t{bin / ranks} * std::uint64_t{cycle_slots};
-      result.overall_delay_distribution.push_back(
-          {static_cast<double>(slot) * phy::kSlotMilliseconds,
-           delay_mass[bin]});
-    }
+  for (std::size_t i = 0, bin = 0; i < cycles; ++i) {
+    const std::uint64_t cycle_start = std::uint64_t{i} * cycle_slots;
+    for (std::size_t rank = 0; rank < ranks; ++rank, ++bin)
+      if (touched[bin] != 0)
+        result.overall_delay_distribution.push_back(
+            {static_cast<double>(gateway_slots[rank] + cycle_start) *
+                 phy::kSlotMilliseconds,
+             delay_mass[bin]});
+  }
   return result;
+}
+
+void write_paths_csv(std::ostream& out, const net::Network& network,
+                     const std::vector<net::Path>& paths,
+                     const NetworkMeasures& measures) {
+  expects(measures.per_path.size() == paths.size(), "one measure per path");
+  report::CsvWriter csv(out);
+  csv.write_row({"path", "hops", "reachability", "expected_delay_ms",
+                 "utilization", "utilization_delivered",
+                 "expected_intervals_to_first_loss"});
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    const PathMeasures& m = measures.per_path[p];
+    csv.write_row({paths[p].to_string(network),
+                   std::to_string(paths[p].hop_count()),
+                   std::to_string(m.reachability),
+                   std::to_string(m.expected_delay_ms),
+                   std::to_string(m.utilization),
+                   std::to_string(m.utilization_delivered),
+                   std::to_string(m.expected_intervals_to_first_loss)});
+  }
 }
 
 }  // namespace whart::hart

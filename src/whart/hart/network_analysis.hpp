@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <vector>
 
@@ -108,5 +109,14 @@ NetworkMeasures analyze_network(const net::Network& network,
 /// one network: they share cycle_slots, and each gateway slot lies in
 /// [1, cycle_slots].
 NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path);
+
+/// Write the per-path answer of a network request as CSV, the rows
+/// whart_cli --csv exports: a header, then per path its rendering, hop
+/// count, reachability, expected_delay_ms, utilization,
+/// utilization_delivered and expected_intervals_to_first_loss, the
+/// numbers as std::to_string prints them.
+void write_paths_csv(std::ostream& out, const net::Network& network,
+                     const std::vector<net::Path>& paths,
+                     const NetworkMeasures& measures);
 
 }  // namespace whart::hart

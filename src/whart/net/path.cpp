@@ -15,20 +15,23 @@ std::pair<NodeId, NodeId> Path::hop(std::size_t hop) const {
   return {nodes_[hop], nodes_[hop + 1]};
 }
 
+LinkId Path::hop_link(const Network& net, std::size_t hop) const {
+  const auto [from, to] = this->hop(hop);
+  const auto id = net.link_between(from, to);
+  // The message is built only on failure: this runs once per hop of
+  // every analysed path.
+  if (!id.has_value())
+    expects(false, "every hop has a link in the network",
+            "missing link " + net.node_name(from) + " -- " +
+                net.node_name(to));
+  return *id;
+}
+
 std::vector<LinkId> Path::resolve_links(const Network& net) const {
   std::vector<LinkId> result;
   result.reserve(hop_count());
-  for (std::size_t h = 0; h < hop_count(); ++h) {
-    const auto [from, to] = hop(h);
-    const auto id = net.link_between(from, to);
-    // The message is built only on failure: this runs once per hop of
-    // every analysed path.
-    if (!id.has_value())
-      expects(false, "every hop has a link in the network",
-              "missing link " + net.node_name(from) + " -- " +
-                  net.node_name(to));
-    result.push_back(*id);
-  }
+  for (std::size_t h = 0; h < hop_count(); ++h)
+    result.push_back(hop_link(net, h));
   return result;
 }
 
@@ -46,9 +49,13 @@ bool Path::uses_link(const Network& net, LinkId link) const {
 }
 
 std::string Path::to_string(const Network& net) const {
+  constexpr std::string_view kArrow = " -> ";
+  std::size_t length = kArrow.size() * (nodes_.size() - 1);
+  for (NodeId node : nodes_) length += net.node_name(node).size();
   std::string result;
+  result.reserve(length);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (i > 0) result += " -> ";
+    if (i > 0) result += kArrow;
     result += net.node_name(nodes_[i]);
   }
   return result;

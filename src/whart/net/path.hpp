@@ -36,6 +36,9 @@ class Path {
   /// Endpoints of hop `hop` (0-based): (from, to).
   [[nodiscard]] std::pair<NodeId, NodeId> hop(std::size_t hop) const;
 
+  /// The link of hop `hop` in `net`; throws when the network has none.
+  [[nodiscard]] LinkId hop_link(const Network& net, std::size_t hop) const;
+
   /// Resolve each hop against a network's links; throws when some hop has
   /// no corresponding link.
   [[nodiscard]] std::vector<LinkId> resolve_links(const Network& net) const;

@@ -4,11 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "whart/link/link_model.hpp"
@@ -29,13 +27,17 @@ struct Link {
 };
 
 /// A WirelessHART mesh: the gateway (node 0) plus field devices and links.
-/// Name and endpoint lookups go through hash indexes, so find_node,
-/// link_between and the uniqueness checks of add_node/add_link take
-/// constant time.
+/// Name and endpoint lookups go through flat hash indexes of ids, so
+/// find_node, link_between and the uniqueness checks of add_node/add_link
+/// take constant time.
 class Network {
  public:
   /// Creates a network containing only the gateway, named `gateway_name`.
   explicit Network(std::string gateway_name = "G");
+
+  /// Make room for `nodes` nodes in all (the gateway included) and
+  /// `links` links, so adding that many allocates and rehashes nothing.
+  void reserve(std::size_t nodes, std::size_t links);
 
   /// Add a field device; returns its id.  Names must be unique.
   NodeId add_node(std::string name);
@@ -74,20 +76,25 @@ class Network {
   /// Orientation-free key of the node pair {a, b}.
   static std::uint64_t pair_key(NodeId a, NodeId b) noexcept;
 
-  /// Hashes std::string and std::string_view alike, so find_node looks
-  /// names up without building a std::string.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view name) const noexcept {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
+  /// The index slot holding the node named `name`, or the free slot
+  /// where it would go.
+  [[nodiscard]] std::size_t name_slot(std::string_view name) const noexcept;
+  /// The index slot holding the link keyed `key`, or the free slot where
+  /// it would go.
+  [[nodiscard]] std::size_t pair_slot(std::uint64_t key) const noexcept;
+  /// Rebuild each index with `capacity` slots (a power of two).
+  void rehash_names(std::size_t capacity);
+  void rehash_pairs(std::size_t capacity);
 
   std::vector<std::string> node_names_;
   std::vector<Link> links_;
-  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>>
-      node_by_name_;
-  std::unordered_map<std::uint64_t, LinkId> link_by_pair_;
+  // Open-addressing indexes (linear probing, power-of-two size, at most
+  // half full) of node ids by name and link ids by node pair.  They hold
+  // ids only and compare against node_names_ and links_: a view into
+  // node_names_ would dangle once a short name's inline buffer moves, as
+  // it does when the vector grows or the Network is copied.
+  std::vector<std::uint32_t> name_index_;
+  std::vector<std::uint32_t> pair_index_;
 };
 
 }  // namespace whart::net

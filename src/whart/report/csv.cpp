@@ -4,25 +4,24 @@
 
 namespace whart::report {
 
-std::string CsvWriter::escape(const std::string& field) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) return field;
-  std::string quoted = "\"";
-  for (char c : field) {
-    if (c == '"') quoted += '"';
-    quoted += c;
+void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
+  row_.clear();
+  for (const std::string_view* field = fields.begin(); field != fields.end();
+       ++field) {
+    if (field != fields.begin()) row_ += ',';
+    if (field->find_first_of(",\"\n\r") == std::string_view::npos) {
+      row_ += *field;
+      continue;
+    }
+    row_ += '"';
+    for (const char c : *field) {
+      if (c == '"') row_ += '"';
+      row_ += c;
+    }
+    row_ += '"';
   }
-  quoted += '"';
-  return quoted;
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) *out_ << ',';
-    *out_ << escape(fields[i]);
-  }
-  *out_ << '\n';
+  row_ += '\n';
+  out_->write(row_.data(), static_cast<std::streamsize>(row_.size()));
 }
 
 }  // namespace whart::report

@@ -2,9 +2,10 @@
 // plotting tools.
 #pragma once
 
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace whart::report {
 
@@ -15,14 +16,13 @@ class CsvWriter {
   explicit CsvWriter(std::ostream& out) : out_(&out) {}
 
   /// Write one row; fields are quoted when they contain separators,
-  /// quotes or newlines.
-  void write_row(const std::vector<std::string>& fields);
-
-  /// Quote a single field if needed (exposed for testing).
-  static std::string escape(const std::string& field);
+  /// quotes or newlines.  The row is built in a buffer the writer reuses
+  /// and reaches the stream in one write.
+  void write_row(std::initializer_list<std::string_view> fields);
 
  private:
   std::ostream* out_;
+  std::string row_;
 };
 
 }  // namespace whart::report

@@ -22,11 +22,17 @@ TEST(Csv, FieldsWithCommasAreQuoted) {
 }
 
 TEST(Csv, QuotesAreDoubled) {
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  std::ostringstream out;
+  CsvWriter writer(out);
+  writer.write_row({"say \"hi\"", "x"});
+  EXPECT_EQ(out.str(), "\"say \"\"hi\"\"\",x\n");
 }
 
 TEST(Csv, NewlinesAreQuoted) {
-  EXPECT_EQ(CsvWriter::escape("two\nlines"), "\"two\nlines\"");
+  std::ostringstream out;
+  CsvWriter writer(out);
+  writer.write_row({"two\nlines", "cr\r", "plain"});
+  EXPECT_EQ(out.str(), "\"two\nlines\",\"cr\r\",plain\n");
 }
 
 TEST(Csv, EmptyRowAndField) {
